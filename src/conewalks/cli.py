@@ -65,14 +65,22 @@ class UsageError(ValueError):
     pass
 
 
-def _parse_pair(text: str) -> tuple:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise UsageError(f"expected 'i,j', got {text!r}")
-    try:
-        return (int(parts[0]), int(parts[1]))
-    except ValueError:
-        raise UsageError(f"non-integer coordinate in {text!r}")
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _parse_pair(value) -> tuple:
+    """A point given as an 'i,j' string or a two-element list of ints."""
+    parts = value
+    if isinstance(value, str):
+        try:
+            parts = [int(part) for part in value.split(",")]
+        except ValueError:
+            raise UsageError(f"non-integer coordinate in {value!r}")
+    if not (isinstance(parts, list) and len(parts) == 2
+            and all(map(_is_int, parts))):
+        raise UsageError(f"expected 'i,j', got {value!r}")
+    return tuple(parts)
 
 
 def load_config(args: argparse.Namespace) -> dict:
@@ -101,18 +109,24 @@ def load_config(args: argparse.Namespace) -> dict:
         raise UsageError(f"unknown region {cfg['region']!r}")
     if cfg["format"] not in ("json", "csv", "text"):
         raise UsageError(f"unknown format {cfg['format']!r}")
-    if int(cfg["n"]) < 0 or int(cfg["order"]) < 0:
+    for key in ("n", "order"):
+        if not _is_int(cfg[key]):
+            raise UsageError(f"{key} must be an integer, got {cfg[key]!r}")
+    if cfg["n"] < 0 or cfg["order"] < 0:
         raise UsageError("limits must be non-negative")
+    cfg["start"] = _parse_pair(cfg["start"])
+    if cfg["endpoint"] is not None:
+        cfg["endpoint"] = _parse_pair(cfg["endpoint"])
     return cfg
 
 
 def build_model(cfg: dict) -> WalkModel:
-    start = cfg["start"]
-    if isinstance(start, str):
-        start = _parse_pair(start)
-    else:
-        start = tuple(start)
-    return WalkModel(LATTICES[cfg["lattice"]], REGIONS[cfg["region"]], start)
+    try:
+        return WalkModel(
+            LATTICES[cfg["lattice"]], REGIONS[cfg["region"]], cfg["start"]
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
 
 def _emit_rows(rows: list, header: list, fmt: str, out) -> None:
@@ -134,11 +148,9 @@ def _emit_rows(rows: list, header: list, fmt: str, out) -> None:
 
 def cmd_count(cfg: dict, out) -> int:
     model = build_model(cfg)
-    limit = int(cfg["n"])
+    limit = cfg["n"]
     endpoint = cfg["endpoint"]
     if endpoint is not None:
-        if isinstance(endpoint, str):
-            endpoint = _parse_pair(endpoint)
         rows = [
             {
                 "n": n,
@@ -171,11 +183,9 @@ def cmd_count(cfg: dict, out) -> int:
 
 def cmd_series(cfg: dict, out) -> int:
     model = build_model(cfg)
-    order = int(cfg["order"])
+    order = cfg["order"]
     endpoint = cfg["endpoint"]
     if endpoint is not None:
-        if isinstance(endpoint, str):
-            endpoint = _parse_pair(endpoint)
         series = endpoint_series(model, endpoint, order)
         values = [str(series.coeff(n).coeff(0)) for n in range(order)]
         if cfg["format"] == "json":
@@ -246,7 +256,9 @@ def run_suite(suite: str, order: int) -> list:
 
 
 def cmd_verify(cfg: dict, out) -> int:
-    order = int(cfg["order"])
+    order = cfg["order"]
+    if order < 1:
+        raise UsageError("verify needs --order 1 or more")
     selection = cfg["suite"]
     if isinstance(selection, str):
         names = list(SUITES) if selection == "all" else selection.split(",")
@@ -284,7 +296,7 @@ def cmd_param(cfg: dict, out, key, list_keys: bool) -> int:
         return 0
     if key is None:
         raise UsageError("param requires --key or --list")
-    order = int(cfg["order"])
+    order = cfg["order"]
     builders = {
         "base-T": engine.series_T,
         "base-Z": engine.series_Z,
@@ -331,12 +343,10 @@ def cmd_oeis(cfg: dict, out, path) -> int:
     model = build_model(cfg)
     endpoint = cfg["endpoint"]
     if endpoint is not None:
-        if isinstance(endpoint, str):
-            endpoint = _parse_pair(endpoint)
         oracle = lambda n: count_walks(model, n).get(*endpoint)
     else:
         oracle = lambda n: total_count(model, n)
-    report = bfile_mod.compare(data, oracle, max_n=int(cfg["n"]))
+    report = bfile_mod.compare(data, oracle, max_n=cfg["n"])
     if cfg["format"] == "json":
         json.dump(report, out, indent=2, sort_keys=True)
         out.write("\n")
@@ -351,8 +361,7 @@ def cmd_oeis(cfg: dict, out, path) -> int:
 # -- asympt ----------------------------------------------------------------
 
 
-def asympt_rows(lattice: str, region_name: str, start, limit: int) -> list:
-    model = WalkModel(LATTICES[lattice], REGIONS[region_name], tuple(start))
+def asympt_rows(model: WalkModel, lattice: str, limit: int) -> list:
     totals = float_totals(model, limit)
     target = ASYMPT_CONSTANTS.get(lattice)
     rows = []
@@ -372,11 +381,7 @@ def asympt_rows(lattice: str, region_name: str, start, limit: int) -> list:
 
 
 def cmd_asympt(cfg: dict, out) -> int:
-    model_cfg = dict(cfg)
-    start = model_cfg["start"]
-    if isinstance(start, str):
-        start = _parse_pair(start)
-    rows = asympt_rows(cfg["lattice"], cfg["region"], start, int(cfg["n"]))
+    rows = asympt_rows(build_model(cfg), cfg["lattice"], cfg["n"])
     if cfg["format"] != "json":
         out.write("non-exact diagnostic (float64 dynamic programming)\n")
     _emit_rows(rows, ["n", "total_float", "ratio", "target"], cfg["format"], out)

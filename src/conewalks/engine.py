@@ -2,9 +2,9 @@
 
 Builds the parametrizing series (the quartic-defined base series and its
 square root, plus the two variable-parametrizing series), solves implicit
-algebraic equations order by order, evaluates the parametrized rational
-expressions from the data catalog, and checks everything against series
-extracted from the walk oracle.
+algebraic equations by Newton iteration with precision doubling,
+evaluates the parametrized rational expressions from the data catalog,
+and checks everything against series extracted from the walk oracle.
 
 Every check returns a small report dict; nothing is assumed, everything
 is recomputed from the oracle side.
@@ -32,31 +32,32 @@ from .walks import (
 
 
 # ---------------------------------------------------------------------------
-# Order-by-order implicit solving
+# Implicit solving
 # ---------------------------------------------------------------------------
 
 
 def solve_algebraic(residual, order: int, c0) -> Series1:
     """Solve residual(G) = 0 for a series G with G(0) = c0.
 
-    The t^k coefficient of the residual is an affine function of the
-    unknown t^k coefficient of G, so two evaluations (probe 0 and probe 1)
-    determine the slope, and one exact division recovers the coefficient.
-    Works for scalar, polynomial-valued, and Gaussian-rational coefficients.
+    Newton iteration with precision doubling (Brent & Kung 1978): if G is
+    right mod t^p and q = min(2p, order), then (R(G + t^p) - R(G)) / t^p
+    is R'(G) mod t^(q-p), and one exact series division gives G mod t^q.
+    Works for scalar, polynomial-valued, and Gaussian-rational
+    coefficients.  Raises PivotError if c0 is not a root mod t or if
+    [t^0]R'(c0) vanishes.
     """
     G = Series1.const(c0, order)
-    for k in range(1, order):
-        r0 = residual(G).coeff(k)
-        probe = G + Series1([LPoly()] * k + [LPoly.const(1)], order)
-        r1 = residual(probe).coeff(k)
-        slope = r1 - r0
-        if slope.is_zero():
-            if r0.is_zero():
-                continue
-            raise PivotError(f"no pivot at order {k}")
-        c = (-r0).divexact(slope)
-        if not c.is_zero():
-            G = G + Series1([LPoly()] * k + [c], order)
+    p = 1
+    while p < order:
+        q = min(2 * p, order)
+        G = Series1(G.coeffs, q)
+        r0 = residual(G)
+        step = Series1([LPoly()] * p + [LPoly.const(1)], q)
+        slope = (residual(G + step) - r0).mul_t(-p)
+        if slope.coeff(0).is_zero():
+            raise PivotError(f"derivative vanishes at t^0 (step to order {q})")
+        G = G - r0.mul_t(-p).divide(slope).mul_t(p)
+        p = q
     return G
 
 
@@ -136,26 +137,25 @@ def hypergeometric_Z(order: int) -> Series1:
     return Series1.from_scalar_coeffs(coeffs, order)
 
 
+def kernel_residual(lattice: str, Y: Series1) -> Series1:
+    """The kernel quadratic in y, evaluated at Y.
+
+    Square lattice: t Y^2 - (1 - t(x + xbar)) Y + t.
+    Diagonal lattice: t (x + xbar) Y^2 - Y + t (x + xbar).
+    """
+    t = Series1.t(Y.order)
+    s = Series1.from_poly(LPoly.var(1) + LPoly.var(-1), Y.order)
+    if lattice == "square":
+        return t * Y * Y - (1 - t * s) * Y + t
+    if lattice == "diagonal":
+        return t * s * Y * Y - Y + t * s
+    raise ValueError(f"unknown lattice {lattice!r}")
+
+
 @lru_cache(maxsize=None)
 def kernel_root_Y(lattice: str, order: int) -> Series1:
-    """The kernel root in y that is a power series in t.
-
-    Square lattice: Y = t (1 + Y^2) / (1 - t(x + xbar)).
-    Diagonal lattice: Y = t (x + xbar)(1 + Y^2).
-    """
-    t = Series1.t(order)
-    s = Series1.from_poly(LPoly.var(1) + LPoly.var(-1), order)
-    Y = Series1.zero(order)
-    if lattice == "square":
-        inv = (Series1.one(order) - t * s).inverse()
-        for _ in range(order):
-            Y = (t * (1 + Y * Y)) * inv
-    elif lattice == "diagonal":
-        for _ in range(order):
-            Y = t * s * (1 + Y * Y)
-    else:
-        raise ValueError(f"unknown lattice {lattice!r}")
-    return Y
+    """The kernel root in y that is a power series in t, with Y(0) = 0."""
+    return solve_algebraic(lambda Y: kernel_residual(lattice, Y), order, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -541,20 +541,40 @@ def diag_quad_residual(X: Series1) -> Series1:
     ) * (t2 * (X * X + 1) - F0 * X)
 
 
-def _diag_shift_res5(order: int):
-    ds = decompose.diagonal_shifted(order)
-    pair = ds.Npair
-    S = pair.S
+def _diag_shift_cubic(order: int):
+    """The cleared cubic P(s, x) relating the antisymmetric boundary series
+    s = S(x) of the shifted diagonal model to x, and the series S."""
+    pair = decompose.diagonal_shifted(order).Npair
     S1 = pair.S1
     F0 = _diag_shift_N_F0(order)
     t2 = _scal([0, 0, 1], order)
 
-    def residual(X):
-        SX = S.compose(X)
-        lead = X - 4 * t2 * (1 + X) ** 2
-        return lead * (3 * (X + 1) * SX * SX - 6 * SX + (2 - X)) - (X + 1) * (
-            16 * t2 * S1 * X - F0 * X + t2 * (X * X + 1)
+    def cubic(s, x):
+        lead = x - 4 * t2 * (1 + x) ** 2
+        return (
+            (x + 1) * lead * s**3
+            - 3 * lead * s * s
+            + (2 - x) * lead * s
+            - (x + 1) * ((16 * t2 * S1 - F0) * x + t2 * (x * x + 1)) * s
+            + x * (x + 1) * (7 * t2 * S1 - F0) + t2 * x * x * (x + 1)
+            + x * (F0 + 2 * t2 * S1)
         )
+
+    return cubic, pair.S
+
+
+def _d_dx(p: LPoly) -> LPoly:
+    return LPoly({e - 1: e * c for e, c in p.terms.items()})
+
+
+def _diag_shift_res5(order: int):
+    """Residual dP/ds(S(X), X), whose power series roots X are solved for."""
+    cubic, S = _diag_shift_cubic(order)
+
+    def residual(X):
+        # P(s, X) as a polynomial in s, written in the formal variable x
+        in_s = cubic(Series1.x(X.order), X)
+        return in_s.map_poly(_d_dx).compose(S.compose(X))
 
     return residual
 
@@ -563,30 +583,23 @@ def _diag_shift_res5(order: int):
 def diag_shift_X(order: int, which: int) -> Series1:
     """The two power series roots of the derivative equation for the
     antisymmetric pipeline of the shifted diagonal model."""
-    residual = _diag_shift_res5(order)
     c0 = 2 if which == 0 else 0
-    return solve_algebraic(residual, order, c0)
+    return solve_algebraic(_diag_shift_res5(order), order, c0)
 
 
 def diag_shift_pol_residual(order: int) -> Series1:
     """Full cleared cubic relation for the antisymmetric boundary series
     of the shifted diagonal model, as a series identity in x."""
-    ds = decompose.diagonal_shifted(order)
-    pair = ds.Npair
-    S = pair.S
-    S1 = pair.S1
-    F0 = _diag_shift_N_F0(order)
-    t2 = _scal([0, 0, 1], order)
-    x = Series1.x(order)
-    lead = x - 4 * t2 * (1 + x) ** 2
-    return (
-        (x + 1) * lead * S**3
-        - 3 * lead * S * S
-        + (2 - x) * lead * S
-        - (x + 1) * ((16 * t2 * S1 - F0) * x + t2 * (x * x + 1)) * S
-        + x * (x + 1) * (7 * t2 * S1 - F0) + t2 * x * x * (x + 1)
-        + x * (F0 + 2 * t2 * S1)
-    )
+    cubic, S = _diag_shift_cubic(order)
+    return cubic(S, Series1.x(order))
+
+
+def diag_shift_double_root_residuals(X: Series1):
+    """P(S(X), X) and dP/dx(S(X), X) with s held fixed: both vanish at the
+    roots X of dP/ds (generalized quadratic method)."""
+    cubic, S = _diag_shift_cubic(X.order)
+    in_x = cubic(S.compose(X), Series1.x(X.order))
+    return in_x.compose(X), in_x.map_poly(_d_dx).compose(X)
 
 
 # ---------------------------------------------------------------------------
@@ -605,6 +618,13 @@ def _report(key, anchor, series, order):
     }
 
 
+def _report_first_failure(key, anchor, residuals):
+    """Report on the first residual that fails, else on the first one."""
+    failed = [r for r in residuals if r.first_failure() is not None]
+    r = (failed or residuals)[0]
+    return _report(key, anchor, r, r.order)
+
+
 def check_base(key: str, order: int) -> dict:
     if key == "base-T":
         T = series_T(order)
@@ -617,18 +637,10 @@ def check_base(key: str, order: int) -> dict:
         return _report(
             key, "square-root base series as a hypergeometric sum", res, order
         )
-    if key == "base-Y-square":
-        Y = kernel_root_Y("square", order)
-        t = Series1.t(order)
-        s = Series1.from_poly(LPoly.var(1) + LPoly.var(-1), order)
-        res = t * Y * Y - (1 - t * s) * Y + t
-        return _report(key, "square-lattice kernel root", res, order)
-    if key == "base-Y-diagonal":
-        Y = kernel_root_Y("diagonal", order)
-        t = Series1.t(order)
-        s = Series1.from_poly(LPoly.var(1) + LPoly.var(-1), order)
-        res = t * s * Y * Y - Y + t * s
-        return _report(key, "diagonal-lattice kernel root", res, order)
+    if key in ("base-Y-square", "base-Y-diagonal"):
+        lattice = key[len("base-Y-") :]
+        res = kernel_residual(lattice, kernel_root_Y(lattice, order))
+        return _report(key, f"{lattice}-lattice kernel root", res, order)
     raise KeyError(key)
 
 
@@ -662,49 +674,33 @@ def check_xseries(key: str, order: int) -> dict:
     if key == "x-sq-0":
         X0 = sq_X0(order)
         res = 2 * t * (X0 * X0 + 1) - X0
-        rep = _report(key, "square origin: Catalan-type root", res, order)
-        if rep["verdict"] == "pass":
-            diff = X0 - sq_X0_catalan(order)
-            rep = _report(key, rep["anchor"], diff, order)
-        return rep
+        return _report_first_failure(
+            key, "square origin: Catalan-type root",
+            [res, X0 - sq_X0_catalan(order)],
+        )
     if key == "x-sq-12":
         X1 = sq_X1(order)
         X2 = conjugate_series(X1)
         residual, _, _ = _sq_quad_residual(order)
-        res = residual(X2)
-        rep = _report(
-            key, "square origin: conjugate Gaussian roots", res, order
+        return _report_first_failure(
+            key, "square origin: conjugate Gaussian roots",
+            [residual(X2), sq_fact3_residual(X1) + sq_fact3_residual(X2)],
         )
-        if rep["verdict"] == "pass":
-            res = sq_fact3_residual(X1) + sq_fact3_residual(X2)
-            rep = _report(key, rep["anchor"], res, order)
-        return rep
     if key == "x-diag-01":
         X0 = diag_X0(order)
         X1 = diag_X1(order)
         res0 = t * (X0 * X0 + 1) - (1 - 2 * t) * X0
         res1 = t * (X1 * X1 + 1) + (1 + 2 * t) * X1
         resq = diag_quad_residual(X0) + diag_quad_residual(X1)
-        anchor = "diagonal origin: the two explicit roots"
-        for r in (res0, res1, resq):
-            if r.first_failure() is not None:
-                return _report(key, anchor, r, r.order)
-        return _report(key, anchor, res0, res0.order)
-    if key == "x-diag-shift-01":
-        X0 = diag_shift_X(order, 0)
-        X1 = diag_shift_X(order, 1)
-        expect0 = _scal([2, 0, Fraction(-21, 2), 0, Fraction(-117, 8)], 5)
-        expect1 = _scal(
-            [0, 0, Fraction(9, 2), 0, Fraction(261, 8), 0, Fraction(5067, 16)],
-            7,
+        return _report_first_failure(
+            key, "diagonal origin: the two explicit roots", [res0, res1, resq]
         )
-        n0 = min(X0.order, 5)
-        n1 = min(X1.order, 7)
-        d0 = X0.truncate(n0) - expect0.truncate(n0)
-        d1 = X1.truncate(n1) - expect1.truncate(n1)
-        if d0.first_failure() is not None:
-            return _report(key, "shifted diagonal: implicit roots", d0, n0)
-        return _report(key, "shifted diagonal: implicit roots", d1, n1)
+    if key == "x-diag-shift-01":
+        roots = (diag_shift_X(order, 0), diag_shift_X(order, 1))
+        residuals = [r for X in roots for r in diag_shift_double_root_residuals(X)]
+        return _report_first_failure(
+            key, "shifted diagonal: implicit roots", residuals
+        )
     raise KeyError(key)
 
 

@@ -170,6 +170,22 @@ class TestConfigLayering:
     def test_negative_limit(self):
         assert main(["count", "--n", "-3"]) == 2
 
+    def test_start_outside_region(self, capsys):
+        code = main(["count", "--region", "quadrant", "--start=-1,0"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_verify_order_zero(self, capsys):
+        assert main(["verify", "--order", "0"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("value", ["abc", 2.5])
+    def test_non_integer_n_in_config(self, capsys, tmp_path, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": value}))
+        assert main(["count", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestDeterminism:
     def test_identical_runs_identical_bytes(self, capsys):

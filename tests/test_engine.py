@@ -57,6 +57,85 @@ class TestBaseSeries:
             assert engine.run_check(k, 14)["verdict"] == "pass"
 
 
+def reference_solve(residual, order, c0):
+    """The coefficient-by-coefficient solver that Newton iteration replaced:
+    two full-order residual evaluations per coefficient."""
+    G = Series1.const(c0, order)
+    for k in range(1, order):
+        r0 = residual(G).coeff(k)
+        probe = G + Series1([LPoly()] * k + [LPoly.const(1)], order)
+        slope = residual(probe).coeff(k) - r0
+        if slope.is_zero():
+            if r0.is_zero():
+                continue
+            raise PivotError(f"no pivot at order {k}")
+        c = (-r0).divexact(slope)
+        if not c.is_zero():
+            G = G + Series1([LPoly()] * k + [c], order)
+    return G
+
+
+def reference_kernel_root(lattice, order):
+    """The fixed-point iteration for the kernel root that the solver replaced."""
+    t = Series1.t(order)
+    s = Series1.from_poly(LPoly.var(1) + LPoly.var(-1), order)
+    Y = Series1.zero(order)
+    if lattice == "square":
+        inv = (Series1.one(order) - t * s).inverse()
+        for _ in range(order):
+            Y = (t * (1 + Y * Y)) * inv
+    else:
+        for _ in range(order):
+            Y = t * s * (1 + Y * Y)
+    return Y
+
+
+def catalan_residual(g):
+    return g - 1 - (g * g).mul_t(1).truncate(g.order)
+
+
+class TestNewtonMatchesReference:
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 5, 8])
+    def test_small_orders(self, order):
+        assert engine.solve_algebraic(catalan_residual, order, 1) == (
+            reference_solve(catalan_residual, order, 1)
+        )
+
+    def test_T(self):
+        assert engine.solve_algebraic(engine.T_residual, 40, 1) == (
+            reference_solve(engine.T_residual, 40, 1)
+        )
+
+    def test_U_and_V(self):
+        T = engine.series_T(20)
+        for residual, c0 in (
+            (lambda U: engine.U_residual(U, T), 1),
+            (lambda V: engine.V_residual(V, T), 0),
+        ):
+            assert engine.solve_algebraic(residual, 20, c0) == (
+                reference_solve(residual, 20, c0)
+            )
+
+    def test_gaussian_root(self):
+        residual, _, _ = engine._sq_quad_residual(12)
+        assert engine.solve_algebraic(residual, 12, I) == (
+            reference_solve(residual, 12, I)
+        )
+
+    @pytest.mark.parametrize("c0", [2, 0])
+    def test_diag_shift_roots(self, c0):
+        residual = engine._diag_shift_res5(12)
+        assert engine.solve_algebraic(residual, 12, c0) == (
+            reference_solve(residual, 12, c0)
+        )
+
+    @pytest.mark.parametrize("lattice", ["square", "diagonal"])
+    def test_kernel_roots(self, lattice):
+        assert engine.kernel_root_Y(lattice, 20) == (
+            reference_kernel_root(lattice, 20)
+        )
+
+
 class TestSolver:
     def test_solve_geometric(self):
         # G = 1 + t G  =>  G = 1/(1-t)
@@ -69,6 +148,13 @@ class TestSolver:
             lambda g: g - 1 - (g * g).mul_t(1).truncate(g.order), 8, Fraction(1)
         )
         assert scalar_coeffs(G, 8) == [1, 1, 2, 5, 14, 42, 132, 429]
+
+    def test_non_root_start_raises(self):
+        # G = 1 + t G has no solution with G(0) = 2
+        with pytest.raises(PivotError):
+            engine.solve_algebraic(
+                lambda g: g - 1 - g.mul_t(1).truncate(g.order), 4, Fraction(2)
+            )
 
     def test_singular_residual_raises(self):
         # residual independent of G at some order cannot be solved
@@ -141,6 +227,17 @@ class TestXSeriesBranches:
 
         assert cleared(engine.sq_X0(8)).is_zero()
         assert not cleared(engine.sq_X1(8)).is_zero()
+
+    @pytest.mark.parametrize("order", [12, 16])
+    def test_diag_shift_roots_are_double_roots(self, order):
+        for which in (0, 1):
+            X = engine.diag_shift_X(order, which)
+            for r in engine.diag_shift_double_root_residuals(X):
+                assert r.order == order and r.is_zero()
+
+    def test_diag_shift_check_reaches_requested_order(self):
+        r = engine.run_check("x-diag-shift-01", 12)
+        assert r["verdict"] == "pass" and r["order_checked"] == 12
 
     def test_diag_branch_constants(self):
         assert engine.diag_X0(6).coeff(0).is_zero()
