@@ -7,7 +7,8 @@ strings in JSON so no consumer needs 64-bit-safe parsing.  Output
 ordering is fixed, so identical configurations give identical bytes.
 
 Exit codes: 0 success, 1 verification failure or data mismatch, 2 usage
-error.
+error (including an --order too low for a catalog entry's denominator and
+an asympt --n beyond the float64 range).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import sys
 
 from . import bfile as bfile_mod
 from . import closedforms, engine, identities
+from .series import OrderError
 from .walks import (
     DIAGONAL,
     SQUARE,
@@ -59,6 +61,9 @@ ASYMPT_CONSTANTS = {
     "square": 2**5 * math.sqrt(3) / (3**3 * math.gamma(2 / 3)),
     "diagonal": 2**3 * math.sqrt(3) / (3**2 * math.gamma(2 / 3)),
 }
+
+# Longest length whose 4.0**n stays inside the float64 range.
+ASYMPT_MAX_N = 511
 
 
 class UsageError(ValueError):
@@ -237,11 +242,21 @@ def _closed_forms_reports(max_n: int) -> list:
     return reports
 
 
+def _at_order(build, key: str, order: int):
+    """build(key, order), where a catalog denominator that is zero to this
+    order is a usage error: the order is too low to divide by it."""
+    try:
+        return build(key, order)
+    except OrderError as exc:
+        raise UsageError(f"--order {order} is too low for {key} ({exc})")
+
+
 def run_suite(suite: str, order: int) -> list:
     if suite == "base":
         return [engine.run_check(k, order) for k in engine.BASE_KEYS]
     if suite == "params":
-        return [engine.run_check(k, order) for k in engine.param_keys()]
+        return [_at_order(engine.run_check, k, order)
+                for k in engine.param_keys()]
     if suite == "endpoints":
         return [engine.run_check(k, order) for k in engine.z_rational_keys()]
     if suite == "quartics":
@@ -306,9 +321,9 @@ def cmd_param(cfg: dict, out, key, list_keys: bool) -> int:
     if key in builders:
         series = builders[key](order)
     elif key in engine.param_keys():
-        series = engine.param_series(key, order)
+        series = _at_order(engine.param_series, key, order)
     elif key in engine.z_rational_keys():
-        series = engine.z_rational(key, order)
+        series = _at_order(engine.z_rational, key, order)
     else:
         raise UsageError(f"unknown series key {key!r}")
     if cfg["format"] == "json":
@@ -381,6 +396,9 @@ def asympt_rows(model: WalkModel, lattice: str, limit: int) -> list:
 
 
 def cmd_asympt(cfg: dict, out) -> int:
+    if cfg["n"] > ASYMPT_MAX_N:
+        raise UsageError(f"asympt needs --n {ASYMPT_MAX_N} or less: 4^n "
+                         "must stay inside the float64 range")
     rows = asympt_rows(build_model(cfg), cfg["lattice"], cfg["n"])
     if cfg["format"] != "json":
         out.write("non-exact diagnostic (float64 dynamic programming)\n")

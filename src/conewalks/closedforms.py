@@ -161,6 +161,3 @@ def catalog() -> dict:
         _CATALOG = load_catalog()
     return _CATALOG
 
-
-def closed_form_count(key: str, n: int) -> int:
-    return catalog()[key].count(n)

@@ -7,12 +7,19 @@ M, N for shifted starting points) is read off the oracle's generating
 function by exponent-sign extraction, exactly as the corresponding object
 is defined.  Identity checks built on these series therefore test the
 stated relations themselves, not our algebra.
+
+Structure: ``Pipeline`` holds one lattice and starting point with its cone
+series C, quadrant series Q and kernel K.  The origin pipelines add A, its
+split and the boundary constants; ``ShiftedPipelineBase`` adds the split
+into P, L, B and the sums M, N.  ``BoundaryPair`` states the R/S
+specializations of a quadrant-like series once per lattice.  Every derived
+series is a ``_cached`` property: built on first use, then kept.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from .laurent import LPoly, LPoly2
 from .series import Series1, Series2
@@ -49,146 +56,183 @@ def x_neg_factor2(series2: Series2) -> Series2:
     return series2.part("x", "neg").mul_xy(1, 0).sub_inverse("x")
 
 
-def y_neg_factor2(series2: Series2) -> Series2:
-    """Recover G(x, y) from the identity [y^<] A = ybar * G(x-var as y...).
-
-    For [y^<] A = ybar * G(ybar, x) the result is returned with the
-    convention G(first, second): we shift, invert y, then swap so the
-    y-negative data reads as G(x, y).
-    """
-    return series2.part("y", "neg").mul_xy(0, 1).sub_inverse("y").swap_vars()
-
-
 def even_halve(s: Series1) -> Series1:
     """x^2 -> x on a series whose coefficients are even in x."""
     return s.halve_x()
 
 
-class SquareOriginPipeline:
-    """Square lattice, three-quadrant cone, start (0, 0)."""
+def _cached(build):
+    """A property built once per instance and kept in its ``__dict__``.
 
-    steps = SQUARE
-    start = (0, 0)
+    It stays a plain ``property`` (unlike ``functools.cached_property``),
+    so every read goes through its getter.
+    """
+    name = build.__name__
+
+    @wraps(build)
+    def get(self):
+        cache = self.__dict__
+        if name not in cache:
+            cache[name] = build(self)
+        return cache[name]
+
+    return property(get)
+
+
+def _diagonal_delta(order: int) -> Series1:
+    """1 - 4 t^2 (1 + x)(1 + xbar), in the squared variable."""
+    prod = (LPoly.const(1) + LPoly.var(1)) * (LPoly.const(1) + LPoly.var(-1))
+    return Series1([LPoly.const(1), LPoly(), -4 * prod], order)
+
+
+class BoundaryPair:
+    """R and S specializations of one quadrant-like series W.
+
+    Square lattice: R(x) = t W(x, 0) and S(x) = t x W(0, x).  Diagonal
+    lattice: x W(x, 0) and x W(0, x) are even, so R and S live in the
+    squared variable: R(x) = t^2 W(sqrt x, 0) / sqrt x and
+    S(x) = t sqrt(x) W(0, sqrt x).
+    """
+
+    def __init__(self, W: Series2, diagonal: bool):
+        self.W = W
+        self.diagonal = diagonal
+
+    @_cached
+    def x0(self) -> Series1:
+        """W(x, 0) as a series in x."""
+        return self.W.coeff_of("y", 0)
+
+    @_cached
+    def on_y(self) -> Series1:
+        """W(0, y) as a series in its single variable."""
+        return self.W.coeff_of("x", 0)
+
+    @_cached
+    def R(self) -> Series1:
+        if self.diagonal:
+            return tmul(even_halve(self.x0.mul_x(-1)), 2)
+        return tmul(self.x0)
+
+    @_cached
+    def S(self) -> Series1:
+        xW = self.on_y.mul_x(1)
+        return tmul(even_halve(xW) if self.diagonal else xW)
+
+    @_cached
+    def S1(self) -> Series1:
+        return self.S.coeff_x(1)
+
+    @_cached
+    def S2(self) -> Series1:
+        return self.S.coeff_x(2)
+
+    @_cached
+    def S_m1(self) -> Series1:
+        """S(-1)."""
+        return self.S.eval_x(-1)
+
+
+def _from_Mpair(name: str, doc: str) -> property:
+    return property(lambda self: getattr(self.Mpair, name), doc=doc)
+
+
+class Pipeline:
+    """One lattice and starting point in the three-quadrant cone: the cone
+    series C, the quadrant series Q from the origin and the kernel K.
+
+    Subclasses define the quadrant-like series M; ``Mpair`` holds its
+    boundary specializations.
+    """
+
+    steps = None
+    start = None
 
     def __init__(self, order: int):
         self.order = order
         self.model = WalkModel(self.steps, Region.THREE_QUADRANT, self.start)
         self.qmodel = WalkModel(self.steps, Region.QUADRANT, (0, 0))
-        self._cache = {}
 
-    def _get(self, name, builder):
-        if name not in self._cache:
-            self._cache[name] = builder()
-        return self._cache[name]
-
-    @property
+    @_cached
     def C(self) -> Series2:
-        return self._get("C", lambda: generating_series(self.model, self.order))
+        return generating_series(self.model, self.order)
 
-    @property
+    @_cached
     def Q(self) -> Series2:
-        return self._get("Q", lambda: generating_series(self.qmodel, self.order))
+        return generating_series(self.qmodel, self.order)
 
-    @property
+    @_cached
     def K(self) -> Series2:
-        return self._get("K", lambda: kernel_series(self.steps, self.order))
+        return kernel_series(self.steps, self.order)
 
-    @property
+    @_cached
+    def Mpair(self) -> BoundaryPair:
+        return BoundaryPair(self.M, self.steps is DIAGONAL)
+
+
+class SquareOriginPipeline(Pipeline):
+    """Square lattice, three-quadrant cone, start (0, 0)."""
+
+    steps = SQUARE
+    start = (0, 0)
+
+    @_cached
     def A(self) -> Series2:
         # C differs from (1/3) * (Q - xbar^2 Q(xbar,y) - ybar^2 Q(x,ybar))
         # by the zero-orbit-sum series A.
-        def build():
-            combo = quadrant_mirror_combo(self.Q)
-            return self.C - combo.map_poly(
-                lambda p: p * LPoly2.const(THIRD)
-            )
+        combo = quadrant_mirror_combo(self.Q)
+        return self.C - combo.map_poly(lambda p: p * LPoly2.const(THIRD))
 
-        return self._get("A", build)
-
-    @property
+    @_cached
     def P(self) -> Series2:
-        return self._get(
-            "P", lambda: self.A.part("x", "nonneg").part("y", "nonneg")
-        )
+        return self.A.part("x", "nonneg").part("y", "nonneg")
 
-    @property
+    @_cached
     def M(self) -> Series2:
-        return self._get("M", lambda: x_neg_factor2(self.A))
+        return x_neg_factor2(self.A)
 
-    @property
-    def M_x0(self) -> Series1:
-        """M(x, 0) as a series in x."""
-        return self._get("M_x0", lambda: self.M.coeff_of("y", 0))
+    M_x0 = _from_Mpair("x0", "M(x, 0) as a series in x.")
+    M_0y = _from_Mpair("on_y", "M(0, y) as a series in its single variable.")
+    R = _from_Mpair("R", "R(x): t M(x, 0), in the squared variable on the "
+                         "diagonal lattice.")
+    S = _from_Mpair("S", "S(x): t x M(0, x), in the squared variable on the "
+                         "diagonal lattice.")
+    S1 = _from_Mpair("S1", "[x^1] S.")
+    S2 = _from_Mpair("S2", "[x^2] S.")
+    S_m1 = _from_Mpair("S_m1", "S(-1).")
 
-    @property
-    def M_0y(self) -> Series1:
-        """M(0, y) as a series in its single variable."""
-        return self._get("M_0y", lambda: self.M.coeff_of("x", 0))
-
-    @property
-    def R(self) -> Series1:
-        """R(x) = t M(x, 0)."""
-        return self._get("R", lambda: tmul(self.M_x0))
-
-    @property
-    def S(self) -> Series1:
-        """S(x) = t x M(0, x)."""
-        return self._get("S", lambda: tmul(self.M_0y.mul_x(1)))
-
-    @property
-    def S1(self) -> Series1:
-        return self._get("S1", lambda: self.S.coeff_x(1))
-
-    @property
-    def S2(self) -> Series1:
-        return self._get("S2", lambda: self.S.coeff_x(2))
-
-    @property
+    @_cached
     def R1(self) -> Series1:
-        return self._get("R1", lambda: self.R.coeff_x(1))
+        return self.R.coeff_x(1)
 
-    @property
+    @_cached
     def Delta(self) -> Series1:
         """Discriminant (1 - t(x + xbar))^2 - 4 t^2."""
+        n = self.order
+        lin = Series1([LPoly.const(1), -(LPoly.var(1) + LPoly.var(-1))], n)
+        return lin * lin - Series1([LPoly(), LPoly(), LPoly.const(4)], n)
 
-        def build():
-            n = self.order
-            lin = Series1(
-                [LPoly.const(1), -(LPoly.var(1) + LPoly.var(-1))], n
-            )
-            return lin * lin - Series1([LPoly(), LPoly(), LPoly.const(4)], n)
-
-        return self._get("Delta", build)
-
-    @property
+    @_cached
     def sqrt_Delta(self) -> Series1:
-        return self._get("sqrtDelta", lambda: self.Delta.sqrt())
+        return self.Delta.sqrt()
 
-    @property
+    @_cached
     def P0(self) -> Series1:
         """[x^0] of Delta(x) S(x) S(xbar)."""
-        return self._get(
-            "P0",
-            lambda: (self.Delta * self.S * self.S.sub_inverse_x()).coeff_x(0),
-        )
+        return (self.Delta * self.S * self.S.sub_inverse_x()).coeff_x(0)
 
-    @property
+    @_cached
     def F0(self) -> Series1:
-        return self._get(
-            "F0", lambda: tmul(self.S1 * (1 + self.S1), 2)
-        )
+        return tmul(self.S1 * (1 + self.S1), 2)
 
-    @property
+    @_cached
     def F1(self) -> Series1:
-        def build():
-            inner = tmul(self.S2) + 3 * tmul(self.R1) - 5 * self.S1
-            return tmul(inner) * Fraction(1, 2)
+        inner = tmul(self.S2) + 3 * tmul(self.R1) - 5 * self.S1
+        return tmul(inner) * Fraction(1, 2)
 
-        return self._get("F1", build)
-
-    @property
+    @_cached
     def F2(self) -> Series1:
-        return self._get("F2", lambda: tmul(1 + 2 * self.S1, 2))
+        return tmul(1 + 2 * self.S1, 2)
 
 
 class DiagonalOriginPipeline(SquareOriginPipeline):
@@ -201,51 +245,26 @@ class DiagonalOriginPipeline(SquareOriginPipeline):
     steps = DIAGONAL
     start = (0, 0)
 
-    @property
+    @_cached
     def M10(self) -> Series1:
         """Coefficient of x^1 y^0 in M(x, y)."""
-        return self._get("M10", lambda: self.M_x0.coeff_x(1))
+        return self.M_x0.coeff_x(1)
 
-    @property
-    def R(self) -> Series1:
-        """R(x) = t^2 M(sqrt x, 0) / sqrt x, an even-series reindexing."""
-        return self._get(
-            "R", lambda: tmul(even_halve(self.M_x0.mul_x(-1)), 2)
-        )
-
-    @property
-    def S(self) -> Series1:
-        """S(x) = t sqrt(x) M(0, sqrt x)."""
-        return self._get("S", lambda: tmul(even_halve(self.M_0y.mul_x(1))))
-
-    @property
+    @_cached
     def R0(self) -> Series1:
-        return self._get("R0", lambda: self.R.coeff_x(0))
+        return self.R.coeff_x(0)
 
-    @property
-    def S_m1(self) -> Series1:
-        """S(-1)."""
-        return self._get("S_m1", lambda: self.S.eval_x(-1))
-
-    @property
+    @_cached
     def Delta(self) -> Series1:
         """1 - 4 t^2 (1 + x)(1 + xbar), in the squared variable."""
+        return _diagonal_delta(self.order)
 
-        def build():
-            n = self.order
-            prod = (LPoly.const(1) + LPoly.var(1)) * (
-                LPoly.const(1) + LPoly.var(-1)
-            )
-            return Series1([LPoly.const(1), LPoly(), -4 * prod], n)
-
-        return self._get("Delta", build)
-
-    @property
+    @_cached
     def F0(self) -> Series1:
-        return self._get("F0", lambda: self.P0 - self.S_m1)
+        return self.P0 - self.S_m1
 
 
-class ShiftedPipelineBase:
+class ShiftedPipelineBase(Pipeline):
     """Common machinery for the shifted starting points.
 
     The cone series (or its zero-orbit-sum correction A) splits uniquely as
@@ -253,121 +272,51 @@ class ShiftedPipelineBase:
     M = L + B-swapped, N = L - B-swapped decouple the functional equations.
     """
 
-    steps = None
-    start = None
-
-    def __init__(self, order: int):
-        self.order = order
-        self.model = WalkModel(self.steps, Region.THREE_QUADRANT, self.start)
-        self.qmodel = WalkModel(self.steps, Region.QUADRANT, (0, 0))
-        self._cache = {}
-
-    def _get(self, name, builder):
-        if name not in self._cache:
-            self._cache[name] = builder()
-        return self._cache[name]
-
-    @property
-    def C(self) -> Series2:
-        return self._get("C", lambda: generating_series(self.model, self.order))
-
-    @property
-    def K(self) -> Series2:
-        return self._get("K", lambda: kernel_series(self.steps, self.order))
-
     @property
     def split_source(self) -> Series2:
         """The series that is split into P, L, B (C itself or A)."""
         raise NotImplementedError
 
-    @property
+    @_cached
     def P(self) -> Series2:
-        return self._get(
-            "P",
-            lambda: self.split_source.part("x", "nonneg").part("y", "nonneg"),
-        )
+        return self.split_source.part("x", "nonneg").part("y", "nonneg")
 
-    @property
+    @_cached
     def L(self) -> Series2:
-        return self._get("L", lambda: x_neg_factor2(self.split_source))
+        return x_neg_factor2(self.split_source)
 
-    @property
+    @_cached
     def B(self) -> Series2:
-        def build():
-            # [y^<] source = ybar B(x, ybar): shift and invert y only.
-            return self.split_source.part("y", "neg").mul_xy(0, 1).sub_inverse("y")
+        # [y^<] source = ybar B(x, ybar): shift and invert y only.
+        return self.split_source.part("y", "neg").mul_xy(0, 1).sub_inverse("y")
 
-        return self._get("B", build)
-
-    @property
+    @_cached
     def M(self) -> Series2:
-        return self._get("M", lambda: self.L + self.B.swap_vars())
+        return self.L + self.B.swap_vars()
 
-    @property
+    @_cached
     def N(self) -> Series2:
-        return self._get("N", lambda: self.L - self.B.swap_vars())
+        return self.L - self.B.swap_vars()
 
+    @_cached
+    def Npair(self) -> BoundaryPair:
+        return BoundaryPair(self.N, self.steps is DIAGONAL)
 
-class BoundaryPair:
-    """R and S specializations of one quadrant-like series (square case)."""
+    @_cached
+    def L_x0(self) -> Series1:
+        return self.L.coeff_of("y", 0)
 
-    def __init__(self, W: Series2):
-        self.W = W
+    @_cached
+    def L_0y(self) -> Series1:
+        return self.L.coeff_of("x", 0)
 
-    @property
-    def x0(self) -> Series1:
-        return self.W.coeff_of("y", 0)
+    @_cached
+    def B_x0(self) -> Series1:
+        return self.B.coeff_of("y", 0)
 
-    @property
-    def on_y(self) -> Series1:
-        return self.W.coeff_of("x", 0)
-
-    @property
-    def R(self) -> Series1:
-        return tmul(self.x0)
-
-    @property
-    def S(self) -> Series1:
-        return tmul(self.on_y.mul_x(1))
-
-    @property
-    def S1(self) -> Series1:
-        return self.S.coeff_x(1)
-
-    @property
-    def S2(self) -> Series1:
-        return self.S.coeff_x(2)
-
-
-class DiagBoundaryPair:
-    """R and S in the squared variable (diagonal case)."""
-
-    def __init__(self, W: Series2):
-        self.W = W
-
-    @property
-    def x0(self) -> Series1:
-        return self.W.coeff_of("y", 0)
-
-    @property
-    def on_y(self) -> Series1:
-        return self.W.coeff_of("x", 0)
-
-    @property
-    def R(self) -> Series1:
-        return tmul(even_halve(self.x0.mul_x(-1)), 2)
-
-    @property
-    def S(self) -> Series1:
-        return tmul(even_halve(self.on_y.mul_x(1)))
-
-    @property
-    def S1(self) -> Series1:
-        return self.S.coeff_x(1)
-
-    @property
-    def S_m1(self) -> Series1:
-        return self.S.eval_x(-1)
+    @_cached
+    def B_0y(self) -> Series1:
+        return self.B.coeff_of("x", 0)
 
 
 class SquareShiftedPipeline(ShiftedPipelineBase):
@@ -380,30 +329,6 @@ class SquareShiftedPipeline(ShiftedPipelineBase):
     def split_source(self) -> Series2:
         return self.C
 
-    @property
-    def Mpair(self) -> BoundaryPair:
-        return self._get("Mpair", lambda: BoundaryPair(self.M))
-
-    @property
-    def Npair(self) -> BoundaryPair:
-        return self._get("Npair", lambda: BoundaryPair(self.N))
-
-    @property
-    def L_x0(self) -> Series1:
-        return self._get("L_x0", lambda: self.L.coeff_of("y", 0))
-
-    @property
-    def L_0y(self) -> Series1:
-        return self._get("L_0y", lambda: self.L.coeff_of("x", 0))
-
-    @property
-    def B_x0(self) -> Series1:
-        return self._get("B_x0", lambda: self.B.coeff_of("y", 0))
-
-    @property
-    def B_0y(self) -> Series1:
-        return self._get("B_0y", lambda: self.B.coeff_of("x", 0))
-
 
 class DiagonalShiftedPipeline(ShiftedPipelineBase):
     """Diagonal lattice, three-quadrant cone, start (-2, 0)."""
@@ -411,45 +336,22 @@ class DiagonalShiftedPipeline(ShiftedPipelineBase):
     steps = DIAGONAL
     start = (-2, 0)
 
-    @property
-    def Q(self) -> Series2:
-        return self._get("Q", lambda: generating_series(self.qmodel, self.order))
-
-    @property
+    @_cached
     def A(self) -> Series2:
-        def build():
-            combo = quadrant_mirror_combo(self.Q)
-            return self.C + combo.map_poly(lambda p: p * LPoly2.const(THIRD))
-
-        return self._get("A", build)
+        combo = quadrant_mirror_combo(self.Q)
+        return self.C + combo.map_poly(lambda p: p * LPoly2.const(THIRD))
 
     @property
     def split_source(self) -> Series2:
         return self.A
 
-    @property
-    def Mpair(self) -> DiagBoundaryPair:
-        return self._get("Mpair", lambda: DiagBoundaryPair(self.M))
-
-    @property
-    def Npair(self) -> DiagBoundaryPair:
-        return self._get("Npair", lambda: DiagBoundaryPair(self.N))
-
-    @property
-    def L_x0(self) -> Series1:
-        return self._get("L_x0", lambda: self.L.coeff_of("y", 0))
-
-    @property
-    def L_0y(self) -> Series1:
-        return self._get("L_0y", lambda: self.L.coeff_of("x", 0))
-
-    @property
-    def B_x0(self) -> Series1:
-        return self._get("B_x0", lambda: self.B.coeff_of("y", 0))
-
-    @property
-    def B_0y(self) -> Series1:
-        return self._get("B_0y", lambda: self.B.coeff_of("x", 0))
+    @_cached
+    def N_F0(self) -> Series1:
+        """The combined boundary constant of the antisymmetric pipeline:
+        [x^0](Delta S(x) S(xbar)) - 3 S(-1), with S from N."""
+        S = self.Npair.S
+        P0 = (_diagonal_delta(self.order) * S * S.sub_inverse_x()).coeff_x(0)
+        return P0 - 3 * self.Npair.S_m1
 
 
 @lru_cache(maxsize=None)

@@ -7,7 +7,9 @@ evaluates the parametrized rational expressions from the data catalog,
 and checks everything against series extracted from the walk oracle.
 
 Every check returns a small report dict; nothing is assumed, everything
-is recomputed from the oracle side.
+is recomputed from the oracle side.  The oracle side of each catalog entry
+is data: ``_PARAM_ORACLES``, ``_ENDPOINTS`` and ``_CONSTANTS`` map its key
+to the pipeline series or endpoint counts it must match.
 """
 
 from __future__ import annotations
@@ -228,130 +230,82 @@ def z_rational(key: str, order: int) -> Series1:
 # ---------------------------------------------------------------------------
 
 
-def _diag_shift_N_F0(order: int):
-    """The combined boundary constant of the antisymmetric pipeline:
-    [x^0](Delta S(x) S(xbar)) - 3 S(-1)."""
-    ds = decompose.diagonal_shifted(order)
-    pair = ds.Npair
-    S = pair.S
-    prod = (LPoly.const(1) + LPoly.var(1)) * (LPoly.const(1) + LPoly.var(-1))
-    Delta = Series1([LPoly.const(1), LPoly(), -4 * prod], order)
-    P0 = (Delta * S * S.sub_inverse_x()).coeff_x(0)
-    return P0 - 3 * pair.S_m1
+# key -> (pipeline, boundary series, power of x, power of t).  Square
+# oracles are read with x -> x t; diagonal ones live in the squared variable.
+_PARAM_ORACLES = {
+    "sq-origin-axis-x": ("square_origin", "M_x0", 0, 1),
+    "sq-origin-axis-y": ("square_origin", "M_0y", 0, 1),
+    "diag-origin-axis-x": ("diagonal_origin", "M_x0", -1, 2),
+    "diag-origin-axis-y": ("diagonal_origin", "M_0y", 1, 1),
+    "sq-shift-left-axis-x": ("square_shifted", "L_x0", 0, 0),
+    "sq-shift-left-axis-y": ("square_shifted", "L_0y", 1, 0),
+    "sq-shift-below-axis-x": ("square_shifted", "B_x0", 1, 0),
+    "sq-shift-below-axis-y": ("square_shifted", "B_0y", 0, 0),
+    "diag-shift-left-axis-x": ("diagonal_shifted", "L_x0", -1, 0),
+    "diag-shift-left-axis-y": ("diagonal_shifted", "L_0y", 1, 1),
+    "diag-shift-below-axis-x": ("diagonal_shifted", "B_x0", 1, 1),
+    "diag-shift-below-axis-y": ("diagonal_shifted", "B_0y", -1, 0),
+}
 
 
 def param_oracle(key: str, order: int) -> Series1:
     """The walk-oracle series that a bivariate catalog entry must match."""
-    if key == "sq-origin-axis-x":
-        return decompose.square_origin(order).R.x_to_xt()
-    if key == "sq-origin-axis-y":
-        sq = decompose.square_origin(order)
-        return decompose.tmul(sq.M_0y).x_to_xt()
-    if key == "diag-origin-axis-x":
-        return decompose.diagonal_origin(order).R
-    if key == "diag-origin-axis-y":
-        return decompose.diagonal_origin(order).S
-    ss = decompose.square_shifted(order)
-    if key == "sq-shift-left-axis-x":
-        return ss.L_x0.x_to_xt()
-    if key == "sq-shift-left-axis-y":
-        return ss.L_0y.x_to_xt().mul_x(1)
-    if key == "sq-shift-below-axis-x":
-        return ss.B_x0.x_to_xt().mul_x(1)
-    if key == "sq-shift-below-axis-y":
-        return ss.B_0y.x_to_xt()
-    ds = decompose.diagonal_shifted(order)
-    if key == "diag-shift-left-axis-x":
-        return decompose.even_halve(ds.L_x0.mul_x(-1))
-    if key == "diag-shift-left-axis-y":
-        return decompose.tmul(decompose.even_halve(ds.L_0y.mul_x(1)))
-    if key == "diag-shift-below-axis-x":
-        return decompose.tmul(decompose.even_halve(ds.B_x0.mul_x(1)))
-    if key == "diag-shift-below-axis-y":
-        return decompose.even_halve(ds.B_0y.mul_x(-1))
-    raise KeyError(key)
+    pipeline, name, dx, dt = _PARAM_ORACLES[key]
+    s = getattr(getattr(decompose, pipeline)(order), name)
+    if pipeline.startswith("square"):
+        return decompose.tmul(s, dt).x_to_xt().mul_x(dx)
+    return decompose.tmul(decompose.even_halve(s.mul_x(dx)), dt)
 
 
-def _end(steps, start, end, order):
-    model = WalkModel(steps, Region.THREE_QUADRANT, start)
-    return endpoint_series(model, end, order)
+# key -> (lattice, start, end, power of t, multiple of Q00 / 3), where Q00
+# counts quadrant walks from the origin back to it.
+_ENDPOINTS = {
+    "sq-origin-end-m1-0": (SQUARE, (0, 0), (-1, 0), 1, 0),
+    "sq-origin-end-m1-1": (SQUARE, (0, 0), (-1, 1), 0, 0),
+    "sq-origin-end-m2-0": (SQUARE, (0, 0), (-2, 0), 0, 1),
+    "sq-origin-end-0-0": (SQUARE, (0, 0), (0, 0), 0, -1),
+    "diag-origin-end-m1-1": (DIAGONAL, (0, 0), (-1, 1), 1, 0),
+    "diag-origin-end-m2-0": (DIAGONAL, (0, 0), (-2, 0), 0, 1),
+    "diag-origin-end-0-0": (DIAGONAL, (0, 0), (0, 0), 0, -1),
+    "sq-shift-end-0-0": (SQUARE, (-1, 0), (0, 0), 1, 0),
+    "sq-shift-end-m2-0": (SQUARE, (-1, 0), (-2, 0), 1, 0),
+    "sq-shift-end-0-m2": (SQUARE, (-1, 0), (0, -2), 1, 0),
+    "sq-shift-end-m1-0": (SQUARE, (-1, 0), (-1, 0), 0, 0),
+    "sq-shift-end-m1-1": (SQUARE, (-1, 0), (-1, 1), 1, 0),
+    "sq-shift-end-0-m1": (SQUARE, (-1, 0), (0, -1), 0, 0),
+    "diag-shift-end-m1-1": (DIAGONAL, (-2, 0), (-1, 1), 1, 0),
+    "diag-shift-end-m1-3": (DIAGONAL, (-2, 0), (-1, 3), 1, 0),
+    "diag-shift-end-m2-0": (DIAGONAL, (-2, 0), (-2, 0), 0, -1),
+    "diag-shift-end-0-0": (DIAGONAL, (-2, 0), (0, 0), 0, 1),
+    "diag-shift-end-0-m2": (DIAGONAL, (-2, 0), (0, -2), 0, -1),
+    "diag-shift-end-1-m1": (DIAGONAL, (-2, 0), (1, -1), 1, 0),
+}
 
-
-def _q00(steps, order):
-    model = WalkModel(steps, Region.QUADRANT, (0, 0))
-    return endpoint_series(model, (0, 0), order)
+# key -> the pipeline constant it names.
+_CONSTANTS = {
+    "sq-origin-m01": lambda n: decompose.tmul(
+        decompose.square_origin(n).M_0y.coeff_x(1), 2),
+    "sq-S1": lambda n: decompose.square_origin(n).S1,
+    "sq-P0": lambda n: decompose.square_origin(n).P0,
+    "diag-S1": lambda n: decompose.diagonal_origin(n).S1,
+    "diag-F0": lambda n: decompose.diagonal_origin(n).F0,
+    "diag-R0": lambda n: decompose.diagonal_origin(n).R0,
+    "diag-shift-S1": lambda n: decompose.diagonal_shifted(n).Npair.S1,
+    "diag-shift-F0": lambda n: decompose.diagonal_shifted(n).N_F0,
+}
 
 
 def z_rational_oracle(key: str, order: int) -> Series1:
     """The oracle series matching a one-variable catalog entry."""
-    third = Fraction(1, 3)
-    tm = decompose.tmul
-    if key == "sq-origin-end-m1-0":
-        return tm(_end(SQUARE, (0, 0), (-1, 0), order))
-    if key == "sq-origin-end-m1-1":
-        return _end(SQUARE, (0, 0), (-1, 1), order)
-    if key == "sq-origin-end-m2-0":
-        return _end(SQUARE, (0, 0), (-2, 0), order) + third * _q00(SQUARE, order)
-    if key == "sq-origin-end-0-0":
-        return _end(SQUARE, (0, 0), (0, 0), order) - third * _q00(SQUARE, order)
-    if key == "sq-origin-m01":
-        sq = decompose.square_origin(order)
-        return tm(sq.M_0y.coeff_x(1), 2)
-    if key == "diag-origin-end-m1-1":
-        return tm(_end(DIAGONAL, (0, 0), (-1, 1), order))
-    if key == "diag-origin-end-m2-0":
-        return _end(DIAGONAL, (0, 0), (-2, 0), order) + third * _q00(
-            DIAGONAL, order
-        )
-    if key == "diag-origin-end-0-0":
-        return _end(DIAGONAL, (0, 0), (0, 0), order) - third * _q00(
-            DIAGONAL, order
-        )
-    if key == "sq-shift-end-0-0":
-        return tm(_end(SQUARE, (-1, 0), (0, 0), order))
-    if key == "sq-shift-end-m2-0":
-        return tm(_end(SQUARE, (-1, 0), (-2, 0), order))
-    if key == "sq-shift-end-0-m2":
-        return tm(_end(SQUARE, (-1, 0), (0, -2), order))
-    if key == "sq-shift-end-m1-0":
-        return _end(SQUARE, (-1, 0), (-1, 0), order)
-    if key == "sq-shift-end-m1-1":
-        return tm(_end(SQUARE, (-1, 0), (-1, 1), order))
-    if key == "sq-shift-end-0-m1":
-        return _end(SQUARE, (-1, 0), (0, -1), order)
-    if key == "diag-shift-end-m1-1":
-        return tm(_end(DIAGONAL, (-2, 0), (-1, 1), order))
-    if key == "diag-shift-end-m1-3":
-        return tm(_end(DIAGONAL, (-2, 0), (-1, 3), order))
-    if key == "diag-shift-end-m2-0":
-        return _end(DIAGONAL, (-2, 0), (-2, 0), order) - third * _q00(
-            DIAGONAL, order
-        )
-    if key == "diag-shift-end-0-0":
-        return _end(DIAGONAL, (-2, 0), (0, 0), order) + third * _q00(
-            DIAGONAL, order
-        )
-    if key == "diag-shift-end-0-m2":
-        return _end(DIAGONAL, (-2, 0), (0, -2), order) - third * _q00(
-            DIAGONAL, order
-        )
-    if key == "diag-shift-end-1-m1":
-        return tm(_end(DIAGONAL, (-2, 0), (1, -1), order))
-    if key == "sq-S1":
-        return decompose.square_origin(order).S1
-    if key == "sq-P0":
-        return decompose.square_origin(order).P0
-    if key == "diag-S1":
-        return decompose.diagonal_origin(order).S1
-    if key == "diag-F0":
-        return decompose.diagonal_origin(order).F0
-    if key == "diag-R0":
-        return decompose.diagonal_origin(order).R0
-    if key == "diag-shift-S1":
-        return decompose.diagonal_shifted(order).Npair.S1
-    if key == "diag-shift-F0":
-        return _diag_shift_N_F0(order)
-    raise KeyError(key)
+    if key in _CONSTANTS:
+        return _CONSTANTS[key](order)
+    steps, start, end, dt, q00 = _ENDPOINTS[key]
+    model = WalkModel(steps, Region.THREE_QUADRANT, start)
+    s = decompose.tmul(endpoint_series(model, end, order), dt)
+    if q00:
+        quadrant = WalkModel(steps, Region.QUADRANT, (0, 0))
+        s = s + Fraction(q00, 3) * endpoint_series(quadrant, (0, 0), order)
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -544,9 +498,9 @@ def diag_quad_residual(X: Series1) -> Series1:
 def _diag_shift_cubic(order: int):
     """The cleared cubic P(s, x) relating the antisymmetric boundary series
     s = S(x) of the shifted diagonal model to x, and the series S."""
-    pair = decompose.diagonal_shifted(order).Npair
-    S1 = pair.S1
-    F0 = _diag_shift_N_F0(order)
+    ds = decompose.diagonal_shifted(order)
+    S1 = ds.Npair.S1
+    F0 = ds.N_F0
     t2 = _scal([0, 0, 1], order)
 
     def cubic(s, x):
@@ -560,7 +514,7 @@ def _diag_shift_cubic(order: int):
             + x * (F0 + 2 * t2 * S1)
         )
 
-    return cubic, pair.S
+    return cubic, ds.Npair.S
 
 
 def _d_dx(p: LPoly) -> LPoly:

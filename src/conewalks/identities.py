@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import decompose
+from .decompose import tmul
 from .laurent import LPoly, LPoly2
 from .series import Series1, Series2
 from .walks import (
@@ -28,12 +29,6 @@ X = LPoly2.x(1)
 XB = LPoly2.x(-1)
 Y = LPoly2.y(1)
 YB = LPoly2.y(-1)
-
-
-def _tm(s, k: int = 1):
-    """Multiply by t^k, keeping the original truncation order."""
-    order = s.order
-    return s.mul_t(k).truncate(order)
 
 
 def _x_series(s: Series1) -> Series2:
@@ -81,7 +76,7 @@ def _cross() -> LPoly2:
 def func_eq_sq_origin(order):
     sq = decompose.square_origin(order)
     C = sq.C
-    rhs = 1 - _tm(_x_series(_neg_x_axis(C)).mul_xy(0, -1)) - _tm(
+    rhs = 1 - tmul(_x_series(_neg_x_axis(C)).mul_xy(0, -1)) - tmul(
         _y_series(_neg_y_axis(C)).mul_xy(-1, 0)
     )
     return sq.K * C - rhs
@@ -90,7 +85,7 @@ def func_eq_sq_origin(order):
 def func_eq_quadrant_sq(order):
     sq = decompose.square_origin(order)
     Q = sq.Q
-    rhs = 1 - _tm(_x_series(Q.coeff_of("y", 0)).mul_xy(0, -1)) - _tm(
+    rhs = 1 - tmul(_x_series(Q.coeff_of("y", 0)).mul_xy(0, -1)) - tmul(
         _y_series(Q.coeff_of("x", 0)).mul_xy(-1, 0)
     )
     return sq.K * Q - rhs
@@ -121,8 +116,8 @@ def eq_A_sq(order):
     const = LPoly2.const(Fraction(2, 3)) + THIRD * (XB * XB + YB * YB)
     rhs = (
         Series2.from_poly(const, order)
-        - _tm(_x_series(Am).mul_xy(0, -1))
-        - _tm(_y_series(Am).mul_xy(-1, 0))
+        - tmul(_x_series(Am).mul_xy(0, -1))
+        - tmul(_y_series(Am).mul_xy(-1, 0))
     )
     return sq.K * A - rhs
 
@@ -161,9 +156,9 @@ def func_M_sq(order):
     lhs = sq.K * (2 * M - M0y)
     rhs = (
         Series2.from_poly(Fraction(2, 3) * X, order)
-        - 2 * _tm(Mx0.mul_xy(0, -1))
-        + _tm((M0y.mul_xy(1, 0) - M0y.mul_xy(-1, 0)))
-        + _tm(My0.mul_xy(0, -1))
+        - 2 * tmul(Mx0.mul_xy(0, -1))
+        + tmul((M0y.mul_xy(1, 0) - M0y.mul_xy(-1, 0)))
+        + tmul(My0.mul_xy(0, -1))
     )
     return lhs - rhs
 
@@ -177,7 +172,7 @@ def catM_sq(order):
     lhs = -sq.sqrt_Delta * (
         M0x.mul_x(1) - 2 * M0x.sub_inverse_x().mul_x(-1)
     )
-    return lhs - 2 * Yr.mul_x(-1) + 3 * _tm(sq.M_x0)
+    return lhs - 2 * Yr.mul_x(-1) + 3 * tmul(sq.M_x0)
 
 
 def eqRS_sq(order):
@@ -186,7 +181,7 @@ def eqRS_sq(order):
     xb = Series1.x(order, -1)
     t = Series1.t(order)
     lhs = sq.sqrt_Delta * (S - 2 * S.sub_inverse_x() - xb)
-    return lhs + xb - t - _tm(xb * xb) - 3 * _tm(sq.R)
+    return lhs + xb - t - tmul(xb * xb) - 3 * tmul(sq.R)
 
 
 def F_forms_sq(order):
@@ -202,7 +197,7 @@ def F_forms_sq(order):
 
 def F1_value_sq(order):
     sq = decompose.square_origin(order)
-    return sq.F1 + 2 * _tm(sq.S1)
+    return sq.F1 + 2 * tmul(sq.S1)
 
 
 def eqcat_S_sq(order):
@@ -271,9 +266,9 @@ def func_eq_diag_origin(order):
     sy = Series2.from_poly(Y + YB, order)
     rhs = (
         1
-        - _tm(sx * _x_series(_neg_x_axis(C)).mul_xy(0, -1))
-        - _tm(sy * _y_series(_neg_y_axis(C)).mul_xy(-1, 0))
-        - _tm(Series2.from_x_series(_corner(C)).mul_xy(-1, -1))
+        - tmul(sx * _x_series(_neg_x_axis(C)).mul_xy(0, -1))
+        - tmul(sy * _y_series(_neg_y_axis(C)).mul_xy(-1, 0))
+        - tmul(Series2.from_x_series(_corner(C)).mul_xy(-1, -1))
     )
     return dg.K * C - rhs
 
@@ -285,9 +280,9 @@ def func_eq_quadrant_diag(order):
     sy = Series2.from_poly(Y + YB, order)
     rhs = (
         1
-        - _tm(sx * _x_series(Q.coeff_of("y", 0)).mul_xy(0, -1))
-        - _tm(sy * _y_series(Q.coeff_of("x", 0)).mul_xy(-1, 0))
-        + _tm(Series2.from_x_series(_corner(Q)).mul_xy(-1, -1))
+        - tmul(sx * _x_series(Q.coeff_of("y", 0)).mul_xy(0, -1))
+        - tmul(sy * _y_series(Q.coeff_of("x", 0)).mul_xy(-1, 0))
+        + tmul(Series2.from_x_series(_corner(Q)).mul_xy(-1, -1))
     )
     return dg.K * Q - rhs
 
@@ -301,9 +296,9 @@ def eq_A_diag(order):
     const = LPoly2.const(Fraction(2, 3)) + THIRD * (XB * XB + YB * YB)
     rhs = (
         Series2.from_poly(const, order)
-        - _tm(sx * _x_series(Am).mul_xy(0, -1))
-        - _tm(sy * _y_series(Am).mul_xy(-1, 0))
-        - _tm(Series2.from_x_series(_corner(A)).mul_xy(-1, -1))
+        - tmul(sx * _x_series(Am).mul_xy(0, -1))
+        - tmul(sy * _y_series(Am).mul_xy(-1, 0))
+        - tmul(Series2.from_x_series(_corner(A)).mul_xy(-1, -1))
     )
     return dg.K * A - rhs
 
@@ -319,10 +314,10 @@ def func_M_diag(order):
     lhs = dg.K * (2 * M - M0y)
     rhs = (
         Series2.from_poly(Fraction(2, 3) * X, order)
-        - 2 * _tm(Series2.from_poly(X + XB, order) * Mx0.mul_xy(0, -1))
-        + _tm(sy * (M0y.mul_xy(1, 0) - M0y.mul_xy(-1, 0)))
-        + _tm(one_yb2 * My0)
-        - _tm(Series2.from_x_series(dg.M10).mul_xy(0, -1))
+        - 2 * tmul(Series2.from_poly(X + XB, order) * Mx0.mul_xy(0, -1))
+        + tmul(sy * (M0y.mul_xy(1, 0) - M0y.mul_xy(-1, 0)))
+        + tmul(one_yb2 * My0)
+        - tmul(Series2.from_x_series(dg.M10).mul_xy(0, -1))
     )
     return lhs - rhs
 
@@ -340,8 +335,8 @@ def catM_diag(order):
     return (
         lhs
         - 2 * Yr.mul_x(-1)
-        + 3 * _tm(s * dg.M_x0)
-        + 3 * _tm(dg.M10)
+        + 3 * tmul(s * dg.M_x0)
+        + 3 * tmul(dg.M10)
     )
 
 
@@ -394,8 +389,8 @@ def func_eq_sq_shift(order):
     C = ss.C
     rhs = (
         Series2.from_poly(XB, order)
-        - _tm(_x_series(_neg_x_axis(C)).mul_xy(0, -1))
-        - _tm(_y_series(_neg_y_axis(C)).mul_xy(-1, 0))
+        - tmul(_x_series(_neg_x_axis(C)).mul_xy(0, -1))
+        - tmul(_y_series(_neg_y_axis(C)).mul_xy(-1, 0))
     )
     return ss.K * C - rhs
 
@@ -433,11 +428,11 @@ def eqL_sq_shift(order):
     lhs = ss.K * (2 * L - L0y)
     rhs = (
         Series2.one(order)
-        - 2 * _tm(Lx0.mul_xy(0, -1))
-        + _tm(L0y.mul_xy(1, 0) - L0y.mul_xy(-1, 0))
-        + _tm(B0y.mul_xy(0, -1))
-        + _tm(L00.mul_xy(0, -1))
-        - _tm(B00.mul_xy(0, -1))
+        - 2 * tmul(Lx0.mul_xy(0, -1))
+        + tmul(L0y.mul_xy(1, 0) - L0y.mul_xy(-1, 0))
+        + tmul(B0y.mul_xy(0, -1))
+        + tmul(L00.mul_xy(0, -1))
+        - tmul(B00.mul_xy(0, -1))
     )
     return lhs - rhs
 
@@ -452,11 +447,11 @@ def eqB_sq_shift(order):
     B00 = Series2.from_x_series(ss.B_0y.coeff_x(0))
     lhs = ss.K * (2 * B - Bx0)
     rhs = (
-        _tm(Bx0.mul_xy(0, 1) - Bx0.mul_xy(0, -1))
-        - 2 * _tm(B0y.mul_xy(-1, 0))
-        + _tm(Lx0.mul_xy(-1, 0))
-        - _tm(L00.mul_xy(-1, 0))
-        + _tm(B00.mul_xy(-1, 0))
+        tmul(Bx0.mul_xy(0, 1) - Bx0.mul_xy(0, -1))
+        - 2 * tmul(B0y.mul_xy(-1, 0))
+        + tmul(Lx0.mul_xy(-1, 0))
+        - tmul(L00.mul_xy(-1, 0))
+        + tmul(B00.mul_xy(-1, 0))
     )
     return lhs - rhs
 
@@ -471,9 +466,9 @@ def func_M_sq_shift(order):
     lhs = ss.K * (2 * M - M0y)
     rhs = (
         Series2.one(order)
-        - 2 * _tm(Mx0.mul_xy(0, -1))
-        + _tm(M0y.mul_xy(1, 0) - M0y.mul_xy(-1, 0))
-        + _tm(My0.mul_xy(0, -1))
+        - 2 * tmul(Mx0.mul_xy(0, -1))
+        + tmul(M0y.mul_xy(1, 0) - M0y.mul_xy(-1, 0))
+        + tmul(My0.mul_xy(0, -1))
     )
     return lhs - rhs
 
@@ -489,10 +484,10 @@ def func_N_sq_shift(order):
     lhs = ss.K * (2 * N - N0y)
     rhs = (
         Series2.one(order)
-        - 2 * _tm(Nx0.mul_xy(0, -1))
-        + _tm(N0y.mul_xy(1, 0) - N0y.mul_xy(-1, 0))
-        - _tm(Ny0.mul_xy(0, -1))
-        + 2 * _tm(N00.mul_xy(0, -1))
+        - 2 * tmul(Nx0.mul_xy(0, -1))
+        + tmul(N0y.mul_xy(1, 0) - N0y.mul_xy(-1, 0))
+        - tmul(Ny0.mul_xy(0, -1))
+        + 2 * tmul(N00.mul_xy(0, -1))
     )
     return lhs - rhs
 
@@ -509,9 +504,9 @@ def func_eq_diag_shift(order):
     sy = Series2.from_poly(Y + YB, order)
     rhs = (
         Series2.from_poly(XB * XB, order)
-        - _tm(sx * _x_series(_neg_x_axis(C)).mul_xy(0, -1))
-        - _tm(sy * _y_series(_neg_y_axis(C)).mul_xy(-1, 0))
-        - _tm(Series2.from_x_series(_corner(C)).mul_xy(-1, -1))
+        - tmul(sx * _x_series(_neg_x_axis(C)).mul_xy(0, -1))
+        - tmul(sy * _y_series(_neg_y_axis(C)).mul_xy(-1, 0))
+        - tmul(Series2.from_x_series(_corner(C)).mul_xy(-1, -1))
     )
     return ds.K * C - rhs
 
@@ -524,9 +519,9 @@ def eq_A_diag_shift(order):
     const = THIRD * (LPoly2.const(1) + 2 * XB * XB - YB * YB)
     rhs = (
         Series2.from_poly(const, order)
-        - _tm(sx * _x_series(_neg_x_axis(A)).mul_xy(0, -1))
-        - _tm(sy * _y_series(_neg_y_axis(A)).mul_xy(-1, 0))
-        - _tm(Series2.from_x_series(_corner(A)).mul_xy(-1, -1))
+        - tmul(sx * _x_series(_neg_x_axis(A)).mul_xy(0, -1))
+        - tmul(sy * _y_series(_neg_y_axis(A)).mul_xy(-1, 0))
+        - tmul(Series2.from_x_series(_corner(A)).mul_xy(-1, -1))
     )
     return ds.K * A - rhs
 
@@ -572,10 +567,10 @@ def eqL_diag_shift(order):
     lhs = ds.K * (2 * L - L0y)
     rhs = (
         Series2.from_poly(Fraction(4, 3) * X, order)
-        - 2 * _tm(sx * Lx0.mul_xy(0, -1))
-        + _tm(sy * (L0y.mul_xy(1, 0) - L0y.mul_xy(-1, 0)))
-        + _tm(one_yb2 * B0y)
-        - _tm(B01.mul_xy(0, -1))
+        - 2 * tmul(sx * Lx0.mul_xy(0, -1))
+        + tmul(sy * (L0y.mul_xy(1, 0) - L0y.mul_xy(-1, 0)))
+        + tmul(one_yb2 * B0y)
+        - tmul(B01.mul_xy(0, -1))
     )
     return lhs - rhs
 
@@ -593,10 +588,10 @@ def eqB_diag_shift(order):
     lhs = ds.K * (2 * B - Bx0)
     rhs = (
         Series2.from_poly(Fraction(-2, 3) * Y, order)
-        + _tm(sx * (Bx0.mul_xy(0, 1) - Bx0.mul_xy(0, -1)))
-        - 2 * _tm(sy * B0y.mul_xy(-1, 0))
-        + _tm(one_xb2 * Lx0)
-        - _tm(L10.mul_xy(-1, 0))
+        + tmul(sx * (Bx0.mul_xy(0, 1) - Bx0.mul_xy(0, -1)))
+        - 2 * tmul(sy * B0y.mul_xy(-1, 0))
+        + tmul(one_xb2 * Lx0)
+        - tmul(L10.mul_xy(-1, 0))
     )
     return lhs - rhs
 
@@ -614,10 +609,10 @@ def func_M_diag_shift(order):
     lhs = ds.K * (2 * M - M0y)
     rhs = (
         Series2.from_poly(Fraction(2, 3) * X, order)
-        - 2 * _tm(sx * Mx0.mul_xy(0, -1))
-        + _tm(sy * (M0y.mul_xy(1, 0) - M0y.mul_xy(-1, 0)))
-        + _tm(one_yb2 * My0)
-        - _tm(M10.mul_xy(0, -1))
+        - 2 * tmul(sx * Mx0.mul_xy(0, -1))
+        + tmul(sy * (M0y.mul_xy(1, 0) - M0y.mul_xy(-1, 0)))
+        + tmul(one_yb2 * My0)
+        - tmul(M10.mul_xy(0, -1))
     )
     return lhs - rhs
 
@@ -635,10 +630,10 @@ def func_N_diag_shift(order):
     lhs = ds.K * (2 * N - N0y)
     rhs = (
         Series2.from_poly(2 * X, order)
-        - 2 * _tm(sx * Nx0.mul_xy(0, -1))
-        + _tm(sy * (N0y.mul_xy(1, 0) - N0y.mul_xy(-1, 0)))
-        - _tm(one_yb2 * Ny0)
-        + _tm(N10.mul_xy(0, -1))
+        - 2 * tmul(sx * Nx0.mul_xy(0, -1))
+        + tmul(sy * (N0y.mul_xy(1, 0) - N0y.mul_xy(-1, 0)))
+        - tmul(one_yb2 * Ny0)
+        + tmul(N10.mul_xy(0, -1))
     )
     return lhs - rhs
 

@@ -1,16 +1,29 @@
 """Exact Laurent polynomials in one and two variables.
 
 ``LPoly`` holds elements of Q[x, 1/x] (coefficients may also be Gaussian
-rationals where a computation needs them); ``LPoly2`` holds elements of
-Q[x, 1/x, y, 1/y].  Both are sparse maps from exponents to nonzero exact
-coefficients.  These are the coefficient rings of every truncated series in
-the package, so all arithmetic here is exact: no floats, no normalization
-shortcuts.
+rationals where a computation needs them); its subclass ``LPoly2`` holds
+elements of Q[x, 1/x, y, 1/y], with the exponent pair (i, j) standing for
+x^i y^j.  Both are sparse maps from exponents to nonzero exact
+coefficients.  The ring operations are written once, in ``LPoly``, and
+read the constant-term exponent from the class attribute ``ZERO``;
+``LPoly2`` overrides only what needs pair exponents.  The two classes
+never mix: an operation between an ``LPoly`` and an ``LPoly2`` raises
+``TypeError``.  These are the coefficient rings of every truncated series
+in the package, so all arithmetic here is exact: no floats, no
+normalization shortcuts.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+# Exponent tests for the ``part`` extractions, by mode name.
+SIGN_TESTS = {
+    "pos": lambda e: e > 0,
+    "neg": lambda e: e < 0,
+    "nonneg": lambda e: e >= 0,
+    "nonpos": lambda e: e <= 0,
+}
 
 
 def _coerce(c):
@@ -18,10 +31,6 @@ def _coerce(c):
     if isinstance(c, int):
         return Fraction(c)
     return c
-
-
-def _scalar_str(c) -> str:
-    return str(c)
 
 
 class LPoly:
@@ -33,6 +42,8 @@ class LPoly:
 
     __slots__ = ("terms",)
 
+    ZERO = 0  # exponent of the constant term
+
     def __init__(self, terms=None):
         if terms:
             self.terms = {e: _coerce(c) for e, c in terms.items() if c != 0}
@@ -41,7 +52,7 @@ class LPoly:
 
     @classmethod
     def const(cls, c):
-        return cls({0: c})
+        return cls({cls.ZERO: c})
 
     @classmethod
     def var(cls, power: int = 1):
@@ -49,12 +60,12 @@ class LPoly:
 
     # -- ring operations -------------------------------------------------
 
-    @staticmethod
-    def _lift(other):
-        if isinstance(other, LPoly):
+    @classmethod
+    def _lift(cls, other):
+        if type(other) is cls:
             return other
         if isinstance(other, (int, Fraction)) or hasattr(other, "re"):
-            return LPoly.const(other)
+            return cls.const(other)
         return None
 
     def __add__(self, other):
@@ -68,14 +79,23 @@ class LPoly:
                 out.pop(e, None)
             else:
                 out[e] = s
-        r = LPoly.__new__(LPoly)
+        cls = type(self)
+        r = cls.__new__(cls)
         r.terms = out
         return r
 
     __radd__ = __add__
 
+    def _with_terms(self, terms):
+        """A new polynomial of the same class holding `terms` as given."""
+        cls = type(self)
+        r = cls.__new__(cls)
+        r.terms = terms
+        return r
+
     def __neg__(self):
-        r = LPoly.__new__(LPoly)
+        cls = type(self)
+        r = cls.__new__(cls)
         r.terms = {e: -c for e, c in self.terms.items()}
         return r
 
@@ -112,8 +132,8 @@ class LPoly:
 
     def __pow__(self, n: int):
         if n < 0:
-            raise ValueError("negative power of an LPoly is not defined here")
-        result = LPoly.const(1)
+            raise ValueError(f"negative power of an {type(self).__name__}")
+        result = self.const(1)
         base = self
         while n:
             if n & 1:
@@ -153,35 +173,29 @@ class LPoly:
         return self.terms.get(e, Fraction(0))
 
     def is_const(self) -> bool:
-        return not self.terms or set(self.terms) == {0}
+        return not self.terms or set(self.terms) == {self.ZERO}
 
     def const_value(self):
         if not self.is_const():
             raise ValueError(f"not a constant: {self}")
-        return self.terms.get(0, Fraction(0))
+        return self.terms.get(self.ZERO, Fraction(0))
 
     # -- transformations -------------------------------------------------
 
     def sub_inverse(self):
         """x -> 1/x: negate every exponent."""
-        r = LPoly.__new__(LPoly)
-        r.terms = {-e: c for e, c in self.terms.items()}
-        return r
+        return self._with_terms({-e: c for e, c in self.terms.items()})
 
     def shift(self, k: int):
         """Multiply by x^k."""
-        r = LPoly.__new__(LPoly)
-        r.terms = {e + k: c for e, c in self.terms.items()}
-        return r
+        return self._with_terms({e + k: c for e, c in self.terms.items()})
 
     def halve_exponents(self):
         """x^2 -> x; every exponent must be even."""
         for e in self.terms:
             if e % 2:
                 raise ValueError(f"odd exponent {e} in halve_exponents")
-        r = LPoly.__new__(LPoly)
-        r.terms = {e // 2: c for e, c in self.terms.items()}
-        return r
+        return self._with_terms({e // 2: c for e, c in self.terms.items()})
 
     def eval(self, v):
         """Evaluate at a scalar; negative exponents use exact division."""
@@ -220,12 +234,10 @@ class LPoly:
                     rem.pop(ee, None)
                 else:
                     rem[ee] = s
-        r = LPoly.__new__(LPoly)
-        r.terms = {e + shift: c for e, c in quot.items()}
-        return r
+        return self._with_terms({e + shift: c for e, c in quot.items()})
 
     def map_coeffs(self, f):
-        return LPoly({e: f(c) for e, c in self.terms.items()})
+        return type(self)({e: f(c) for e, c in self.terms.items()})
 
     def __str__(self):
         if not self.terms:
@@ -234,33 +246,26 @@ class LPoly:
         for e in sorted(self.terms):
             c = self.terms[e]
             if e == 0:
-                parts.append(_scalar_str(c))
+                parts.append(str(c))
             elif e == 1:
-                parts.append(f"{_scalar_str(c)}*x")
+                parts.append(f"{c}*x")
             else:
-                parts.append(f"{_scalar_str(c)}*x^{e}")
+                parts.append(f"{c}*x^{e}")
         return " + ".join(parts)
 
     __repr__ = __str__
 
 
-class LPoly2:
+class LPoly2(LPoly):
     """Sparse bivariate Laurent polynomial: map (i, j) -> coefficient.
 
-    Exponent pair (i, j) stands for x^i y^j.
+    Exponent pair (i, j) stands for x^i y^j.  Sums, negation, powers,
+    equality and the constant queries are inherited from ``LPoly``.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        if terms:
-            self.terms = {e: _coerce(c) for e, c in terms.items() if c != 0}
-        else:
-            self.terms = {}
-
-    @classmethod
-    def const(cls, c):
-        return cls({(0, 0): c})
+    ZERO = (0, 0)
 
     @classmethod
     def x(cls, power: int = 1):
@@ -277,48 +282,6 @@ class LPoly2:
     @classmethod
     def from_y_poly(cls, p: LPoly):
         return cls({(0, e): c for e, c in p.terms.items()})
-
-    @staticmethod
-    def _lift(other):
-        if isinstance(other, LPoly2):
-            return other
-        if isinstance(other, (int, Fraction)) or hasattr(other, "re"):
-            return LPoly2.const(other)
-        return None
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for e, c in o.terms.items():
-            s = out.get(e, 0) + c
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        r = LPoly2.__new__(LPoly2)
-        r.terms = out
-        return r
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        r = LPoly2.__new__(LPoly2)
-        r.terms = {e: -c for e, c in self.terms.items()}
-        return r
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other):
         o = self._lift(other)
@@ -339,53 +302,18 @@ class LPoly2:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of an LPoly2")
-        result = LPoly2.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __eq__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self.terms == o.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coeff(self, i: int, j: int):
         return self.terms.get((i, j), Fraction(0))
 
     # -- variable-wise structure ----------------------------------------
 
     def part(self, var: str, mode: str) -> "LPoly2":
-        """Keep only terms whose exponent in `var` satisfies `mode`.
-
-        mode is one of 'pos', 'neg', 'nonneg', 'nonpos'.
-        """
+        """Keep only terms whose exponent in `var` passes SIGN_TESTS[mode]."""
         axis = 0 if var == "x" else 1
-        pred = {
-            "pos": lambda e: e > 0,
-            "neg": lambda e: e < 0,
-            "nonneg": lambda e: e >= 0,
-            "nonpos": lambda e: e <= 0,
-        }[mode]
-        r = LPoly2.__new__(LPoly2)
-        r.terms = {e: c for e, c in self.terms.items() if pred(e[axis])}
-        return r
+        test = SIGN_TESTS[mode]
+        return self._with_terms(
+            {e: c for e, c in self.terms.items() if test(e[axis])}
+        )
 
     def coeff_of(self, var: str, k: int) -> LPoly:
         """Coefficient of var^k, as an LPoly in the remaining variable."""
@@ -394,27 +322,18 @@ class LPoly2:
         return LPoly({i: c for (i, j), c in self.terms.items() if j == k})
 
     def sub_inverse(self, var: str) -> "LPoly2":
-        r = LPoly2.__new__(LPoly2)
         if var == "x":
-            r.terms = {(-i, j): c for (i, j), c in self.terms.items()}
-        else:
-            r.terms = {(i, -j): c for (i, j), c in self.terms.items()}
-        return r
+            return self._with_terms(
+                {(-i, j): c for (i, j), c in self.terms.items()})
+        return self._with_terms({(i, -j): c for (i, j), c in self.terms.items()})
 
     def swap_vars(self) -> "LPoly2":
-        r = LPoly2.__new__(LPoly2)
-        r.terms = {(j, i): c for (i, j), c in self.terms.items()}
-        return r
+        return self._with_terms({(j, i): c for (i, j), c in self.terms.items()})
 
     def shift(self, di: int, dj: int) -> "LPoly2":
-        r = LPoly2.__new__(LPoly2)
-        r.terms = {(i + di, j + dj): c for (i, j), c in self.terms.items()}
-        return r
-
-    def support_radius(self) -> int:
-        if not self.terms:
-            return 0
-        return max(max(abs(i), abs(j)) for i, j in self.terms)
+        return self._with_terms(
+            {(i + di, j + dj): c for (i, j), c in self.terms.items()}
+        )
 
     def eval(self, vx, vy):
         acc = Fraction(0)
@@ -425,21 +344,23 @@ class LPoly2:
             acc = acc + term
         return acc
 
-    def is_const(self) -> bool:
-        return not self.terms or set(self.terms) == {(0, 0)}
-
-    def const_value(self):
-        if not self.is_const():
-            raise ValueError(f"not a constant: {self}")
-        return self.terms.get((0, 0), Fraction(0))
+    def divexact(self, other) -> "LPoly2":
+        """Exact division by a nonzero constant; any other divisor raises
+        ValueError (series division never needs more)."""
+        o = self._lift(other)
+        if o is None or o.is_zero():
+            raise ZeroDivisionError("division by zero LPoly2")
+        if not o.is_const():
+            raise ValueError("LPoly2 divides only by a nonzero constant")
+        c0 = o.const_value()
+        return self._with_terms({e: c / c0 for e, c in self.terms.items()})
 
     def __str__(self):
         if not self.terms:
             return "0"
         parts = []
         for (i, j) in sorted(self.terms):
-            c = self.terms[(i, j)]
-            body = _scalar_str(c)
+            body = str(self.terms[(i, j)])
             if i:
                 body += f"*x^{i}" if i != 1 else "*x"
             if j:

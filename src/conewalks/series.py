@@ -1,11 +1,16 @@
 """Truncated power series in t with exact Laurent-polynomial coefficients.
 
-Two series types, mirroring the two coefficient rings:
+One series type per coefficient ring:
 
 * ``Series1`` — coefficients in Q[x, 1/x] (``LPoly``).  Houses every
   univariate object: parametrizing series, kernel roots, boundary series.
-* ``Series2`` — coefficients in Q[x, 1/x, y, 1/y] (``LPoly2``).  Houses the
-  full bivariate walk generating functions.
+  It holds the whole ring structure: construction, sums, products, powers,
+  truncation, multiplication by powers of t, division and rendering.
+* ``Series2(Series1)`` — coefficients in Q[x, 1/x, y, 1/y] (``LPoly2``,
+  named by the class attribute ``RING``).  Houses the full bivariate walk
+  generating functions and adds only the operations on the variables x
+  and y.  The two classes never mix: an operation between them raises
+  ``TypeError``.
 
 Every series carries an explicit truncation ``order`` N: coefficients of
 t^n are valid for n < N.  Binary operations propagate the minimum of the
@@ -18,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .laurent import LPoly, LPoly2
+from .laurent import SIGN_TESTS, LPoly, LPoly2
 
 
 class OrderError(ValueError):
@@ -27,10 +32,6 @@ class OrderError(ValueError):
 
 class PivotError(ValueError):
     """Division or solving hit a coefficient that does not determine the result."""
-
-
-def _min_order(a, b) -> int:
-    return min(a.order, b.order)
 
 
 # ---------------------------------------------------------------------------
@@ -43,11 +44,13 @@ class Series1:
 
     __slots__ = ("coeffs", "order")
 
+    RING = LPoly  # coefficient class
+
     def __init__(self, coeffs, order: int):
         if order < 0:
             raise OrderError("negative truncation order")
         coeffs = list(coeffs)[:order]
-        coeffs += [LPoly()] * (order - len(coeffs))
+        coeffs += [self.RING()] * (order - len(coeffs))
         self.coeffs = coeffs
         self.order = order
 
@@ -59,7 +62,7 @@ class Series1:
 
     @classmethod
     def const(cls, c, order: int):
-        return cls([LPoly.const(c)], order)
+        return cls([cls.RING.const(c)], order)
 
     @classmethod
     def one(cls, order: int):
@@ -67,43 +70,43 @@ class Series1:
 
     @classmethod
     def t(cls, order: int):
-        return cls([LPoly(), LPoly.const(1)], order)
+        return cls([cls.RING(), cls.RING.const(1)], order)
 
     @classmethod
     def x(cls, order: int, power: int = 1):
         return cls([LPoly.var(power)], order)
 
     @classmethod
-    def from_poly(cls, p: LPoly, order: int):
+    def from_poly(cls, p, order: int):
         return cls([p], order)
 
     @classmethod
     def from_scalar_coeffs(cls, values, order: int):
-        return cls([LPoly.const(v) for v in values], order)
+        return cls([cls.RING.const(v) for v in values], order)
 
     # -- ring operations -------------------------------------------------
 
-    @staticmethod
-    def _lift(other, order):
-        if isinstance(other, Series1):
+    @classmethod
+    def _lift(cls, other, order):
+        if type(other) is cls:
             return other
-        if isinstance(other, LPoly):
-            return Series1.from_poly(other, order)
+        if type(other) is cls.RING:
+            return cls.from_poly(other, order)
         if isinstance(other, (int, Fraction)) or hasattr(other, "re"):
-            return Series1.const(other, order)
+            return cls.const(other, order)
         return None
 
     def __add__(self, other):
         o = self._lift(other, self.order)
         if o is None:
             return NotImplemented
-        n = _min_order(self, o)
-        return Series1([self.coeffs[k] + o.coeffs[k] for k in range(n)], n)
+        n = min(self.order, o.order)
+        return type(self)([self.coeffs[k] + o.coeffs[k] for k in range(n)], n)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Series1([-c for c in self.coeffs], self.order)
+        return type(self)([-c for c in self.coeffs], self.order)
 
     def __sub__(self, other):
         o = self._lift(other, self.order)
@@ -121,8 +124,9 @@ class Series1:
         o = self._lift(other, self.order)
         if o is None:
             return NotImplemented
-        n = _min_order(self, o)
-        out = [LPoly() for _ in range(n)]
+        n = min(self.order, o.order)
+        zero = self.RING()
+        out = [zero] * n
         for i, a in enumerate(self.coeffs[:n]):
             if a.is_zero():
                 continue
@@ -130,14 +134,14 @@ class Series1:
                 if b.is_zero():
                     continue
                 out[i + j] = out[i + j] + a * b
-        return Series1(out, n)
+        return type(self)(out, n)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = Series1.one(self.order)
+        result = self.one(self.order)
         base = self
         while n:
             if n & 1:
@@ -164,7 +168,7 @@ class Series1:
                 return n
         return None
 
-    def coeff(self, n: int) -> LPoly:
+    def coeff(self, n: int):
         if n >= self.order:
             raise OrderError(f"coefficient t^{n} beyond truncation order {self.order}")
         return self.coeffs[n]
@@ -176,36 +180,35 @@ class Series1:
                 return (n, min(c.terms))
         return None
 
-    def truncate(self, order: int) -> "Series1":
+    def truncate(self, order: int):
         if order > self.order:
             raise OrderError(f"cannot extend order {self.order} to {order}")
-        return Series1(self.coeffs[:order], order)
-
-    def agreement(self, other: "Series1"):
-        """First (t-power, x-exponent) where the two differ, or None."""
-        return (self - other).first_failure()
+        return type(self)(self.coeffs[:order], order)
 
     # -- t-operations ----------------------------------------------------
 
-    def mul_t(self, k: int) -> "Series1":
+    def mul_t(self, k: int):
         """Multiply by t^k; negative k requires the low coefficients to vanish."""
         if k >= 0:
-            return Series1([LPoly()] * k + self.coeffs, self.order + k)
+            return type(self)([self.RING()] * k + self.coeffs, self.order + k)
         if any(not c.is_zero() for c in self.coeffs[:-k]):
             raise PivotError(f"series not divisible by t^{-k}")
-        return Series1(self.coeffs[-k:], self.order + k)
+        return type(self)(self.coeffs[-k:], self.order + k)
 
-    def divide(self, other: "Series1") -> "Series1":
+    def divide(self, other):
         """Exact series division with valuation stripping.
 
         A common power of t is cancelled first (losing that much order),
-        then the divisor's lowest coefficient must divide every step exactly.
+        then the divisor's lowest coefficient must divide every step
+        exactly, else PivotError.  A divisor that is zero to order, or
+        leaves no order after stripping, raises OrderError.
         """
         o = self._lift(other, self.order)
         v = o.valuation()
         if v is None:
-            raise ZeroDivisionError("division by series that is zero to order")
-        n = _min_order(self, o) - v
+            raise OrderError("division by a series that is zero to order "
+                             f"{o.order}")
+        n = min(self.order, o.order) - v
         if n <= 0:
             raise OrderError("no precision left after stripping divisor valuation")
         if any(not c.is_zero() for c in self.coeffs[:v]):
@@ -215,12 +218,15 @@ class Series1:
         lead = b[0]
         out = []
         for k in range(n):
-            acc = a[k] if k < len(a) else LPoly()
+            acc = a[k] if k < len(a) else self.RING()
             for m in range(1, k + 1):
                 if m < len(b) and not b[m].is_zero():
                     acc = acc - b[m] * out[k - m]
-            out.append(acc.divexact(lead))
-        return Series1(out, n)
+            try:
+                out.append(acc.divexact(lead))
+            except ValueError as exc:
+                raise PivotError(f"at t^{k}: {exc}")
+        return type(self)(out, n)
 
     def __truediv__(self, other):
         o = self._lift(other, self.order)
@@ -228,8 +234,8 @@ class Series1:
             return NotImplemented
         return self.divide(o)
 
-    def inverse(self) -> "Series1":
-        return Series1.one(self.order).divide(self)
+    def inverse(self):
+        return self.one(self.order).divide(self)
 
     def sqrt(self) -> "Series1":
         """Square root of a series with constant term 1."""
@@ -248,8 +254,8 @@ class Series1:
 
     # -- x-operations ----------------------------------------------------
 
-    def map_poly(self, f) -> "Series1":
-        return Series1([f(c) for c in self.coeffs], self.order)
+    def map_poly(self, f):
+        return type(self)([f(c) for c in self.coeffs], self.order)
 
     def sub_inverse_x(self) -> "Series1":
         return self.map_poly(lambda p: p.sub_inverse())
@@ -268,14 +274,9 @@ class Series1:
         )
 
     def part_x(self, mode: str) -> "Series1":
-        pred = {
-            "pos": lambda e: e > 0,
-            "neg": lambda e: e < 0,
-            "nonneg": lambda e: e >= 0,
-            "nonpos": lambda e: e <= 0,
-        }[mode]
+        test = SIGN_TESTS[mode]
         return self.map_poly(
-            lambda p: LPoly({e: c for e, c in p.terms.items() if pred(e)})
+            lambda p: LPoly({e: c for e, c in p.terms.items() if test(e)})
         )
 
     def eval_x(self, v) -> "Series1":
@@ -299,7 +300,7 @@ class Series1:
         only finitely many powers of `inner` enter each output coefficient.
         Negative exponents use the series inverse of `inner`.
         """
-        order = _min_order(self, inner)
+        order = min(self.order, inner.order)
         result = Series1.zero(order)
         powers = {0: Series1.one(order)}
         inv = None
@@ -329,15 +330,7 @@ class Series1:
 
     def render(self) -> str:
         """Canonical text: one line per t-power, exponents ascending."""
-        lines = []
-        for n, p in enumerate(self.coeffs):
-            if p.is_zero():
-                continue
-            body = " + ".join(
-                f"{p.terms[e]}" + ("" if e == 0 else f"*x^{e}" if e != 1 else "*x")
-                for e in sorted(p.terms)
-            )
-            lines.append(f"t^{n}: {body}")
+        lines = [f"t^{n}: {p}" for n, p in enumerate(self.coeffs) if p]
         if not lines:
             lines.append("0")
         lines.append(f"O(t^{self.order})")
@@ -354,34 +347,12 @@ class Series1:
 # ---------------------------------------------------------------------------
 
 
-class Series2:
+class Series2(Series1):
     """Truncated series in t with LPoly2 coefficients and explicit order."""
 
-    __slots__ = ("coeffs", "order")
+    __slots__ = ()
 
-    def __init__(self, coeffs, order: int):
-        if order < 0:
-            raise OrderError("negative truncation order")
-        coeffs = list(coeffs)[:order]
-        coeffs += [LPoly2()] * (order - len(coeffs))
-        self.coeffs = coeffs
-        self.order = order
-
-    @classmethod
-    def zero(cls, order: int):
-        return cls([], order)
-
-    @classmethod
-    def const(cls, c, order: int):
-        return cls([LPoly2.const(c)], order)
-
-    @classmethod
-    def one(cls, order: int):
-        return cls.const(1, order)
-
-    @classmethod
-    def from_poly(cls, p: LPoly2, order: int):
-        return cls([p], order)
+    RING = LPoly2
 
     @classmethod
     def from_x_series(cls, s: Series1):
@@ -393,71 +364,6 @@ class Series2:
         """Embed a univariate series with its variable read as y."""
         return cls([LPoly2.from_y_poly(p) for p in s.coeffs], s.order)
 
-    @staticmethod
-    def _lift(other, order):
-        if isinstance(other, Series2):
-            return other
-        if isinstance(other, LPoly2):
-            return Series2.from_poly(other, order)
-        if isinstance(other, (int, Fraction)) or hasattr(other, "re"):
-            return Series2.const(other, order)
-        return None
-
-    def __add__(self, other):
-        o = self._lift(other, self.order)
-        if o is None:
-            return NotImplemented
-        n = _min_order(self, o)
-        return Series2([self.coeffs[k] + o.coeffs[k] for k in range(n)], n)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Series2([-c for c in self.coeffs], self.order)
-
-    def __sub__(self, other):
-        o = self._lift(other, self.order)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._lift(other, self.order)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._lift(other, self.order)
-        if o is None:
-            return NotImplemented
-        n = _min_order(self, o)
-        out = [LPoly2() for _ in range(n)]
-        for i, a in enumerate(self.coeffs[:n]):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(o.coeffs[: n - i]):
-                if b.is_zero():
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return Series2(out, n)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        o = self._lift(other, self.order)
-        if o is None:
-            return NotImplemented
-        return self.order == o.order and self.coeffs == o.coeffs
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
-    def coeff(self, n: int) -> LPoly2:
-        if n >= self.order:
-            raise OrderError(f"coefficient t^{n} beyond truncation order {self.order}")
-        return self.coeffs[n]
-
     def first_failure(self):
         """(t-power, x-exponent, y-exponent) of lowest nonzero monomial."""
         for n, c in enumerate(self.coeffs):
@@ -466,37 +372,7 @@ class Series2:
                 return (n, i, j)
         return None
 
-    def truncate(self, order: int) -> "Series2":
-        if order > self.order:
-            raise OrderError(f"cannot extend order {self.order} to {order}")
-        return Series2(self.coeffs[:order], order)
-
-    def mul_t(self, k: int) -> "Series2":
-        if k >= 0:
-            return Series2([LPoly2()] * k + self.coeffs, self.order + k)
-        if any(not c.is_zero() for c in self.coeffs[:-k]):
-            raise PivotError(f"series not divisible by t^{-k}")
-        return Series2(self.coeffs[-k:], self.order + k)
-
-    def inverse(self) -> "Series2":
-        """Inverse of a series whose constant coefficient is a nonzero scalar."""
-        c0 = self.coeffs[0]
-        if not c0.is_const() or c0.is_zero():
-            raise PivotError("inverse needs a unit (scalar) constant term")
-        lead = c0.const_value()
-        out = [LPoly2.const(Fraction(1) / lead)]
-        for n in range(1, self.order):
-            acc = LPoly2()
-            for m in range(1, n + 1):
-                if not self.coeffs[m].is_zero():
-                    acc = acc + self.coeffs[m] * out[n - m]
-            out.append(acc * LPoly2.const(Fraction(-1) / lead))
-        return Series2(out, self.order)
-
     # -- variable operations --------------------------------------------
-
-    def map_poly(self, f) -> "Series2":
-        return Series2([f(c) for c in self.coeffs], self.order)
 
     def part(self, var: str, mode: str) -> "Series2":
         return self.map_poly(lambda p: p.part(var, mode))
@@ -513,32 +389,3 @@ class Series2:
 
     def mul_xy(self, di: int, dj: int) -> "Series2":
         return self.map_poly(lambda p: p.shift(di, dj))
-
-    def eval_xy(self, vx, vy) -> list:
-        """Scalar coefficient list [t^0]...[t^(order-1)] at numeric x, y."""
-        return [p.eval(vx, vy) for p in self.coeffs]
-
-    def render(self) -> str:
-        """Canonical text: t-power ascending, then (i, j) lexicographic."""
-        lines = []
-        for n, p in enumerate(self.coeffs):
-            if p.is_zero():
-                continue
-            parts = []
-            for (i, j) in sorted(p.terms):
-                body = str(p.terms[(i, j)])
-                if i:
-                    body += f"*x^{i}"
-                if j:
-                    body += f"*y^{j}"
-                parts.append(body)
-            lines.append(f"t^{n}: " + " + ".join(parts))
-        if not lines:
-            lines.append("0")
-        lines.append(f"O(t^{self.order})")
-        return "\n".join(lines)
-
-    def __str__(self):
-        return self.render().replace("\n", "; ")
-
-    __repr__ = __str__

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .laurent import LPoly, LPoly2
+from .laurent import LPoly2
 from .series import Series1, Series2
 
 
@@ -172,21 +172,6 @@ def generating_series(model: WalkModel, order: int) -> Series2:
             assert abs(i - x0) <= n and abs(j - y0) <= n
         coeffs.append(poly)
     return Series2(coeffs, order)
-
-
-def boundary_series_x(model: WalkModel, order: int, negative: bool = True) -> Series1:
-    """Series over x-axis endpoints: sum over (i, 0) with i < 0 (or all i)."""
-    coeffs = []
-    for frontier in _layers(model, order - 1):
-        p = LPoly(
-            {
-                i: Fraction(c)
-                for (i, j), c in frontier.items()
-                if j == 0 and (i < 0 if negative else True)
-            }
-        )
-        coeffs.append(p)
-    return Series1(coeffs, order)
 
 
 def float_totals(model: WalkModel, n: int):

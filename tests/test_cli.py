@@ -192,3 +192,34 @@ class TestDeterminism:
         _, first = run(capsys, "count", "--n", "3", "--format", "json")
         _, second = run(capsys, "count", "--n", "3", "--format", "json")
         assert first == second
+
+
+class TestOrderAndRangeErrors:
+    """Inputs the computation cannot serve are usage errors, not tracebacks."""
+
+    def assert_usage_error(self, capsys, *argv):
+        assert main(list(argv)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        return err
+
+    def test_param_order_too_low(self, capsys):
+        err = self.assert_usage_error(
+            capsys, "param", "--key", "sq-origin-axis-x", "--order", "4")
+        assert "--order 4 is too low for sq-origin-axis-x" in err
+
+    def test_param_order_too_low_shifted(self, capsys):
+        err = self.assert_usage_error(
+            capsys, "param", "--key", "sq-shift-left-axis-y", "--order", "8")
+        assert "--order 8 is too low for sq-shift-left-axis-y" in err
+
+    @pytest.mark.parametrize("order", range(1, 9))
+    def test_verify_params_order_too_low(self, capsys, order):
+        err = self.assert_usage_error(
+            capsys, "verify", "--suite", "params", "--order", str(order))
+        assert f"--order {order} is too low for" in err
+
+    def test_asympt_n_beyond_float64(self, capsys):
+        err = self.assert_usage_error(capsys, "asympt", "--n", "512")
+        assert "float64" in err

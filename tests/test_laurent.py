@@ -115,3 +115,22 @@ class TestLPoly2:
         p = LPoly2.x(1) + LPoly2.y(1)
         assert p.shift(1, -1) == LPoly2.x(2) * LPoly2.y(-1) + LPoly2.x(1)
         assert p.eval(2, 3) == 5
+
+
+def test_one_and_two_variable_polynomials_do_not_mix():
+    with pytest.raises(TypeError):
+        LPoly.const(1) + LPoly2.const(1)
+    with pytest.raises(TypeError):
+        LPoly2.x(1) * LPoly.var(1)
+    with pytest.raises(TypeError):
+        LPoly2.x(1) - LPoly.var(1)
+    assert LPoly.const(1) != LPoly2.const(1)
+
+
+def test_two_variable_divexact_only_by_constants():
+    p = LPoly2.x(1) * 6 + LPoly2.y(-1) * 3
+    assert p.divexact(3) == LPoly2.x(1) * 2 + LPoly2.y(-1)
+    with pytest.raises(ValueError):
+        p.divexact(LPoly2.x(1))
+    with pytest.raises(ZeroDivisionError):
+        p.divexact(0)

@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conewalks.decompose import kernel_series
 from conewalks.laurent import LPoly, LPoly2
 from conewalks.series import OrderError, PivotError, Series1, Series2
+from conewalks.walks import DIAGONAL, SQUARE
 
 
 def lp(d):
@@ -174,3 +176,77 @@ class TestSeries2:
     def test_first_failure_triple(self):
         s = Series2([LPoly2(), LPoly2.x(-1) * LPoly2.y(2)], 4)
         assert s.first_failure() == (1, -1, 2)
+
+
+def reference_inverse(s: Series2) -> Series2:
+    """The separate two-variable inverse loop that the shared
+    ``Series1.divide`` replaced, kept here as the exact reference."""
+    c0 = s.coeffs[0]
+    if not c0.is_const() or c0.is_zero():
+        raise PivotError("inverse needs a unit (scalar) constant term")
+    lead = c0.const_value()
+    out = [LPoly2.const(Fraction(1) / lead)]
+    for n in range(1, s.order):
+        acc = LPoly2()
+        for m in range(1, n + 1):
+            if not s.coeffs[m].is_zero():
+                acc = acc + s.coeffs[m] * out[n - m]
+        out.append(acc * LPoly2.const(Fraction(-1) / lead))
+    return Series2(out, s.order)
+
+
+@pytest.mark.parametrize("steps", [SQUARE, DIAGONAL], ids=["square", "diagonal"])
+def test_kernel_inverse_matches_reference(steps):
+    K = kernel_series(steps, 12)
+    assert K.inverse() == reference_inverse(K)
+    assert (2 * K).inverse() == reference_inverse(2 * K)
+
+
+def test_series_types_do_not_mix():
+    with pytest.raises(TypeError):
+        Series1.one(4) + Series2.one(4)
+    with pytest.raises(TypeError):
+        Series2.one(4) * Series1.one(4)
+    with pytest.raises(TypeError):
+        Series1.one(4) + LPoly2.const(1)
+
+
+int_terms = st.dictionaries(st.integers(-3, 3), st.integers(-9, 9), max_size=4)
+int_terms2 = st.dictionaries(
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)), st.integers(-9, 9),
+    max_size=4,
+)
+nonzero_int = st.integers(-9, 9).filter(bool)
+
+
+def assert_exact(*values):
+    """No coefficient of any polynomial or series is a float."""
+    for v in values:
+        polys = v.coeffs if hasattr(v, "coeffs") else [v]
+        for p in polys:
+            assert not any(isinstance(c, float) for c in p.terms.values())
+
+
+class TestIntInputsStayExact:
+    """Sums, products and exact divisions built from ints never produce a
+    float coefficient, in either coefficient ring."""
+
+    @settings(max_examples=40)
+    @given(int_terms, int_terms, st.lists(int_terms, max_size=4), nonzero_int)
+    def test_one_variable(self, a, b, tail, c0):
+        p, q = LPoly(a), LPoly(b)
+        assert_exact(p + q, p - q, p * q, p * 7)
+        if q:
+            assert_exact((p * q).divexact(q))
+        s = Series1([LPoly(t) for t in [a] + tail], 5)
+        u = Series1([LPoly.const(c0)] + [LPoly(t) for t in tail], 5)
+        assert_exact(s * u, s.divide(u), u.inverse())
+
+    @settings(max_examples=40)
+    @given(int_terms2, int_terms2, st.lists(int_terms2, max_size=4), nonzero_int)
+    def test_two_variables(self, a, b, tail, c0):
+        p, q = LPoly2(a), LPoly2(b)
+        assert_exact(p + q, p - q, p * q, p * 7, p.divexact(c0))
+        s = Series2([LPoly2(t) for t in [a] + tail], 5)
+        u = Series2([LPoly2.const(c0)] + [LPoly2(t) for t in tail], 5)
+        assert_exact(s * u, s.divide(u), u.inverse())
