@@ -58,8 +58,14 @@ def parse_bfile(text: str) -> BFile:
 
 
 def read_bfile(path) -> BFile:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_bfile(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise BFileError(lineno, f"non-ASCII byte {data[exc.start]:#04x}")
+    return parse_bfile(text)
 
 
 def compare(bfile: BFile, oracle, max_n=None) -> dict:

@@ -6,9 +6,14 @@ overrides built-in defaults.  All big integers are emitted as decimal
 strings in JSON so no consumer needs 64-bit-safe parsing.  Output
 ordering is fixed, so identical configurations give identical bytes.
 
+``verify`` runs suites from the ``SUITES`` table (suite -> its keys and
+the function that checks one key); every check returns the one report
+shape built by ``engine.report``.
+
 Exit codes: 0 success, 1 verification failure or data mismatch, 2 usage
-error (including an --order too low for a catalog entry's denominator and
-an asympt --n beyond the float64 range).
+error (including an --order too low for any check, such as a catalog
+entry whose denominator is zero to that order, and an asympt --n beyond
+the float64 range).
 """
 
 from __future__ import annotations
@@ -34,13 +39,7 @@ from .walks import (
 
 LATTICES = {"square": SQUARE, "diagonal": DIAGONAL}
 
-REGIONS = {
-    "quadrant": Region.QUADRANT,
-    "three-quadrant": Region.THREE_QUADRANT,
-    "wedge135": Region.WEDGE135,
-    "half-plane": Region.HALF_PLANE,
-    "full-plane": Region.FULL_PLANE,
-}
+REGIONS = {region.value: region for region in Region}
 
 DEFAULTS = {
     "lattice": "square",
@@ -52,9 +51,6 @@ DEFAULTS = {
     "suite": "all",
     "format": "text",
 }
-
-SUITES = ("base", "params", "endpoints", "quartics", "xseries",
-          "identities", "closed-forms")
 
 # The growth-rate diagnostics: limit of total(n) * n^(1/3) / 4^n.
 ASYMPT_CONSTANTS = {
@@ -68,6 +64,10 @@ ASYMPT_MAX_N = 511
 
 class UsageError(ValueError):
     pass
+
+
+def _order_too_low(order: int, key: str, exc: OrderError) -> UsageError:
+    return UsageError(f"--order {order} is too low for {key} ({exc})")
 
 
 def _is_int(value) -> bool:
@@ -108,6 +108,14 @@ def load_config(args: argparse.Namespace) -> dict:
         value = getattr(args, key.replace("-", "_"), None)
         if value is not None:
             cfg[key] = value
+    for key in ("lattice", "region", "format"):
+        if not isinstance(cfg[key], str):
+            raise UsageError(f"{key} must be a string, got {cfg[key]!r}")
+    suite = cfg["suite"]
+    if not (isinstance(suite, str) or isinstance(suite, list)
+            and all(isinstance(name, str) for name in suite)):
+        raise UsageError(f"suite must be a string or a list of strings, "
+                         f"got {suite!r}")
     if cfg["lattice"] not in LATTICES:
         raise UsageError(f"unknown lattice {cfg['lattice']!r}")
     if cfg["region"] not in REGIONS:
@@ -191,6 +199,9 @@ def cmd_series(cfg: dict, out) -> int:
     order = cfg["order"]
     endpoint = cfg["endpoint"]
     if endpoint is not None:
+        if not model.region.contains(*endpoint):
+            raise UsageError(f"endpoint {endpoint} outside region "
+                             f"{model.region.value}")
         series = endpoint_series(model, endpoint, order)
         values = [str(series.coeff(n).coeff(0)) for n in range(order)]
         if cfg["format"] == "json":
@@ -217,57 +228,45 @@ def cmd_series(cfg: dict, out) -> int:
 # -- verify ----------------------------------------------------------------
 
 
-def _closed_forms_reports(max_n: int) -> list:
-    reports = []
-    for key in sorted(closedforms.catalog()):
-        entry = closedforms.catalog()[key]
-        steps = LATTICES[entry.lattice]
-        model = WalkModel(steps, REGIONS[entry.region], entry.start)
-        first = None
-        for n in range(max_n + 1):
-            expected = entry.count(n)
-            actual = count_walks(model, 2 * n).get(*entry.end)
-            if expected != actual:
-                first = [n, str(expected), str(actual)]
-                break
-        reports.append(
-            {
-                "id": key,
-                "anchor": entry.anchor,
-                "order_checked": max_n,
-                "verdict": "pass" if first is None else "fail",
-                "first_failure": first,
-            }
-        )
-    return reports
+def _closed_form(key: str, max_n: int) -> dict:
+    """Compare a catalog closed form with the oracle for n = 0..max_n
+    (walks of 2n steps)."""
+    entry = closedforms.catalog()[key]
+    model = WalkModel(LATTICES[entry.lattice], REGIONS[entry.region],
+                      entry.start)
+    first = None
+    for n in range(max_n + 1):
+        expected = entry.count(n)
+        actual = count_walks(model, 2 * n).get(*entry.end)
+        if expected != actual:
+            first = [n, str(expected), str(actual)]
+            break
+    return engine.report(key, entry.anchor, order=max_n, failure=first)
 
 
-def _at_order(build, key: str, order: int):
-    """build(key, order), where a catalog denominator that is zero to this
-    order is a usage error: the order is too low to divide by it."""
-    try:
-        return build(key, order)
-    except OrderError as exc:
-        raise UsageError(f"--order {order} is too low for {key} ({exc})")
+# suite -> (its keys, the function checking one key at an order).
+SUITES = {
+    "base": (lambda: engine.BASE_KEYS, engine.run_check),
+    "params": (engine.param_keys, engine.run_check),
+    "endpoints": (engine.z_rational_keys, engine.run_check),
+    "quartics": (lambda: engine.QUARTIC_KEYS, engine.run_check),
+    "xseries": (lambda: engine.XSERIES_KEYS, engine.run_check),
+    "identities": (identities.all_identity_keys, identities.run_identity),
+    "closed-forms": (lambda: sorted(closedforms.catalog()), _closed_form),
+}
 
 
 def run_suite(suite: str, order: int) -> list:
-    if suite == "base":
-        return [engine.run_check(k, order) for k in engine.BASE_KEYS]
-    if suite == "params":
-        return [_at_order(engine.run_check, k, order)
-                for k in engine.param_keys()]
-    if suite == "endpoints":
-        return [engine.run_check(k, order) for k in engine.z_rational_keys()]
-    if suite == "quartics":
-        return [engine.run_check(k, order) for k in engine.QUARTIC_KEYS]
-    if suite == "xseries":
-        return [engine.run_check(k, order) for k in engine.XSERIES_KEYS]
-    if suite == "identities":
-        return identities.run_all(order)
-    if suite == "closed-forms":
-        return _closed_forms_reports(order)
-    raise UsageError(f"unknown suite {suite!r}")
+    if suite not in SUITES:
+        raise UsageError(f"unknown suite {suite!r}")
+    keys, check = SUITES[suite]
+    reports = []
+    for key in keys():
+        try:
+            reports.append(check(key, order))
+        except OrderError as exc:
+            raise _order_too_low(order, key, exc)
+    return reports
 
 
 def cmd_verify(cfg: dict, out) -> int:
@@ -320,10 +319,11 @@ def cmd_param(cfg: dict, out, key, list_keys: bool) -> int:
     }
     if key in builders:
         series = builders[key](order)
-    elif key in engine.param_keys():
-        series = _at_order(engine.param_series, key, order)
-    elif key in engine.z_rational_keys():
-        series = _at_order(engine.z_rational, key, order)
+    elif key in engine.param_keys() + engine.z_rational_keys():
+        try:
+            series = engine.catalog_series(key, order)
+        except OrderError as exc:
+            raise _order_too_low(order, key, exc)
     else:
         raise UsageError(f"unknown series key {key!r}")
     if cfg["format"] == "json":

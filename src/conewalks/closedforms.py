@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 
 
@@ -132,15 +133,14 @@ def _parse_term(raw) -> HypTerm:
     )
 
 
-def load_catalog() -> dict:
+@lru_cache(maxsize=None)
+def catalog() -> dict:
     text = (
         resources.files("conewalks").joinpath("data/closed_forms.json")
         .read_text()
     )
-    raw = json.loads(text)
-    catalog = {}
-    for key, entry in raw.items():
-        catalog[key] = ClosedForm(
+    return {
+        key: ClosedForm(
             key=key,
             anchor=entry["anchor"],
             lattice=entry["lattice"],
@@ -149,15 +149,6 @@ def load_catalog() -> dict:
             end=tuple(entry["end"]),
             terms=tuple(_parse_term(t) for t in entry["terms"]),
         )
-    return catalog
-
-
-_CATALOG = None
-
-
-def catalog() -> dict:
-    global _CATALOG
-    if _CATALOG is None:
-        _CATALOG = load_catalog()
-    return _CATALOG
+        for key, entry in json.loads(text).items()
+    }
 

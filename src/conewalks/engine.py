@@ -6,17 +6,20 @@ algebraic equations by Newton iteration with precision doubling,
 evaluates the parametrized rational expressions from the data catalog,
 and checks everything against series extracted from the walk oracle.
 
-Every check returns a small report dict; nothing is assumed, everything
-is recomputed from the oracle side.  The oracle side of each catalog entry
-is data: ``_PARAM_ORACLES``, ``_ENDPOINTS`` and ``_CONSTANTS`` map its key
-to the pipeline series or endpoint counts it must match.
+Every check is a table row: its id maps to an anchor and a function from
+the order to a list of residual series, all recomputed from the oracle
+side.  ``report`` turns residuals (or a list comparison) into the one
+report dict every check of the package returns.  The oracle side of each
+catalog entry is data too: ``_PARAM_ORACLES``, ``_ENDPOINTS`` and
+``_CONSTANTS`` map its key to the pipeline series or endpoint counts it
+must match.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib import resources
 
 from . import decompose
@@ -210,19 +213,13 @@ def eval_terms(terms, order: int, env=None) -> Series1:
 
 
 @lru_cache(maxsize=None)
-def param_series(key: str, order: int) -> Series1:
-    """Parametrized rational expression evaluated as a series in t and x."""
-    entry = _param_data()["bivariate"][key]
+def catalog_series(key: str, order: int) -> Series1:
+    """A catalog entry's rational expression in the parametrizing series,
+    as a series in t (with coefficients in x for the bivariate entries)."""
+    data = _param_data()
+    entry = data["bivariate"].get(key) or data["z_rationals"][key]
     num = eval_terms(entry["num"], order)
-    den = eval_terms(entry["den"], order)
-    return num.divide(den)
-
-
-def z_rational(key: str, order: int) -> Series1:
-    entry = _param_data()["z_rationals"][key]
-    num = eval_terms(entry["num"], order)
-    den = eval_terms(entry["den"], order)
-    return num.divide(den)
+    return num.divide(eval_terms(entry["den"], order))
 
 
 # ---------------------------------------------------------------------------
@@ -313,60 +310,72 @@ def z_rational_oracle(key: str, order: int) -> Series1:
 # ---------------------------------------------------------------------------
 
 
-def _scal(coeffs, order):
-    return Series1.from_scalar_coeffs(coeffs, order)
+_scal = Series1.from_scalar_coeffs
+
+
+def _quartic_S1(G, t, t2):
+    return (
+        19683 * t2**3 * G**4
+        + 2187 * t2**2 * (20 * t2 - 1) * G**3
+        + 81 * t2 * (11 * t2 - 1) * (38 * t2 - 1) * G**2
+        + (92 * t2 - 1) * (11 * t2 - 1) ** 2 * G
+        + t2 * (1331 * t2**2 - 107 * t2 + 1)
+    )
+
+
+def _quartic_P0(G, t, t2):
+    return (
+        387420489 * t2**3 * G**4
+        + 3188646 * t2**2 * (284 * t2**2 - 113 * t2 - 1) * G**3
+        + 8748
+        * t2
+        * (31570 * t2**4 - 96755 * t2**3 + 7251 * t2**2 + t2 + 1)
+        * G**2
+        + (
+            29962144 * t2**6
+            - 441273288 * t2**5
+            + 87261432 * t2**4
+            - 4754122 * t2**3
+            + 64860 * t2**2
+            - 687 * t2
+            - 8
+        )
+        * G
+        + t2**2
+        * (
+            1102736 * t2**5
+            - 53770928 * t2**4
+            + 4286896 * t2**3
+            - 58740 * t2**2
+            + 751 * t2
+            + 8
+        )
+    )
+
+
+def _quartic_F0(G, t, t2):
+    return (
+        27 * G**4
+        + 27 * (8 * t2 - 1) * G**3
+        + 9 * (2 * t + 1) * (2 * t - 1) * (10 * t2 - 1) * G**2
+        + (224 * t2**3 - 68 * t2**2 + 16 * t2 - 1) * G
+        + t2 * (48 * t2**3 + 88 * t2**2 - 20 * t2 + 1)
+    )
+
+
+# boundary constant -> its degree-4 equation; the two S1 share one.
+_QUARTICS = {
+    "sq-S1": _quartic_S1,
+    "sq-P0": _quartic_P0,
+    "diag-S1": _quartic_S1,
+    "diag-F0": _quartic_F0,
+}
 
 
 def quartic_residual(which: str, G: Series1) -> Series1:
     """Residual of the degree-4 equation satisfied by a boundary constant."""
     n = G.order
-    t2 = _scal([0, 0, 1], n)
-    if which in ("sq-S1", "diag-S1"):
-        return (
-            19683 * t2**3 * G**4
-            + 2187 * t2**2 * (20 * t2 - 1) * G**3
-            + 81 * t2 * (11 * t2 - 1) * (38 * t2 - 1) * G**2
-            + (92 * t2 - 1) * (11 * t2 - 1) ** 2 * G
-            + t2 * (1331 * t2**2 - 107 * t2 + 1)
-        )
-    if which == "sq-P0":
-        return (
-            387420489 * t2**3 * G**4
-            + 3188646 * t2**2 * (284 * t2**2 - 113 * t2 - 1) * G**3
-            + 8748
-            * t2
-            * (31570 * t2**4 - 96755 * t2**3 + 7251 * t2**2 + t2 + 1)
-            * G**2
-            + (
-                29962144 * t2**6
-                - 441273288 * t2**5
-                + 87261432 * t2**4
-                - 4754122 * t2**3
-                + 64860 * t2**2
-                - 687 * t2
-                - 8
-            )
-            * G
-            + t2**2
-            * (
-                1102736 * t2**5
-                - 53770928 * t2**4
-                + 4286896 * t2**3
-                - 58740 * t2**2
-                + 751 * t2
-                + 8
-            )
-        )
-    if which == "diag-F0":
-        t = Series1.t(n)
-        return (
-            27 * G**4
-            + 27 * (8 * t2 - 1) * G**3
-            + 9 * (2 * t + 1) * (2 * t - 1) * (10 * t2 - 1) * G**2
-            + (224 * t2**3 - 68 * t2**2 + 16 * t2 - 1) * G
-            + t2 * (48 * t2**3 + 88 * t2**2 - 20 * t2 + 1)
-        )
-    raise KeyError(which)
+    return _QUARTICS[which](G, Series1.t(n), _scal([0, 0, 1], n))
 
 
 # ---------------------------------------------------------------------------
@@ -374,15 +383,10 @@ def quartic_residual(which: str, G: Series1) -> Series1:
 # ---------------------------------------------------------------------------
 
 
-def sqrt_poly(coeffs, order):
-    """Square root of a scalar polynomial in t with constant term 1."""
-    return _scal(coeffs, order).sqrt()
-
-
 @lru_cache(maxsize=None)
 def sq_X0(order: int) -> Series1:
     """(1 - sqrt(1 - 16 t^2)) / (4t), the Catalan-flavoured root."""
-    r = sqrt_poly([1, 0, -16], order + 1)
+    r = _scal([1, 0, -16], order + 1).sqrt()
     return (1 - r).mul_t(-1) * Fraction(1, 4)
 
 
@@ -467,7 +471,7 @@ def sq_fact3_residual(X: Series1) -> Series1:
 @lru_cache(maxsize=None)
 def diag_X0(order: int) -> Series1:
     """(1 - 2t - sqrt(1 - 4t)) / (2t)."""
-    r = sqrt_poly([1, -4], order + 1)
+    r = _scal([1, -4], order + 1).sqrt()
     num = 1 - 2 * Series1.t(order + 1) - r
     return num.mul_t(-1) * Fraction(1, 2)
 
@@ -475,7 +479,7 @@ def diag_X0(order: int) -> Series1:
 @lru_cache(maxsize=None)
 def diag_X1(order: int) -> Series1:
     """-(1 + 2t - sqrt(1 + 4t)) / (2t)."""
-    r = sqrt_poly([1, 4], order + 1)
+    r = _scal([1, 4], order + 1).sqrt()
     num = 1 + 2 * Series1.t(order + 1) - r
     return -(num.mul_t(-1)) * Fraction(1, 2)
 
@@ -561,107 +565,90 @@ def diag_shift_double_root_residuals(X: Series1):
 # ---------------------------------------------------------------------------
 
 
-def _report(key, anchor, series, order):
-    fail = series.first_failure()
+def report(key, anchor, residuals=(), order=None, failure=None) -> dict:
+    """The report of one check: the only place its dict is built.
+
+    A series check gives its residuals.  It passes when every residual is
+    zero to its order; otherwise the report names the first nonzero one.
+    ``order_checked`` is the order of the residual reported on.  A check
+    that compares lists gives the order it ran to and its first failure.
+    """
+    if residuals:
+        order = residuals[0].order
+        for r in residuals:
+            failure = r.first_failure()
+            if failure is not None:
+                order = r.order
+                break
     return {
         "id": key,
         "anchor": anchor,
         "order_checked": order,
-        "verdict": "pass" if fail is None else "fail",
-        "first_failure": None if fail is None else list(fail),
+        "verdict": "pass" if failure is None else "fail",
+        "first_failure": None if failure is None else list(failure),
     }
 
 
-def _report_first_failure(key, anchor, residuals):
-    """Report on the first residual that fails, else on the first one."""
-    failed = [r for r in residuals if r.first_failure() is not None]
-    r = (failed or residuals)[0]
-    return _report(key, anchor, r, r.order)
+def _x_sq_0(n):
+    X0 = sq_X0(n)
+    return [2 * Series1.t(n) * (X0 * X0 + 1) - X0, X0 - sq_X0_catalan(n)]
 
 
-def check_base(key: str, order: int) -> dict:
-    if key == "base-T":
-        T = series_T(order)
-        cube = (T + 3) ** 3
-        t2 = _scal([0, 0, 1], order)
-        res = T * cube - cube - 256 * t2 * T**3
-        return _report(key, "defining quartic of the base series", res, order)
-    if key == "base-Z-hyper":
-        res = series_Z(order) - hypergeometric_Z(order)
-        return _report(
-            key, "square-root base series as a hypergeometric sum", res, order
+def _x_sq_12(n):
+    X1 = sq_X1(n)
+    X2 = conjugate_series(X1)
+    residual, _, _ = _sq_quad_residual(n)
+    return [residual(X2), sq_fact3_residual(X1) + sq_fact3_residual(X2)]
+
+
+def _x_diag_01(n):
+    t = Series1.t(n)
+    X0 = diag_X0(n)
+    X1 = diag_X1(n)
+    return [
+        t * (X0 * X0 + 1) - (1 - 2 * t) * X0,
+        t * (X1 * X1 + 1) + (1 + 2 * t) * X1,
+        diag_quad_residual(X0) + diag_quad_residual(X1),
+    ]
+
+
+def _x_diag_shift_01(n):
+    roots = (diag_shift_X(n, 0), diag_shift_X(n, 1))
+    return [r for X in roots for r in diag_shift_double_root_residuals(X)]
+
+
+# Check tables: id -> (anchor, order -> residual series).
+BASE_CHECKS = {
+    "base-T": ("defining quartic of the base series",
+               lambda n: [T_residual(series_T(n))]),
+    "base-Z-hyper": ("square-root base series as a hypergeometric sum",
+                     lambda n: [series_Z(n) - hypergeometric_Z(n)]),
+    **{
+        f"base-Y-{lattice}": (
+            f"{lattice}-lattice kernel root",
+            lambda n, lattice=lattice: [
+                kernel_residual(lattice, kernel_root_Y(lattice, n))],
         )
-    if key in ("base-Y-square", "base-Y-diagonal"):
-        lattice = key[len("base-Y-") :]
-        res = kernel_residual(lattice, kernel_root_Y(lattice, order))
-        return _report(key, f"{lattice}-lattice kernel root", res, order)
-    raise KeyError(key)
-
-
-def check_param(key: str, order: int) -> dict:
-    entry = _param_data()["bivariate"][key]
-    lhs = param_series(key, order)
-    rhs = param_oracle(key, order)
-    n = min(lhs.order, rhs.order)
-    res = lhs.truncate(n) - rhs.truncate(n)
-    return _report(key, entry["anchor"], res, n)
-
-
-def check_z_rational(key: str, order: int) -> dict:
-    entry = _param_data()["z_rationals"][key]
-    lhs = z_rational(key, order)
-    rhs = z_rational_oracle(key, order)
-    n = min(lhs.order, rhs.order)
-    res = lhs.truncate(n) - rhs.truncate(n)
-    return _report(key, entry["anchor"], res, n)
-
-
-def check_quartic(key: str, order: int) -> dict:
-    which = key[len("quartic-") :]
-    G = z_rational_oracle(which, order)
-    res = quartic_residual(which, G)
-    return _report(key, f"degree-4 equation for {which}", res, order)
-
-
-def check_xseries(key: str, order: int) -> dict:
-    t = Series1.t(order)
-    if key == "x-sq-0":
-        X0 = sq_X0(order)
-        res = 2 * t * (X0 * X0 + 1) - X0
-        return _report_first_failure(
-            key, "square origin: Catalan-type root",
-            [res, X0 - sq_X0_catalan(order)],
-        )
-    if key == "x-sq-12":
-        X1 = sq_X1(order)
-        X2 = conjugate_series(X1)
-        residual, _, _ = _sq_quad_residual(order)
-        return _report_first_failure(
-            key, "square origin: conjugate Gaussian roots",
-            [residual(X2), sq_fact3_residual(X1) + sq_fact3_residual(X2)],
-        )
-    if key == "x-diag-01":
-        X0 = diag_X0(order)
-        X1 = diag_X1(order)
-        res0 = t * (X0 * X0 + 1) - (1 - 2 * t) * X0
-        res1 = t * (X1 * X1 + 1) + (1 + 2 * t) * X1
-        resq = diag_quad_residual(X0) + diag_quad_residual(X1)
-        return _report_first_failure(
-            key, "diagonal origin: the two explicit roots", [res0, res1, resq]
-        )
-    if key == "x-diag-shift-01":
-        roots = (diag_shift_X(order, 0), diag_shift_X(order, 1))
-        residuals = [r for X in roots for r in diag_shift_double_root_residuals(X)]
-        return _report_first_failure(
-            key, "shifted diagonal: implicit roots", residuals
-        )
-    raise KeyError(key)
-
-
-BASE_KEYS = ("base-T", "base-Z-hyper", "base-Y-square", "base-Y-diagonal")
-QUARTIC_KEYS = ("quartic-sq-S1", "quartic-sq-P0", "quartic-diag-S1",
-                "quartic-diag-F0")
-XSERIES_KEYS = ("x-sq-0", "x-sq-12", "x-diag-01", "x-diag-shift-01")
+        for lattice in ("square", "diagonal")
+    },
+}
+QUARTIC_CHECKS = {
+    f"quartic-{which}": (
+        f"degree-4 equation for {which}",
+        lambda n, which=which: [
+            quartic_residual(which, z_rational_oracle(which, n))],
+    )
+    for which in _QUARTICS
+}
+XSERIES_CHECKS = {
+    "x-sq-0": ("square origin: Catalan-type root", _x_sq_0),
+    "x-sq-12": ("square origin: conjugate Gaussian roots", _x_sq_12),
+    "x-diag-01": ("diagonal origin: the two explicit roots", _x_diag_01),
+    "x-diag-shift-01": ("shifted diagonal: implicit roots", _x_diag_shift_01),
+}
+BASE_KEYS = tuple(BASE_CHECKS)
+QUARTIC_KEYS = tuple(QUARTIC_CHECKS)
+XSERIES_KEYS = tuple(XSERIES_CHECKS)
 
 
 def param_keys():
@@ -672,29 +659,27 @@ def z_rational_keys():
     return sorted(_param_data()["z_rationals"])
 
 
+def _catalog_residuals(key, oracle, n):
+    return [catalog_series(key, n) - oracle(key, n)]
+
+
+@lru_cache(maxsize=None)
+def _checks() -> dict:
+    """Every engine check in report order; a catalog entry's residual is
+    its rational expression minus its oracle series."""
+    catalog = {
+        key: (entry["anchor"], partial(_catalog_residuals, key, oracle))
+        for section, oracle in (("bivariate", param_oracle),
+                                ("z_rationals", z_rational_oracle))
+        for key, entry in sorted(_param_data()[section].items())
+    }
+    return {**BASE_CHECKS, **catalog, **QUARTIC_CHECKS, **XSERIES_CHECKS}
+
+
 def run_check(key: str, order: int) -> dict:
-    if key in BASE_KEYS:
-        return check_base(key, order)
-    if key in QUARTIC_KEYS:
-        return check_quartic(key, order)
-    if key in XSERIES_KEYS:
-        return check_xseries(key, order)
-    if key in _param_data()["bivariate"]:
-        return check_param(key, order)
-    if key in _param_data()["z_rationals"]:
-        return check_z_rational(key, order)
-    raise KeyError(key)
+    anchor, residuals = _checks()[key]
+    return report(key, anchor, residuals(order))
 
 
 def all_check_keys():
-    return (
-        list(BASE_KEYS)
-        + param_keys()
-        + z_rational_keys()
-        + list(QUARTIC_KEYS)
-        + list(XSERIES_KEYS)
-    )
-
-
-def run_all(order: int, keys=None) -> list:
-    return [run_check(k, order) for k in (keys or all_check_keys())]
+    return list(_checks())

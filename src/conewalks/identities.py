@@ -1,8 +1,14 @@
 """Functional-equation and bijection checks.
 
 Every identity is verified against series produced by the dynamic
-programming oracle, order by order in t.  Each check returns a report
-dict with the same shape as the engine checks.
+programming oracle, order by order in t.  The two equation shapes of the
+paper are stated once each: ``_step_eq`` (the step-by-step equation of a
+cone or quadrant series) and ``_half_eq`` (the quadrant-like equation of
+M, N and L).  Each identity function adds only what is particular to its
+model.  Identities sit in three tables: series identities (pass when the
+residual is zero), negative identities (pass when every residual is
+nonzero) and list identities (pass when no count mismatches).  Every
+report is built by ``engine.report``, as for the engine checks.
 """
 
 from __future__ import annotations
@@ -11,8 +17,15 @@ from fractions import Fraction
 
 from . import decompose
 from .decompose import tmul
+from .engine import (
+    diag_shift_pol_residual,
+    diag_X0,
+    diag_X1,
+    kernel_root_Y,
+    report,
+)
 from .laurent import LPoly, LPoly2
-from .series import Series1, Series2
+from .series import OrderError, Series1, Series2
 from .walks import (
     DIAGONAL,
     SQUARE,
@@ -29,14 +42,15 @@ X = LPoly2.x(1)
 XB = LPoly2.x(-1)
 Y = LPoly2.y(1)
 YB = LPoly2.y(-1)
+ONE = LPoly2.const(1)
+SX = X + XB
+SY = Y + YB
+# Constant of the equation for A from the origin.
+A_ORIGIN = LPoly2.const(Fraction(2, 3)) + THIRD * (XB * XB + YB * YB)
 
 
-def _x_series(s: Series1) -> Series2:
-    return Series2.from_x_series(s)
-
-
-def _y_series(s: Series1) -> Series2:
-    return Series2.from_y_series(s)
+_x_series = Series2.from_x_series
+_y_series = Series2.from_y_series
 
 
 def _neg_x_axis(C: Series2) -> Series1:
@@ -68,6 +82,75 @@ def _cross() -> LPoly2:
     return (X - XB) * (Y - YB)
 
 
+def _split(W, P, L, B) -> Series2:
+    """W - (P + xbar L(xbar, y) + ybar B(x, ybar)): the three-quadrant split."""
+    return W - (P + L.sub_inverse("x").mul_xy(-1, 0)
+                + B.sub_inverse("y").mul_xy(0, -1))
+
+
+def _P_LB(p) -> Series2:
+    """P - (xbar (L - L(0,y)) + ybar (B - B(x,0))) for a shifted pipeline."""
+    rhs = ((p.L - _y_series(p.L_0y)).mul_xy(-1, 0)
+           + (p.B - _x_series(p.B_x0)).mul_xy(0, -1))
+    return p.P - rhs
+
+
+def _steps(p, factor: LPoly2, s: Series2) -> Series2:
+    """factor * s on the diagonal lattice, s on the square one."""
+    if p.steps is DIAGONAL:
+        return Series2.from_poly(factor, s.order) * s
+    return s
+
+
+def _at_t_ybar(s: Series1) -> Series2:
+    """t ybar s, for a series s in t alone."""
+    return tmul(_x_series(s).mul_xy(0, -1))
+
+
+def _step_eq(p, W, const, x_section, y_section, corner=None):
+    """K W - (const - t sx ybar X(x) - t sy xbar Y(y) - t xbar ybar c).
+
+    The step-by-step equation of a series W of pipeline p.  X and Y are
+    the sections of W on the two axes from which a step leaves the region;
+    c is the corner term of the diagonal lattice (minus W(0,0) for a
+    quadrant series, whose corner step the axis terms remove twice).
+    sx = x + xbar and sy = y + ybar on the diagonal lattice, 1 on the
+    square one.
+    """
+    n = W.order
+    rhs = (
+        Series2.from_poly(const, n)
+        - tmul(_steps(p, SX, _x_series(x_section).mul_xy(0, -1)))
+        - tmul(_steps(p, SY, _y_series(y_section).mul_xy(-1, 0)))
+    )
+    if corner is not None:
+        rhs = rhs - tmul(Series2.from_x_series(corner).mul_xy(-1, -1))
+    return p.K * W - rhs
+
+
+def _half_eq(p, W, x0, on_y, const):
+    """K (2W - W(0,y)) - (const - 2t sx ybar W(x,0) + t sy (x - xbar) W(0,y)).
+
+    The quadrant-like equation of a series W of pipeline p, given its
+    sections x0 = W(x,0) and on_y = W(0,y), with sx, sy as in ``_step_eq``.
+    Each caller subtracts the rest of its right side (the terms in ybar
+    that differ between M, N and L).
+    """
+    W0y = _y_series(on_y)
+    rhs = (
+        Series2.from_poly(const, W.order)
+        - 2 * tmul(_steps(p, SX, _x_series(x0).mul_xy(0, -1)))
+        + tmul(_steps(p, SY, W0y.mul_xy(1, 0) - W0y.mul_xy(-1, 0)))
+    )
+    return p.K * (2 * W - W0y) - rhs
+
+
+def _y_rest(p, s: Series1) -> Series2:
+    """t sy ybar s(y): the y-section term that each quadrant-like equation
+    adds (s is M(y,0), -N(y,0), or B(0,y) for L)."""
+    return tmul(_steps(p, SY, _y_series(s).mul_xy(0, -1)))
+
+
 # ---------------------------------------------------------------------------
 # Square lattice, start (0,0)
 # ---------------------------------------------------------------------------
@@ -76,19 +159,13 @@ def _cross() -> LPoly2:
 def func_eq_sq_origin(order):
     sq = decompose.square_origin(order)
     C = sq.C
-    rhs = 1 - tmul(_x_series(_neg_x_axis(C)).mul_xy(0, -1)) - tmul(
-        _y_series(_neg_y_axis(C)).mul_xy(-1, 0)
-    )
-    return sq.K * C - rhs
+    return _step_eq(sq, C, ONE, _neg_x_axis(C), _neg_y_axis(C))
 
 
 def func_eq_quadrant_sq(order):
     sq = decompose.square_origin(order)
     Q = sq.Q
-    rhs = 1 - tmul(_x_series(Q.coeff_of("y", 0)).mul_xy(0, -1)) - tmul(
-        _y_series(Q.coeff_of("x", 0)).mul_xy(-1, 0)
-    )
-    return sq.K * Q - rhs
+    return _step_eq(sq, Q, ONE, Q.coeff_of("y", 0), Q.coeff_of("x", 0))
 
 
 def orbit_eq_sq_origin(order):
@@ -111,15 +188,8 @@ def quadrant_positive_part_sq(order):
 
 def eq_A_sq(order):
     sq = decompose.square_origin(order)
-    A = sq.A
     Am = sq.M_x0.sub_inverse_x().mul_x(-1)  # A restricted to the negative x-axis
-    const = LPoly2.const(Fraction(2, 3)) + THIRD * (XB * XB + YB * YB)
-    rhs = (
-        Series2.from_poly(const, order)
-        - tmul(_x_series(Am).mul_xy(0, -1))
-        - tmul(_y_series(Am).mul_xy(-1, 0))
-    )
-    return sq.K * A - rhs
+    return _step_eq(sq, sq.A, A_ORIGIN, Am, Am)
 
 
 def orbit_zero_A_sq(order):
@@ -128,13 +198,7 @@ def orbit_zero_A_sq(order):
 
 def split_A_sq(order):
     sq = decompose.square_origin(order)
-    M = sq.M
-    recon = (
-        sq.P
-        + M.sub_inverse("x").mul_xy(-1, 0)
-        + M.swap_vars().sub_inverse("y").mul_xy(0, -1)
-    )
-    return sq.A - recon
+    return _split(sq.A, sq.P, sq.M, sq.M.swap_vars())
 
 
 def PM_relation_sq(order):
@@ -149,23 +213,11 @@ def PM_relation_sq(order):
 
 def func_M_sq(order):
     sq = decompose.square_origin(order)
-    M = sq.M
-    M0y = _y_series(sq.M_0y)
-    Mx0 = _x_series(sq.M_x0)
-    My0 = _y_series(sq.M_x0)
-    lhs = sq.K * (2 * M - M0y)
-    rhs = (
-        Series2.from_poly(Fraction(2, 3) * X, order)
-        - 2 * tmul(Mx0.mul_xy(0, -1))
-        + tmul((M0y.mul_xy(1, 0) - M0y.mul_xy(-1, 0)))
-        + tmul(My0.mul_xy(0, -1))
-    )
-    return lhs - rhs
+    eq = _half_eq(sq, sq.M, sq.M_x0, sq.M_0y, Fraction(2, 3) * X)
+    return eq - _y_rest(sq, sq.M_x0)
 
 
 def catM_sq(order):
-    from .engine import kernel_root_Y
-
     sq = decompose.square_origin(order)
     Yr = kernel_root_Y("square", order)
     M0x = sq.M_0y
@@ -237,9 +289,10 @@ def cubic_S_sq(order):
 def no_kernel_factor_sq(order):
     """The right side of the S(x)/S(xbar) relation is not divisible by
     either linear factor of the discriminant.  This is a negative check:
-    the two composed series must NOT vanish."""
-    from .engine import diag_X0, diag_X1
-
+    the two composed series must NOT vanish.  They first become nonzero at
+    t^2, so a lower order cannot tell."""
+    if order < 3:
+        raise OrderError("its residuals are zero below t^2")
     sq = decompose.square_origin(order)
     x = Series1.x(order)
     xb = Series1.x(order, -1)
@@ -262,69 +315,30 @@ def no_kernel_factor_sq(order):
 def func_eq_diag_origin(order):
     dg = decompose.diagonal_origin(order)
     C = dg.C
-    sx = Series2.from_poly(X + XB, order)
-    sy = Series2.from_poly(Y + YB, order)
-    rhs = (
-        1
-        - tmul(sx * _x_series(_neg_x_axis(C)).mul_xy(0, -1))
-        - tmul(sy * _y_series(_neg_y_axis(C)).mul_xy(-1, 0))
-        - tmul(Series2.from_x_series(_corner(C)).mul_xy(-1, -1))
-    )
-    return dg.K * C - rhs
+    return _step_eq(dg, C, ONE, _neg_x_axis(C), _neg_y_axis(C), _corner(C))
 
 
 def func_eq_quadrant_diag(order):
     dg = decompose.diagonal_origin(order)
     Q = dg.Q
-    sx = Series2.from_poly(X + XB, order)
-    sy = Series2.from_poly(Y + YB, order)
-    rhs = (
-        1
-        - tmul(sx * _x_series(Q.coeff_of("y", 0)).mul_xy(0, -1))
-        - tmul(sy * _y_series(Q.coeff_of("x", 0)).mul_xy(-1, 0))
-        + tmul(Series2.from_x_series(_corner(Q)).mul_xy(-1, -1))
-    )
-    return dg.K * Q - rhs
+    return _step_eq(dg, Q, ONE, Q.coeff_of("y", 0), Q.coeff_of("x", 0),
+                    -_corner(Q))
 
 
 def eq_A_diag(order):
     dg = decompose.diagonal_origin(order)
     A = dg.A
-    sx = Series2.from_poly(X + XB, order)
-    sy = Series2.from_poly(Y + YB, order)
     Am = _neg_x_axis(A)
-    const = LPoly2.const(Fraction(2, 3)) + THIRD * (XB * XB + YB * YB)
-    rhs = (
-        Series2.from_poly(const, order)
-        - tmul(sx * _x_series(Am).mul_xy(0, -1))
-        - tmul(sy * _y_series(Am).mul_xy(-1, 0))
-        - tmul(Series2.from_x_series(_corner(A)).mul_xy(-1, -1))
-    )
-    return dg.K * A - rhs
+    return _step_eq(dg, A, A_ORIGIN, Am, Am, _corner(A))
 
 
 def func_M_diag(order):
     dg = decompose.diagonal_origin(order)
-    M = dg.M
-    M0y = _y_series(dg.M_0y)
-    Mx0 = _x_series(dg.M_x0)
-    My0 = _y_series(dg.M_x0)
-    sy = Series2.from_poly(Y + YB, order)
-    one_yb2 = Series2.from_poly(LPoly2.const(1) + YB * YB, order)
-    lhs = dg.K * (2 * M - M0y)
-    rhs = (
-        Series2.from_poly(Fraction(2, 3) * X, order)
-        - 2 * tmul(Series2.from_poly(X + XB, order) * Mx0.mul_xy(0, -1))
-        + tmul(sy * (M0y.mul_xy(1, 0) - M0y.mul_xy(-1, 0)))
-        + tmul(one_yb2 * My0)
-        - tmul(Series2.from_x_series(dg.M10).mul_xy(0, -1))
-    )
-    return lhs - rhs
+    eq = _half_eq(dg, dg.M, dg.M_x0, dg.M_0y, Fraction(2, 3) * X)
+    return eq - _y_rest(dg, dg.M_x0) + _at_t_ybar(dg.M10)
 
 
 def catM_diag(order):
-    from .engine import kernel_root_Y
-
     dg = decompose.diagonal_origin(order)
     Yr = kernel_root_Y("diagonal", order)
     sp = LPoly.var(1) + LPoly.var(-1)
@@ -387,12 +401,7 @@ def cubic_S_diag(order):
 def func_eq_sq_shift(order):
     ss = decompose.square_shifted(order)
     C = ss.C
-    rhs = (
-        Series2.from_poly(XB, order)
-        - tmul(_x_series(_neg_x_axis(C)).mul_xy(0, -1))
-        - tmul(_y_series(_neg_y_axis(C)).mul_xy(-1, 0))
-    )
-    return ss.K * C - rhs
+    return _step_eq(ss, C, XB, _neg_x_axis(C), _neg_y_axis(C))
 
 
 def orbit_zero_sq_shift(order):
@@ -401,95 +410,43 @@ def orbit_zero_sq_shift(order):
 
 def split_C_sq_shift(order):
     ss = decompose.square_shifted(order)
-    recon = (
-        ss.P
-        + ss.L.sub_inverse("x").mul_xy(-1, 0)
-        + ss.B.sub_inverse("y").mul_xy(0, -1)
-    )
-    return ss.C - recon
+    return _split(ss.C, ss.P, ss.L, ss.B)
 
 
 def P_LB_sq_shift(order):
-    ss = decompose.square_shifted(order)
-    L0y = _y_series(ss.L_0y)
-    Bx0 = _x_series(ss.B_x0)
-    rhs = (ss.L - L0y).mul_xy(-1, 0) + (ss.B - Bx0).mul_xy(0, -1)
-    return ss.P - rhs
+    return _P_LB(decompose.square_shifted(order))
 
 
 def eqL_sq_shift(order):
     ss = decompose.square_shifted(order)
-    L = ss.L
-    L0y = _y_series(ss.L_0y)
-    Lx0 = _x_series(ss.L_x0)
-    B0y = _y_series(ss.B_0y)
-    L00 = Series2.from_x_series(ss.L_0y.coeff_x(0))
-    B00 = Series2.from_x_series(ss.B_0y.coeff_x(0))
-    lhs = ss.K * (2 * L - L0y)
-    rhs = (
-        Series2.one(order)
-        - 2 * tmul(Lx0.mul_xy(0, -1))
-        + tmul(L0y.mul_xy(1, 0) - L0y.mul_xy(-1, 0))
-        + tmul(B0y.mul_xy(0, -1))
-        + tmul(L00.mul_xy(0, -1))
-        - tmul(B00.mul_xy(0, -1))
-    )
-    return lhs - rhs
+    L00 = ss.L_0y.coeff_x(0)
+    B00 = ss.B_0y.coeff_x(0)
+    eq = _half_eq(ss, ss.L, ss.L_x0, ss.L_0y, ONE)
+    return eq - _y_rest(ss, ss.B_0y) - _at_t_ybar(L00 - B00)
 
 
 def eqB_sq_shift(order):
+    """The equation for L with x and y swapped."""
     ss = decompose.square_shifted(order)
-    B = ss.B
-    Bx0 = _x_series(ss.B_x0)
-    B0y = _y_series(ss.B_0y)
-    Lx0 = _x_series(ss.L_x0)
-    L00 = Series2.from_x_series(ss.L_0y.coeff_x(0))
-    B00 = Series2.from_x_series(ss.B_0y.coeff_x(0))
-    lhs = ss.K * (2 * B - Bx0)
-    rhs = (
-        tmul(Bx0.mul_xy(0, 1) - Bx0.mul_xy(0, -1))
-        - 2 * tmul(B0y.mul_xy(-1, 0))
-        + tmul(Lx0.mul_xy(-1, 0))
-        - tmul(L00.mul_xy(-1, 0))
-        + tmul(B00.mul_xy(-1, 0))
-    )
-    return lhs - rhs
+    L00 = ss.L_0y.coeff_x(0)
+    B00 = ss.B_0y.coeff_x(0)
+    eq = _half_eq(ss, ss.B.swap_vars(), ss.B_0y, ss.B_x0, LPoly2())
+    return (eq - _y_rest(ss, ss.L_x0) + _at_t_ybar(L00 - B00)).swap_vars()
 
 
 def func_M_sq_shift(order):
     ss = decompose.square_shifted(order)
-    M = ss.M
     pair = ss.Mpair
-    M0y = _y_series(pair.on_y)
-    Mx0 = _x_series(pair.x0)
-    My0 = _y_series(pair.x0)
-    lhs = ss.K * (2 * M - M0y)
-    rhs = (
-        Series2.one(order)
-        - 2 * tmul(Mx0.mul_xy(0, -1))
-        + tmul(M0y.mul_xy(1, 0) - M0y.mul_xy(-1, 0))
-        + tmul(My0.mul_xy(0, -1))
-    )
-    return lhs - rhs
+    eq = _half_eq(ss, ss.M, pair.x0, pair.on_y, ONE)
+    return eq - _y_rest(ss, pair.x0)
 
 
 def func_N_sq_shift(order):
     ss = decompose.square_shifted(order)
-    N = ss.N
     pair = ss.Npair
-    N0y = _y_series(pair.on_y)
-    Nx0 = _x_series(pair.x0)
-    Ny0 = _y_series(pair.x0)
-    N00 = Series2.from_x_series(pair.on_y.coeff_x(0))
-    lhs = ss.K * (2 * N - N0y)
-    rhs = (
-        Series2.one(order)
-        - 2 * tmul(Nx0.mul_xy(0, -1))
-        + tmul(N0y.mul_xy(1, 0) - N0y.mul_xy(-1, 0))
-        - tmul(Ny0.mul_xy(0, -1))
-        + 2 * tmul(N00.mul_xy(0, -1))
-    )
-    return lhs - rhs
+    N00 = pair.on_y.coeff_x(0)
+    eq = _half_eq(ss, ss.N, pair.x0, pair.on_y, ONE)
+    return eq + _y_rest(ss, pair.x0) - 2 * _at_t_ybar(N00)
 
 
 # ---------------------------------------------------------------------------
@@ -500,30 +457,15 @@ def func_N_sq_shift(order):
 def func_eq_diag_shift(order):
     ds = decompose.diagonal_shifted(order)
     C = ds.C
-    sx = Series2.from_poly(X + XB, order)
-    sy = Series2.from_poly(Y + YB, order)
-    rhs = (
-        Series2.from_poly(XB * XB, order)
-        - tmul(sx * _x_series(_neg_x_axis(C)).mul_xy(0, -1))
-        - tmul(sy * _y_series(_neg_y_axis(C)).mul_xy(-1, 0))
-        - tmul(Series2.from_x_series(_corner(C)).mul_xy(-1, -1))
-    )
-    return ds.K * C - rhs
+    return _step_eq(ds, C, XB * XB, _neg_x_axis(C), _neg_y_axis(C),
+                    _corner(C))
 
 
 def eq_A_diag_shift(order):
     ds = decompose.diagonal_shifted(order)
     A = ds.A
-    sx = Series2.from_poly(X + XB, order)
-    sy = Series2.from_poly(Y + YB, order)
-    const = THIRD * (LPoly2.const(1) + 2 * XB * XB - YB * YB)
-    rhs = (
-        Series2.from_poly(const, order)
-        - tmul(sx * _x_series(_neg_x_axis(A)).mul_xy(0, -1))
-        - tmul(sy * _y_series(_neg_y_axis(A)).mul_xy(-1, 0))
-        - tmul(Series2.from_x_series(_corner(A)).mul_xy(-1, -1))
-    )
-    return ds.K * A - rhs
+    const = THIRD * (ONE + 2 * XB * XB - YB * YB)
+    return _step_eq(ds, A, const, _neg_x_axis(A), _neg_y_axis(A), _corner(A))
 
 
 def orbit_zero_A_diag_shift(order):
@@ -538,109 +480,43 @@ def orbit_C_diag_shift(order):
 
 def split_A_diag_shift(order):
     ds = decompose.diagonal_shifted(order)
-    recon = (
-        ds.P
-        + ds.L.sub_inverse("x").mul_xy(-1, 0)
-        + ds.B.sub_inverse("y").mul_xy(0, -1)
-    )
-    return ds.A - recon
+    return _split(ds.A, ds.P, ds.L, ds.B)
 
 
 def P_LB_diag_shift(order):
-    ds = decompose.diagonal_shifted(order)
-    L0y = _y_series(ds.L_0y)
-    Bx0 = _x_series(ds.B_x0)
-    rhs = (ds.L - L0y).mul_xy(-1, 0) + (ds.B - Bx0).mul_xy(0, -1)
-    return ds.P - rhs
+    return _P_LB(decompose.diagonal_shifted(order))
 
 
 def eqL_diag_shift(order):
     ds = decompose.diagonal_shifted(order)
-    L = ds.L
-    L0y = _y_series(ds.L_0y)
-    Lx0 = _x_series(ds.L_x0)
-    B0y = _y_series(ds.B_0y)
-    B01 = Series2.from_x_series(ds.B_0y.coeff_x(1))
-    sx = Series2.from_poly(X + XB, order)
-    sy = Series2.from_poly(Y + YB, order)
-    one_yb2 = Series2.from_poly(LPoly2.const(1) + YB * YB, order)
-    lhs = ds.K * (2 * L - L0y)
-    rhs = (
-        Series2.from_poly(Fraction(4, 3) * X, order)
-        - 2 * tmul(sx * Lx0.mul_xy(0, -1))
-        + tmul(sy * (L0y.mul_xy(1, 0) - L0y.mul_xy(-1, 0)))
-        + tmul(one_yb2 * B0y)
-        - tmul(B01.mul_xy(0, -1))
-    )
-    return lhs - rhs
+    B01 = ds.B_0y.coeff_x(1)
+    eq = _half_eq(ds, ds.L, ds.L_x0, ds.L_0y, Fraction(4, 3) * X)
+    return eq - _y_rest(ds, ds.B_0y) + _at_t_ybar(B01)
 
 
 def eqB_diag_shift(order):
+    """The equation for L with x and y swapped."""
     ds = decompose.diagonal_shifted(order)
-    B = ds.B
-    Bx0 = _x_series(ds.B_x0)
-    B0y = _y_series(ds.B_0y)
-    Lx0 = _x_series(ds.L_x0)
-    L10 = Series2.from_x_series(ds.L_x0.coeff_x(1))
-    sx = Series2.from_poly(X + XB, order)
-    sy = Series2.from_poly(Y + YB, order)
-    one_xb2 = Series2.from_poly(LPoly2.const(1) + XB * XB, order)
-    lhs = ds.K * (2 * B - Bx0)
-    rhs = (
-        Series2.from_poly(Fraction(-2, 3) * Y, order)
-        + tmul(sx * (Bx0.mul_xy(0, 1) - Bx0.mul_xy(0, -1)))
-        - 2 * tmul(sy * B0y.mul_xy(-1, 0))
-        + tmul(one_xb2 * Lx0)
-        - tmul(L10.mul_xy(-1, 0))
-    )
-    return lhs - rhs
+    L10 = ds.L_x0.coeff_x(1)
+    eq = _half_eq(ds, ds.B.swap_vars(), ds.B_0y, ds.B_x0, Fraction(-2, 3) * X)
+    return (eq - _y_rest(ds, ds.L_x0) + _at_t_ybar(L10)).swap_vars()
 
 
 def func_M_diag_shift(order):
     ds = decompose.diagonal_shifted(order)
-    M = ds.M
-    M0y = _y_series(ds.M.coeff_of("x", 0))
-    Mx0 = _x_series(ds.M.coeff_of("y", 0))
-    My0 = _y_series(ds.M.coeff_of("y", 0))
-    M10 = Series2.from_x_series(ds.M.coeff_of("y", 0).coeff_x(1))
-    sx = Series2.from_poly(X + XB, order)
-    sy = Series2.from_poly(Y + YB, order)
-    one_yb2 = Series2.from_poly(LPoly2.const(1) + YB * YB, order)
-    lhs = ds.K * (2 * M - M0y)
-    rhs = (
-        Series2.from_poly(Fraction(2, 3) * X, order)
-        - 2 * tmul(sx * Mx0.mul_xy(0, -1))
-        + tmul(sy * (M0y.mul_xy(1, 0) - M0y.mul_xy(-1, 0)))
-        + tmul(one_yb2 * My0)
-        - tmul(M10.mul_xy(0, -1))
-    )
-    return lhs - rhs
+    Mx0 = ds.M.coeff_of("y", 0)
+    eq = _half_eq(ds, ds.M, Mx0, ds.M.coeff_of("x", 0), Fraction(2, 3) * X)
+    return eq - _y_rest(ds, Mx0) + _at_t_ybar(Mx0.coeff_x(1))
 
 
 def func_N_diag_shift(order):
     ds = decompose.diagonal_shifted(order)
-    N = ds.N
-    N0y = _y_series(ds.N.coeff_of("x", 0))
-    Nx0 = _x_series(ds.N.coeff_of("y", 0))
-    Ny0 = _y_series(ds.N.coeff_of("y", 0))
-    N10 = Series2.from_x_series(ds.N.coeff_of("y", 0).coeff_x(1))
-    sx = Series2.from_poly(X + XB, order)
-    sy = Series2.from_poly(Y + YB, order)
-    one_yb2 = Series2.from_poly(LPoly2.const(1) + YB * YB, order)
-    lhs = ds.K * (2 * N - N0y)
-    rhs = (
-        Series2.from_poly(2 * X, order)
-        - 2 * tmul(sx * Nx0.mul_xy(0, -1))
-        + tmul(sy * (N0y.mul_xy(1, 0) - N0y.mul_xy(-1, 0)))
-        - tmul(one_yb2 * Ny0)
-        + tmul(N10.mul_xy(0, -1))
-    )
-    return lhs - rhs
+    Nx0 = ds.N.coeff_of("y", 0)
+    eq = _half_eq(ds, ds.N, Nx0, ds.N.coeff_of("x", 0), 2 * X)
+    return eq + _y_rest(ds, Nx0) - _at_t_ybar(Nx0.coeff_x(1))
 
 
 def cubic_S_N_diag_shift(order):
-    from .engine import diag_shift_pol_residual
-
     return diag_shift_pol_residual(order)
 
 
@@ -863,6 +739,12 @@ IDENTITIES = {
         gessel_diag_series),
 }
 
+NEGATIVE_IDENTITIES = {
+    "no-kernel-factor-sq": (
+        "the boundary relation is not divisible by either kernel factor "
+        "(negative check)", no_kernel_factor_sq),
+}
+
 LIST_IDENTITIES = {
     "reflection-square": (
         "reflection principle, square lattice", reflection_square),
@@ -873,42 +755,38 @@ LIST_IDENTITIES = {
 }
 
 
+def _zero(key, anchor, residual, order):
+    return report(key, anchor, [residual])
+
+
+def _nonzero(key, anchor, residuals, order):
+    zero = [i for i, r in enumerate(residuals) if r.first_failure() is None]
+    failure = [f"residual {zero[0]} vanishes"] if zero else None
+    return report(key, anchor, order=order, failure=failure)
+
+
+def _no_mismatch(key, anchor, mismatches, order):
+    return report(key, anchor, order=order,
+                  failure=mismatches[0] if mismatches else None)
+
+
+# id -> (anchor, order -> result, report on the result), in report order.
+_ROWS = {
+    key: (anchor, build, verdict)
+    for table, verdict in ((IDENTITIES, _zero),
+                           (NEGATIVE_IDENTITIES, _nonzero),
+                           (LIST_IDENTITIES, _no_mismatch))
+    for key, (anchor, build) in table.items()
+}
+
+
 def run_identity(key: str, order: int) -> dict:
-    if key == "no-kernel-factor-sq":
-        vals = no_kernel_factor_sq(order)
-        ok = all(v.first_failure() is not None for v in vals)
-        return {
-            "id": key,
-            "anchor": "the boundary relation is not divisible by either "
-                      "kernel factor (negative check)",
-            "order_checked": order,
-            "verdict": "pass" if ok else "fail",
-            "first_failure": None,
-        }
-    if key in LIST_IDENTITIES:
-        anchor, fn = LIST_IDENTITIES[key]
-        mism = fn(order)
-        return {
-            "id": key,
-            "anchor": anchor,
-            "order_checked": order,
-            "verdict": "pass" if not mism else "fail",
-            "first_failure": None if not mism else list(mism[0]),
-        }
-    anchor, fn = IDENTITIES[key]
-    res = fn(order)
-    fail = res.first_failure()
-    return {
-        "id": key,
-        "anchor": anchor,
-        "order_checked": res.order if hasattr(res, "order") else order,
-        "verdict": "pass" if fail is None else "fail",
-        "first_failure": None if fail is None else list(fail),
-    }
+    anchor, build, verdict = _ROWS[key]
+    return verdict(key, anchor, build(order), order)
 
 
 def all_identity_keys():
-    return list(IDENTITIES) + ["no-kernel-factor-sq"] + list(LIST_IDENTITIES)
+    return list(_ROWS)
 
 
 def run_all(order: int, keys=None) -> list:

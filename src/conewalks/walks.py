@@ -39,8 +39,6 @@ class StepSet:
 SQUARE = StepSet("square", frozenset({(1, 0), (-1, 0), (0, 1), (0, -1)}))
 DIAGONAL = StepSet("diagonal", frozenset({(1, 1), (1, -1), (-1, 1), (-1, -1)}))
 
-STEP_SETS = {"square": SQUARE, "diagonal": DIAGONAL}
-
 
 class Region(Enum):
     """Confinement cones, as membership predicates on lattice points."""
@@ -189,17 +187,7 @@ def float_totals(model: WalkModel, n: int):
     ii, jj = np.meshgrid(
         np.arange(-n, n + 1), np.arange(-n, n + 1), indexing="ij"
     )
-    region = model.region
-    if region is Region.QUADRANT:
-        mask = (ii >= 0) & (jj >= 0)
-    elif region is Region.THREE_QUADRANT:
-        mask = (ii >= 0) | (jj >= 0)
-    elif region is Region.WEDGE135:
-        mask = (ii + jj >= 0) & (jj >= 0)
-    elif region is Region.HALF_PLANE:
-        mask = ii + jj >= 0
-    else:
-        mask = np.ones_like(ii, dtype=bool)
+    mask = np.vectorize(model.region.contains, otypes=[bool])(ii, jj)
     totals = [1.0]
     for _ in range(n):
         nxt = np.zeros_like(grid)

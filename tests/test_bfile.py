@@ -94,3 +94,11 @@ def test_compare_against_oracle():
     bf = parse_bfile("0 1\n1 4\n2 14\n3 54\n4 200\n")
     report = compare(bf, lambda n: total_count(model, n))
     assert report["verdict"] == "agree"
+
+
+def test_read_bfile_non_ascii_names_the_line(tmp_path):
+    path = tmp_path / "b.txt"
+    path.write_bytes(b"# caf\xc3\xa9\n0 1\n")
+    with pytest.raises(BFileError) as info:
+        read_bfile(path)
+    assert info.value.lineno == 1

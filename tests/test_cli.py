@@ -223,3 +223,59 @@ class TestOrderAndRangeErrors:
     def test_asympt_n_beyond_float64(self, capsys):
         err = self.assert_usage_error(capsys, "asympt", "--n", "512")
         assert "float64" in err
+
+
+class TestReportsAndInputErrors:
+    """One report shape for every suite; bad inputs end in an error line."""
+
+    def assert_error(self, capsys, code, *argv):
+        assert main(list(argv)) == code
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        return captured
+
+    def test_all_suites_share_one_report_shape(self, capsys):
+        from conewalks.cli import SUITES
+
+        code, out = run(capsys, "verify", "--suite", "all", "--order", "9",
+                        "--format", "json")
+        assert code == 0
+        reports = json.loads(out)
+        ids = [r["id"] for r in reports]
+        assert len(ids) == len(set(ids))
+        assert ids == [key for keys, _ in SUITES.values() for key in keys()]
+        assert all(set(r) == {"id", "anchor", "order_checked", "verdict",
+                              "first_failure"} for r in reports)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_negative_check_order_too_low(self, capsys, order):
+        err = self.assert_error(capsys, 2, "verify", "--suite", "identities",
+                                "--order", str(order)).err
+        assert err.startswith(
+            f"error: --order {order} is too low for no-kernel-factor-sq (")
+
+    def test_negative_check_runs_from_order_3(self, capsys):
+        code, out = run(capsys, "verify", "--suite", "identities",
+                        "--order", "3")
+        assert code == 0
+        assert "pass  no-kernel-factor-sq" in out
+
+    def test_non_ascii_bfile_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "b.txt"
+        path.write_bytes(b"0 1\n1 4\n2 1\xe94\n")
+        out = self.assert_error(capsys, 1, "oeis", "--bfile", str(path)).out
+        assert out.startswith(f"parse error in {path}: line 3: non-ASCII")
+
+    def test_series_endpoint_outside_region(self, capsys):
+        err = self.assert_error(capsys, 2, "series", "--endpoint=-1,-1").err
+        assert err.startswith("error: endpoint (-1, -1) outside region")
+
+    @pytest.mark.parametrize("cfg", [
+        {"suite": [1]}, {"suite": 5}, {"lattice": ["square"]}, {"region": {}},
+    ])
+    def test_config_value_of_wrong_type(self, capsys, tmp_path, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        err = self.assert_error(capsys, 2, "verify", "--config",
+                                str(path)).err
+        assert err.startswith("error:")

@@ -243,3 +243,32 @@ class TestXSeriesBranches:
         assert engine.diag_X0(6).coeff(0).is_zero()
         X0 = engine.diag_shift_X(6, 0)
         assert X0.coeff(0) == LPoly.const(2)
+
+
+class TestReport:
+    """engine.report builds the report of every check."""
+
+    def test_names_the_first_nonzero_residual(self):
+        residuals = [
+            Series1.zero(9),
+            Series1.from_scalar_coeffs([0, 0, 0, 1], 7),
+            Series1.from_scalar_coeffs([0, 1], 5),
+        ]
+        report = engine.report("k", "anchor", residuals)
+        assert report == {
+            "id": "k", "anchor": "anchor", "order_checked": 7,
+            "verdict": "fail", "first_failure": [3, 0],
+        }
+
+    def test_all_zero_passes_at_the_first_order(self):
+        report = engine.report("k", "a", [Series1.zero(6), Series1.zero(4)])
+        assert report["verdict"] == "pass"
+        assert report["order_checked"] == 6
+        assert report["first_failure"] is None
+
+    def test_list_comparison(self):
+        assert engine.report("k", "a", order=5)["verdict"] == "pass"
+        report = engine.report("k", "a", order=5, failure=(2, "3", "4"))
+        assert report["verdict"] == "fail"
+        assert report["first_failure"] == [2, "3", "4"]
+        assert report["order_checked"] == 5

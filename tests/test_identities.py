@@ -66,3 +66,47 @@ def test_reflection_square_sees_cancellation():
     assert any(
         table.get(i, j) != table.get(j, i) for (i, j) in table.counts
     )
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_negative_check_needs_order_3(order):
+    from conewalks.series import OrderError
+
+    with pytest.raises(OrderError):
+        identities.run_identity("no-kernel-factor-sq", order)
+
+
+def test_negative_check_names_a_vanishing_residual():
+    from conewalks.series import Series1
+
+    nonzero = Series1.from_scalar_coeffs([0, 0, 1], 4)
+    report = identities._nonzero("k", "a", [nonzero, Series1.zero(4)], 4)
+    assert report["verdict"] == "fail"
+    assert report["first_failure"] == ["residual 1 vanishes"]
+    assert identities.run_identity("no-kernel-factor-sq", 3)["verdict"] == "pass"
+
+
+def test_step_eq_sees_a_flipped_corner():
+    from conewalks import decompose
+
+    dg = decompose.diagonal_origin(6)
+    C = dg.C
+    sections = (identities._neg_x_axis(C), identities._neg_y_axis(C))
+    corner = identities._corner(C)
+    right = identities._step_eq(dg, C, identities.ONE, *sections, corner)
+    wrong = identities._step_eq(dg, C, identities.ONE, *sections, -corner)
+    assert right.first_failure() is None
+    assert wrong.first_failure() is not None
+
+
+def test_half_eq_sees_a_wrong_constant():
+    from fractions import Fraction
+
+    from conewalks import decompose
+
+    sq = decompose.square_origin(6)
+    rest = identities._y_rest(sq, sq.M_x0)
+    for const, zero in ((Fraction(2, 3) * identities.X, True),
+                        (identities.X, False)):
+        res = identities._half_eq(sq, sq.M, sq.M_x0, sq.M_0y, const) - rest
+        assert (res.first_failure() is None) == zero

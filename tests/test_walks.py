@@ -151,3 +151,13 @@ class TestSeriesViews:
         approx = float_totals(SQ3, 11)
         for e, a in zip(exact, approx):
             assert abs(a - e) <= 1e-9 * max(e, 1)
+
+
+@pytest.mark.parametrize("region", list(Region))
+@pytest.mark.parametrize("steps", [SQUARE, DIAGONAL])
+def test_float_totals_tracks_exact_in_every_region(steps, region):
+    model = WalkModel(steps, region, (0, 0))
+    approx = float_totals(model, 9)
+    for n in range(10):
+        exact = total_count(model, n)
+        assert abs(approx[n] - exact) <= 1e-9 * max(exact, 1)
