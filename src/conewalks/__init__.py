@@ -11,6 +11,7 @@ from .walks import (
     SQUARE,
     Region,
     WalkModel,
+    count_sequence,
     count_walks,
     count_walks_upto,
     endpoint_series,
@@ -25,6 +26,7 @@ __all__ = [
     "SQUARE",
     "Region",
     "WalkModel",
+    "count_sequence",
     "count_walks",
     "count_walks_upto",
     "endpoint_series",

@@ -6,9 +6,12 @@ overrides built-in defaults.  All big integers are emitted as decimal
 strings in JSON so no consumer needs 64-bit-safe parsing.  Output
 ordering is fixed, so identical configurations give identical bytes.
 
-``verify`` runs suites from the ``SUITES`` table (suite -> its keys and
-the function that checks one key); every check returns the one report
-shape built by ``engine.report``.
+Each command reads its walk counts from one DP sweep (``oeis`` sweeps
+only to the last file index it compares); ``build_model`` rejects a start
+or --endpoint outside the region.  ``verify`` runs suites from the
+``SUITES`` table (suite -> its keys and the function that checks one key):
+'all' stands for every suite and a repeated suite runs once.  Every check
+returns the one report shape built by ``engine.report``.
 
 Exit codes: 0 success, 1 verification failure or data mismatch, 2 usage
 error (including an --order too low for any check, such as a catalog
@@ -31,10 +34,9 @@ from .walks import (
     SQUARE,
     Region,
     WalkModel,
-    count_walks,
-    endpoint_series,
+    count_sequence,
+    count_walks_upto,
     float_totals,
-    total_count,
 )
 
 LATTICES = {"square": SQUARE, "diagonal": DIAGONAL}
@@ -134,12 +136,16 @@ def load_config(args: argparse.Namespace) -> dict:
 
 
 def build_model(cfg: dict) -> WalkModel:
+    """The configured model; its start and any endpoint lie in its region."""
     try:
-        return WalkModel(
+        model = WalkModel(
             LATTICES[cfg["lattice"]], REGIONS[cfg["region"]], cfg["start"]
         )
+        if cfg["endpoint"] is not None:
+            model.require_inside("endpoint", cfg["endpoint"])
     except ValueError as exc:
         raise UsageError(str(exc))
+    return model
 
 
 def _emit_rows(rows: list, header: list, fmt: str, out) -> None:
@@ -165,28 +171,22 @@ def cmd_count(cfg: dict, out) -> int:
     endpoint = cfg["endpoint"]
     if endpoint is not None:
         rows = [
-            {
-                "n": n,
-                "i": endpoint[0],
-                "j": endpoint[1],
-                "count": str(count_walks(model, n).get(*endpoint)),
-            }
-            for n in range(limit + 1)
+            {"n": n, "i": endpoint[0], "j": endpoint[1], "count": str(count)}
+            for n, count in enumerate(count_sequence(model, limit, endpoint))
         ]
         _emit_rows(rows, ["n", "i", "j", "count"], cfg["format"], out)
         return 0
+    tables = count_walks_upto(model, limit)
     if cfg["format"] == "json":
-        tables = [count_walks(model, n).to_json() for n in range(limit + 1)]
-        json.dump(tables, out, indent=2, sort_keys=True)
+        json.dump([table.to_json() for table in tables], out, indent=2,
+                  sort_keys=True)
         out.write("\n")
     else:
-        rows = []
-        for n in range(limit + 1):
-            table = count_walks(model, n)
-            for (i, j) in sorted(table.counts):
-                rows.append(
-                    {"n": n, "i": i, "j": j, "count": str(table.counts[(i, j)])}
-                )
+        rows = [
+            {"n": table.n, "i": i, "j": j, "count": str(table.counts[(i, j)])}
+            for table in tables
+            for (i, j) in sorted(table.counts)
+        ]
         _emit_rows(rows, ["n", "i", "j", "count"], cfg["format"], out)
     return 0
 
@@ -198,30 +198,17 @@ def cmd_series(cfg: dict, out) -> int:
     model = build_model(cfg)
     order = cfg["order"]
     endpoint = cfg["endpoint"]
+    values = [str(c) for c in count_sequence(model, order - 1, endpoint)]
+    payload, column = {"order": order, "totals": values}, "total"
     if endpoint is not None:
-        if not model.region.contains(*endpoint):
-            raise UsageError(f"endpoint {endpoint} outside region "
-                             f"{model.region.value}")
-        series = endpoint_series(model, endpoint, order)
-        values = [str(series.coeff(n).coeff(0)) for n in range(order)]
-        if cfg["format"] == "json":
-            json.dump(
-                {"endpoint": list(endpoint), "order": order, "coeffs": values},
-                out, indent=2, sort_keys=True,
-            )
-            out.write("\n")
-        else:
-            rows = [{"n": n, "count": v} for n, v in enumerate(values)]
-            _emit_rows(rows, ["n", "count"], cfg["format"], out)
-        return 0
-    values = [str(total_count(model, n)) for n in range(order)]
+        payload, column = {"endpoint": list(endpoint), "order": order,
+                           "coeffs": values}, "count"
     if cfg["format"] == "json":
-        json.dump({"order": order, "totals": values}, out, indent=2,
-                  sort_keys=True)
+        json.dump(payload, out, indent=2, sort_keys=True)
         out.write("\n")
     else:
-        rows = [{"n": n, "total": v} for n, v in enumerate(values)]
-        _emit_rows(rows, ["n", "total"], cfg["format"], out)
+        rows = [{"n": n, column: v} for n, v in enumerate(values)]
+        _emit_rows(rows, ["n", column], cfg["format"], out)
     return 0
 
 
@@ -234,12 +221,12 @@ def _closed_form(key: str, max_n: int) -> dict:
     entry = closedforms.catalog()[key]
     model = WalkModel(LATTICES[entry.lattice], REGIONS[entry.region],
                       entry.start)
+    counts = count_sequence(model, 2 * max_n, entry.end)
     first = None
     for n in range(max_n + 1):
         expected = entry.count(n)
-        actual = count_walks(model, 2 * n).get(*entry.end)
-        if expected != actual:
-            first = [n, str(expected), str(actual)]
+        if expected != counts[2 * n]:
+            first = [n, str(expected), str(counts[2 * n])]
             break
     return engine.report(key, entry.anchor, order=max_n, failure=first)
 
@@ -256,9 +243,21 @@ SUITES = {
 }
 
 
+def suite_names(selection) -> list:
+    """The suites named, in order: 'all' is every suite in ``SUITES`` order
+    wherever it appears; a repeated suite keeps its first position."""
+    names = selection.split(",") if isinstance(selection, str) else selection
+    chosen = {}
+    for name in (name.strip() for name in names):
+        if name != "all" and name not in SUITES:
+            raise UsageError(f"unknown suite {name!r}")
+        chosen.update(dict.fromkeys(SUITES if name == "all" else [name]))
+    if not chosen:
+        raise UsageError("no suite selected")
+    return list(chosen)
+
+
 def run_suite(suite: str, order: int) -> list:
-    if suite not in SUITES:
-        raise UsageError(f"unknown suite {suite!r}")
     keys, check = SUITES[suite]
     reports = []
     for key in keys():
@@ -273,14 +272,8 @@ def cmd_verify(cfg: dict, out) -> int:
     order = cfg["order"]
     if order < 1:
         raise UsageError("verify needs --order 1 or more")
-    selection = cfg["suite"]
-    if isinstance(selection, str):
-        names = list(SUITES) if selection == "all" else selection.split(",")
-    else:
-        names = list(selection)
-    reports = []
-    for name in names:
-        reports.extend(run_suite(name.strip(), order))
+    reports = [report for name in suite_names(cfg["suite"])
+               for report in run_suite(name, order)]
     failures = [r for r in reports if r["verdict"] != "pass"]
     if cfg["format"] == "json":
         json.dump(reports, out, indent=2, sort_keys=True)
@@ -356,12 +349,9 @@ def cmd_oeis(cfg: dict, out, path) -> int:
         out.write(f"parse error in {path}: {exc}\n")
         return 1
     model = build_model(cfg)
-    endpoint = cfg["endpoint"]
-    if endpoint is not None:
-        oracle = lambda n: count_walks(model, n).get(*endpoint)
-    else:
-        oracle = lambda n: total_count(model, n)
-    report = bfile_mod.compare(data, oracle, max_n=cfg["n"])
+    last = max((n for n, _ in data.entries if n <= cfg["n"]), default=-1)
+    counts = count_sequence(model, last, cfg["endpoint"])
+    report = bfile_mod.compare(data, counts.__getitem__, max_n=cfg["n"])
     if cfg["format"] == "json":
         json.dump(report, out, indent=2, sort_keys=True)
         out.write("\n")

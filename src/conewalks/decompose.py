@@ -44,6 +44,12 @@ def kernel_series(steps, order: int) -> Series2:
     return Series2([LPoly2.const(1), -steps.step_poly()], order)
 
 
+def at_point(W: Series2, point: tuple) -> Series1:
+    """[x^i y^j] W, for point (i, j), as a series of constants."""
+    return Series1.from_scalar_coeffs(
+        [p.coeff(*point) for p in W.coeffs], W.order)
+
+
 def quadrant_mirror_combo(Q: Series2) -> Series2:
     """Q(x,y) - xbar^2 Q(xbar,y) - ybar^2 Q(x,ybar)."""
     Qxb = Q.sub_inverse("x").mul_xy(-2, 0)

@@ -11,8 +11,10 @@ the order to a list of residual series, all recomputed from the oracle
 side.  ``report`` turns residuals (or a list comparison) into the one
 report dict every check of the package returns.  The oracle side of each
 catalog entry is data too: ``_PARAM_ORACLES``, ``_ENDPOINTS`` and
-``_CONSTANTS`` map its key to the pipeline series or endpoint counts it
-must match.
+``_CONSTANTS`` map its key to the ``decompose`` pipeline series it must
+match: a boundary series, a constant, or an endpoint count read off a
+pipeline's C or Q by ``decompose.at_point``.  The engine runs no walk DP
+of its own; each pipeline sweeps its models once per order.
 """
 
 from __future__ import annotations
@@ -27,13 +29,6 @@ from .closedforms import rising_factorial
 from .gaussian import I, GaussianRational
 from .laurent import LPoly
 from .series import PivotError, Series1
-from .walks import (
-    DIAGONAL,
-    SQUARE,
-    Region,
-    WalkModel,
-    endpoint_series,
-)
 
 
 # ---------------------------------------------------------------------------
@@ -254,28 +249,28 @@ def param_oracle(key: str, order: int) -> Series1:
     return decompose.tmul(decompose.even_halve(s.mul_x(dx)), dt)
 
 
-# key -> (lattice, start, end, power of t, multiple of Q00 / 3), where Q00
-# counts quadrant walks from the origin back to it.
+# key -> (pipeline, end, power of t, multiple of Q00 / 3): the pipeline's
+# cone series C at x^i y^j for end = (i, j); Q00 is its Q at x^0 y^0.
 _ENDPOINTS = {
-    "sq-origin-end-m1-0": (SQUARE, (0, 0), (-1, 0), 1, 0),
-    "sq-origin-end-m1-1": (SQUARE, (0, 0), (-1, 1), 0, 0),
-    "sq-origin-end-m2-0": (SQUARE, (0, 0), (-2, 0), 0, 1),
-    "sq-origin-end-0-0": (SQUARE, (0, 0), (0, 0), 0, -1),
-    "diag-origin-end-m1-1": (DIAGONAL, (0, 0), (-1, 1), 1, 0),
-    "diag-origin-end-m2-0": (DIAGONAL, (0, 0), (-2, 0), 0, 1),
-    "diag-origin-end-0-0": (DIAGONAL, (0, 0), (0, 0), 0, -1),
-    "sq-shift-end-0-0": (SQUARE, (-1, 0), (0, 0), 1, 0),
-    "sq-shift-end-m2-0": (SQUARE, (-1, 0), (-2, 0), 1, 0),
-    "sq-shift-end-0-m2": (SQUARE, (-1, 0), (0, -2), 1, 0),
-    "sq-shift-end-m1-0": (SQUARE, (-1, 0), (-1, 0), 0, 0),
-    "sq-shift-end-m1-1": (SQUARE, (-1, 0), (-1, 1), 1, 0),
-    "sq-shift-end-0-m1": (SQUARE, (-1, 0), (0, -1), 0, 0),
-    "diag-shift-end-m1-1": (DIAGONAL, (-2, 0), (-1, 1), 1, 0),
-    "diag-shift-end-m1-3": (DIAGONAL, (-2, 0), (-1, 3), 1, 0),
-    "diag-shift-end-m2-0": (DIAGONAL, (-2, 0), (-2, 0), 0, -1),
-    "diag-shift-end-0-0": (DIAGONAL, (-2, 0), (0, 0), 0, 1),
-    "diag-shift-end-0-m2": (DIAGONAL, (-2, 0), (0, -2), 0, -1),
-    "diag-shift-end-1-m1": (DIAGONAL, (-2, 0), (1, -1), 1, 0),
+    "sq-origin-end-m1-0": ("square_origin", (-1, 0), 1, 0),
+    "sq-origin-end-m1-1": ("square_origin", (-1, 1), 0, 0),
+    "sq-origin-end-m2-0": ("square_origin", (-2, 0), 0, 1),
+    "sq-origin-end-0-0": ("square_origin", (0, 0), 0, -1),
+    "diag-origin-end-m1-1": ("diagonal_origin", (-1, 1), 1, 0),
+    "diag-origin-end-m2-0": ("diagonal_origin", (-2, 0), 0, 1),
+    "diag-origin-end-0-0": ("diagonal_origin", (0, 0), 0, -1),
+    "sq-shift-end-0-0": ("square_shifted", (0, 0), 1, 0),
+    "sq-shift-end-m2-0": ("square_shifted", (-2, 0), 1, 0),
+    "sq-shift-end-0-m2": ("square_shifted", (0, -2), 1, 0),
+    "sq-shift-end-m1-0": ("square_shifted", (-1, 0), 0, 0),
+    "sq-shift-end-m1-1": ("square_shifted", (-1, 1), 1, 0),
+    "sq-shift-end-0-m1": ("square_shifted", (0, -1), 0, 0),
+    "diag-shift-end-m1-1": ("diagonal_shifted", (-1, 1), 1, 0),
+    "diag-shift-end-m1-3": ("diagonal_shifted", (-1, 3), 1, 0),
+    "diag-shift-end-m2-0": ("diagonal_shifted", (-2, 0), 0, -1),
+    "diag-shift-end-0-0": ("diagonal_shifted", (0, 0), 0, 1),
+    "diag-shift-end-0-m2": ("diagonal_shifted", (0, -2), 0, -1),
+    "diag-shift-end-1-m1": ("diagonal_shifted", (1, -1), 1, 0),
 }
 
 # key -> the pipeline constant it names.
@@ -296,12 +291,11 @@ def z_rational_oracle(key: str, order: int) -> Series1:
     """The oracle series matching a one-variable catalog entry."""
     if key in _CONSTANTS:
         return _CONSTANTS[key](order)
-    steps, start, end, dt, q00 = _ENDPOINTS[key]
-    model = WalkModel(steps, Region.THREE_QUADRANT, start)
-    s = decompose.tmul(endpoint_series(model, end, order), dt)
+    pipeline, end, dt, q00 = _ENDPOINTS[key]
+    p = getattr(decompose, pipeline)(order)
+    s = decompose.tmul(decompose.at_point(p.C, end), dt)
     if q00:
-        quadrant = WalkModel(steps, Region.QUADRANT, (0, 0))
-        s = s + Fraction(q00, 3) * endpoint_series(quadrant, (0, 0), order)
+        s = s + Fraction(q00, 3) * decompose.at_point(p.Q, (0, 0))
     return s
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import decompose
-from .decompose import tmul
+from .decompose import at_point, tmul
 from .engine import (
     diag_shift_pol_residual,
     diag_X0,
@@ -32,7 +32,6 @@ from .walks import (
     Region,
     WalkModel,
     count_walks_upto,
-    endpoint_series,
     generating_series,
 )
 
@@ -597,26 +596,22 @@ def orbit_endpoint(order):
     """C_{i,j} = sign * Q_{i,j} + C_{-i-2,j} + C_{i,-j-2} with sign
     +1 (both origins), 0 (square shifted), -1 (diagonal shifted)."""
     cases = [
-        (SQUARE, (0, 0), 1),
-        (DIAGONAL, (0, 0), 1),
-        (SQUARE, (-1, 0), 0),
-        (DIAGONAL, (-2, 0), -1),
+        (decompose.square_origin, 1),
+        (decompose.diagonal_origin, 1),
+        (decompose.square_shifted, 0),
+        (decompose.diagonal_shifted, -1),
     ]
     points = [(0, 0), (1, 0), (1, 1), (2, 0), (0, 2), (2, 2)]
     mismatches = []
-    for steps, start, sign in cases:
-        cone = WalkModel(steps, Region.THREE_QUADRANT, start)
-        quad = WalkModel(steps, Region.QUADRANT, (0, 0))
+    for pipeline, sign in cases:
+        p = pipeline(order)
         for (i, j) in points:
-            lhs = endpoint_series(cone, (i, j), order)
-            rhs = (
-                endpoint_series(cone, (-i - 2, j), order)
-                + endpoint_series(cone, (i, -j - 2), order)
-            )
+            lhs = at_point(p.C, (i, j))
+            rhs = at_point(p.C, (-i - 2, j)) + at_point(p.C, (i, -j - 2))
             if sign:
-                rhs = rhs + sign * endpoint_series(quad, (i, j), order)
+                rhs = rhs + sign * at_point(p.Q, (i, j))
             if (lhs - rhs).first_failure() is not None:
-                mismatches.append((steps.name, start, i, j))
+                mismatches.append((p.steps.name, p.start, i, j))
     return mismatches
 
 

@@ -4,6 +4,9 @@ This is the ground-truth oracle: a layer-by-layer dynamic program over the
 box reachable in n steps, masked by the region predicate, with exact
 arbitrary-precision counts.  Every closed form, functional equation and
 parametrization elsewhere in the package is checked against this module.
+
+``_layers`` is the one exact DP loop; every view reads all the lengths it
+needs from one sweep of it, and nothing is memoised.
 """
 
 from __future__ import annotations
@@ -70,8 +73,11 @@ class WalkModel:
     start: tuple
 
     def __post_init__(self):
-        if not self.region.contains(*self.start):
-            raise ValueError(f"start {self.start} outside region {self.region.value}")
+        self.require_inside("start", self.start)
+
+    def require_inside(self, what: str, point: tuple) -> None:
+        if not self.region.contains(*point):
+            raise ValueError(f"{what} {point} outside region {self.region.value}")
 
 
 @dataclass
@@ -130,9 +136,8 @@ def count_walks(model: WalkModel, n: int) -> CountTable:
     """Exact endpoint counts of all n-step walks staying inside the region."""
     if n < 0:
         raise ValueError("walk length must be nonnegative")
-    for layer_n, frontier in enumerate(_layers(model, n)):
+    for frontier in _layers(model, n):
         pass
-    assert layer_n == n
     return CountTable(n=n, counts=dict(frontier))
 
 
@@ -148,15 +153,22 @@ def total_count(model: WalkModel, n: int) -> int:
     return count_walks(model, n).total()
 
 
+def count_sequence(model: WalkModel, n: int, endpoint=None) -> list:
+    """Counts of the walks of lengths 0..n from one sweep: all of them, or
+    only those ending at ``endpoint``.  Empty when n is negative."""
+    if endpoint is not None:
+        model.require_inside("endpoint", endpoint)
+    if n < 0:
+        return []
+    if endpoint is None:
+        return [sum(frontier.values()) for frontier in _layers(model, n)]
+    return [frontier.get(endpoint, 0) for frontier in _layers(model, n)]
+
+
 def endpoint_series(model: WalkModel, endpoint: tuple, order: int) -> Series1:
     """Length generating function of walks ending at one point (constant coeffs)."""
-    if not model.region.contains(*endpoint):
-        raise ValueError(f"endpoint {endpoint} outside region")
-    values = [
-        Fraction(frontier.get(endpoint, 0))
-        for frontier in _layers(model, order - 1)
-    ]
-    return Series1.from_scalar_coeffs(values, order)
+    values = count_sequence(model, order - 1, endpoint)
+    return Series1.from_scalar_coeffs(map(Fraction, values), order)
 
 
 def generating_series(model: WalkModel, order: int) -> Series2:

@@ -279,3 +279,80 @@ class TestReportsAndInputErrors:
         err = self.assert_error(capsys, 2, "verify", "--config",
                                 str(path)).err
         assert err.startswith("error:")
+
+
+class TestEndpointAndSuiteRules:
+    """An --endpoint outside the region is refused where the model is
+    built; a suite selection names each suite once."""
+
+    def assert_usage_error(self, capsys, *argv):
+        assert main(list(argv)) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return err
+
+    def test_count_endpoint_outside_region(self, capsys):
+        err = self.assert_usage_error(capsys, "count", "--endpoint=-1,-1")
+        assert err == ("error: endpoint (-1, -1) outside region "
+                       "three-quadrant\n")
+
+    def test_oeis_endpoint_outside_region(self, capsys, tmp_path):
+        path = tmp_path / "b.txt"
+        path.write_text("0 0\n1 0\n")
+        err = self.assert_usage_error(capsys, "oeis", "--bfile", str(path),
+                                      "--endpoint=-1,-1")
+        assert err == ("error: endpoint (-1, -1) outside region "
+                       "three-quadrant\n")
+
+    def test_empty_suite_selection(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"suite": []}))
+        err = self.assert_usage_error(capsys, "verify", "--config", str(path))
+        assert err == "error: no suite selected\n"
+
+    def test_repeated_suite_runs_once(self, capsys):
+        from conewalks.engine import BASE_KEYS
+
+        code, out = run(capsys, "verify", "--suite", "base, base",
+                        "--order", "3", "--format", "json")
+        assert code == 0
+        assert [r["id"] for r in json.loads(out)] == list(BASE_KEYS)
+
+    @pytest.mark.parametrize("selection", ["all,base", ["all"]])
+    def test_all_expands_wherever_it_appears(self, capsys, tmp_path,
+                                             selection):
+        from conewalks.cli import SUITES
+
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"suite": selection}))
+        code, out = run(capsys, "verify", "--config", str(path),
+                        "--order", "9", "--format", "json")
+        assert code == 0
+        assert [r["id"] for r in json.loads(out)] == [
+            key for keys, _ in SUITES.values() for key in keys()]
+
+    def test_suite_names_keep_first_positions(self):
+        from conewalks.cli import SUITES, suite_names
+
+        rest = [name for name in SUITES if name != "xseries"]
+        assert suite_names(["xseries", "all", "base"]) == ["xseries", *rest]
+        assert suite_names("base,all") == list(SUITES)
+
+    @pytest.mark.parametrize("fmt,expected", [
+        ("text", ""),
+        ("csv", "n,total\n"),
+        ("json", '{\n  "order": 0,\n  "totals": []\n}\n'),
+    ])
+    def test_series_order_zero_prints_no_coefficient(self, capsys, fmt,
+                                                     expected):
+        assert run(capsys, "series", "--order", "0", "--format", fmt) == (
+            0, expected)
+
+    @pytest.mark.parametrize("fmt,expected", [
+        ("text", ""),
+        ("json", '{\n  "coeffs": [],\n  "endpoint": [\n    0,\n    0\n  ],'
+                 '\n  "order": 0\n}\n'),
+    ])
+    def test_series_order_zero_at_endpoint(self, capsys, fmt, expected):
+        assert run(capsys, "series", "--order", "0", "--endpoint", "0,0",
+                   "--format", fmt) == (0, expected)

@@ -5,9 +5,17 @@ from fractions import Fraction
 import pytest
 
 from conewalks import engine
+from conewalks.decompose import tmul
 from conewalks.gaussian import I
 from conewalks.laurent import LPoly
 from conewalks.series import PivotError, Series1
+from conewalks.walks import (
+    DIAGONAL,
+    SQUARE,
+    Region,
+    WalkModel,
+    endpoint_series,
+)
 
 
 def scalar_coeffs(series, upto):
@@ -272,3 +280,53 @@ class TestReport:
         assert report["verdict"] == "fail"
         assert report["first_failure"] == [2, "3", "4"]
         assert report["order_checked"] == 5
+
+
+
+# The endpoint oracle before it read the pipelines: key -> (lattice, start,
+# end, power of t, multiple of Q00 / 3), one DP sweep of each cone and
+# quadrant model per endpoint series.  Kept as the reference.
+REFERENCE_ENDPOINTS = {
+    "sq-origin-end-m1-0": (SQUARE, (0, 0), (-1, 0), 1, 0),
+    "sq-origin-end-m1-1": (SQUARE, (0, 0), (-1, 1), 0, 0),
+    "sq-origin-end-m2-0": (SQUARE, (0, 0), (-2, 0), 0, 1),
+    "sq-origin-end-0-0": (SQUARE, (0, 0), (0, 0), 0, -1),
+    "diag-origin-end-m1-1": (DIAGONAL, (0, 0), (-1, 1), 1, 0),
+    "diag-origin-end-m2-0": (DIAGONAL, (0, 0), (-2, 0), 0, 1),
+    "diag-origin-end-0-0": (DIAGONAL, (0, 0), (0, 0), 0, -1),
+    "sq-shift-end-0-0": (SQUARE, (-1, 0), (0, 0), 1, 0),
+    "sq-shift-end-m2-0": (SQUARE, (-1, 0), (-2, 0), 1, 0),
+    "sq-shift-end-0-m2": (SQUARE, (-1, 0), (0, -2), 1, 0),
+    "sq-shift-end-m1-0": (SQUARE, (-1, 0), (-1, 0), 0, 0),
+    "sq-shift-end-m1-1": (SQUARE, (-1, 0), (-1, 1), 1, 0),
+    "sq-shift-end-0-m1": (SQUARE, (-1, 0), (0, -1), 0, 0),
+    "diag-shift-end-m1-1": (DIAGONAL, (-2, 0), (-1, 1), 1, 0),
+    "diag-shift-end-m1-3": (DIAGONAL, (-2, 0), (-1, 3), 1, 0),
+    "diag-shift-end-m2-0": (DIAGONAL, (-2, 0), (-2, 0), 0, -1),
+    "diag-shift-end-0-0": (DIAGONAL, (-2, 0), (0, 0), 0, 1),
+    "diag-shift-end-0-m2": (DIAGONAL, (-2, 0), (0, -2), 0, -1),
+    "diag-shift-end-1-m1": (DIAGONAL, (-2, 0), (1, -1), 1, 0),
+}
+
+
+def reference_endpoint_oracle(key, order):
+    steps, start, end, dt, q00 = REFERENCE_ENDPOINTS[key]
+    model = WalkModel(steps, Region.THREE_QUADRANT, start)
+    s = tmul(endpoint_series(model, end, order), dt)
+    if q00:
+        quadrant = WalkModel(steps, Region.QUADRANT, (0, 0))
+        s = s + Fraction(q00, 3) * endpoint_series(quadrant, (0, 0), order)
+    return s
+
+
+class TestEndpointOraclesReadFromPipelines:
+    """z_rational_oracle reads each endpoint series off a pipeline's C and
+    Q; it must equal the per-endpoint sweep it replaced."""
+
+    def test_every_endpoint_key_is_covered(self):
+        assert set(REFERENCE_ENDPOINTS) == set(engine._ENDPOINTS)
+
+    @pytest.mark.parametrize("key", sorted(REFERENCE_ENDPOINTS))
+    def test_equals_the_per_endpoint_sweep(self, key):
+        assert engine.z_rational_oracle(key, 12) == reference_endpoint_oracle(
+            key, 12)

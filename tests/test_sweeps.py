@@ -1,0 +1,79 @@
+"""One DP sweep per walk model: each command and check reads every count
+it needs from a single pass of ``walks._layers``."""
+
+import pytest
+
+from conewalks import decompose, identities, walks
+from conewalks.cli import main
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The length of every DP sweep started, in order, with the pipeline
+    caches empty so that every sweep a check needs is seen."""
+    for pipeline in (decompose.square_origin, decompose.diagonal_origin,
+                     decompose.square_shifted, decompose.diagonal_shifted):
+        pipeline.cache_clear()
+    lengths = []
+    layers = walks._layers
+
+    def counted(model, n):
+        lengths.append(n)
+        return layers(model, n)
+
+    monkeypatch.setattr(walks, "_layers", counted)
+    return lengths
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    capsys.readouterr()
+    return code
+
+
+@pytest.fixture
+def bfile(tmp_path):
+    def write(text):
+        path = tmp_path / "b.txt"
+        path.write_text(text)
+        return str(path)
+
+    return write
+
+
+def test_series_sweeps_once_for_totals_and_for_an_endpoint(capsys, sweeps):
+    assert run(capsys, "series", "--order", "9") == 0
+    assert run(capsys, "series", "--order", "9", "--endpoint", "0,0") == 0
+    assert sweeps == [8, 8]
+
+
+@pytest.mark.parametrize("endpoint", [[], ["--endpoint", "0,0"]])
+class TestOneSweepPerCommand:
+    def test_count(self, capsys, sweeps, endpoint):
+        assert run(capsys, "count", "--n", "5", *endpoint) == 0
+        assert sweeps == [5]
+
+    def test_oeis(self, capsys, sweeps, bfile, endpoint):
+        path = bfile("0 1\n1 4\n2 14\n3 54\n4 212\n5 849\n")
+        run(capsys, "oeis", "--bfile", path, "--n", "4", *endpoint)
+        assert sweeps == [4]
+
+
+def test_oeis_sweeps_to_its_last_index(capsys, sweeps, bfile):
+    path = bfile("0 1\n1 4\n2 14\n")
+    assert run(capsys, "oeis", "--bfile", path, "--n", "100000") == 0
+    assert sweeps == [2]
+    # An index past --n is not compared, so nothing is swept for it.
+    assert run(capsys, "oeis", "--bfile", bfile("7 1\n"), "--n", "6") == 0
+    assert sweeps == [2]
+
+
+def test_closed_forms_sweep_once_per_entry(capsys, sweeps):
+    assert run(capsys, "verify", "--suite", "closed-forms",
+               "--order", "6") == 0
+    assert sweeps == [12] * 11
+
+
+def test_orbit_endpoint_reads_the_pipelines(sweeps):
+    assert identities.orbit_endpoint(12) == []
+    assert 0 < len(sweeps) <= 8

@@ -15,6 +15,7 @@ from conewalks.walks import (
     CountTable,
     Region,
     WalkModel,
+    count_sequence,
     count_walks,
     count_walks_upto,
     endpoint_series,
@@ -161,3 +162,31 @@ def test_float_totals_tracks_exact_in_every_region(steps, region):
     for n in range(10):
         exact = total_count(model, n)
         assert abs(approx[n] - exact) <= 1e-9 * max(exact, 1)
+
+
+def _starts(region):
+    """The origin and a shifted start inside the region."""
+    return [(0, 0), (1, 0) if region is Region.QUADRANT else (-1, 1)]
+
+
+@pytest.mark.parametrize("region", list(Region))
+@pytest.mark.parametrize("steps", [SQUARE, DIAGONAL])
+def test_count_sequence_equals_per_length_counts(steps, region):
+    """The one-sweep reader agrees with a fresh count_walks per length."""
+    n = 7
+    for start in _starts(region):
+        model = WalkModel(steps, region, start)
+        assert count_sequence(model, n) == [
+            count_walks(model, k).total() for k in range(n + 1)]
+        for end in [start, (1, 1), (2, 0), (-1, 1)]:
+            if region.contains(*end):
+                assert count_sequence(model, n, end) == [
+                    count_walks(model, k).get(*end) for k in range(n + 1)]
+
+
+def test_count_sequence_edges():
+    assert count_sequence(SQ3, -1) == []
+    assert count_sequence(SQ3, 0) == [1]
+    assert count_sequence(SQ3, 0, (1, 0)) == [0]
+    with pytest.raises(ValueError, match="endpoint .* outside region"):
+        count_sequence(SQ3, 3, (-1, -1))
