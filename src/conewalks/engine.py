@@ -26,7 +26,6 @@ from importlib import resources
 
 from . import decompose
 from .closedforms import rising_factorial
-from .gaussian import I, GaussianRational
 from .laurent import LPoly
 from .series import PivotError, Series1
 
@@ -42,9 +41,8 @@ def solve_algebraic(residual, order: int, c0) -> Series1:
     Newton iteration with precision doubling (Brent & Kung 1978): if G is
     right mod t^p and q = min(2p, order), then (R(G + t^p) - R(G)) / t^p
     is R'(G) mod t^(q-p), and one exact series division gives G mod t^q.
-    Works for scalar, polynomial-valued, and Gaussian-rational
-    coefficients.  Raises PivotError if c0 is not a root mod t or if
-    [t^0]R'(c0) vanishes.
+    Works for scalar and polynomial-valued coefficients.  Raises
+    PivotError if c0 is not a root mod t or if [t^0]R'(c0) vanishes.
     """
     G = Series1.const(c0, order)
     p = 1
@@ -397,68 +395,80 @@ def sq_X0_catalan(order: int) -> Series1:
     return _scal(coeffs, order)
 
 
-def _sq_quad_residual(order: int):
-    """Cleared form (times X^4) of the derivative equation whose power
-    series roots are the two conjugate Gaussian series."""
-    sq = decompose.square_origin(order)
-    S = sq.S
-    S1 = sq.S1
-    P0 = sq.P0
-    t = Series1.t(order)
-    t2 = t * t
+def _rotate(A: Series1, shift: int):
+    """i^(-shift) A(i s, i x) as a real series in s, and the rest of A.
 
-    def residual(X):
-        X2 = X * X
-        SX = S.compose(X)
-        W = X - t * (X2 + 1)
-        lhs = (W * W - 4 * t2 * X2) * (
-            3 * X2 * SX * SX + 2 * X * (2 * X2 + 1) * SX + X2 * (X2 + 1)
+    The coefficient of s^n x^k is c i^(n+k-shift), real exactly when
+    n + k - shift is even; then it is c times (-1)^((n+k-shift)/2).  The
+    terms of the other parity are returned as the second series, which is
+    zero when the rotation is real.
+    """
+    real, rest = [], []
+    for n, p in enumerate(A.coeffs):
+        real.append(LPoly({k: c if (n + k - shift) % 4 == 0 else -c
+                           for k, c in p.terms.items()
+                           if (n + k - shift) % 2 == 0}))
+        rest.append(LPoly({k: c for k, c in p.terms.items()
+                           if (n + k - shift) % 2}))
+    return Series1(real, A.order), Series1(rest, A.order)
+
+
+def sq_rotated(order: int):
+    """S, S1 and P0 of the square origin pipeline rotated by ``_rotate``
+    (S with shift 1, the constants with shift 0), and the terms of each
+    that the rotation cannot make real."""
+    sq = decompose.square_origin(order)
+    pairs = (_rotate(sq.S, 1), _rotate(sq.S1, 0), _rotate(sq.P0, 0))
+    return [real for real, _ in pairs], [rest for _, rest in pairs]
+
+
+def _sq_quad_residual(S, S1, P0):
+    """The cleared (times X^4) derivative equation of the square origin
+    pipeline under t = i s, X = i F, as a residual in F.
+
+    Its power series root F with F(0) = 1 gives the paper's root
+    X1 = i F(-i t); the other root is the complex conjugate of X1.
+    """
+    s = Series1.t(S.order)
+    s2 = s * s
+
+    def residual(F):
+        F2 = F * F
+        SF = S.compose(F)
+        w = F - s * (1 - F2)
+        lhs = -(w * w + 4 * s2 * F2) * (
+            3 * F2 * SF * SF - 2 * F * (1 - 2 * F2) * SF - F2 * (1 - F2)
         )
-        X3 = X2 * X
-        X4 = X2 * X2
-        X5 = X4 * X
-        X6 = X4 * X2
+        F4 = F2 * F2
+        F6 = F4 * F2
         rhs = (
-            (2 * t2 * S1 * S1 + 2 * t2 * S1 - P0) * X4
-            + 2 * t2 * S1 * X6
-            + 2 * t2 * S1 * X2
-            - 2 * t * S1 * (X5 + X3)
-            + t2 * X6
-            + t2 * X2
+            -(2 * s2 * S1 * S1 + 2 * s2 * S1 + P0) * F4
+            + 2 * s2 * S1 * (F6 + F2)
+            + 2 * s * S1 * (F4 - F2) * F
+            + s2 * (F6 + F2)
         )
         return lhs - rhs
 
-    return residual, S, S1
+    return residual
 
 
 @lru_cache(maxsize=None)
-def sq_X1(order: int) -> Series1:
-    """Gaussian-rational root with constant term i of the cleared
-    derivative equation for the square-lattice origin pipeline."""
-    residual, _, _ = _sq_quad_residual(order)
-    return solve_algebraic(residual, order, I)
+def sq_F(order: int) -> Series1:
+    """The real root F with F(0) = 1 of the rotated derivative equation."""
+    rotated, _ = sq_rotated(order)
+    return solve_algebraic(_sq_quad_residual(*rotated), order, 1)
 
 
-def conjugate_series(s: Series1) -> Series1:
-    def conj(c):
-        return c.conjugate() if isinstance(c, GaussianRational) else c
-
-    return s.map_poly(lambda p: p.map_coeffs(conj))
-
-
-def sq_fact3_residual(X: Series1) -> Series1:
-    """Cleared (times X^3) cubic factor that the Gaussian roots satisfy."""
-    order = X.order
-    sq = decompose.square_origin(order)
-    S = sq.S
-    S1 = sq.S1
-    t = Series1.t(order)
-    X2 = X * X
-    SX = S.compose(X)
-    return (
-        X2 * (X2 + 1)
-        + t * X * (X2 - 1) ** 2 * S1
-        + SX * (X * SX + X2 + 1) * (X * (X2 + 1) - t * (X2 - 1) ** 2)
+def sq_fact3_residual(F: Series1, S: Series1, S1: Series1) -> Series1:
+    """The cleared (times X^3) cubic factor that X1 satisfies, under
+    t = i s, X = i F, with the rotated S and S1."""
+    s = Series1.t(F.order)
+    F2 = F * F
+    SF = S.compose(F)
+    return -(
+        F2 * (1 - F2)
+        + s * F * (1 + F2) ** 2 * S1
+        + SF * (1 - F2 - F * SF) * (F * (1 - F2) - s * (1 + F2) ** 2)
     )
 
 
@@ -589,10 +599,8 @@ def _x_sq_0(n):
 
 
 def _x_sq_12(n):
-    X1 = sq_X1(n)
-    X2 = conjugate_series(X1)
-    residual, _, _ = _sq_quad_residual(n)
-    return [residual(X2), sq_fact3_residual(X1) + sq_fact3_residual(X2)]
+    (S, S1, _), rest = sq_rotated(n)
+    return [sq_fact3_residual(sq_F(n), S, S1), *rest]
 
 
 def _x_diag_01(n):

@@ -782,7 +782,3 @@ def run_identity(key: str, order: int) -> dict:
 
 def all_identity_keys():
     return list(_ROWS)
-
-
-def run_all(order: int, keys=None) -> list:
-    return [run_identity(k, order) for k in (keys or all_identity_keys())]

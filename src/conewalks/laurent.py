@@ -1,7 +1,6 @@
 """Exact Laurent polynomials in one and two variables.
 
-``LPoly`` holds elements of Q[x, 1/x] (coefficients may also be Gaussian
-rationals where a computation needs them); its subclass ``LPoly2`` holds
+``LPoly`` holds elements of Q[x, 1/x]; its subclass ``LPoly2`` holds
 elements of Q[x, 1/x, y, 1/y], with the exponent pair (i, j) standing for
 x^i y^j.  Both are sparse maps from exponents to nonzero exact
 coefficients.  The ring operations are written once, in ``LPoly``, and
@@ -64,7 +63,7 @@ class LPoly:
     def _lift(cls, other):
         if type(other) is cls:
             return other
-        if isinstance(other, (int, Fraction)) or hasattr(other, "re"):
+        if isinstance(other, (int, Fraction)):
             return cls.const(other)
         return None
 

@@ -92,7 +92,7 @@ class Series1:
             return other
         if type(other) is cls.RING:
             return cls.from_poly(other, order)
-        if isinstance(other, (int, Fraction)) or hasattr(other, "re"):
+        if isinstance(other, (int, Fraction)):
             return cls.const(other, order)
         return None
 

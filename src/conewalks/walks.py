@@ -53,15 +53,17 @@ class Region(Enum):
     FULL_PLANE = "full-plane"
 
     def contains(self, i: int, j: int) -> bool:
-        if self is Region.QUADRANT:
-            return i >= 0 and j >= 0
-        if self is Region.THREE_QUADRANT:
-            return i >= 0 or j >= 0
-        if self is Region.WEDGE135:
-            return i + j >= 0 and j >= 0
-        if self is Region.HALF_PLANE:
-            return i + j >= 0
-        return True
+        return REGION_TESTS[self](i, j)
+
+
+# Region -> membership predicate on (i, j).
+REGION_TESTS = {
+    Region.QUADRANT: lambda i, j: i >= 0 and j >= 0,
+    Region.THREE_QUADRANT: lambda i, j: i >= 0 or j >= 0,
+    Region.WEDGE135: lambda i, j: i + j >= 0 and j >= 0,
+    Region.HALF_PLANE: lambda i, j: i + j >= 0,
+    Region.FULL_PLANE: lambda i, j: True,
+}
 
 
 @dataclass(frozen=True)
@@ -116,8 +118,10 @@ class CountTable:
 
 
 def _layers(model: WalkModel, n: int):
-    """Yield the DP frontier after 0, 1, ..., n steps."""
-    region = model.region
+    """Yield the DP frontier after 0, 1, ..., n steps (none if n < 0)."""
+    if n < 0:
+        return
+    contains = REGION_TESTS[model.region]
     steps = model.steps.steps
     frontier = {model.start: 1}
     yield frontier
@@ -126,7 +130,7 @@ def _layers(model: WalkModel, n: int):
         for (i, j), c in frontier.items():
             for dx, dy in steps:
                 p = (i + dx, j + dy)
-                if region.contains(*p):
+                if contains(*p):
                     nxt[p] = nxt.get(p, 0) + c
         frontier = nxt
         yield frontier
@@ -173,14 +177,10 @@ def endpoint_series(model: WalkModel, endpoint: tuple, order: int) -> Series1:
 
 def generating_series(model: WalkModel, order: int) -> Series2:
     """Full bivariate generating function as an exact truncated series."""
-    coeffs = []
-    for n, frontier in enumerate(_layers(model, order - 1)):
-        poly = LPoly2({p: Fraction(c) for p, c in frontier.items()})
-        # Walk-derived supports stay inside |i - x0|, |j - y0| <= n.
-        x0, y0 = model.start
-        for (i, j) in poly.terms:
-            assert abs(i - x0) <= n and abs(j - y0) <= n
-        coeffs.append(poly)
+    coeffs = [
+        LPoly2({p: Fraction(c) for p, c in frontier.items()})
+        for frontier in _layers(model, order - 1)
+    ]
     return Series2(coeffs, order)
 
 

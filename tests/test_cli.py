@@ -1,5 +1,6 @@
 """Command-line front end: parsing, layering, formats, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -356,3 +357,16 @@ class TestEndpointAndSuiteRules:
     def test_series_order_zero_at_endpoint(self, capsys, fmt, expected):
         assert run(capsys, "series", "--order", "0", "--endpoint", "0,0",
                    "--format", fmt) == (0, expected)
+
+
+# sha256 of `verify --suite all --order 12 --format json`.  A refactor keeps
+# these bytes; a change that alters a verdict or an order on purpose re-pins.
+VERIFY_ALL_12_SHA256 = (
+    "89b9b395e147c7e4d7ff6269b3a10f9d62c49329336791b258acb7f857567b1b")
+
+
+def test_verify_all_order_12_bytes_are_pinned(capsys):
+    code, out = run(capsys, "verify", "--suite", "all", "--order", "12",
+                    "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_12_SHA256

@@ -1,12 +1,12 @@
 """Algebraic engine: implicit-equation solving and the series catalogs."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from conewalks import engine
+from conewalks import decompose, engine
 from conewalks.decompose import tmul
-from conewalks.gaussian import I
 from conewalks.laurent import LPoly
 from conewalks.series import PivotError, Series1
 from conewalks.walks import (
@@ -124,10 +124,11 @@ class TestNewtonMatchesReference:
                 reference_solve(residual, 20, c0)
             )
 
-    def test_gaussian_root(self):
-        residual, _, _ = engine._sq_quad_residual(12)
-        assert engine.solve_algebraic(residual, 12, I) == (
-            reference_solve(residual, 12, I)
+    def test_rotated_root(self):
+        rotated, _ = engine.sq_rotated(12)
+        residual = engine._sq_quad_residual(*rotated)
+        assert engine.solve_algebraic(residual, 12, 1) == (
+            reference_solve(residual, 12, 1)
         )
 
     @pytest.mark.parametrize("c0", [2, 0])
@@ -219,22 +220,21 @@ class TestXSeriesBranches:
         X0 = engine.sq_X0(10)
         assert (X0 - engine.sq_X0_catalan(10)).is_zero()
 
-    def test_X1_square_printed_expansion(self):
-        X1 = engine.sq_X1(8)
-        got = [X1.coeff(n).coeff(0) for n in range(8)]
-        assert got == [I, 0, 0, Fraction(2), 0, Fraction(16), -2 * I,
-                       Fraction(156)]
+    def test_F_square_printed_expansion(self):
+        assert scalar_coeffs(engine.sq_F(8), 8) == [
+            1, 0, 0, -2, 0, 16, 2, -156]
 
-    def test_X1_does_not_satisfy_X0_factor(self):
-        # the Gaussian branch is a root of the quartic but not of the
-        # rational factor that X0 satisfies
-        def cleared(X):
-            # X * (1 - 2t(X + 1/X)) = X - 2t X^2 - 2t
-            t = Series1.t(X.order)
-            return X - 2 * (t * X * X).truncate(X.order) - 2 * t
+    def test_F_does_not_satisfy_X0_factor(self):
+        # X1 is a root of the quartic but not of the rational factor
+        # X - 2t X^2 - 2t that X0 satisfies; under t = i s, X = i G that
+        # factor is i (G + 2s G^2 - 2s).
+        def rotated_factor(G):
+            s = Series1.t(G.order)
+            return G + 2 * s * G * G - 2 * s
 
-        assert cleared(engine.sq_X0(8)).is_zero()
-        assert not cleared(engine.sq_X1(8)).is_zero()
+        G, rest = engine._rotate(engine.sq_X0(8), 1)
+        assert rest.is_zero() and rotated_factor(G).is_zero()
+        assert not rotated_factor(engine.sq_F(8)).is_zero()
 
     @pytest.mark.parametrize("order", [12, 16])
     def test_diag_shift_roots_are_double_roots(self, order):
@@ -330,3 +330,161 @@ class TestEndpointOraclesReadFromPipelines:
     def test_equals_the_per_endpoint_sweep(self, key):
         assert engine.z_rational_oracle(key, 12) == reference_endpoint_oracle(
             key, 12)
+
+
+class QI:
+    """a + b i in Q(i), with only the operations the series code uses."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    @staticmethod
+    def lift(o):
+        return o if isinstance(o, QI) else QI(o)
+
+    def __add__(self, o):
+        o = QI.lift(o)
+        return QI(self.re + o.re, self.im + o.im)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return QI(-self.re, -self.im)
+
+    def __sub__(self, o):
+        return self + -QI.lift(o)
+
+    def __rsub__(self, o):
+        return QI.lift(o) + -self
+
+    def __mul__(self, o):
+        o = QI.lift(o)
+        return QI(self.re * o.re - self.im * o.im,
+                  self.re * o.im + self.im * o.re)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        o = QI.lift(o)
+        norm = o.re * o.re + o.im * o.im
+        return self * QI(o.re / norm, -o.im / norm)
+
+    def __rtruediv__(self, o):
+        return QI.lift(o) / self
+
+    def __eq__(self, o):
+        o = QI.lift(o)
+        return self.re == o.re and self.im == o.im
+
+
+I = QI(0, 1)
+
+
+def paper_quad_residual(order):
+    """The cleared (times X^4) derivative equation of the square origin
+    pipeline as the paper states it, whose roots are X1 and its conjugate."""
+    sq = decompose.square_origin(order)
+    S, S1, P0 = sq.S, sq.S1, sq.P0
+    t = Series1.t(order)
+    t2 = t * t
+
+    def residual(X):
+        X2 = X * X
+        SX = S.compose(X)
+        W = X - t * (X2 + 1)
+        lhs = (W * W - 4 * t2 * X2) * (
+            3 * X2 * SX * SX + 2 * X * (2 * X2 + 1) * SX + X2 * (X2 + 1)
+        )
+        X3 = X2 * X
+        X4 = X2 * X2
+        X5 = X4 * X
+        X6 = X4 * X2
+        rhs = (
+            (2 * t2 * S1 * S1 + 2 * t2 * S1 - P0) * X4
+            + 2 * t2 * S1 * X6
+            + 2 * t2 * S1 * X2
+            - 2 * t * S1 * (X5 + X3)
+            + t2 * X6
+            + t2 * X2
+        )
+        return lhs - rhs
+
+    return residual
+
+
+def paper_fact3_residual(X):
+    """The cleared (times X^3) cubic factor that X1 satisfies, as the
+    paper states it."""
+    sq = decompose.square_origin(X.order)
+    S, S1 = sq.S, sq.S1
+    t = Series1.t(X.order)
+    X2 = X * X
+    SX = S.compose(X)
+    return (
+        X2 * (X2 + 1)
+        + t * X * (X2 - 1) ** 2 * S1
+        + SX * (X * SX + X2 + 1) * (X * (X2 + 1) - t * (X2 - 1) ** 2)
+    )
+
+
+def X1_from_F(F):
+    """X1(t) = i F(-i t)."""
+    coeffs, unit = [], I
+    for n in range(F.order):
+        coeffs.append(LPoly.const(F.coeff(n).coeff(0) * unit))
+        unit = unit * -I
+    return Series1(coeffs, F.order)
+
+
+class TestRotatedRootAgainstThePaper:
+    """x-sq-12 works on the real series F; rebuilding X1 = i F(-i t) in
+    Q(i) must give the root of the paper's own equations."""
+
+    def test_X1_solves_the_paper_equations(self):
+        X1 = X1_from_F(engine.sq_F(12))
+        assert X1.coeff(0) == LPoly.const(I)
+        assert paper_quad_residual(12)(X1).is_zero()
+        assert paper_fact3_residual(X1).is_zero()
+
+    def test_X1_is_the_solved_root(self):
+        X1 = X1_from_F(engine.sq_F(12))
+        residual = paper_quad_residual(12)
+        assert engine.solve_algebraic(residual, 12, I) == X1
+        assert reference_solve(residual, 12, I) == X1
+
+
+@pytest.fixture
+def fresh_sq_F():
+    """Clear the cached F before and after a test that perturbs its input."""
+    engine.sq_F.cache_clear()
+    yield
+    engine.sq_F.cache_clear()
+
+
+class TestXSq12IsNotTrueByConstruction:
+    def test_perturbed_F_fails(self, monkeypatch):
+        F = engine.sq_F(12)
+        bad = F + Series1.t(12) ** 9
+        monkeypatch.setattr(engine, "sq_F", lambda n: bad)
+        r = engine.run_check("x-sq-12", 12)
+        assert r["verdict"] == "fail" and r["first_failure"] == [9, 0]
+
+    def _with_pipeline(self, monkeypatch, **changes):
+        sq = decompose.square_origin(12)
+        fake = SimpleNamespace(S=sq.S, S1=sq.S1, P0=sq.P0)
+        for name, delta in changes.items():
+            setattr(fake, name, getattr(fake, name) + delta)
+        monkeypatch.setattr(decompose, "square_origin", lambda n: fake)
+        return engine.run_check("x-sq-12", 12)
+
+    def test_perturbed_S1_fails(self, monkeypatch, fresh_sq_F):
+        r = self._with_pipeline(monkeypatch, S1=Series1.t(12) ** 6)
+        assert r["verdict"] == "fail" and r["first_failure"] == [7, 0]
+
+    def test_wrong_parity_term_fails_without_raising(self, monkeypatch,
+                                                     fresh_sq_F):
+        # t^2 x^0 in S has n + k - 1 odd: it cannot enter the real F
+        r = self._with_pipeline(monkeypatch, S=Series1.t(12) ** 2)
+        assert r["verdict"] == "fail" and r["first_failure"] == [2, 0]

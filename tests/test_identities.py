@@ -51,12 +51,6 @@ def test_a_perturbed_identity_fails():
     assert wrong.first_failure() is not None
 
 
-def test_run_all_subset():
-    reports = identities.run_all(6, keys=["func-eq-sq-origin", "eqRS-sq"])
-    assert [r["id"] for r in reports] == ["func-eq-sq-origin", "eqRS-sq"]
-    assert all(r["verdict"] == "pass" for r in reports)
-
-
 def test_reflection_square_sees_cancellation():
     """The reflection identity is a real statement: the raw difference
     c_{i,j} - c_{j,i} is nonzero somewhere, it does not vanish trivially."""

@@ -21,6 +21,7 @@ from conewalks.walks import (
     endpoint_series,
     float_totals,
     generating_series,
+    _layers,
     total_count,
 )
 
@@ -190,3 +191,21 @@ def test_count_sequence_edges():
     assert count_sequence(SQ3, 0, (1, 0)) == [0]
     with pytest.raises(ValueError, match="endpoint .* outside region"):
         count_sequence(SQ3, 3, (-1, -1))
+
+
+def test_negative_length_sweeps_nothing():
+    assert list(_layers(SQ3, -1)) == []
+    assert count_walks_upto(SQ3, -1) == []
+
+
+@pytest.mark.parametrize("region", list(Region))
+@pytest.mark.parametrize("steps", [SQUARE, DIAGONAL])
+def test_support_stays_within_n_steps_of_start(steps, region):
+    """Every monomial x^i y^j of [t^n] G has |i - x0|, |j - y0| <= n."""
+    for start in _starts(region):
+        x0, y0 = start
+        g = generating_series(WalkModel(steps, region, start), 8)
+        for n, poly in enumerate(g.coeffs):
+            assert poly.terms
+            for (i, j) in poly.terms:
+                assert abs(i - x0) <= n and abs(j - y0) <= n
