@@ -12,11 +12,8 @@ from .walks import (
     Region,
     WalkModel,
     count_sequence,
-    count_walks,
     count_walks_upto,
-    endpoint_series,
     generating_series,
-    total_count,
 )
 
 __version__ = "0.1.0"
@@ -27,10 +24,7 @@ __all__ = [
     "Region",
     "WalkModel",
     "count_sequence",
-    "count_walks",
     "count_walks_upto",
-    "endpoint_series",
     "generating_series",
-    "total_count",
     "__version__",
 ]

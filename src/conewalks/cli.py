@@ -54,7 +54,8 @@ DEFAULTS = {
     "format": "text",
 }
 
-# The growth-rate diagnostics: limit of total(n) * n^(1/3) / 4^n.
+# The growth-rate diagnostics: limit of total(n) * n^(1/3) / 4^n for the
+# three-quadrant cone from the origin; other models print no target.
 ASYMPT_CONSTANTS = {
     "square": 2**5 * math.sqrt(3) / (3**3 * math.gamma(2 / 3)),
     "diagonal": 2**3 * math.sqrt(3) / (3**2 * math.gamma(2 / 3)),
@@ -368,7 +369,9 @@ def cmd_oeis(cfg: dict, out, path) -> int:
 
 def asympt_rows(model: WalkModel, lattice: str, limit: int) -> list:
     totals = float_totals(model, limit)
-    target = ASYMPT_CONSTANTS.get(lattice)
+    target = None
+    if model.region is Region.THREE_QUADRANT and model.start == (0, 0):
+        target = ASYMPT_CONSTANTS[lattice]
     rows = []
     points = sorted({limit, *range(0, limit + 1, max(1, limit // 8))})
     for n in points:

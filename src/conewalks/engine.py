@@ -14,7 +14,7 @@ catalog entry is data too: ``_PARAM_ORACLES``, ``_ENDPOINTS`` and
 ``_CONSTANTS`` map its key to the ``decompose`` pipeline series it must
 match: a boundary series, a constant, or an endpoint count read off a
 pipeline's C or Q by ``decompose.at_point``.  The engine runs no walk DP
-of its own; each pipeline sweeps its models once per order.
+of its own; each walk model is swept once per run.
 """
 
 from __future__ import annotations
@@ -179,19 +179,14 @@ _BUILDERS = {
 }
 
 
-def eval_terms(terms, order: int, env=None) -> Series1:
+def eval_terms(terms, order: int) -> Series1:
     """Evaluate an expanded term list at the parametrizing series."""
-    if env is None:
-        env = {}
     cache = {}
 
     def power(sym, e):
         if (sym, e) not in cache:
             if e == 1:
-                base = env.get(sym)
-                if base is None:
-                    base = _BUILDERS[sym](order)
-                cache[(sym, e)] = base.truncate(order)
+                cache[(sym, e)] = _BUILDERS[sym](order).truncate(order)
             else:
                 cache[(sym, e)] = power(sym, e - 1) * power(sym, 1)
         return cache[(sym, e)]
@@ -205,7 +200,6 @@ def eval_terms(terms, order: int, env=None) -> Series1:
     return acc
 
 
-@lru_cache(maxsize=None)
 def catalog_series(key: str, order: int) -> Series1:
     """A catalog entry's rational expression in the parametrizing series,
     as a series in t (with coefficients in x for the bivariate entries)."""
@@ -375,7 +369,6 @@ def quartic_residual(which: str, G: Series1) -> Series1:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def sq_X0(order: int) -> Series1:
     """(1 - sqrt(1 - 16 t^2)) / (4t), the Catalan-flavoured root."""
     r = _scal([1, 0, -16], order + 1).sqrt()
@@ -452,7 +445,6 @@ def _sq_quad_residual(S, S1, P0):
     return residual
 
 
-@lru_cache(maxsize=None)
 def sq_F(order: int) -> Series1:
     """The real root F with F(0) = 1 of the rotated derivative equation."""
     rotated, _ = sq_rotated(order)
@@ -541,7 +533,6 @@ def _diag_shift_res5(order: int):
     return residual
 
 
-@lru_cache(maxsize=None)
 def diag_shift_X(order: int, which: int) -> Series1:
     """The two power series roots of the derivative equation for the
     antisymmetric pipeline of the shifted diagonal model."""

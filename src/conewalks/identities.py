@@ -31,8 +31,8 @@ from .walks import (
     SQUARE,
     Region,
     WalkModel,
-    count_walks_upto,
     generating_series,
+    sweep,
 )
 
 THIRD = Fraction(1, 3)
@@ -524,22 +524,21 @@ def cubic_S_N_diag_shift(order):
 # ---------------------------------------------------------------------------
 
 
-def _tables(steps, region, start, n):
-    model = WalkModel(steps, region, start)
-    return count_walks_upto(model, n)
+# Square-lattice walks from (0, 0) in the 135-degree wedge.
+WEDGE = WalkModel(SQUARE, Region.WEDGE135, (0, 0))
 
 
 def reflection_square(order):
     """c_{i,j}(n) - c_{j,i}(n) = g_{-i-1,j}(n) for j >= 0 and i < j, where
     c counts cone walks from (-1,0) and g counts wedge walks from (0,0)."""
-    cone = _tables(SQUARE, Region.THREE_QUADRANT, (-1, 0), order)
-    wedge = _tables(SQUARE, Region.WEDGE135, (0, 0), order)
+    cone = sweep(WalkModel(SQUARE, Region.THREE_QUADRANT, (-1, 0)), order)
+    wedge = sweep(WEDGE, order)
     mismatches = []
     for n in range(order + 1):
         for j in range(0, n + 1):
             for i in range(-n - 2, j):
-                lhs = cone[n].get(i, j) - cone[n].get(j, i)
-                rhs = wedge[n].get(-i - 1, j)
+                lhs = cone[n].get((i, j), 0) - cone[n].get((j, i), 0)
+                rhs = wedge[n].get((-i - 1, j), 0)
                 if lhs != rhs:
                     mismatches.append((n, i, j, lhs, rhs))
     return mismatches
@@ -548,16 +547,16 @@ def reflection_square(order):
 def reflection_diag(order):
     """The diagonal-lattice version: cone walks from (-2,0), wedge walks
     with square steps; endpoint mapped by k=(i+j)/2+1, l=(j-i)/2-1."""
-    cone = _tables(DIAGONAL, Region.THREE_QUADRANT, (-2, 0), order)
-    wedge = _tables(SQUARE, Region.WEDGE135, (0, 0), order)
+    cone = sweep(WalkModel(DIAGONAL, Region.THREE_QUADRANT, (-2, 0)), order)
+    wedge = sweep(WEDGE, order)
     mismatches = []
     for n in range(order + 1):
         for j in range(0, n + 1):
             for i in range(-n - 3, j):
                 if (i + j) % 2:
                     continue
-                lhs = cone[n].get(i, j) - cone[n].get(j, i)
-                rhs = wedge[n].get((i + j) // 2 + 1, (j - i) // 2 - 1)
+                lhs = cone[n].get((i, j), 0) - cone[n].get((j, i), 0)
+                rhs = wedge[n].get(((i + j) // 2 + 1, (j - i) // 2 - 1), 0)
                 if lhs != rhs:
                     mismatches.append((n, i, j, lhs, rhs))
     return mismatches
@@ -567,8 +566,7 @@ def gessel_axis_series(order):
     """G(x,0) for wedge walks equals L(x,0) - B(0,x) of the shifted
     square-lattice cone model."""
     ss = decompose.square_shifted(order)
-    model = WalkModel(SQUARE, Region.WEDGE135, (0, 0))
-    G = generating_series(model, order)
+    G = generating_series(WEDGE, order)
     return (ss.L_x0 - ss.B_0y) - G.coeff_of("y", 0)
 
 
@@ -579,16 +577,10 @@ def gessel_diag_series(order):
     lhs = decompose.even_halve(ds.L_x0.mul_x(-1)) - decompose.even_halve(
         ds.B_0y.mul_x(-1)
     )
-    model = WalkModel(SQUARE, Region.WEDGE135, (0, 0))
-    tables = count_walks_upto(model, order - 1)
-    coeffs = []
-    for n in range(order):
-        p = LPoly()
-        for j in range(n + 1):
-            v = tables[n].get(-j, j)
-            if v:
-                p = p + LPoly({j: Fraction(v)})
-        coeffs.append(p)
+    coeffs = [
+        LPoly({j: frontier.get((-j, j), 0) for j in range(n + 1)})
+        for n, frontier in enumerate(sweep(WEDGE, order)[:order])
+    ]
     return lhs - Series1(coeffs, order)
 
 

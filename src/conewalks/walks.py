@@ -5,19 +5,23 @@ box reachable in n steps, masked by the region predicate, with exact
 arbitrary-precision counts.  Every closed form, functional equation and
 parametrization elsewhere in the package is checked against this module.
 
-``_layers`` is the one exact DP loop; every view reads all the lengths it
-needs from one sweep of it, and nothing is memoised.
+``_layers`` is the one exact DP loop, and ``sweep`` is the one memo.
+Verification reads are memoised per run: every pipeline series and every
+identity check reads its walk model through ``sweep``, so each model is
+swept once.  The readers whose length the user picks (``count``,
+``series``, ``oeis`` and the closed forms) stream ``_layers`` instead:
+each frontier is dropped once read, because holding every frontier of a
+long sweep until the process ends raises its peak memory.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
+from functools import lru_cache
 
 from .laurent import LPoly2
-from .series import Series1, Series2
+from .series import Series2
 
 
 @dataclass(frozen=True)
@@ -89,9 +93,6 @@ class CountTable:
     n: int
     counts: dict  # (i, j) -> int
 
-    def total(self) -> int:
-        return sum(self.counts.values())
-
     def get(self, i: int, j: int) -> int:
         return self.counts.get((i, j), 0)
 
@@ -103,18 +104,6 @@ class CountTable:
                 for (i, j), c in sorted(self.counts.items())
             ],
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CountTable":
-        return cls(
-            n=obj["n"],
-            counts={
-                (e["i"], e["j"]): int(e["count"]) for e in obj["counts"]
-            },
-        )
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
 
 
 def _layers(model: WalkModel, n: int):
@@ -136,13 +125,11 @@ def _layers(model: WalkModel, n: int):
         yield frontier
 
 
-def count_walks(model: WalkModel, n: int) -> CountTable:
-    """Exact endpoint counts of all n-step walks staying inside the region."""
-    if n < 0:
-        raise ValueError("walk length must be nonnegative")
-    for frontier in _layers(model, n):
-        pass
-    return CountTable(n=n, counts=dict(frontier))
+@lru_cache(maxsize=None)
+def sweep(model: WalkModel, n: int) -> tuple:
+    """The DP frontiers for lengths 0..n, swept once per run.  Every reader
+    shares them, so none may change one."""
+    return tuple(_layers(model, n))
 
 
 def count_walks_upto(model: WalkModel, n: int) -> list:
@@ -151,10 +138,6 @@ def count_walks_upto(model: WalkModel, n: int) -> list:
         CountTable(n=k, counts=dict(frontier))
         for k, frontier in enumerate(_layers(model, n))
     ]
-
-
-def total_count(model: WalkModel, n: int) -> int:
-    return count_walks(model, n).total()
 
 
 def count_sequence(model: WalkModel, n: int, endpoint=None) -> list:
@@ -169,19 +152,13 @@ def count_sequence(model: WalkModel, n: int, endpoint=None) -> list:
     return [frontier.get(endpoint, 0) for frontier in _layers(model, n)]
 
 
-def endpoint_series(model: WalkModel, endpoint: tuple, order: int) -> Series1:
-    """Length generating function of walks ending at one point (constant coeffs)."""
-    values = count_sequence(model, order - 1, endpoint)
-    return Series1.from_scalar_coeffs(map(Fraction, values), order)
-
-
 def generating_series(model: WalkModel, order: int) -> Series2:
-    """Full bivariate generating function as an exact truncated series."""
-    coeffs = [
-        LPoly2({p: Fraction(c) for p, c in frontier.items()})
-        for frontier in _layers(model, order - 1)
-    ]
-    return Series2(coeffs, order)
+    """Full bivariate generating function as an exact truncated series.
+
+    It reads ``sweep(model, order)``, one layer more than it needs, so the
+    checks that compare lengths 0..order read the same memo entry."""
+    frontiers = sweep(model, order)[:order]
+    return Series2([LPoly2(frontier) for frontier in frontiers], order)
 
 
 def float_totals(model: WalkModel, n: int):
@@ -195,9 +172,10 @@ def float_totals(model: WalkModel, n: int):
     size = 2 * n + 1
     x0, y0 = model.start
     grid = np.zeros((size, size), dtype=np.float64)
-    grid[x0 + n, y0 + n] = 1.0
+    grid[n, n] = 1.0  # the grid spans n steps either way of the start
     ii, jj = np.meshgrid(
-        np.arange(-n, n + 1), np.arange(-n, n + 1), indexing="ij"
+        np.arange(x0 - n, x0 + n + 1), np.arange(y0 - n, y0 + n + 1),
+        indexing="ij",
     )
     mask = np.vectorize(model.region.contains, otypes=[bool])(ii, jj)
     totals = [1.0]

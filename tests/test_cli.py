@@ -143,6 +143,20 @@ class TestAsympt:
         assert rows[-1]["n"] == 16
         assert float(rows[-1]["target"]) == pytest.approx(1.5160, abs=1e-3)
 
+    @pytest.mark.parametrize("model", [
+        ["--region", "quadrant"],
+        ["--start=-1,0"],
+        ["--lattice", "diagonal", "--start", "1,1"],
+        ["--start", "5,5"],  # more than --n steps from the origin
+    ])
+    def test_no_target_off_the_cone_from_the_origin(self, capsys, model):
+        """The paper's constant is the limit only for the three-quadrant
+        cone from (0, 0); any other model prints a blank target."""
+        code, out = run(capsys, "asympt", "--n", "4", "--format", "json",
+                        *model)
+        assert code == 0
+        assert {row["target"] for row in json.loads(out)} == {""}
+
 
 class TestConfigLayering:
     def test_config_file_overrides_defaults(self, capsys, tmp_path):

@@ -14,7 +14,7 @@ from conewalks.walks import (
     SQUARE,
     Region,
     WalkModel,
-    endpoint_series,
+    count_sequence,
 )
 
 
@@ -310,12 +310,16 @@ REFERENCE_ENDPOINTS = {
 
 
 def reference_endpoint_oracle(key, order):
+    """The endpoint series from its own streaming sweeps, not the memo."""
     steps, start, end, dt, q00 = REFERENCE_ENDPOINTS[key]
-    model = WalkModel(steps, Region.THREE_QUADRANT, start)
-    s = tmul(endpoint_series(model, end, order), dt)
+
+    def at_end(region, start, end):
+        counts = count_sequence(WalkModel(steps, region, start), order - 1, end)
+        return Series1.from_scalar_coeffs(counts, order)
+
+    s = tmul(at_end(Region.THREE_QUADRANT, start, end), dt)
     if q00:
-        quadrant = WalkModel(steps, Region.QUADRANT, (0, 0))
-        s = s + Fraction(q00, 3) * endpoint_series(quadrant, (0, 0), order)
+        s = s + Fraction(q00, 3) * at_end(Region.QUADRANT, (0, 0), (0, 0))
     return s
 
 
@@ -455,14 +459,6 @@ class TestRotatedRootAgainstThePaper:
         assert reference_solve(residual, 12, I) == X1
 
 
-@pytest.fixture
-def fresh_sq_F():
-    """Clear the cached F before and after a test that perturbs its input."""
-    engine.sq_F.cache_clear()
-    yield
-    engine.sq_F.cache_clear()
-
-
 class TestXSq12IsNotTrueByConstruction:
     def test_perturbed_F_fails(self, monkeypatch):
         F = engine.sq_F(12)
@@ -479,12 +475,11 @@ class TestXSq12IsNotTrueByConstruction:
         monkeypatch.setattr(decompose, "square_origin", lambda n: fake)
         return engine.run_check("x-sq-12", 12)
 
-    def test_perturbed_S1_fails(self, monkeypatch, fresh_sq_F):
+    def test_perturbed_S1_fails(self, monkeypatch):
         r = self._with_pipeline(monkeypatch, S1=Series1.t(12) ** 6)
         assert r["verdict"] == "fail" and r["first_failure"] == [7, 0]
 
-    def test_wrong_parity_term_fails_without_raising(self, monkeypatch,
-                                                     fresh_sq_F):
+    def test_wrong_parity_term_fails_without_raising(self, monkeypatch):
         # t^2 x^0 in S has n + k - 1 odd: it cannot enter the real F
         r = self._with_pipeline(monkeypatch, S=Series1.t(12) ** 2)
         assert r["verdict"] == "fail" and r["first_failure"] == [2, 0]

@@ -54,9 +54,10 @@ def test_a_perturbed_identity_fails():
 def test_reflection_square_sees_cancellation():
     """The reflection identity is a real statement: the raw difference
     c_{i,j} - c_{j,i} is nonzero somewhere, it does not vanish trivially."""
-    from conewalks.walks import Region, SQUARE, WalkModel, count_walks
+    from conewalks.walks import Region, SQUARE, WalkModel, count_walks_upto
 
-    table = count_walks(WalkModel(SQUARE, Region.THREE_QUADRANT, (-1, 0)), 3)
+    model = WalkModel(SQUARE, Region.THREE_QUADRANT, (-1, 0))
+    table = count_walks_upto(model, 3)[3]
     assert any(
         table.get(i, j) != table.get(j, i) for (i, j) in table.counts
     )

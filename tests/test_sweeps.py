@@ -7,22 +7,35 @@ from conewalks import decompose, identities, walks
 from conewalks.cli import main
 
 
-@pytest.fixture
-def sweeps(monkeypatch):
-    """The length of every DP sweep started, in order, with the pipeline
-    caches empty so that every sweep a check needs is seen."""
+def record(monkeypatch, entry):
+    """``entry(model, n)`` for every DP sweep started, in order, with the
+    sweep memo and the pipeline caches empty so that every sweep a check
+    needs is seen."""
     for pipeline in (decompose.square_origin, decompose.diagonal_origin,
                      decompose.square_shifted, decompose.diagonal_shifted):
         pipeline.cache_clear()
-    lengths = []
+    walks.sweep.cache_clear()
+    seen = []
     layers = walks._layers
 
     def counted(model, n):
-        lengths.append(n)
+        seen.append(entry(model, n))
         return layers(model, n)
 
     monkeypatch.setattr(walks, "_layers", counted)
-    return lengths
+    return seen
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The length of every DP sweep started, in order."""
+    return record(monkeypatch, lambda model, n: n)
+
+
+@pytest.fixture
+def swept(monkeypatch):
+    """The model and length of every DP sweep started, in order."""
+    return record(monkeypatch, lambda model, n: (model, n))
 
 
 def run(capsys, *argv):
@@ -77,3 +90,21 @@ def test_closed_forms_sweep_once_per_entry(capsys, sweeps):
 def test_orbit_endpoint_reads_the_pipelines(sweeps):
     assert identities.orbit_endpoint(12) == []
     assert 0 < len(sweeps) <= 8
+
+
+def test_identities_sweep_each_model_once(capsys, swept):
+    """7 distinct models: the four cone models, the two quadrant models
+    (shared by the origin and shifted pipelines) and the wedge model."""
+    assert run(capsys, "verify", "--suite", "identities", "--order", "8") == 0
+    models = [model for model, _ in swept]
+    assert len(models) == len(set(models)) == 7
+
+
+def test_memoised_frontiers_equal_a_fresh_sweep(capsys, swept):
+    """No reader changes a shared frontier: after a run, each memo entry
+    still equals a fresh pass of the DP."""
+    assert run(capsys, "verify", "--suite", "identities", "--order", "8") == 0
+    misses = walks.sweep.cache_info().misses
+    for model, n in list(swept):
+        assert walks.sweep(model, n) == tuple(walks._layers(model, n))
+    assert walks.sweep.cache_info().misses == misses

@@ -4,7 +4,6 @@ Frozen values in this file were computed by brute-force enumeration over
 all step sequences (independent of the DP) while the tests were written.
 """
 
-import json
 from itertools import product
 
 import pytest
@@ -12,17 +11,13 @@ import pytest
 from conewalks.walks import (
     DIAGONAL,
     SQUARE,
-    CountTable,
     Region,
     WalkModel,
     count_sequence,
-    count_walks,
     count_walks_upto,
-    endpoint_series,
     float_totals,
     generating_series,
     _layers,
-    total_count,
 )
 
 
@@ -42,6 +37,11 @@ def brute_force(steps, region, start, n):
     return counts
 
 
+def table(model, n):
+    """Endpoint counts of the n-step walks, from a streaming sweep."""
+    return count_walks_upto(model, n)[n]
+
+
 SQ3 = WalkModel(SQUARE, Region.THREE_QUADRANT, (0, 0))
 DG3 = WalkModel(DIAGONAL, Region.THREE_QUADRANT, (0, 0))
 WEDGE = WalkModel(SQUARE, Region.WEDGE135, (0, 0))
@@ -55,32 +55,32 @@ class TestAgainstBruteForce:
     def test_small_lengths(self, model):
         for n in range(5):
             expected = brute_force(model.steps, model.region, model.start, n)
-            assert count_walks(model, n).counts == expected
+            assert table(model, n).counts == expected
 
 
 class TestFrozenValues:
     def test_square_cone_totals(self):
-        assert [total_count(SQ3, n) for n in range(6)] == [
+        assert count_sequence(SQ3, 5) == [
             1, 4, 14, 54, 200, 776,
         ]
 
     def test_wedge_totals(self):
-        assert [total_count(WEDGE, n) for n in range(5)] == [1, 2, 7, 21, 78]
+        assert count_sequence(WEDGE, 4) == [1, 2, 7, 21, 78]
 
     def test_wedge_origin_returns(self):
-        values = [count_walks(WEDGE, 2 * n).get(0, 0) for n in range(5)]
+        values = [table(WEDGE, 2 * n).get(0, 0) for n in range(5)]
         assert values == [1, 2, 11, 85, 782]
 
     def test_diag_cone_totals(self):
         # at n=2: 16 free walks minus the 4 whose first step lands in the
         # forbidden quadrant at (-1,-1)
-        assert [total_count(DG3, n) for n in range(6)] == [
+        assert count_sequence(DG3, 5) == [
             1, 3, 12, 41, 164, 590,
         ]
 
     def test_quadrant_square_totals(self):
         model = WalkModel(SQUARE, Region.QUADRANT, (0, 0))
-        assert [total_count(model, n) for n in range(6)] == [
+        assert count_sequence(model, 5) == [
             1, 2, 6, 18, 60, 200,
         ]
 
@@ -88,9 +88,9 @@ class TestFrozenValues:
 class TestStructure:
     def test_symmetry_across_diagonal(self):
         for model in (SQ3, DG3):
-            table = count_walks(model, 6)
-            for (i, j), c in table.counts.items():
-                assert table.get(j, i) == c
+            counts = table(model, 6)
+            for (i, j), c in counts.counts.items():
+                assert counts.get(j, i) == c
 
     def test_region_nesting(self):
         # quadrant <= wedge <= half-plane <= full-plane, endpointwise
@@ -99,14 +99,13 @@ class TestStructure:
             for r in (Region.QUADRANT, Region.WEDGE135,
                       Region.HALF_PLANE, Region.FULL_PLANE)
         ]
-        tables = [count_walks(m, 6) for m in models]
+        tables = [table(m, 6) for m in models]
         for small, big in zip(tables, tables[1:]):
             for (i, j), c in small.counts.items():
                 assert big.get(i, j) >= c
 
     def test_diagonal_parity(self):
-        table = count_walks(DG3, 5)
-        for (i, j) in table.counts:
+        for (i, j) in table(DG3, 5).counts:
             # each diagonal step flips both coordinate parities
             assert (5 - i) % 2 == 0 and (5 - j) % 2 == 0
 
@@ -114,55 +113,50 @@ class TestStructure:
         from conewalks.closedforms import binomial
 
         model = WalkModel(SQUARE, Region.FULL_PLANE, (0, 0))
-        table = count_walks(model, 6)
-        assert table.total() == 4**6
+        counts = table(model, 6).counts
+        assert sum(counts.values()) == 4**6
         # rotate 45 degrees: components become independent ballot walks
-        for (i, j), c in table.counts.items():
+        for (i, j), c in counts.items():
             u, v = i + j, i - j
             assert c == binomial(6, (6 + u) // 2) * binomial(6, (6 + v) // 2)
 
     def test_count_walks_upto_consistent(self):
         upto = count_walks_upto(SQ3, 5)
         for n in range(6):
-            assert upto[n].counts == count_walks(SQ3, n).counts
+            assert upto[n].counts == brute_force(
+                SQ3.steps, SQ3.region, SQ3.start, n)
 
 
 class TestSeriesViews:
-    def test_endpoint_series_matches_tables(self):
-        s = endpoint_series(SQ3, (0, 0), 8)
+    def test_endpoint_sequence_matches_tables(self):
+        values = count_sequence(SQ3, 7, (0, 0))
         for n in range(8):
-            assert s.coeff(n).coeff(0) == count_walks(SQ3, n).get(0, 0)
+            assert values[n] == table(SQ3, n).get(0, 0)
 
     def test_endpoint_outside_region(self):
         with pytest.raises(ValueError):
-            endpoint_series(SQ3, (-1, -1), 4)
+            count_sequence(SQ3, 3, (-1, -1))
 
     def test_generating_series_totals(self):
         g = generating_series(SQ3, 6)
+        totals = count_sequence(SQ3, 5)
         for n in range(6):
-            assert sum(g.coeff(n).terms.values()) == total_count(SQ3, n)
+            assert sum(g.coeff(n).terms.values()) == totals[n]
 
-    def test_json_roundtrip(self):
-        table = count_walks(SQ3, 4)
-        blob = table.to_json_str()
-        back = CountTable.from_json(json.loads(blob))
-        assert back.counts == table.counts and back.n == table.n
+    def test_json_shape(self):
+        counts = table(SQ3, 4)
+        blob = counts.to_json()
+        assert blob["n"] == 4
+        assert [(e["i"], e["j"]) for e in blob["counts"]] == sorted(
+            counts.counts)
+        assert all(e["count"] == str(counts.get(e["i"], e["j"]))
+                   for e in blob["counts"])
 
     def test_float_totals_tracks_exact(self):
-        exact = [total_count(SQ3, n) for n in range(12)]
+        exact = count_sequence(SQ3, 11)
         approx = float_totals(SQ3, 11)
         for e, a in zip(exact, approx):
             assert abs(a - e) <= 1e-9 * max(e, 1)
-
-
-@pytest.mark.parametrize("region", list(Region))
-@pytest.mark.parametrize("steps", [SQUARE, DIAGONAL])
-def test_float_totals_tracks_exact_in_every_region(steps, region):
-    model = WalkModel(steps, region, (0, 0))
-    approx = float_totals(model, 9)
-    for n in range(10):
-        exact = total_count(model, n)
-        assert abs(approx[n] - exact) <= 1e-9 * max(exact, 1)
 
 
 def _starts(region):
@@ -172,17 +166,30 @@ def _starts(region):
 
 @pytest.mark.parametrize("region", list(Region))
 @pytest.mark.parametrize("steps", [SQUARE, DIAGONAL])
+def test_float_totals_tracks_exact_in_every_region(steps, region):
+    """The float grid is centred on the start, so a start far from the
+    origin (here more than n steps away) loses no walk."""
+    for start in [*_starts(region), (12, 0)]:
+        model = WalkModel(steps, region, start)
+        approx = float_totals(model, 9)
+        for a, e in zip(approx, count_sequence(model, 9), strict=True):
+            assert abs(a - e) <= 1e-9 * max(e, 1)
+
+
+@pytest.mark.parametrize("region", list(Region))
+@pytest.mark.parametrize("steps", [SQUARE, DIAGONAL])
 def test_count_sequence_equals_per_length_counts(steps, region):
-    """The one-sweep reader agrees with a fresh count_walks per length."""
+    """The one-sweep reader agrees with the endpoint tables per length."""
     n = 7
     for start in _starts(region):
         model = WalkModel(steps, region, start)
+        tables = count_walks_upto(model, n)
         assert count_sequence(model, n) == [
-            count_walks(model, k).total() for k in range(n + 1)]
+            sum(t.counts.values()) for t in tables]
         for end in [start, (1, 1), (2, 0), (-1, 1)]:
             if region.contains(*end):
                 assert count_sequence(model, n, end) == [
-                    count_walks(model, k).get(*end) for k in range(n + 1)]
+                    t.get(*end) for t in tables]
 
 
 def test_count_sequence_edges():
