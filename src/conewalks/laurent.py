@@ -10,6 +10,18 @@ never mix: an operation between an ``LPoly`` and an ``LPoly2`` raises
 ``TypeError``.  These are the coefficient rings of every truncated series
 in the package, so all arithmetic here is exact: no floats, no
 normalization shortcuts.
+
+Scalars are integer-first: a coefficient with an integral value is
+stored as an ``int`` and any other rational one as a ``Fraction``
+(``_coerce`` keeps this on every stored value).  ``qdiv`` is the one
+division in the module, so an ``int`` quotient stays an ``int`` when it is
+exact and becomes a ``Fraction``, never a ``float``, when it is not.
+Other exact scalar types (such as a Gaussian rational) pass through
+untouched and use their own arithmetic.
+
+Each ring has one fused multiply-accumulate kernel, ``mul_into``, which
+adds a product into an exponent dict; ``__mul__`` and the series product
+are both built on it.
 """
 
 from __future__ import annotations
@@ -26,10 +38,24 @@ SIGN_TESTS = {
 
 
 def _coerce(c):
-    """Lift plain ints to Fraction; leave exact scalar types alone."""
-    if isinstance(c, int):
-        return Fraction(c)
+    """The stored form of an exact scalar: an integral ``Fraction`` becomes
+    its ``int``; ints, other fractions and other exact types are kept."""
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
     return c
+
+
+def qdiv(a, b):
+    """Exact quotient a / b: an ``int`` when b divides a, else a ``Fraction``.
+
+    Any other exact scalar type falls back to its own ``a / b``.
+    """
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return q if r == 0 else Fraction(a, b)
+    if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
+        return _coerce(Fraction(a) / b)
+    return a / b
 
 
 class LPoly:
@@ -73,7 +99,7 @@ class LPoly:
             return NotImplemented
         out = dict(self.terms)
         for e, c in o.terms.items():
-            s = out.get(e, 0) + c
+            s = _coerce(out.get(e, 0) + c)
             if s == 0:
                 out.pop(e, None)
             else:
@@ -110,22 +136,26 @@ class LPoly:
             return NotImplemented
         return o + (-self)
 
+    def mul_into(self, out: dict, other) -> None:
+        """Add self * other into the exponent dict `out`.
+
+        `other` must be of the same ring.  Entries of `out` may cancel to
+        zero or hold integral fractions; building the ring element from
+        `out` (``type(self)(out)``) drops and coerces them.
+        """
+        get = out.get
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = e1 + e2
+                out[e] = get(e, 0) + c1 * c2
+
     def __mul__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                e = e1 + e2
-                s = out.get(e, 0) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        r = LPoly.__new__(LPoly)
-        r.terms = out
-        return r
+        self.mul_into(out, o)
+        return type(self)(out)
 
     __rmul__ = __mul__
 
@@ -169,7 +199,7 @@ class LPoly:
         return max(self.terms)
 
     def coeff(self, e: int):
-        return self.terms.get(e, Fraction(0))
+        return self.terms.get(e, 0)
 
     def is_const(self) -> bool:
         return not self.terms or set(self.terms) == {self.ZERO}
@@ -177,7 +207,7 @@ class LPoly:
     def const_value(self):
         if not self.is_const():
             raise ValueError(f"not a constant: {self}")
-        return self.terms.get(self.ZERO, Fraction(0))
+        return self.terms.get(self.ZERO, 0)
 
     # -- transformations -------------------------------------------------
 
@@ -198,13 +228,10 @@ class LPoly:
 
     def eval(self, v):
         """Evaluate at a scalar; negative exponents use exact division."""
-        acc = Fraction(0)
+        acc = 0
         for e, c in self.terms.items():
-            if e >= 0:
-                acc = acc + c * v**e
-            else:
-                acc = acc + c / v ** (-e)
-        return acc
+            acc = acc + (c * v**e if e >= 0 else qdiv(c, v ** (-e)))
+        return _coerce(acc)
 
     def divexact(self, other: "LPoly") -> "LPoly":
         """Exact division; raises ValueError if the remainder is nonzero."""
@@ -224,7 +251,7 @@ class LPoly:
             da = max(rem)
             if da < db:
                 raise ValueError("inexact LPoly division")
-            q = rem[da] / cb
+            q = qdiv(rem[da], cb)
             quot[da - db] = q
             for e, c in div.items():
                 ee = da - db + e
@@ -270,6 +297,8 @@ class LPoly2(LPoly):
     def x(cls, power: int = 1):
         return cls({(power, 0): 1})
 
+    var = x  # ``LPoly.var`` names the first variable, x
+
     @classmethod
     def y(cls, power: int = 1):
         return cls({(0, power): 1})
@@ -282,27 +311,16 @@ class LPoly2(LPoly):
     def from_y_poly(cls, p: LPoly):
         return cls({(0, e): c for e, c in p.terms.items()})
 
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        out = {}
+    def mul_into(self, out: dict, other) -> None:
+        """``LPoly.mul_into`` with pair exponents, added entrywise."""
+        get = out.get
         for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in o.terms.items():
+            for (i2, j2), c2 in other.terms.items():
                 e = (i1 + i2, j1 + j2)
-                s = out.get(e, 0) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        r = LPoly2.__new__(LPoly2)
-        r.terms = out
-        return r
-
-    __rmul__ = __mul__
+                out[e] = get(e, 0) + c1 * c2
 
     def coeff(self, i: int, j: int):
-        return self.terms.get((i, j), Fraction(0))
+        return self.terms.get((i, j), 0)
 
     # -- variable-wise structure ----------------------------------------
 
@@ -335,13 +353,12 @@ class LPoly2(LPoly):
         )
 
     def eval(self, vx, vy):
-        acc = Fraction(0)
+        acc = 0
         for (i, j), c in self.terms.items():
-            term = c
-            term = term * vx**i if i >= 0 else term / vx ** (-i)
-            term = term * vy**j if j >= 0 else term / vy ** (-j)
+            term = c * vx**i if i >= 0 else qdiv(c, vx ** (-i))
+            term = term * vy**j if j >= 0 else qdiv(term, vy ** (-j))
             acc = acc + term
-        return acc
+        return _coerce(acc)
 
     def divexact(self, other) -> "LPoly2":
         """Exact division by a nonzero constant; any other divisor raises
@@ -352,7 +369,7 @@ class LPoly2(LPoly):
         if not o.is_const():
             raise ValueError("LPoly2 divides only by a nonzero constant")
         c0 = o.const_value()
-        return self._with_terms({e: c / c0 for e, c in self.terms.items()})
+        return self._with_terms({e: qdiv(c, c0) for e, c in self.terms.items()})
 
     def __str__(self):
         if not self.terms:

@@ -74,7 +74,7 @@ class Series1:
 
     @classmethod
     def x(cls, order: int, power: int = 1):
-        return cls([LPoly.var(power)], order)
+        return cls([cls.RING.var(power)], order)
 
     @classmethod
     def from_poly(cls, p, order: int):
@@ -125,15 +125,22 @@ class Series1:
         if o is None:
             return NotImplemented
         n = min(self.order, o.order)
-        zero = self.RING()
-        out = [zero] * n
-        for i, a in enumerate(self.coeffs[:n]):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(o.coeffs[: n - i]):
-                if b.is_zero():
-                    continue
-                out[i + j] = out[i + j] + a * b
+        ring = self.RING
+        a = [(i, p) for i, p in enumerate(self.coeffs[:n]) if p.terms]
+        b = o.coeffs
+        out = []
+        for k in range(n):
+            # Every product landing on t^k accumulates in one dict; the
+            # ring element is built from it once, which drops the zeros
+            # and stores integral values as ints.
+            acc = {}
+            for i, p in a:
+                if i > k:
+                    break
+                q = b[k - i]
+                if q.terms:
+                    p.mul_into(acc, q)
+            out.append(ring(acc))
         return type(self)(out, n)
 
     __rmul__ = __mul__

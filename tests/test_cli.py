@@ -378,9 +378,27 @@ class TestEndpointAndSuiteRules:
 VERIFY_ALL_12_SHA256 = (
     "89b9b395e147c7e4d7ff6269b3a10f9d62c49329336791b258acb7f857567b1b")
 
+# sha256 of the two solver outputs, pinned the same way: T with scalar
+# coefficients, U with coefficients in x.
+PARAM_SHA256 = {
+    ("base-T", "60", "json"):
+        "81eb60b2dd69179064c7bbc6b0ea652041844f3f8e4be95518cb2cf2c3c3b9e8",
+    ("base-U", "32", "text"):
+        "fd50104d615f61ebbca649491e3bfc31a1f1133731900d4dfa222db2bba05740",
+}
+
 
 def test_verify_all_order_12_bytes_are_pinned(capsys):
     code, out = run(capsys, "verify", "--suite", "all", "--order", "12",
                     "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_12_SHA256
+
+
+@pytest.mark.parametrize("key,order,fmt", sorted(PARAM_SHA256))
+def test_param_bytes_are_pinned(capsys, key, order, fmt):
+    code, out = run(capsys, "param", "--key", key, "--order", order,
+                    "--format", fmt)
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == PARAM_SHA256[(key, order, fmt)])

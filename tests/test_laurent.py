@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conewalks.laurent import LPoly, LPoly2
+from conewalks.laurent import LPoly, LPoly2, qdiv
 
 
 def lp(d):
@@ -15,6 +15,24 @@ def lp(d):
 small_lpoly = st.dictionaries(
     st.integers(-4, 4), st.integers(-9, 9), max_size=5
 ).map(lp)
+
+int_terms = st.dictionaries(st.integers(-4, 4), st.integers(-9, 9), max_size=5)
+int_terms2 = st.dictionaries(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)), st.integers(-9, 9),
+    max_size=5,
+)
+nonzero_int = st.integers(-5, 5).filter(bool)
+thirds_lpoly = st.dictionaries(
+    st.integers(-2, 2), st.integers(-6, 6).map(lambda k: Fraction(k, 3)),
+    max_size=4,
+).map(LPoly)
+
+
+def is_stored_form(c) -> bool:
+    """An exact scalar in the form the rings store: int when integral."""
+    if type(c) is int:
+        return True
+    return type(c) is Fraction and c.denominator != 1
 
 
 class TestLPoly:
@@ -134,3 +152,100 @@ def test_two_variable_divexact_only_by_constants():
         p.divexact(LPoly2.x(1))
     with pytest.raises(ZeroDivisionError):
         p.divexact(0)
+
+
+class Ratio:
+    """A foreign exact scalar type with its own division."""
+
+    def __init__(self, v):
+        self.v = Fraction(v)
+
+    def __truediv__(self, o):
+        return Ratio(self.v / (o.v if isinstance(o, Ratio) else o))
+
+    def __rtruediv__(self, o):
+        return Ratio(o / self.v)
+
+
+class TestQdiv:
+    def test_exact_int_quotient_is_int(self):
+        for a, b, q in [(12, 4, 3), (-12, 4, -3), (12, -4, -3), (0, 7, 0)]:
+            assert qdiv(a, b) == q and type(qdiv(a, b)) is int
+
+    def test_inexact_int_quotient_is_fraction(self):
+        for a, b in [(5, 2), (-5, 3), (5, -3), (1, 10**30)]:
+            q = qdiv(a, b)
+            assert q == Fraction(a, b) and type(q) is Fraction
+
+    def test_fraction_operands(self):
+        assert qdiv(Fraction(3, 2), Fraction(1, 2)) == 3
+        assert type(qdiv(Fraction(3, 2), Fraction(1, 2))) is int
+        assert type(qdiv(3, Fraction(3, 4))) is int
+        assert qdiv(Fraction(1, 2), 3) == Fraction(1, 6)
+        assert type(qdiv(Fraction(1, 2), 3)) is Fraction
+
+    def test_foreign_scalar_uses_its_own_division(self):
+        q = qdiv(Ratio(1), 4)
+        assert isinstance(q, Ratio) and q.v == Fraction(1, 4)
+        q = qdiv(3, Ratio(2))
+        assert isinstance(q, Ratio) and q.v == Fraction(3, 2)
+
+    def test_zero_divisor_raises(self):
+        for a, b in [(1, 0), (Fraction(1, 2), 0), (1, Fraction(0))]:
+            with pytest.raises(ZeroDivisionError):
+                qdiv(a, b)
+
+
+class TestIntegerFirstStorage:
+    def test_integral_fractions_are_stored_as_ints(self):
+        p = LPoly({0: Fraction(4, 2), 1: Fraction(1, 2), 2: Fraction(0)})
+        assert p.terms == {0: 2, 1: Fraction(1, 2)}
+        assert type(p.terms[0]) is int
+        half = LPoly.const(Fraction(1, 2))
+        assert type((half + half).const_value()) is int
+        assert type((half * 2).const_value()) is int
+        assert type(LPoly2.const(Fraction(3, 2)).divexact(Fraction(1, 2))
+                    .const_value()) is int
+
+    @given(thirds_lpoly, thirds_lpoly)
+    def test_ring_results_are_in_stored_form(self, a, b):
+        # Sums and products of thirds are often integral.
+        for p in (a + b, a - b, a * b):
+            assert all(c != 0 and is_stored_form(c) for c in p.terms.values())
+
+
+def reference_eval(terms, *point):
+    """Sum of c * prod(v**e) in Fraction arithmetic."""
+    total = Fraction(0)
+    for e, c in terms.items():
+        term = Fraction(c)
+        for v, k in zip(point, e if isinstance(e, tuple) else (e,)):
+            term *= Fraction(v) ** k
+        total += term
+    return total
+
+
+class TestEvalIsExact:
+    """Evaluation at integer points divides for negative exponents; the
+    quotient is an exact int or Fraction, never a float."""
+
+    def test_printed_cases(self):
+        v = LPoly({-1: 1, 2: 3}).eval(2)
+        assert v == Fraction(25, 2) and type(v) is Fraction
+        v = LPoly2({(-1, -2): 5}).eval(2, 3)
+        assert v == Fraction(5, 18) and type(v) is Fraction
+        v = LPoly({-1: 4, 1: 1}).eval(2)
+        assert v == 4 and type(v) is int
+        assert type(LPoly().eval(3)) is int
+
+    @given(int_terms, nonzero_int)
+    def test_one_variable(self, terms, v):
+        value = LPoly(terms).eval(v)
+        assert is_stored_form(value)
+        assert value == reference_eval(terms, v)
+
+    @given(int_terms2, nonzero_int, nonzero_int)
+    def test_two_variables(self, terms, vx, vy):
+        value = LPoly2(terms).eval(vx, vy)
+        assert is_stored_form(value)
+        assert value == reference_eval(terms, vx, vy)

@@ -220,16 +220,20 @@ nonzero_int = st.integers(-9, 9).filter(bool)
 
 
 def assert_exact(*values):
-    """No coefficient of any polynomial or series is a float."""
+    """Every coefficient of every polynomial or series is stored exactly:
+    no zero, no float, and an int whenever it is integral."""
     for v in values:
         polys = v.coeffs if hasattr(v, "coeffs") else [v]
         for p in polys:
-            assert not any(isinstance(c, float) for c in p.terms.values())
+            for c in p.terms.values():
+                assert c != 0
+                assert type(c) is int or (
+                    type(c) is Fraction and c.denominator != 1)
 
 
 class TestIntInputsStayExact:
     """Sums, products and exact divisions built from ints never produce a
-    float coefficient, in either coefficient ring."""
+    float coefficient, and keep integral ones as ints, in either ring."""
 
     @settings(max_examples=40)
     @given(int_terms, int_terms, st.lists(int_terms, max_size=4), nonzero_int)
@@ -250,3 +254,106 @@ class TestIntInputsStayExact:
         s = Series2([LPoly2(t) for t in [a] + tail], 5)
         u = Series2([LPoly2.const(c0)] + [LPoly2(t) for t in tail], 5)
         assert_exact(s * u, s.divide(u), u.inverse())
+
+
+def reference_mul(s, o):
+    """The schoolbook product the fused ``Series1.__mul__`` replaced, on
+    plain exponent dicts in Fraction arithmetic: the exact reference."""
+    def add(e1, e2):
+        return tuple(map(sum, zip(e1, e2))) if isinstance(e1, tuple) else e1 + e2
+
+    n = min(s.order, o.order)
+    out = [{} for _ in range(n)]
+    for i, a in enumerate(s.coeffs[:n]):
+        for j, b in enumerate(o.coeffs[: n - i]):
+            for e1, c1 in a.terms.items():
+                for e2, c2 in b.terms.items():
+                    e = add(e1, e2)
+                    out[i + j][e] = out[i + j].get(e, 0) + Fraction(c1) * c2
+    return [{e: c for e, c in d.items() if c != 0} for d in out]
+
+
+# Small coefficients make cancelling terms common.
+scalars = st.one_of(st.integers(-2, 2),
+                    st.fractions(max_denominator=3).map(lambda q: q % 3))
+terms1 = st.dictionaries(st.integers(-2, 2), scalars, max_size=3)
+terms2 = st.dictionaries(
+    st.tuples(st.integers(-1, 1), st.integers(-1, 1)), scalars, max_size=3)
+
+
+def series_of(cls, terms):
+    return st.lists(terms, max_size=6).flatmap(
+        lambda cs: st.integers(0, 6).map(
+            lambda n: cls([cls.RING(t) for t in cs], n)))
+
+
+class TestFusedProduct:
+    """``Series1.__mul__`` accumulates each t^k coefficient in one dict
+    through ``mul_into``; it must equal the schoolbook loop exactly."""
+
+    @settings(max_examples=150)
+    @given(series_of(Series1, terms1), series_of(Series1, terms1))
+    def test_one_variable(self, a, b):
+        prod = a * b
+        assert prod.order == min(a.order, b.order)
+        assert [p.terms for p in prod.coeffs] == reference_mul(a, b)
+        assert_exact(prod)
+
+    @settings(max_examples=150)
+    @given(series_of(Series2, terms2), series_of(Series2, terms2))
+    def test_two_variables(self, a, b):
+        prod = a * b
+        assert type(prod) is Series2
+        assert [p.terms for p in prod.coeffs] == reference_mul(a, b)
+        assert_exact(prod)
+
+    @pytest.mark.parametrize("cls,ring,y", [
+        (Series1, LPoly, LPoly.var(-1)),
+        (Series2, LPoly2, LPoly2.x(1) * LPoly2.y(-1)),
+    ])
+    def test_cancelling_products_store_nothing(self, cls, ring, y):
+        # (P + P t)(Q - Q t) = PQ - PQ t^2: the t^1 products cancel.
+        P = ring.const(Fraction(3, 2)) + y
+        Q = y * Fraction(2, 3) - ring.const(4)
+        prod = cls([P, P], 4) * cls([Q, -Q], 4)
+        assert prod.coeffs[1].terms == {}
+        assert prod.coeffs[2] == -(P * Q)
+        assert [p.terms for p in prod.coeffs] == reference_mul(
+            cls([P, P], 4), cls([Q, -Q], 4))
+        assert_exact(prod)
+
+    def test_integral_fraction_products_are_ints(self):
+        half = Series1.const(Fraction(1, 2), 3)
+        prod = half * Series1.const(Fraction(4), 3)
+        assert prod.coeffs[0].terms == {0: 2}
+        assert type(prod.coeffs[0].terms[0]) is int
+
+
+class TestEvalXIsExact:
+    def test_negative_exponents_at_integer_points(self):
+        s = Series1([LPoly({-1: 1, 2: 3}), LPoly({-2: 4, 0: 1}),
+                     LPoly({-3: 5})], 3)
+        assert [p.terms for p in s.eval_x(2).coeffs] == [
+            {0: Fraction(25, 2)}, {0: 2}, {0: Fraction(5, 8)}]
+        assert [p.terms for p in s.eval_x(-1).coeffs] == [
+            {0: 2}, {0: 5}, {0: -5}]
+        assert_exact(s.eval_x(2))
+        assert_exact(s.eval_x(-3))
+
+    @settings(max_examples=60)
+    @given(series_of(Series1, terms1), st.integers(-4, 4).filter(bool))
+    def test_agrees_with_fraction_arithmetic(self, s, v):
+        out = s.eval_x(v)
+        assert_exact(out)
+        for p, q in zip(s.coeffs, out.coeffs):
+            want = sum((Fraction(c) * Fraction(v) ** e
+                        for e, c in p.terms.items()), Fraction(0))
+            assert q.coeff(0) == want
+
+
+def test_series2_x_stays_in_its_ring():
+    x = Series2.x(3)
+    assert type(x.coeff(0)) is LPoly2
+    assert x + Series2.one(3) == Series2.from_poly(LPoly2.x(1) + 1, 3)
+    assert Series2.x(3, -2).coeff(0) == LPoly2.x(-2)
+    assert Series1.x(3, 2).coeff(0) == LPoly.var(2)
