@@ -6,12 +6,14 @@ overrides built-in defaults.  All big integers are emitted as decimal
 strings in JSON so no consumer needs 64-bit-safe parsing.  Output
 ordering is fixed, so identical configurations give identical bytes.
 
-Each command reads its walk counts from one DP sweep (``oeis`` sweeps
-only to the last file index it compares); ``build_model`` rejects a start
-or --endpoint outside the region.  ``verify`` runs suites from the
-``SUITES`` table (suite -> its keys and the function that checks one key):
-'all' stands for every suite and a repeated suite runs once.  Every check
-returns the one report shape built by ``engine.report``.
+Each subcommand takes only the flags it reads (``COMMAND_FLAGS``); a
+config file may set any key.  Each command reads its walk counts from one
+DP sweep (``oeis`` sweeps only to the last file index it compares);
+``build_model`` rejects a start or --endpoint outside the region.
+``verify`` runs suites from the ``SUITES`` table (suite -> its keys and
+the function that checks one key): 'all' stands for every suite and a
+repeated suite runs once.  Every check returns the one report shape built
+by ``engine.report``.
 
 Exit codes: 0 success, 1 verification failure or data mismatch, 2 usage
 error (including an --order too low for any check, such as a catalog
@@ -292,9 +294,23 @@ def cmd_verify(cfg: dict, out) -> int:
 # -- param -----------------------------------------------------------------
 
 
+# param key -> its series builder; every catalog key expands as well.
+PARAM_BUILDERS = {
+    "base-T": engine.series_T,
+    "base-Z": engine.series_Z,
+    "base-U": engine.series_U,
+    "base-V": engine.series_V,
+}
+
+
+def param_series_keys() -> list:
+    """Every key that ``param --key`` expands, in ``param --list`` order."""
+    return [*PARAM_BUILDERS, *engine.param_keys(), *engine.z_rational_keys()]
+
+
 def cmd_param(cfg: dict, out, key, list_keys: bool) -> int:
     if list_keys:
-        keys = engine.all_check_keys()
+        keys = param_series_keys()
         if cfg["format"] == "json":
             json.dump(keys, out, indent=2)
             out.write("\n")
@@ -305,15 +321,9 @@ def cmd_param(cfg: dict, out, key, list_keys: bool) -> int:
     if key is None:
         raise UsageError("param requires --key or --list")
     order = cfg["order"]
-    builders = {
-        "base-T": engine.series_T,
-        "base-Z": engine.series_Z,
-        "base-U": engine.series_U,
-        "base-V": engine.series_V,
-    }
-    if key in builders:
-        series = builders[key](order)
-    elif key in engine.param_keys() + engine.z_rational_keys():
+    if key in PARAM_BUILDERS:
+        series = PARAM_BUILDERS[key](order)
+    elif key in param_series_keys():
         try:
             series = engine.catalog_series(key, order)
         except OrderError as exc:
@@ -402,34 +412,45 @@ def cmd_asympt(cfg: dict, out) -> int:
 # -- entry point -----------------------------------------------------------
 
 
+# The flags that set a config key, and the ones each subcommand reads;
+# a config file may set any key for any subcommand.
+FLAGS = {
+    "lattice": {"choices": sorted(LATTICES)},
+    "region": {"choices": sorted(REGIONS)},
+    "start": {"help": "start point as i,j"},
+    "n": {"type": int, "help": "length limit"},
+    "order": {"type": int, "help": "series truncation order"},
+    "endpoint": {"help": "endpoint as i,j"},
+    "suite": {"help": "comma-separated suite names or 'all'"},
+    "format": {"choices": ["json", "csv", "text"]},
+}
+_MODEL = ("lattice", "region", "start")
+COMMAND_FLAGS = {
+    "count": (*_MODEL, "n", "endpoint", "format"),
+    "series": (*_MODEL, "order", "endpoint", "format"),
+    "verify": ("order", "suite", "format"),
+    "param": ("order", "format"),
+    "oeis": (*_MODEL, "n", "endpoint", "format"),
+    "asympt": (*_MODEL, "n", "format"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conewalks",
         description="Exact lattice-walk enumeration and verification tool",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--lattice", choices=sorted(LATTICES))
-        p.add_argument("--region", choices=sorted(REGIONS))
-        p.add_argument("--start", help="start point as i,j")
-        p.add_argument("--n", type=int, help="length limit")
-        p.add_argument("--order", type=int, help="series truncation order")
-        p.add_argument("--endpoint", help="endpoint as i,j")
-        p.add_argument("--suite", help="comma-separated suite names or 'all'")
-        p.add_argument("--format", choices=["json", "csv", "text"])
-        p.add_argument("--config", help="JSON config file")
-
-    for name in ("count", "series", "verify", "asympt"):
-        common(sub.add_parser(name))
-    p_param = sub.add_parser("param")
-    common(p_param)
-    p_param.add_argument("--key", help="series key to expand")
-    p_param.add_argument("--list", action="store_true", dest="list_keys",
-                         help="list available keys")
-    p_oeis = sub.add_parser("oeis")
-    common(p_oeis)
-    p_oeis.add_argument("--bfile", help="path to a sequence file")
+    parsers = {}
+    for name, flags in COMMAND_FLAGS.items():
+        parsers[name] = sub.add_parser(name)
+        for flag in flags:
+            parsers[name].add_argument(f"--{flag}", **FLAGS[flag])
+        parsers[name].add_argument("--config", help="JSON config file")
+    parsers["param"].add_argument("--key", help="series key to expand")
+    parsers["param"].add_argument("--list", action="store_true",
+                                  dest="list_keys", help="list available keys")
+    parsers["oeis"].add_argument("--bfile", help="path to a sequence file")
     return parser
 
 

@@ -70,20 +70,6 @@ def quadrant_diag_count(i: int, j: int, n: int) -> int:
     return val.numerator
 
 
-def gessel_count(n: int) -> int:
-    """Walks of length 2n from (0,0) to (0,0) in the 135-degree wedge."""
-    val = (
-        Fraction(16) ** n
-        * rising_factorial(Fraction(1, 2), n)
-        * rising_factorial(Fraction(5, 6), n)
-        / rising_factorial(2, n)
-        / rising_factorial(Fraction(5, 3), n)
-    )
-    if val.denominator != 1:
-        raise ArithmeticError(f"non-integral count for n={n}: {val}")
-    return val.numerator
-
-
 @dataclass(frozen=True)
 class HypTerm:
     """coeff * poly(n) * prod (a)_{n+s} / prod (b)_{n+r}."""
@@ -102,6 +88,11 @@ class HypTerm:
         return val
 
 
+def hyp_sum(terms, n: int) -> Fraction:
+    """16^n times the sum of the terms' values at n."""
+    return Fraction(16) ** n * sum((t.value(n) for t in terms), Fraction(0))
+
+
 @dataclass(frozen=True)
 class ClosedForm:
     key: str
@@ -114,9 +105,7 @@ class ClosedForm:
 
     def count(self, n: int) -> int:
         """Number of 2n-step walks from start to end in the cone."""
-        val = Fraction(16) ** n * sum(
-            (t.value(n) for t in self.terms), Fraction(0)
-        )
+        val = hyp_sum(self.terms, n)
         if val.denominator != 1:
             raise ArithmeticError(
                 f"{self.key}: non-integral value at n={n}: {val}"
@@ -152,3 +141,7 @@ def catalog() -> dict:
         for key, entry in json.loads(text).items()
     }
 
+
+def gessel_count(n: int) -> int:
+    """Walks of length 2n from (0,0) to (0,0) in the 135-degree wedge."""
+    return catalog()["wedge-0-0"].count(n)

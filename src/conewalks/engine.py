@@ -14,7 +14,10 @@ catalog entry is data too: ``_PARAM_ORACLES``, ``_ENDPOINTS`` and
 ``_CONSTANTS`` map its key to the ``decompose`` pipeline series it must
 match: a boundary series, a constant, or an endpoint count read off a
 pipeline's C or Q by ``decompose.at_point``.  The engine runs no walk DP
-of its own; each walk model is swept once per run.
+of its own; each walk model is swept once per run.  Each pipeline's cubic
+P(S(x), x) = 0 is stated once (``sq_cubic``, ``diag_cubic``,
+``diag_shift_cubic``); its identity and the series X of the generalized
+quadratic method are derived from that one statement.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from functools import lru_cache, partial
 from importlib import resources
 
 from . import decompose
-from .closedforms import rising_factorial
+from .closedforms import HypTerm, hyp_sum
 from .laurent import LPoly
 from .series import PivotError, Series1
 
@@ -114,25 +117,20 @@ def series_V(order: int) -> Series1:
     return solve_algebraic(lambda V: V_residual(V, T), order, 0)
 
 
+# The base square-root series: [t^2n] Z = 16^n times this two-term sum.
+Z_TERMS = (
+    HypTerm(Fraction(2), (1,), ((Fraction(-1, 2), 0), (Fraction(1, 6), 0)),
+            ((1, 0), (Fraction(1, 3), 0))),
+    HypTerm(Fraction(-1), (1,), ((Fraction(-1, 2), 0), (Fraction(5, 6), 0)),
+            ((1, 0), (Fraction(2, 3), 0))),
+)
+
+
 def hypergeometric_Z(order: int) -> Series1:
-    """The base square-root series as a two-term hypergeometric sum."""
-    coeffs = []
-    for m in range(order):
-        if m % 2:
-            coeffs.append(Fraction(0))
-            continue
-        n = m // 2
-        val = Fraction(16) ** n * (
-            2
-            * rising_factorial(Fraction(-1, 2), n)
-            * rising_factorial(Fraction(1, 6), n)
-            / (rising_factorial(1, n) * rising_factorial(Fraction(1, 3), n))
-            - rising_factorial(Fraction(-1, 2), n)
-            * rising_factorial(Fraction(5, 6), n)
-            / (rising_factorial(1, n) * rising_factorial(Fraction(2, 3), n))
-        )
-        coeffs.append(val)
-    return Series1.from_scalar_coeffs(coeffs, order)
+    """The base square-root series as the hypergeometric sum ``Z_TERMS``."""
+    return Series1.from_scalar_coeffs(
+        [0 if m % 2 else hyp_sum(Z_TERMS, m // 2) for m in range(order)],
+        order)
 
 
 def kernel_residual(lattice: str, Y: Series1) -> Series1:
@@ -480,24 +478,56 @@ def diag_X1(order: int) -> Series1:
     return -(num.mul_t(-1)) * Fraction(1, 2)
 
 
-def diag_quad_residual(X: Series1) -> Series1:
-    """Cleared (times x(x+1)) derivative equation for the diagonal origin
-    pipeline, evaluated at a candidate root."""
-    order = X.order
+def sq_cubic(order: int):
+    """The cubic P(s, x), with P(S(x), x) = 0, of the boundary series S of
+    the square origin pipeline, and S.  P is cleared by x^3, so that it is
+    a polynomial in x and can be evaluated at a series X with X(0) = 0."""
+    sq = decompose.square_origin(order)
+    S1 = sq.S1
+    P0 = sq.P0
+    t = Series1.t(order)
+    t2 = t * t
+
+    def cubic(s, x):
+        x2 = x * x
+        x4 = x2 * x2
+        w = x - t * (x2 + 1)
+        lhs = (w * w - 4 * t2 * x2) * (
+            x * s**3 + (2 * x2 + 1) * s * s + x * (x2 + 1) * s)
+        rhs = t2 * x2 * (x2 - 1) * (1 + S1) ** 2 + x * (
+            2 * t2 * S1 * S1 * x2
+            + 2 * t * (t * x4 + t * x2 + t - x2 * x - x) * S1
+            - P0 * x2
+            + t2 * (x4 + 1)
+        ) * (s + x)
+        return lhs - rhs
+
+    return cubic, sq.S
+
+
+def diag_cubic(order: int):
+    """The cubic P(s, x), with P(S(x), x) = 0, of the boundary series S of
+    the diagonal origin pipeline (in the squared variable), and S."""
     dg = decompose.diagonal_origin(order)
-    S = dg.S
+    S1 = dg.S1
     F0 = dg.F0
     t2 = _scal([0, 0, 1], order)
-    SX = S.compose(X)
-    lead = X - 4 * t2 * (1 + X) ** 2
-    return lead * (3 * (X + 1) * SX * SX + 2 * (2 * X + 1) * SX + X) - (
-        X + 1
-    ) * (t2 * (X * X + 1) - F0 * X)
+
+    def cubic(s, x):
+        lead = x - 4 * t2 * (1 + x) ** 2
+        return lead * ((x + 1) * s**3 + (2 * x + 1) * s * s + x * s) - (
+            (t2 * (x * x + 1) - F0 * x) * (s + 1) * (x + 1)
+            + t2 * S1 * x * (x + 1)
+            - (2 * t2 * S1 - F0) * x
+            - t2 * (x + 1)
+        )
+
+    return cubic, dg.S
 
 
-def _diag_shift_cubic(order: int):
-    """The cleared cubic P(s, x) relating the antisymmetric boundary series
-    s = S(x) of the shifted diagonal model to x, and the series S."""
+def diag_shift_cubic(order: int):
+    """The cubic P(s, x), with P(S(x), x) = 0, of the antisymmetric
+    boundary series S (from N) of the shifted diagonal model, and S."""
     ds = decompose.diagonal_shifted(order)
     S1 = ds.Npair.S1
     F0 = ds.N_F0
@@ -517,42 +547,37 @@ def _diag_shift_cubic(order: int):
     return cubic, ds.Npair.S
 
 
+def cubic_residual(pipeline_cubic, order: int) -> Series1:
+    """P(S(x), x) for the cubic of a pipeline: a series identity in x."""
+    cubic, S = pipeline_cubic(order)
+    return cubic(S, Series1.x(order))
+
+
 def _d_dx(p: LPoly) -> LPoly:
     return LPoly({e - 1: e * c for e, c in p.terms.items()})
 
 
-def _diag_shift_res5(order: int):
-    """Residual dP/ds(S(X), X), whose power series roots X are solved for."""
-    cubic, S = _diag_shift_cubic(order)
+def ds_residual(cubic, S: Series1, X: Series1) -> Series1:
+    """dP/ds(S(X), X): its power series roots X are the series of the
+    generalized quadratic method for the cubic P and its series S."""
+    # P(s, X) as a polynomial in s, written in the formal variable x
+    in_s = cubic(Series1.x(X.order), X)
+    return in_s.map_poly(_d_dx).compose(S.compose(X))
 
-    def residual(X):
-        # P(s, X) as a polynomial in s, written in the formal variable x
-        in_s = cubic(Series1.x(X.order), X)
-        return in_s.map_poly(_d_dx).compose(S.compose(X))
 
-    return residual
+def double_root_residuals(cubic, S: Series1, X: Series1):
+    """P(S(X), X) and dP/dx(S(X), X) with s held fixed: both vanish at the
+    roots X of dP/ds (generalized quadratic method)."""
+    in_x = cubic(S.compose(X), Series1.x(X.order))
+    return in_x.compose(X), in_x.map_poly(_d_dx).compose(X)
 
 
 def diag_shift_X(order: int, which: int) -> Series1:
-    """The two power series roots of the derivative equation for the
-    antisymmetric pipeline of the shifted diagonal model."""
+    """The two power series roots of dP/ds for the cubic of the shifted
+    diagonal model."""
     c0 = 2 if which == 0 else 0
-    return solve_algebraic(_diag_shift_res5(order), order, c0)
-
-
-def diag_shift_pol_residual(order: int) -> Series1:
-    """Full cleared cubic relation for the antisymmetric boundary series
-    of the shifted diagonal model, as a series identity in x."""
-    cubic, S = _diag_shift_cubic(order)
-    return cubic(S, Series1.x(order))
-
-
-def diag_shift_double_root_residuals(X: Series1):
-    """P(S(X), X) and dP/dx(S(X), X) with s held fixed: both vanish at the
-    roots X of dP/ds (generalized quadratic method)."""
-    cubic, S = _diag_shift_cubic(X.order)
-    in_x = cubic(S.compose(X), Series1.x(X.order))
-    return in_x.compose(X), in_x.map_poly(_d_dx).compose(X)
+    residual = partial(ds_residual, *diag_shift_cubic(order))
+    return solve_algebraic(residual, order, c0)
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +611,8 @@ def report(key, anchor, residuals=(), order=None, failure=None) -> dict:
 
 def _x_sq_0(n):
     X0 = sq_X0(n)
-    return [2 * Series1.t(n) * (X0 * X0 + 1) - X0, X0 - sq_X0_catalan(n)]
+    return [2 * Series1.t(n) * (X0 * X0 + 1) - X0, X0 - sq_X0_catalan(n),
+            ds_residual(*sq_cubic(n), X0)]
 
 
 def _x_sq_12(n):
@@ -598,16 +624,19 @@ def _x_diag_01(n):
     t = Series1.t(n)
     X0 = diag_X0(n)
     X1 = diag_X1(n)
+    cubic, S = diag_cubic(n)
     return [
         t * (X0 * X0 + 1) - (1 - 2 * t) * X0,
         t * (X1 * X1 + 1) + (1 + 2 * t) * X1,
-        diag_quad_residual(X0) + diag_quad_residual(X1),
+        ds_residual(cubic, S, X0),
+        ds_residual(cubic, S, X1),
     ]
 
 
 def _x_diag_shift_01(n):
-    roots = (diag_shift_X(n, 0), diag_shift_X(n, 1))
-    return [r for X in roots for r in diag_shift_double_root_residuals(X)]
+    cubic, S = diag_shift_cubic(n)
+    return [r for which in (0, 1)
+            for r in double_root_residuals(cubic, S, diag_shift_X(n, which))]
 
 
 # Check tables: id -> (anchor, order -> residual series).
@@ -672,7 +701,3 @@ def _checks() -> dict:
 def run_check(key: str, order: int) -> dict:
     anchor, residuals = _checks()[key]
     return report(key, anchor, residuals(order))
-
-
-def all_check_keys():
-    return list(_checks())

@@ -18,11 +18,14 @@ from fractions import Fraction
 from . import decompose
 from .decompose import at_point, tmul
 from .engine import (
-    diag_shift_pol_residual,
+    cubic_residual,
+    diag_cubic,
+    diag_shift_cubic,
     diag_X0,
     diag_X1,
     kernel_root_Y,
     report,
+    sq_cubic,
 )
 from .laurent import LPoly, LPoly2
 from .series import OrderError, Series1, Series2
@@ -251,6 +254,14 @@ def F1_value_sq(order):
     return sq.F1 + 2 * tmul(sq.S1)
 
 
+def _eqcat_rhs(sq) -> Series1:
+    """2 F0 - P0 + (x + xbar) F1 + (x^2 + xbar^2) F2: the right side of the
+    relation between S(x) and S(xbar)."""
+    x = Series1.x(sq.order)
+    xb = Series1.x(sq.order, -1)
+    return 2 * sq.F0 - sq.P0 + (x + xb) * sq.F1 + (x * x + xb * xb) * sq.F2
+
+
 def eqcat_S_sq(order):
     sq = decompose.square_origin(order)
     S = sq.S
@@ -258,31 +269,7 @@ def eqcat_S_sq(order):
     x = Series1.x(order)
     xb = Series1.x(order, -1)
     lhs = sq.Delta * (S * S + Sb * Sb - S * Sb + x * S + xb * Sb)
-    rhs = (
-        2 * sq.F0
-        - sq.P0
-        + (x + xb) * sq.F1
-        + (x * x + xb * xb) * sq.F2
-    )
-    return lhs - rhs
-
-
-def cubic_S_sq(order):
-    sq = decompose.square_origin(order)
-    S = sq.S
-    S1 = sq.S1
-    x = Series1.x(order)
-    xb = Series1.x(order, -1)
-    t = Series1.t(order)
-    t2 = t * t
-    lhs = sq.Delta * (S**3 + (2 * x + xb) * S * S + x * (x + xb) * S)
-    rhs = t2 * (x - xb) * (1 + S1) ** 2 + (
-        2 * t2 * S1 * S1
-        + 2 * t * (t * x * x + t * xb * xb - x - xb + t) * S1
-        - sq.P0
-        + t2 * (x * x + xb * xb)
-    ) * (S + x)
-    return lhs - rhs
+    return lhs - _eqcat_rhs(sq)
 
 
 def no_kernel_factor_sq(order):
@@ -293,15 +280,7 @@ def no_kernel_factor_sq(order):
     if order < 3:
         raise OrderError("its residuals are zero below t^2")
     sq = decompose.square_origin(order)
-    x = Series1.x(order)
-    xb = Series1.x(order, -1)
-    rhs = (
-        2 * sq.F0
-        - sq.P0
-        + (x + xb) * sq.F1
-        + (x * x + xb * xb) * sq.F2
-    )
-    cleared = rhs * x * x  # polynomial in x of degree 4
+    cleared = _eqcat_rhs(sq).mul_x(2)  # polynomial in x of degree 4
     roots = (diag_X0(order), -diag_X1(order))  # zeros of 1 - t(x + xbar +/- 2)
     return [cleared.compose(r) for r in roots]
 
@@ -372,24 +351,6 @@ def P0_S1_diag(order):
     dg = decompose.diagonal_origin(order)
     t2 = Series1.from_scalar_coeffs([0, 0, 1], order)
     return dg.P0 + dg.S_m1 * dg.S_m1 - 2 * t2 * dg.S1
-
-
-def cubic_S_diag(order):
-    dg = decompose.diagonal_origin(order)
-    S = dg.S
-    x = Series1.x(order)
-    t2 = Series1.from_scalar_coeffs([0, 0, 1], order)
-    F0 = dg.F0
-    S1 = dg.S1
-    lead = x - 4 * t2 * (1 + x) ** 2
-    lhs = lead * ((x + 1) * S**3 + (2 * x + 1) * S * S + x * S)
-    rhs = (
-        (t2 * (x * x + 1) - F0 * x) * (S + 1) * (x + 1)
-        + t2 * S1 * x * (x + 1)
-        - (2 * t2 * S1 - F0) * x
-        - t2 * (x + 1)
-    )
-    return lhs - rhs
 
 
 # ---------------------------------------------------------------------------
@@ -515,10 +476,6 @@ def func_N_diag_shift(order):
     return eq + _y_rest(ds, Nx0) - _at_t_ybar(Nx0.coeff_x(1))
 
 
-def cubic_S_N_diag_shift(order):
-    return diag_shift_pol_residual(order)
-
-
 # ---------------------------------------------------------------------------
 # Reflection principle and the 135-degree wedge
 # ---------------------------------------------------------------------------
@@ -528,38 +485,40 @@ def cubic_S_N_diag_shift(order):
 WEDGE = WalkModel(SQUARE, Region.WEDGE135, (0, 0))
 
 
-def reflection_square(order):
-    """c_{i,j}(n) - c_{j,i}(n) = g_{-i-1,j}(n) for j >= 0 and i < j, where
-    c counts cone walks from (-1,0) and g counts wedge walks from (0,0)."""
-    cone = sweep(WalkModel(SQUARE, Region.THREE_QUADRANT, (-1, 0)), order)
-    wedge = sweep(WEDGE, order)
-    mismatches = []
-    for n in range(order + 1):
-        for j in range(0, n + 1):
-            for i in range(-n - 2, j):
-                lhs = cone[n].get((i, j), 0) - cone[n].get((j, i), 0)
-                rhs = wedge[n].get((-i - 1, j), 0)
-                if lhs != rhs:
-                    mismatches.append((n, i, j, lhs, rhs))
-    return mismatches
-
-
-def reflection_diag(order):
-    """The diagonal-lattice version: cone walks from (-2,0), wedge walks
-    with square steps; endpoint mapped by k=(i+j)/2+1, l=(j-i)/2-1."""
-    cone = sweep(WalkModel(DIAGONAL, Region.THREE_QUADRANT, (-2, 0)), order)
+def _reflection(cone_model, wedge_end, order):
+    """Mismatches of c_{i,j}(n) - c_{j,i}(n) = g_{wedge_end(i,j)}(n) for
+    j >= 0 and i < j, where c counts walks of the cone model and g wedge
+    walks from (0,0); points whose wedge_end is None are skipped."""
+    cone = sweep(cone_model, order)
     wedge = sweep(WEDGE, order)
     mismatches = []
     for n in range(order + 1):
         for j in range(0, n + 1):
             for i in range(-n - 3, j):
-                if (i + j) % 2:
+                end = wedge_end(i, j)
+                if end is None:
                     continue
                 lhs = cone[n].get((i, j), 0) - cone[n].get((j, i), 0)
-                rhs = wedge[n].get(((i + j) // 2 + 1, (j - i) // 2 - 1), 0)
+                rhs = wedge[n].get(end, 0)
                 if lhs != rhs:
                     mismatches.append((n, i, j, lhs, rhs))
     return mismatches
+
+
+def reflection_square(order):
+    """Cone walks from (-1,0); endpoint mapped to (-i-1, j)."""
+    return _reflection(WalkModel(SQUARE, Region.THREE_QUADRANT, (-1, 0)),
+                       lambda i, j: (-i - 1, j), order)
+
+
+def reflection_diag(order):
+    """The diagonal-lattice version: cone walks from (-2,0), wedge walks
+    with square steps; endpoint mapped by k=(i+j)/2+1, l=(j-i)/2-1."""
+    return _reflection(
+        WalkModel(DIAGONAL, Region.THREE_QUADRANT, (-2, 0)),
+        lambda i, j: None if (i + j) % 2 else ((i + j) // 2 + 1,
+                                               (j - i) // 2 - 1),
+        order)
 
 
 def gessel_axis_series(order):
@@ -647,7 +606,8 @@ IDENTITIES = {
                     F1_value_sq),
     "eqcat-S-sq": (
         "relation between S(x) and S(xbar), square origin", eqcat_S_sq),
-    "cubic-S-sq": ("cubic equation for S(x), square origin", cubic_S_sq),
+    "cubic-S-sq": ("cubic equation for S(x), square origin",
+                   lambda n: cubic_residual(sq_cubic, n)),
     "func-eq-diag-origin": (
         "step-by-step equation, diagonal lattice from (0,0)",
         func_eq_diag_origin),
@@ -669,7 +629,7 @@ IDENTITIES = {
                     R0_Sm1_diag),
     "P0-S1-diag": ("constant-term relation, diagonal origin", P0_S1_diag),
     "cubic-S-diag": ("cubic equation for S(x), diagonal origin",
-                     cubic_S_diag),
+                     lambda n: cubic_residual(diag_cubic, n)),
     "func-eq-sq-shift": (
         "step-by-step equation, square lattice from (-1,0)",
         func_eq_sq_shift),
@@ -717,7 +677,7 @@ IDENTITIES = {
                           func_N_diag_shift),
     "cubic-S-N-diag-shift": (
         "cubic relation for the difference boundary series, diagonal shifted",
-        cubic_S_N_diag_shift),
+        lambda n: cubic_residual(diag_shift_cubic, n)),
     "gessel-axis-from-LB": (
         "wedge walks ending on the x-axis from the shifted square model",
         gessel_axis_series),

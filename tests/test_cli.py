@@ -95,6 +95,25 @@ class TestParam:
     def test_missing_key(self, capsys):
         assert main(["param"]) == 2
 
+    def test_list_is_the_expandable_keys(self, capsys):
+        from conewalks import engine
+
+        _, out = run(capsys, "param", "--list")
+        keys = out.split()
+        assert keys[:4] == ["base-T", "base-Z", "base-U", "base-V"]
+        assert len(keys) == 4 + len(engine.param_keys()) + len(
+            engine.z_rational_keys())
+        for key in ("base-Z-hyper", "base-Y-square", "quartic-sq-S1",
+                    "x-sq-0"):
+            assert key not in keys
+            assert main(["param", "--key", key]) == 2
+
+    def test_every_listed_key_expands(self, capsys):
+        _, out = run(capsys, "param", "--list")
+        for key in out.split():
+            code, series = run(capsys, "param", "--key", key, "--order", "12")
+            assert code == 0 and "O(t^" in series, key
+
 
 class TestOeis:
     def test_agreement(self, capsys, tmp_path):
@@ -294,6 +313,36 @@ class TestReportsAndInputErrors:
         err = self.assert_error(capsys, 2, "verify", "--config",
                                 str(path)).err
         assert err.startswith("error:")
+
+
+class TestFlagsPerCommand:
+    """Each subcommand accepts only the flags it reads."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--lattice", "diagonal"],
+        ["count", "--order", "5"],
+        ["param", "--n", "3"],
+        ["asympt", "--endpoint", "0,0"],
+    ])
+    def test_unread_flag_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "all", "--order", "16", "--format", "json"],
+        ["series", "--order", "62", "--lattice=diagonal", "--start=-2,0",
+         "--format", "json"],
+        ["oeis", "--bfile", "b.txt", "--n", "50", "--lattice=square",
+         "--start=-1,0", "--format", "json"],
+        ["param", "--key", "base-U", "--order", "32", "--format", "json"],
+    ])
+    def test_benchmark_command_lines_parse(self, argv):
+        from conewalks.cli import build_parser
+
+        assert build_parser().parse_args(argv).command == argv[0]
 
 
 class TestEndpointAndSuiteRules:

@@ -1,6 +1,7 @@
 """Algebraic engine: implicit-equation solving and the series catalogs."""
 
 from fractions import Fraction
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -133,7 +134,7 @@ class TestNewtonMatchesReference:
 
     @pytest.mark.parametrize("c0", [2, 0])
     def test_diag_shift_roots(self, c0):
-        residual = engine._diag_shift_res5(12)
+        residual = partial(engine.ds_residual, *engine.diag_shift_cubic(12))
         assert engine.solve_algebraic(residual, 12, c0) == (
             reference_solve(residual, 12, c0)
         )
@@ -240,7 +241,8 @@ class TestXSeriesBranches:
     def test_diag_shift_roots_are_double_roots(self, order):
         for which in (0, 1):
             X = engine.diag_shift_X(order, which)
-            for r in engine.diag_shift_double_root_residuals(X):
+            for r in engine.double_root_residuals(
+                    *engine.diag_shift_cubic(order), X):
                 assert r.order == order and r.is_zero()
 
     def test_diag_shift_check_reaches_requested_order(self):
@@ -483,3 +485,53 @@ class TestXSq12IsNotTrueByConstruction:
         # t^2 x^0 in S has n + k - 1 odd: it cannot enter the real F
         r = self._with_pipeline(monkeypatch, S=Series1.t(12) ** 2)
         assert r["verdict"] == "fail" and r["first_failure"] == [2, 0]
+
+
+class TestXSq0ReadsTheOracle:
+    def test_perturbed_S_fails(self, monkeypatch):
+        sq = decompose.square_origin(12)
+        bad_S = sq.S + Series1.x(12) * Series1.t(12) ** 7
+        fake = SimpleNamespace(S=bad_S, S1=sq.S1, P0=sq.P0)
+        monkeypatch.setattr(decompose, "square_origin", lambda n: fake)
+        r = engine.run_check("x-sq-0", 12)
+        assert r["verdict"] == "fail" and r["first_failure"] == [10, 0]
+
+
+def reference_diag_quad_residual(X):
+    """The hand-expanded (times x(x+1)) dP/ds of the diagonal origin cubic
+    that the derived ``ds_residual`` replaced."""
+    order = X.order
+    dg = decompose.diagonal_origin(order)
+    S = dg.S
+    F0 = dg.F0
+    t2 = Series1.from_scalar_coeffs([0, 0, 1], order)
+    SX = S.compose(X)
+    lead = X - 4 * t2 * (1 + X) ** 2
+    return lead * (3 * (X + 1) * SX * SX + 2 * (2 * X + 1) * SX + X) - (
+        X + 1
+    ) * (t2 * (X * X + 1) - F0 * X)
+
+
+class TestDerivedGQMResiduals:
+    """dP/ds, P and dP/dx are derived from the one statement of each cubic;
+    they must agree with the hand-written equations they replaced."""
+
+    @pytest.mark.parametrize("order", [12, 16])
+    @pytest.mark.parametrize("root", [engine.diag_X0, engine.diag_X1])
+    @pytest.mark.parametrize("perturb", [False, True])
+    def test_diag_ds_equals_the_hand_expanded_one(self, order, root, perturb):
+        X = root(order)
+        if perturb:
+            X = X + Series1.t(order) ** 5
+        derived = engine.ds_residual(*engine.diag_cubic(order), X)
+        assert derived == reference_diag_quad_residual(X)
+        assert derived.is_zero() != perturb
+
+    @pytest.mark.parametrize("order", [12, 20])
+    def test_square_cubic_has_a_double_root_at_X1(self, order):
+        cubic, S = engine.sq_cubic(order)
+        X1 = X1_from_F(engine.sq_F(order))
+        residuals = [engine.ds_residual(cubic, S, X1),
+                     *engine.double_root_residuals(cubic, S, X1)]
+        assert [r.order for r in residuals] == [order] * 3
+        assert all(r.is_zero() for r in residuals)

@@ -63,6 +63,15 @@ def test_reflection_square_sees_cancellation():
     )
 
 
+def test_reflection_loop_sees_a_wrong_endpoint_map():
+    from conewalks.walks import Region, SQUARE, WalkModel
+
+    cone = WalkModel(SQUARE, Region.THREE_QUADRANT, (-1, 0))
+    assert identities._reflection(cone, lambda i, j: (-i - 1, j), 6) == []
+    mismatches = identities._reflection(cone, lambda i, j: (-i, j), 6)
+    assert mismatches and mismatches[0][3] != mismatches[0][4]
+
+
 @pytest.mark.parametrize("order", [1, 2])
 def test_negative_check_needs_order_3(order):
     from conewalks.series import OrderError
