@@ -6,10 +6,11 @@ overrides built-in defaults.  All big integers are emitted as decimal
 strings in JSON so no consumer needs 64-bit-safe parsing.  Output
 ordering is fixed, so identical configurations give identical bytes.
 
-Each subcommand takes only the flags it reads (``COMMAND_FLAGS``); a
-config file may set any key.  Each command reads its walk counts from one
-DP sweep (``oeis`` sweeps only to the last file index it compares);
-``build_model`` rejects a start or --endpoint outside the region.
+``COMMANDS`` maps each subcommand to its handler and to the only flags
+it takes; a config file may set any key.  Each command reads its walk
+counts from one DP sweep (``oeis`` sweeps only to the last file index it
+compares); ``build_model`` rejects a start or --endpoint outside the
+region.
 ``verify`` runs suites from the ``SUITES`` table (suite -> its keys and
 the function that checks one key): 'all' stands for every suite and a
 repeated suite runs once.  Every check returns the one report shape built
@@ -168,7 +169,7 @@ def _emit_rows(rows: list, header: list, fmt: str, out) -> None:
 # -- count -----------------------------------------------------------------
 
 
-def cmd_count(cfg: dict, out) -> int:
+def cmd_count(cfg: dict, args, out) -> int:
     model = build_model(cfg)
     limit = cfg["n"]
     endpoint = cfg["endpoint"]
@@ -197,7 +198,7 @@ def cmd_count(cfg: dict, out) -> int:
 # -- series ----------------------------------------------------------------
 
 
-def cmd_series(cfg: dict, out) -> int:
+def cmd_series(cfg: dict, args, out) -> int:
     model = build_model(cfg)
     order = cfg["order"]
     endpoint = cfg["endpoint"]
@@ -271,7 +272,7 @@ def run_suite(suite: str, order: int) -> list:
     return reports
 
 
-def cmd_verify(cfg: dict, out) -> int:
+def cmd_verify(cfg: dict, args, out) -> int:
     order = cfg["order"]
     if order < 1:
         raise UsageError("verify needs --order 1 or more")
@@ -308,8 +309,8 @@ def param_series_keys() -> list:
     return [*PARAM_BUILDERS, *engine.param_keys(), *engine.z_rational_keys()]
 
 
-def cmd_param(cfg: dict, out, key, list_keys: bool) -> int:
-    if list_keys:
+def cmd_param(cfg: dict, args, out) -> int:
+    if args.list_keys:
         keys = param_series_keys()
         if cfg["format"] == "json":
             json.dump(keys, out, indent=2)
@@ -318,6 +319,7 @@ def cmd_param(cfg: dict, out, key, list_keys: bool) -> int:
             for k in keys:
                 out.write(k + "\n")
         return 0
+    key = args.key
     if key is None:
         raise UsageError("param requires --key or --list")
     order = cfg["order"]
@@ -349,7 +351,8 @@ def cmd_param(cfg: dict, out, key, list_keys: bool) -> int:
 # -- oeis ------------------------------------------------------------------
 
 
-def cmd_oeis(cfg: dict, out, path) -> int:
+def cmd_oeis(cfg: dict, args, out) -> int:
+    path = args.bfile
     if path is None:
         raise UsageError("oeis requires --bfile <path>")
     try:
@@ -398,7 +401,7 @@ def asympt_rows(model: WalkModel, lattice: str, limit: int) -> list:
     return rows
 
 
-def cmd_asympt(cfg: dict, out) -> int:
+def cmd_asympt(cfg: dict, args, out) -> int:
     if cfg["n"] > ASYMPT_MAX_N:
         raise UsageError(f"asympt needs --n {ASYMPT_MAX_N} or less: 4^n "
                          "must stay inside the float64 range")
@@ -412,8 +415,9 @@ def cmd_asympt(cfg: dict, out) -> int:
 # -- entry point -----------------------------------------------------------
 
 
-# The flags that set a config key, and the ones each subcommand reads;
-# a config file may set any key for any subcommand.
+# Every flag: each of the first eight sets the config key it names, which a
+# config file may set for any subcommand; the last three are read by one
+# subcommand each.
 FLAGS = {
     "lattice": {"choices": sorted(LATTICES)},
     "region": {"choices": sorted(REGIONS)},
@@ -423,15 +427,20 @@ FLAGS = {
     "endpoint": {"help": "endpoint as i,j"},
     "suite": {"help": "comma-separated suite names or 'all'"},
     "format": {"choices": ["json", "csv", "text"]},
+    "key": {"help": "series key to expand"},
+    "list": {"action": "store_true", "dest": "list_keys",
+             "help": "list available keys"},
+    "bfile": {"help": "path to a sequence file"},
 }
 _MODEL = ("lattice", "region", "start")
-COMMAND_FLAGS = {
-    "count": (*_MODEL, "n", "endpoint", "format"),
-    "series": (*_MODEL, "order", "endpoint", "format"),
-    "verify": ("order", "suite", "format"),
-    "param": ("order", "format"),
-    "oeis": (*_MODEL, "n", "endpoint", "format"),
-    "asympt": (*_MODEL, "n", "format"),
+# subcommand -> (its handler, called as handler(cfg, args, out); its flags).
+COMMANDS = {
+    "count": (cmd_count, (*_MODEL, "n", "endpoint", "format")),
+    "series": (cmd_series, (*_MODEL, "order", "endpoint", "format")),
+    "verify": (cmd_verify, ("order", "suite", "format")),
+    "param": (cmd_param, ("order", "format", "key", "list")),
+    "oeis": (cmd_oeis, (*_MODEL, "n", "endpoint", "format", "bfile")),
+    "asympt": (cmd_asympt, (*_MODEL, "n", "format")),
 }
 
 
@@ -441,38 +450,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact lattice-walk enumeration and verification tool",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parsers = {}
-    for name, flags in COMMAND_FLAGS.items():
-        parsers[name] = sub.add_parser(name)
+    for name, (_, flags) in COMMANDS.items():
+        command = sub.add_parser(name)
         for flag in flags:
-            parsers[name].add_argument(f"--{flag}", **FLAGS[flag])
-        parsers[name].add_argument("--config", help="JSON config file")
-    parsers["param"].add_argument("--key", help="series key to expand")
-    parsers["param"].add_argument("--list", action="store_true",
-                                  dest="list_keys", help="list available keys")
-    parsers["oeis"].add_argument("--bfile", help="path to a sequence file")
+            command.add_argument(f"--{flag}", **FLAGS[flag])
+        command.add_argument("--config", help="JSON config file")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    out = sys.stdout
+    args = build_parser().parse_args(argv)
+    handler, _ = COMMANDS[args.command]
     try:
-        cfg = load_config(args)
-        if args.command == "count":
-            return cmd_count(cfg, out)
-        if args.command == "series":
-            return cmd_series(cfg, out)
-        if args.command == "verify":
-            return cmd_verify(cfg, out)
-        if args.command == "param":
-            return cmd_param(cfg, out, args.key, args.list_keys)
-        if args.command == "oeis":
-            return cmd_oeis(cfg, out, args.bfile)
-        if args.command == "asympt":
-            return cmd_asympt(cfg, out)
-        raise UsageError(f"unknown command {args.command!r}")
+        return handler(load_config(args), args, sys.stdout)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,10 @@ series C, quadrant series Q and kernel K.  The origin pipelines add A, its
 split and the boundary constants; ``ShiftedPipelineBase`` adds the split
 into P, L, B and the sums M, N.  ``BoundaryPair`` states the R/S
 specializations of a quadrant-like series once per lattice.  Every derived
-series is a ``_cached`` property: built on first use, then kept.
+series is a ``_cached`` property: built on first use, then kept.  The
+kernel is read off the step set: ``kernel_series`` gives K and
+``kernel_quadratic`` gives K as a quadratic in y, whose ``discriminant``
+is each pipeline's Delta.
 """
 
 from __future__ import annotations
@@ -44,6 +47,21 @@ def kernel_series(steps, order: int) -> Series2:
     return Series2([LPoly2.const(1), -steps.step_poly()], order)
 
 
+def kernel_quadratic(steps, order: int):
+    """(a, b, c) with y K = -(a y^2 + b y + c): the kernel as a quadratic
+    in y, read off the step polynomial."""
+    poly = steps.step_poly()
+    a, b, c = (Series1([LPoly(), poly.coeff_of("y", j)], order)
+               for j in (1, 0, -1))
+    return a, b - 1, c
+
+
+def discriminant(steps, order: int) -> Series1:
+    """b^2 - 4ac of the kernel quadratic."""
+    a, b, c = kernel_quadratic(steps, order)
+    return b * b - 4 * a * c
+
+
 def at_point(W: Series2, point: tuple) -> Series1:
     """[x^i y^j] W, for point (i, j), as a series of constants."""
     return Series1.from_scalar_coeffs(
@@ -62,11 +80,6 @@ def x_neg_factor2(series2: Series2) -> Series2:
     return series2.part("x", "neg").mul_xy(1, 0).sub_inverse("x")
 
 
-def even_halve(s: Series1) -> Series1:
-    """x^2 -> x on a series whose coefficients are even in x."""
-    return s.halve_x()
-
-
 def _cached(build):
     """A property built once per instance and kept in its ``__dict__``.
 
@@ -83,12 +96,6 @@ def _cached(build):
         return cache[name]
 
     return property(get)
-
-
-def _diagonal_delta(order: int) -> Series1:
-    """1 - 4 t^2 (1 + x)(1 + xbar), in the squared variable."""
-    prod = (LPoly.const(1) + LPoly.var(1)) * (LPoly.const(1) + LPoly.var(-1))
-    return Series1([LPoly.const(1), LPoly(), -4 * prod], order)
 
 
 class BoundaryPair:
@@ -117,13 +124,13 @@ class BoundaryPair:
     @_cached
     def R(self) -> Series1:
         if self.diagonal:
-            return tmul(even_halve(self.x0.mul_x(-1)), 2)
+            return tmul(self.x0.mul_x(-1).halve_x(), 2)
         return tmul(self.x0)
 
     @_cached
     def S(self) -> Series1:
         xW = self.on_y.mul_x(1)
-        return tmul(even_halve(xW) if self.diagonal else xW)
+        return tmul(xW.halve_x() if self.diagonal else xW)
 
     @_cached
     def S1(self) -> Series1:
@@ -172,6 +179,14 @@ class Pipeline:
         return kernel_series(self.steps, self.order)
 
     @_cached
+    def Delta(self) -> Series1:
+        """The discriminant of the kernel quadratic: (1 - t(x + xbar))^2 - 4t^2
+        on the square lattice, 1 - 4t^2 (1 + x)(1 + xbar) on the diagonal
+        one, where it lives in the squared variable."""
+        disc = discriminant(self.steps, self.order)
+        return disc.halve_x() if self.steps is DIAGONAL else disc
+
+    @_cached
     def Mpair(self) -> BoundaryPair:
         return BoundaryPair(self.M, self.steps is DIAGONAL)
 
@@ -210,13 +225,6 @@ class SquareOriginPipeline(Pipeline):
     @_cached
     def R1(self) -> Series1:
         return self.R.coeff_x(1)
-
-    @_cached
-    def Delta(self) -> Series1:
-        """Discriminant (1 - t(x + xbar))^2 - 4 t^2."""
-        n = self.order
-        lin = Series1([LPoly.const(1), -(LPoly.var(1) + LPoly.var(-1))], n)
-        return lin * lin - Series1([LPoly(), LPoly(), LPoly.const(4)], n)
 
     @_cached
     def sqrt_Delta(self) -> Series1:
@@ -259,11 +267,6 @@ class DiagonalOriginPipeline(SquareOriginPipeline):
     @_cached
     def R0(self) -> Series1:
         return self.R.coeff_x(0)
-
-    @_cached
-    def Delta(self) -> Series1:
-        """1 - 4 t^2 (1 + x)(1 + xbar), in the squared variable."""
-        return _diagonal_delta(self.order)
 
     @_cached
     def F0(self) -> Series1:
@@ -356,7 +359,7 @@ class DiagonalShiftedPipeline(ShiftedPipelineBase):
         """The combined boundary constant of the antisymmetric pipeline:
         [x^0](Delta S(x) S(xbar)) - 3 S(-1), with S from N."""
         S = self.Npair.S
-        P0 = (_diagonal_delta(self.order) * S * S.sub_inverse_x()).coeff_x(0)
+        P0 = (self.Delta * S * S.sub_inverse_x()).coeff_x(0)
         return P0 - 3 * self.Npair.S_m1
 
 

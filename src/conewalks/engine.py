@@ -15,9 +15,13 @@ catalog entry is data too: ``_PARAM_ORACLES``, ``_ENDPOINTS`` and
 match: a boundary series, a constant, or an endpoint count read off a
 pipeline's C or Q by ``decompose.at_point``.  The engine runs no walk DP
 of its own; each walk model is swept once per run.  Each pipeline's cubic
-P(S(x), x) = 0 is stated once (``sq_cubic``, ``diag_cubic``,
-``diag_shift_cubic``); its identity and the series X of the generalized
-quadratic method are derived from that one statement.
+P(S(x), x) = 0 is stated once, as its coefficients in s (``sq_cubic``,
+``diag_cubic``, ``diag_shift_cubic``).  ``cubic_residual`` gives its
+identity, and ``gqm_series`` gives dP/ds and dP/dx at (S(x), x), which
+every x-series check composes at its roots X of the generalized quadratic
+method; ``x-sq-12`` first rotates them to real series with ``_rotate``.
+The kernel quadratic of each lattice is read off its step set
+(``decompose.kernel_quadratic``).
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from . import decompose
 from .closedforms import HypTerm, hyp_sum
 from .laurent import LPoly
 from .series import PivotError, Series1
+from .walks import DIAGONAL, SQUARE
 
 
 # ---------------------------------------------------------------------------
@@ -133,25 +138,16 @@ def hypergeometric_Z(order: int) -> Series1:
         order)
 
 
-def kernel_residual(lattice: str, Y: Series1) -> Series1:
-    """The kernel quadratic in y, evaluated at Y.
-
-    Square lattice: t Y^2 - (1 - t(x + xbar)) Y + t.
-    Diagonal lattice: t (x + xbar) Y^2 - Y + t (x + xbar).
-    """
-    t = Series1.t(Y.order)
-    s = Series1.from_poly(LPoly.var(1) + LPoly.var(-1), Y.order)
-    if lattice == "square":
-        return t * Y * Y - (1 - t * s) * Y + t
-    if lattice == "diagonal":
-        return t * s * Y * Y - Y + t * s
-    raise ValueError(f"unknown lattice {lattice!r}")
+def kernel_residual(steps, Y: Series1) -> Series1:
+    """The kernel quadratic a y^2 + b y + c of a step set, evaluated at Y."""
+    a, b, c = decompose.kernel_quadratic(steps, Y.order)
+    return (a * Y + b) * Y + c
 
 
 @lru_cache(maxsize=None)
-def kernel_root_Y(lattice: str, order: int) -> Series1:
+def kernel_root_Y(steps, order: int) -> Series1:
     """The kernel root in y that is a power series in t, with Y(0) = 0."""
-    return solve_algebraic(lambda Y: kernel_residual(lattice, Y), order, 0)
+    return solve_algebraic(partial(kernel_residual, steps), order, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +232,7 @@ def param_oracle(key: str, order: int) -> Series1:
     s = getattr(getattr(decompose, pipeline)(order), name)
     if pipeline.startswith("square"):
         return decompose.tmul(s, dt).x_to_xt().mul_x(dx)
-    return decompose.tmul(decompose.even_halve(s.mul_x(dx)), dt)
+    return decompose.tmul(s.mul_x(dx).halve_x(), dt)
 
 
 # key -> (pipeline, end, power of t, multiple of Q00 / 3): the pipeline's
@@ -404,62 +400,99 @@ def _rotate(A: Series1, shift: int):
     return Series1(real, A.order), Series1(rest, A.order)
 
 
-def sq_rotated(order: int):
-    """S, S1 and P0 of the square origin pipeline rotated by ``_rotate``
-    (S with shift 1, the constants with shift 0), and the terms of each
-    that the rotation cannot make real."""
+def sq_cubic(order: int):
+    """The coefficients [a0, a1, a2, a3] in s of the cubic P(s, x), with
+    P(S(x), x) = 0, of the boundary series S of the square origin pipeline,
+    and S.  P is cleared by x^3, so that each a_k is a polynomial in x and
+    P can be evaluated at a series X with X(0) = 0."""
     sq = decompose.square_origin(order)
-    pairs = (_rotate(sq.S, 1), _rotate(sq.S1, 0), _rotate(sq.P0, 0))
-    return [real for real, _ in pairs], [rest for _, rest in pairs]
+    S1 = sq.S1
+    t = Series1.t(order)
+    x = Series1.x(order)
+    t2 = t * t
+    x2 = x * x
+    w = x - t * (x2 + 1)
+    lead = w * w - 4 * t2 * x2
+    rest = x * (
+        2 * t2 * S1 * S1 * x2
+        + 2 * t * (t * x2 * x2 + t * x2 + t - x2 * x - x) * S1
+        - sq.P0 * x2
+        + t2 * (x2 * x2 + 1)
+    )
+    a0 = -t2 * x2 * (x2 - 1) * (1 + S1) ** 2 - rest * x
+    a1 = lead * x * (x2 + 1) - rest
+    return [a0, a1, lead * (2 * x2 + 1), lead * x], sq.S
 
 
-def _sq_quad_residual(S, S1, P0):
-    """The cleared (times X^4) derivative equation of the square origin
-    pipeline under t = i s, X = i F, as a residual in F.
+def diag_cubic(order: int):
+    """The coefficients [a0, a1, a2, a3] in s of the cubic P(s, x), with
+    P(S(x), x) = 0, of the boundary series S of the diagonal origin
+    pipeline (in the squared variable), and S."""
+    dg = decompose.diagonal_origin(order)
+    S1 = dg.S1
+    F0 = dg.F0
+    t2 = _scal([0, 0, 1], order)
+    x = Series1.x(order)
+    lead = x - 4 * t2 * (1 + x) ** 2
+    g = (t2 * (x * x + 1) - F0 * x) * (x + 1)
+    a0 = -(g + t2 * S1 * x * (x + 1) - (2 * t2 * S1 - F0) * x - t2 * (x + 1))
+    return [a0, lead * x - g, lead * (2 * x + 1), lead * (x + 1)], dg.S
 
-    Its power series root F with F(0) = 1 gives the paper's root
-    X1 = i F(-i t); the other root is the complex conjugate of X1.
-    """
-    s = Series1.t(S.order)
-    s2 = s * s
 
-    def residual(F):
-        F2 = F * F
-        SF = S.compose(F)
-        w = F - s * (1 - F2)
-        lhs = -(w * w + 4 * s2 * F2) * (
-            3 * F2 * SF * SF - 2 * F * (1 - 2 * F2) * SF - F2 * (1 - F2)
-        )
-        F4 = F2 * F2
-        F6 = F4 * F2
-        rhs = (
-            -(2 * s2 * S1 * S1 + 2 * s2 * S1 + P0) * F4
-            + 2 * s2 * S1 * (F6 + F2)
-            + 2 * s * S1 * (F4 - F2) * F
-            + s2 * (F6 + F2)
-        )
-        return lhs - rhs
+def diag_shift_cubic(order: int):
+    """The coefficients [a0, a1, a2, a3] in s of the cubic P(s, x), with
+    P(S(x), x) = 0, of the antisymmetric boundary series S (from N) of the
+    shifted diagonal model, and S."""
+    ds = decompose.diagonal_shifted(order)
+    S1 = ds.Npair.S1
+    F0 = ds.N_F0
+    t2 = _scal([0, 0, 1], order)
+    x = Series1.x(order)
+    lead = x - 4 * t2 * (1 + x) ** 2
+    a0 = (x * (x + 1) * (7 * t2 * S1 - F0) + t2 * x * x * (x + 1)
+          + x * (F0 + 2 * t2 * S1))
+    a1 = (2 - x) * lead - (x + 1) * (
+        (16 * t2 * S1 - F0) * x + t2 * (x * x + 1))
+    return [a0, a1, -3 * lead, (x + 1) * lead], ds.Npair.S
 
-    return residual
+
+def cubic_residual(coeffs, S: Series1) -> Series1:
+    """The sum of a_k S^k over the coefficients a_k in s (Horner's rule):
+    for a pipeline's cubic, P(S(x), x), a series identity in x."""
+    acc = coeffs[-1]
+    for a in reversed(coeffs[:-1]):
+        acc = acc * S + a
+    return acc
+
+
+def _d_dx(p: LPoly) -> LPoly:
+    return LPoly({e - 1: e * c for e, c in p.terms.items()})
+
+
+def gqm_series(coeffs, S: Series1):
+    """dP/ds and dP/dx at (S(x), x), as series in t and the formal x, for
+    the cubic P with coefficients a_k in s: the sums of k a_k S^(k-1) and
+    of a_k' S^k.  The series X of the generalized quadratic method are the
+    power series roots of dP/ds composed at X; P and dP/dx vanish there
+    too, because S(X) is a double root of P(s, X)."""
+    ds = cubic_residual([k * a for k, a in enumerate(coeffs) if k], S)
+    dx = cubic_residual([a.map_poly(_d_dx) for a in coeffs], S)
+    return ds, dx
+
+
+def sq_wrong_parity(order: int):
+    """The terms of S (shift 1), S1 and P0 (shift 0) of the square origin
+    pipeline that ``_rotate`` cannot make real: all zero."""
+    sq = decompose.square_origin(order)
+    return [_rotate(sq.S, 1)[1], _rotate(sq.S1, 0)[1], _rotate(sq.P0, 0)[1]]
 
 
 def sq_F(order: int) -> Series1:
-    """The real root F with F(0) = 1 of the rotated derivative equation."""
-    rotated, _ = sq_rotated(order)
-    return solve_algebraic(_sq_quad_residual(*rotated), order, 1)
-
-
-def sq_fact3_residual(F: Series1, S: Series1, S1: Series1) -> Series1:
-    """The cleared (times X^3) cubic factor that X1 satisfies, under
-    t = i s, X = i F, with the rotated S and S1."""
-    s = Series1.t(F.order)
-    F2 = F * F
-    SF = S.compose(F)
-    return -(
-        F2 * (1 - F2)
-        + s * F * (1 + F2) ** 2 * S1
-        + SF * (1 - F2 - F * SF) * (F * (1 - F2) - s * (1 + F2) ** 2)
-    )
+    """The real root F with F(0) = 1 of dP/ds for the square cubic, rotated
+    by ``_rotate``: X1 = i F(-i t) is the paper's root with constant term
+    i, and the other root is its complex conjugate."""
+    ds, _ = gqm_series(*sq_cubic(order))
+    return solve_algebraic(_rotate(ds, 1)[0].compose, order, 1)
 
 
 @lru_cache(maxsize=None)
@@ -478,106 +511,11 @@ def diag_X1(order: int) -> Series1:
     return -(num.mul_t(-1)) * Fraction(1, 2)
 
 
-def sq_cubic(order: int):
-    """The cubic P(s, x), with P(S(x), x) = 0, of the boundary series S of
-    the square origin pipeline, and S.  P is cleared by x^3, so that it is
-    a polynomial in x and can be evaluated at a series X with X(0) = 0."""
-    sq = decompose.square_origin(order)
-    S1 = sq.S1
-    P0 = sq.P0
-    t = Series1.t(order)
-    t2 = t * t
-
-    def cubic(s, x):
-        x2 = x * x
-        x4 = x2 * x2
-        w = x - t * (x2 + 1)
-        lhs = (w * w - 4 * t2 * x2) * (
-            x * s**3 + (2 * x2 + 1) * s * s + x * (x2 + 1) * s)
-        rhs = t2 * x2 * (x2 - 1) * (1 + S1) ** 2 + x * (
-            2 * t2 * S1 * S1 * x2
-            + 2 * t * (t * x4 + t * x2 + t - x2 * x - x) * S1
-            - P0 * x2
-            + t2 * (x4 + 1)
-        ) * (s + x)
-        return lhs - rhs
-
-    return cubic, sq.S
-
-
-def diag_cubic(order: int):
-    """The cubic P(s, x), with P(S(x), x) = 0, of the boundary series S of
-    the diagonal origin pipeline (in the squared variable), and S."""
-    dg = decompose.diagonal_origin(order)
-    S1 = dg.S1
-    F0 = dg.F0
-    t2 = _scal([0, 0, 1], order)
-
-    def cubic(s, x):
-        lead = x - 4 * t2 * (1 + x) ** 2
-        return lead * ((x + 1) * s**3 + (2 * x + 1) * s * s + x * s) - (
-            (t2 * (x * x + 1) - F0 * x) * (s + 1) * (x + 1)
-            + t2 * S1 * x * (x + 1)
-            - (2 * t2 * S1 - F0) * x
-            - t2 * (x + 1)
-        )
-
-    return cubic, dg.S
-
-
-def diag_shift_cubic(order: int):
-    """The cubic P(s, x), with P(S(x), x) = 0, of the antisymmetric
-    boundary series S (from N) of the shifted diagonal model, and S."""
-    ds = decompose.diagonal_shifted(order)
-    S1 = ds.Npair.S1
-    F0 = ds.N_F0
-    t2 = _scal([0, 0, 1], order)
-
-    def cubic(s, x):
-        lead = x - 4 * t2 * (1 + x) ** 2
-        return (
-            (x + 1) * lead * s**3
-            - 3 * lead * s * s
-            + (2 - x) * lead * s
-            - (x + 1) * ((16 * t2 * S1 - F0) * x + t2 * (x * x + 1)) * s
-            + x * (x + 1) * (7 * t2 * S1 - F0) + t2 * x * x * (x + 1)
-            + x * (F0 + 2 * t2 * S1)
-        )
-
-    return cubic, ds.Npair.S
-
-
-def cubic_residual(pipeline_cubic, order: int) -> Series1:
-    """P(S(x), x) for the cubic of a pipeline: a series identity in x."""
-    cubic, S = pipeline_cubic(order)
-    return cubic(S, Series1.x(order))
-
-
-def _d_dx(p: LPoly) -> LPoly:
-    return LPoly({e - 1: e * c for e, c in p.terms.items()})
-
-
-def ds_residual(cubic, S: Series1, X: Series1) -> Series1:
-    """dP/ds(S(X), X): its power series roots X are the series of the
-    generalized quadratic method for the cubic P and its series S."""
-    # P(s, X) as a polynomial in s, written in the formal variable x
-    in_s = cubic(Series1.x(X.order), X)
-    return in_s.map_poly(_d_dx).compose(S.compose(X))
-
-
-def double_root_residuals(cubic, S: Series1, X: Series1):
-    """P(S(X), X) and dP/dx(S(X), X) with s held fixed: both vanish at the
-    roots X of dP/ds (generalized quadratic method)."""
-    in_x = cubic(S.compose(X), Series1.x(X.order))
-    return in_x.compose(X), in_x.map_poly(_d_dx).compose(X)
-
-
 def diag_shift_X(order: int, which: int) -> Series1:
     """The two power series roots of dP/ds for the cubic of the shifted
     diagonal model."""
-    c0 = 2 if which == 0 else 0
-    residual = partial(ds_residual, *diag_shift_cubic(order))
-    return solve_algebraic(residual, order, c0)
+    ds, _ = gqm_series(*diag_shift_cubic(order))
+    return solve_algebraic(ds.compose, order, 2 if which == 0 else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -611,32 +549,35 @@ def report(key, anchor, residuals=(), order=None, failure=None) -> dict:
 
 def _x_sq_0(n):
     X0 = sq_X0(n)
+    ds, _ = gqm_series(*sq_cubic(n))
     return [2 * Series1.t(n) * (X0 * X0 + 1) - X0, X0 - sq_X0_catalan(n),
-            ds_residual(*sq_cubic(n), X0)]
+            ds.compose(X0)]
 
 
 def _x_sq_12(n):
-    (S, S1, _), rest = sq_rotated(n)
-    return [sq_fact3_residual(sq_F(n), S, S1), *rest]
+    _, dx = gqm_series(*sq_cubic(n))
+    return [_rotate(dx, 1)[0].compose(sq_F(n)), *sq_wrong_parity(n)]
 
 
 def _x_diag_01(n):
     t = Series1.t(n)
     X0 = diag_X0(n)
     X1 = diag_X1(n)
-    cubic, S = diag_cubic(n)
+    ds, _ = gqm_series(*diag_cubic(n))
     return [
         t * (X0 * X0 + 1) - (1 - 2 * t) * X0,
         t * (X1 * X1 + 1) + (1 + 2 * t) * X1,
-        ds_residual(cubic, S, X0),
-        ds_residual(cubic, S, X1),
+        ds.compose(X0),
+        ds.compose(X1),
     ]
 
 
 def _x_diag_shift_01(n):
-    cubic, S = diag_shift_cubic(n)
-    return [r for which in (0, 1)
-            for r in double_root_residuals(cubic, S, diag_shift_X(n, which))]
+    coeffs, S = diag_shift_cubic(n)
+    P = cubic_residual(coeffs, S)
+    _, dx = gqm_series(coeffs, S)
+    roots = [diag_shift_X(n, which) for which in (0, 1)]
+    return [r.compose(X) for X in roots for r in (P, dx)]
 
 
 # Check tables: id -> (anchor, order -> residual series).
@@ -646,12 +587,12 @@ BASE_CHECKS = {
     "base-Z-hyper": ("square-root base series as a hypergeometric sum",
                      lambda n: [series_Z(n) - hypergeometric_Z(n)]),
     **{
-        f"base-Y-{lattice}": (
-            f"{lattice}-lattice kernel root",
-            lambda n, lattice=lattice: [
-                kernel_residual(lattice, kernel_root_Y(lattice, n))],
+        f"base-Y-{steps.name}": (
+            f"{steps.name}-lattice kernel root",
+            lambda n, steps=steps: [
+                kernel_residual(steps, kernel_root_Y(steps, n))],
         )
-        for lattice in ("square", "diagonal")
+        for steps in (SQUARE, DIAGONAL)
     },
 }
 QUARTIC_CHECKS = {

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import decompose
-from .decompose import at_point, tmul
+from .decompose import THIRD, at_point, discriminant, tmul
 from .engine import (
     cubic_residual,
     diag_cubic,
@@ -37,8 +37,6 @@ from .walks import (
     generating_series,
     sweep,
 )
-
-THIRD = Fraction(1, 3)
 
 X = LPoly2.x(1)
 XB = LPoly2.x(-1)
@@ -63,10 +61,6 @@ def _neg_x_axis(C: Series2) -> Series1:
 def _neg_y_axis(C: Series2) -> Series1:
     """Sum over j < 0 of c_{0,j} x^j (variable read as y on embedding)."""
     return C.coeff_of("x", 0).part_x("neg")
-
-
-def _corner(C: Series2) -> Series1:
-    return C.coeff_of("y", 0).coeff_x(0)
 
 
 def _orbit(W: Series2) -> Series2:
@@ -221,7 +215,7 @@ def func_M_sq(order):
 
 def catM_sq(order):
     sq = decompose.square_origin(order)
-    Yr = kernel_root_Y("square", order)
+    Yr = kernel_root_Y(sq.steps, order)
     M0x = sq.M_0y
     lhs = -sq.sqrt_Delta * (
         M0x.mul_x(1) - 2 * M0x.sub_inverse_x().mul_x(-1)
@@ -293,21 +287,22 @@ def no_kernel_factor_sq(order):
 def func_eq_diag_origin(order):
     dg = decompose.diagonal_origin(order)
     C = dg.C
-    return _step_eq(dg, C, ONE, _neg_x_axis(C), _neg_y_axis(C), _corner(C))
+    return _step_eq(dg, C, ONE, _neg_x_axis(C), _neg_y_axis(C),
+                    at_point(C, (0, 0)))
 
 
 def func_eq_quadrant_diag(order):
     dg = decompose.diagonal_origin(order)
     Q = dg.Q
     return _step_eq(dg, Q, ONE, Q.coeff_of("y", 0), Q.coeff_of("x", 0),
-                    -_corner(Q))
+                    -at_point(Q, (0, 0)))
 
 
 def eq_A_diag(order):
     dg = decompose.diagonal_origin(order)
     A = dg.A
     Am = _neg_x_axis(A)
-    return _step_eq(dg, A, A_ORIGIN, Am, Am, _corner(A))
+    return _step_eq(dg, A, A_ORIGIN, Am, Am, at_point(A, (0, 0)))
 
 
 def func_M_diag(order):
@@ -318,12 +313,11 @@ def func_M_diag(order):
 
 def catM_diag(order):
     dg = decompose.diagonal_origin(order)
-    Yr = kernel_root_Y("diagonal", order)
-    sp = LPoly.var(1) + LPoly.var(-1)
-    s = Series1.from_poly(sp, order)
-    disc = Series1([LPoly.const(1), LPoly(), -4 * (sp * sp)], order)
+    Yr = kernel_root_Y(dg.steps, order)
+    s = Series1.from_poly(LPoly.var(1) + LPoly.var(-1), order)
     M0x = dg.M_0y
-    lhs = -disc.sqrt() * (M0x.mul_x(1) - 2 * M0x.sub_inverse_x().mul_x(-1))
+    lhs = -discriminant(dg.steps, order).sqrt() * (
+        M0x.mul_x(1) - 2 * M0x.sub_inverse_x().mul_x(-1))
     return (
         lhs
         - 2 * Yr.mul_x(-1)
@@ -418,14 +412,15 @@ def func_eq_diag_shift(order):
     ds = decompose.diagonal_shifted(order)
     C = ds.C
     return _step_eq(ds, C, XB * XB, _neg_x_axis(C), _neg_y_axis(C),
-                    _corner(C))
+                    at_point(C, (0, 0)))
 
 
 def eq_A_diag_shift(order):
     ds = decompose.diagonal_shifted(order)
     A = ds.A
     const = THIRD * (ONE + 2 * XB * XB - YB * YB)
-    return _step_eq(ds, A, const, _neg_x_axis(A), _neg_y_axis(A), _corner(A))
+    return _step_eq(ds, A, const, _neg_x_axis(A), _neg_y_axis(A),
+                    at_point(A, (0, 0)))
 
 
 def orbit_zero_A_diag_shift(order):
@@ -533,9 +528,7 @@ def gessel_diag_series(order):
     """The diagonal slice of the wedge model from the shifted diagonal
     cone model, in the halved variable."""
     ds = decompose.diagonal_shifted(order)
-    lhs = decompose.even_halve(ds.L_x0.mul_x(-1)) - decompose.even_halve(
-        ds.B_0y.mul_x(-1)
-    )
+    lhs = ds.L_x0.mul_x(-1).halve_x() - ds.B_0y.mul_x(-1).halve_x()
     coeffs = [
         LPoly({j: frontier.get((-j, j), 0) for j in range(n + 1)})
         for n, frontier in enumerate(sweep(WEDGE, order)[:order])
@@ -607,7 +600,7 @@ IDENTITIES = {
     "eqcat-S-sq": (
         "relation between S(x) and S(xbar), square origin", eqcat_S_sq),
     "cubic-S-sq": ("cubic equation for S(x), square origin",
-                   lambda n: cubic_residual(sq_cubic, n)),
+                   lambda n: cubic_residual(*sq_cubic(n))),
     "func-eq-diag-origin": (
         "step-by-step equation, diagonal lattice from (0,0)",
         func_eq_diag_origin),
@@ -629,7 +622,7 @@ IDENTITIES = {
                     R0_Sm1_diag),
     "P0-S1-diag": ("constant-term relation, diagonal origin", P0_S1_diag),
     "cubic-S-diag": ("cubic equation for S(x), diagonal origin",
-                     lambda n: cubic_residual(diag_cubic, n)),
+                     lambda n: cubic_residual(*diag_cubic(n))),
     "func-eq-sq-shift": (
         "step-by-step equation, square lattice from (-1,0)",
         func_eq_sq_shift),
@@ -677,7 +670,7 @@ IDENTITIES = {
                           func_N_diag_shift),
     "cubic-S-N-diag-shift": (
         "cubic relation for the difference boundary series, diagonal shifted",
-        lambda n: cubic_residual(diag_shift_cubic, n)),
+        lambda n: cubic_residual(*diag_shift_cubic(n))),
     "gessel-axis-from-LB": (
         "wedge walks ending on the x-axis from the shifted square model",
         gessel_axis_series),

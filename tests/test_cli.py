@@ -422,10 +422,13 @@ class TestEndpointAndSuiteRules:
                    "--format", fmt) == (0, expected)
 
 
-# sha256 of `verify --suite all --order 12 --format json`.  A refactor keeps
-# these bytes; a change that alters a verdict or an order on purpose re-pins.
+# sha256 of `verify --suite all --order N --format json` at N = 12 and at
+# the benchmark's N = 16.  A refactor keeps these bytes; a change that
+# alters a verdict or an order on purpose re-pins.
 VERIFY_ALL_12_SHA256 = (
     "89b9b395e147c7e4d7ff6269b3a10f9d62c49329336791b258acb7f857567b1b")
+VERIFY_ALL_16_SHA256 = (
+    "1efc1f517de39e280ff13a9dbcf321c2f451ab9f85e789ce5cd7ac7d17dda6cd")
 
 # sha256 of the two solver outputs, pinned the same way: T with scalar
 # coefficients, U with coefficients in x.
@@ -442,6 +445,20 @@ def test_verify_all_order_12_bytes_are_pinned(capsys):
                     "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_12_SHA256
+
+
+def test_verify_all_order_16_bytes_are_pinned(capsys):
+    code, out = run(capsys, "verify", "--suite", "all", "--order", "16",
+                    "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_16_SHA256
+
+
+@pytest.mark.parametrize("order", range(1, 13))
+def test_base_and_xseries_pass_at_low_orders(capsys, order):
+    code, _ = run(capsys, "verify", "--suite", "base,xseries",
+                  "--order", str(order))
+    assert code == 0
 
 
 @pytest.mark.parametrize("key,order,fmt", sorted(PARAM_SHA256))

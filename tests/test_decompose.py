@@ -9,7 +9,7 @@ ORDER = 8
 
 def test_even_halve():
     s = Series1([LPoly({0: 1, 2: 3, -4: 5})], 4)
-    out = decompose.even_halve(s)
+    out = s.halve_x()
     assert out.coeff(0) == LPoly({0: 1, 1: 3, -2: 5})
 
 

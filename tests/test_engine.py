@@ -1,7 +1,6 @@
 """Algebraic engine: implicit-equation solving and the series catalogs."""
 
 from fractions import Fraction
-from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -9,7 +8,7 @@ import pytest
 from conewalks import decompose, engine
 from conewalks.decompose import tmul
 from conewalks.laurent import LPoly
-from conewalks.series import PivotError, Series1
+from conewalks.series import PivotError, Series1, Series2
 from conewalks.walks import (
     DIAGONAL,
     SQUARE,
@@ -84,6 +83,9 @@ def reference_solve(residual, order, c0):
     return G
 
 
+LATTICES = {"square": SQUARE, "diagonal": DIAGONAL}
+
+
 def reference_kernel_root(lattice, order):
     """The fixed-point iteration for the kernel root that the solver replaced."""
     t = Series1.t(order)
@@ -126,22 +128,27 @@ class TestNewtonMatchesReference:
             )
 
     def test_rotated_root(self):
-        rotated, _ = engine.sq_rotated(12)
-        residual = engine._sq_quad_residual(*rotated)
-        assert engine.solve_algebraic(residual, 12, 1) == (
-            reference_solve(residual, 12, 1)
-        )
+        # The root of the rotated dP/ds is the root of the hand-written
+        # rotated equation, whichever solver finds it.
+        for order in (12, 20):
+            ds, _ = engine.gqm_series(*engine.sq_cubic(order))
+            derived = engine._rotate(ds, 1)[0].compose
+            reference = reference_sq_quad_residual(*rotated_square(order))
+            F = engine.sq_F(order)
+            for residual in (derived, reference):
+                assert engine.solve_algebraic(residual, order, 1) == F
+                assert reference_solve(residual, order, 1) == F
 
     @pytest.mark.parametrize("c0", [2, 0])
     def test_diag_shift_roots(self, c0):
-        residual = partial(engine.ds_residual, *engine.diag_shift_cubic(12))
-        assert engine.solve_algebraic(residual, 12, c0) == (
-            reference_solve(residual, 12, c0)
+        ds, _ = engine.gqm_series(*engine.diag_shift_cubic(12))
+        assert engine.solve_algebraic(ds.compose, 12, c0) == (
+            reference_solve(ds.compose, 12, c0)
         )
 
     @pytest.mark.parametrize("lattice", ["square", "diagonal"])
     def test_kernel_roots(self, lattice):
-        assert engine.kernel_root_Y(lattice, 20) == (
+        assert engine.kernel_root_Y(LATTICES[lattice], 20) == (
             reference_kernel_root(lattice, 20)
         )
 
@@ -239,10 +246,12 @@ class TestXSeriesBranches:
 
     @pytest.mark.parametrize("order", [12, 16])
     def test_diag_shift_roots_are_double_roots(self, order):
+        coeffs, S = engine.diag_shift_cubic(order)
+        P = engine.cubic_residual(coeffs, S)
+        _, dx = engine.gqm_series(coeffs, S)
         for which in (0, 1):
             X = engine.diag_shift_X(order, which)
-            for r in engine.double_root_residuals(
-                    *engine.diag_shift_cubic(order), X):
+            for r in (P.compose(X), dx.compose(X)):
                 assert r.order == order and r.is_zero()
 
     def test_diag_shift_check_reaches_requested_order(self):
@@ -467,7 +476,7 @@ class TestXSq12IsNotTrueByConstruction:
         bad = F + Series1.t(12) ** 9
         monkeypatch.setattr(engine, "sq_F", lambda n: bad)
         r = engine.run_check("x-sq-12", 12)
-        assert r["verdict"] == "fail" and r["first_failure"] == [9, 0]
+        assert r["verdict"] == "fail" and r["first_failure"] == [11, 0]
 
     def _with_pipeline(self, monkeypatch, **changes):
         sq = decompose.square_origin(12)
@@ -482,9 +491,10 @@ class TestXSq12IsNotTrueByConstruction:
         assert r["verdict"] == "fail" and r["first_failure"] == [7, 0]
 
     def test_wrong_parity_term_fails_without_raising(self, monkeypatch):
-        # t^2 x^0 in S has n + k - 1 odd: it cannot enter the real F
+        # t^2 x^0 in S has n + k - 1 odd: the rotation drops it from the
+        # real dP/ds and dP/dx, yet it still shifts dP/dx at F
         r = self._with_pipeline(monkeypatch, S=Series1.t(12) ** 2)
-        assert r["verdict"] == "fail" and r["first_failure"] == [2, 0]
+        assert r["verdict"] == "fail" and r["first_failure"] == [4, 0]
 
 
 class TestXSq0ReadsTheOracle:
@@ -499,7 +509,7 @@ class TestXSq0ReadsTheOracle:
 
 def reference_diag_quad_residual(X):
     """The hand-expanded (times x(x+1)) dP/ds of the diagonal origin cubic
-    that the derived ``ds_residual`` replaced."""
+    that the derived dP/ds of ``gqm_series`` replaced."""
     order = X.order
     dg = decompose.diagonal_origin(order)
     S = dg.S
@@ -523,15 +533,118 @@ class TestDerivedGQMResiduals:
         X = root(order)
         if perturb:
             X = X + Series1.t(order) ** 5
-        derived = engine.ds_residual(*engine.diag_cubic(order), X)
+        ds, _ = engine.gqm_series(*engine.diag_cubic(order))
+        derived = ds.compose(X)
         assert derived == reference_diag_quad_residual(X)
         assert derived.is_zero() != perturb
 
     @pytest.mark.parametrize("order", [12, 20])
     def test_square_cubic_has_a_double_root_at_X1(self, order):
-        cubic, S = engine.sq_cubic(order)
+        coeffs, S = engine.sq_cubic(order)
         X1 = X1_from_F(engine.sq_F(order))
-        residuals = [engine.ds_residual(cubic, S, X1),
-                     *engine.double_root_residuals(cubic, S, X1)]
+        residuals = [r.compose(X1) for r in (engine.cubic_residual(coeffs, S),
+                                             *engine.gqm_series(coeffs, S))]
         assert [r.order for r in residuals] == [order] * 3
         assert all(r.is_zero() for r in residuals)
+
+    @pytest.mark.parametrize("order", [12, 20])
+    def test_fact3_vanishes_at_the_derived_F(self, order):
+        S, S1, _ = rotated_square(order)
+        residual = reference_sq_fact3_residual(engine.sq_F(order), S, S1)
+        assert residual.order == order and residual.is_zero()
+
+    def test_rotations_of_the_square_derivatives_are_real(self):
+        for series in engine.gqm_series(*engine.sq_cubic(12)):
+            assert engine._rotate(series, 1)[1].is_zero()
+
+
+def rotated_square(order):
+    """S, S1 and P0 of the square origin pipeline made real by
+    ``engine._rotate`` (S with shift 1, the constants with shift 0)."""
+    sq = decompose.square_origin(order)
+    return [engine._rotate(sq.S, 1)[0], engine._rotate(sq.S1, 0)[0],
+            engine._rotate(sq.P0, 0)[0]]
+
+
+def reference_sq_quad_residual(S, S1, P0):
+    """The hand-written cleared (times X^4) derivative equation of the
+    square origin pipeline under t = i s, X = i F, as a residual in F, that
+    the rotated dP/ds of ``gqm_series`` replaced."""
+    s = Series1.t(S.order)
+    s2 = s * s
+
+    def residual(F):
+        F2 = F * F
+        SF = S.compose(F)
+        w = F - s * (1 - F2)
+        lhs = -(w * w + 4 * s2 * F2) * (
+            3 * F2 * SF * SF - 2 * F * (1 - 2 * F2) * SF - F2 * (1 - F2)
+        )
+        F4 = F2 * F2
+        F6 = F4 * F2
+        rhs = (
+            -(2 * s2 * S1 * S1 + 2 * s2 * S1 + P0) * F4
+            + 2 * s2 * S1 * (F6 + F2)
+            + 2 * s * S1 * (F4 - F2) * F
+            + s2 * (F6 + F2)
+        )
+        return lhs - rhs
+
+    return residual
+
+
+def reference_sq_fact3_residual(F, S, S1):
+    """The hand-written cleared (times X^3) cubic factor that X1 satisfies,
+    under t = i s, X = i F, with the rotated S and S1."""
+    s = Series1.t(F.order)
+    F2 = F * F
+    SF = S.compose(F)
+    return -(
+        F2 * (1 - F2)
+        + s * F * (1 + F2) ** 2 * S1
+        + SF * (1 - F2 - F * SF) * (F * (1 - F2) - s * (1 + F2) ** 2)
+    )
+
+
+def reference_kernel_residual(lattice, Y):
+    """The per-lattice kernel quadratic that ``kernel_quadratic`` replaced."""
+    t = Series1.t(Y.order)
+    s = Series1.from_poly(LPoly.var(1) + LPoly.var(-1), Y.order)
+    if lattice == "square":
+        return t * Y * Y - (1 - t * s) * Y + t
+    return t * s * Y * Y - Y + t * s
+
+
+class TestKernelFromTheStepSet:
+    """The kernel quadratic and its discriminant are read off the step
+    set; they must equal the per-lattice expressions they replaced."""
+
+    @pytest.mark.parametrize("lattice", ["square", "diagonal"])
+    def test_quadratic_matches_the_per_lattice_one(self, lattice):
+        steps = LATTICES[lattice]
+        Y = engine.kernel_root_Y(steps, 12)
+        for probe in (Y, Y + Series1.t(12) ** 3, Series1.x(12, 2)):
+            assert engine.kernel_residual(steps, probe) == (
+                reference_kernel_residual(lattice, probe))
+
+    @pytest.mark.parametrize("lattice", ["square", "diagonal"])
+    def test_quadratic_is_y_times_the_kernel(self, lattice):
+        steps = LATTICES[lattice]
+        a, b, c = decompose.kernel_quadratic(steps, 6)
+        quad = sum(Series2.from_x_series(coeff).mul_xy(0, j)
+                   for j, coeff in ((2, a), (1, b), (0, c)))
+        assert decompose.kernel_series(steps, 6).mul_xy(0, 1) == -quad
+
+    def test_discriminants_match_the_hand_written_ones(self):
+        n = 12
+        sp = LPoly.var(1) + LPoly.var(-1)
+        lin = Series1([LPoly.const(1), -sp], n)
+        square = lin * lin - Series1([LPoly(), LPoly(), LPoly.const(4)], n)
+        diagonal = Series1([LPoly.const(1), LPoly(), -4 * (sp * sp)], n)
+        prod = (LPoly.const(1) + LPoly.var(1)) * (LPoly.const(1)
+                                                  + LPoly.var(-1))
+        halved = Series1([LPoly.const(1), LPoly(), -4 * prod], n)
+        assert decompose.discriminant(SQUARE, n) == square
+        assert decompose.discriminant(DIAGONAL, n) == diagonal
+        assert decompose.square_origin(n).Delta == square
+        assert decompose.diagonal_origin(n).Delta == halved

@@ -96,7 +96,7 @@ def test_step_eq_sees_a_flipped_corner():
     dg = decompose.diagonal_origin(6)
     C = dg.C
     sections = (identities._neg_x_axis(C), identities._neg_y_axis(C))
-    corner = identities._corner(C)
+    corner = identities.at_point(C, (0, 0))
     right = identities._step_eq(dg, C, identities.ONE, *sections, corner)
     wrong = identities._step_eq(dg, C, identities.ONE, *sections, -corner)
     assert right.first_failure() is None
