@@ -24,12 +24,6 @@ class BFile:
 
     entries: tuple
 
-    def __len__(self):
-        return len(self.entries)
-
-    def as_dict(self) -> dict:
-        return dict(self.entries)
-
 
 def parse_bfile(text: str) -> BFile:
     entries = []

@@ -13,13 +13,15 @@ report dict every check of the package returns.  The oracle side of each
 catalog entry is data too: ``_PARAM_ORACLES``, ``_ENDPOINTS`` and
 ``_CONSTANTS`` map its key to the ``decompose`` pipeline series it must
 match: a boundary series, a constant, or an endpoint count read off a
-pipeline's C or Q by ``decompose.at_point``.  The engine runs no walk DP
-of its own; each walk model is swept once per run.  Each pipeline's cubic
-P(S(x), x) = 0 is stated once, as its coefficients in s (``sq_cubic``,
-``diag_cubic``, ``diag_shift_cubic``).  ``cubic_residual`` gives its
-identity, and ``gqm_series`` gives dP/ds and dP/dx at (S(x), x), which
-every x-series check composes at its roots X of the generalized quadratic
-method; ``x-sq-12`` first rotates them to real series with ``_rotate``.
+pipeline's zero-orbit-sum series A by ``decompose.at_point`` (so the orbit
+sign of each model stays in ``decompose.PIPELINES``).  The engine runs no
+walk DP of its own; each walk model is swept once per run.  Each
+pipeline's cubic P(S(x), x) = 0 is stated once, as its coefficients in s
+(``sq_cubic``, ``diag_cubic``, ``diag_shift_cubic``).  ``cubic_residual``
+gives its identity, and ``gqm_series`` gives dP/ds and dP/dx at
+(S(x), x), which every x-series check composes at its roots X of the
+generalized quadratic method; ``x-sq-12`` first rotates them to real
+series with ``_rotate``.
 The kernel quadratic of each lattice is read off its step set
 (``decompose.kernel_quadratic``).
 """
@@ -211,10 +213,10 @@ def catalog_series(key: str, order: int) -> Series1:
 # key -> (pipeline, boundary series, power of x, power of t).  Square
 # oracles are read with x -> x t; diagonal ones live in the squared variable.
 _PARAM_ORACLES = {
-    "sq-origin-axis-x": ("square_origin", "M_x0", 0, 1),
-    "sq-origin-axis-y": ("square_origin", "M_0y", 0, 1),
-    "diag-origin-axis-x": ("diagonal_origin", "M_x0", -1, 2),
-    "diag-origin-axis-y": ("diagonal_origin", "M_0y", 1, 1),
+    "sq-origin-axis-x": ("square_origin", "L_x0", 0, 1),
+    "sq-origin-axis-y": ("square_origin", "L_0y", 0, 1),
+    "diag-origin-axis-x": ("diagonal_origin", "L_x0", -1, 2),
+    "diag-origin-axis-y": ("diagonal_origin", "L_0y", 1, 1),
     "sq-shift-left-axis-x": ("square_shifted", "L_x0", 0, 0),
     "sq-shift-left-axis-y": ("square_shifted", "L_0y", 1, 0),
     "sq-shift-below-axis-x": ("square_shifted", "B_x0", 1, 0),
@@ -229,47 +231,61 @@ _PARAM_ORACLES = {
 def param_oracle(key: str, order: int) -> Series1:
     """The walk-oracle series that a bivariate catalog entry must match."""
     pipeline, name, dx, dt = _PARAM_ORACLES[key]
-    s = getattr(getattr(decompose, pipeline)(order), name)
-    if pipeline.startswith("square"):
+    p = decompose.pipeline(pipeline, order)
+    s = getattr(p, name)
+    if p.steps is SQUARE:
         return decompose.tmul(s, dt).x_to_xt().mul_x(dx)
     return decompose.tmul(s.mul_x(dx).halve_x(), dt)
 
 
-# key -> (pipeline, end, power of t, multiple of Q00 / 3): the pipeline's
-# cone series C at x^i y^j for end = (i, j); Q00 is its Q at x^0 y^0.
+# key -> (pipeline, end, power of t): the pipeline's zero-orbit-sum series
+# A at x^i y^j for end = (i, j).
 _ENDPOINTS = {
-    "sq-origin-end-m1-0": ("square_origin", (-1, 0), 1, 0),
-    "sq-origin-end-m1-1": ("square_origin", (-1, 1), 0, 0),
-    "sq-origin-end-m2-0": ("square_origin", (-2, 0), 0, 1),
-    "sq-origin-end-0-0": ("square_origin", (0, 0), 0, -1),
-    "diag-origin-end-m1-1": ("diagonal_origin", (-1, 1), 1, 0),
-    "diag-origin-end-m2-0": ("diagonal_origin", (-2, 0), 0, 1),
-    "diag-origin-end-0-0": ("diagonal_origin", (0, 0), 0, -1),
-    "sq-shift-end-0-0": ("square_shifted", (0, 0), 1, 0),
-    "sq-shift-end-m2-0": ("square_shifted", (-2, 0), 1, 0),
-    "sq-shift-end-0-m2": ("square_shifted", (0, -2), 1, 0),
-    "sq-shift-end-m1-0": ("square_shifted", (-1, 0), 0, 0),
-    "sq-shift-end-m1-1": ("square_shifted", (-1, 1), 1, 0),
-    "sq-shift-end-0-m1": ("square_shifted", (0, -1), 0, 0),
-    "diag-shift-end-m1-1": ("diagonal_shifted", (-1, 1), 1, 0),
-    "diag-shift-end-m1-3": ("diagonal_shifted", (-1, 3), 1, 0),
-    "diag-shift-end-m2-0": ("diagonal_shifted", (-2, 0), 0, -1),
-    "diag-shift-end-0-0": ("diagonal_shifted", (0, 0), 0, 1),
-    "diag-shift-end-0-m2": ("diagonal_shifted", (0, -2), 0, -1),
-    "diag-shift-end-1-m1": ("diagonal_shifted", (1, -1), 1, 0),
+    "sq-origin-end-m1-0": ("square_origin", (-1, 0), 1),
+    "sq-origin-end-m1-1": ("square_origin", (-1, 1), 0),
+    "sq-origin-end-m2-0": ("square_origin", (-2, 0), 0),
+    "sq-origin-end-0-0": ("square_origin", (0, 0), 0),
+    "diag-origin-end-m1-1": ("diagonal_origin", (-1, 1), 1),
+    "diag-origin-end-m2-0": ("diagonal_origin", (-2, 0), 0),
+    "diag-origin-end-0-0": ("diagonal_origin", (0, 0), 0),
+    "sq-shift-end-0-0": ("square_shifted", (0, 0), 1),
+    "sq-shift-end-m2-0": ("square_shifted", (-2, 0), 1),
+    "sq-shift-end-0-m2": ("square_shifted", (0, -2), 1),
+    "sq-shift-end-m1-0": ("square_shifted", (-1, 0), 0),
+    "sq-shift-end-m1-1": ("square_shifted", (-1, 1), 1),
+    "sq-shift-end-0-m1": ("square_shifted", (0, -1), 0),
+    "diag-shift-end-m1-1": ("diagonal_shifted", (-1, 1), 1),
+    "diag-shift-end-m1-3": ("diagonal_shifted", (-1, 3), 1),
+    "diag-shift-end-m2-0": ("diagonal_shifted", (-2, 0), 0),
+    "diag-shift-end-0-0": ("diagonal_shifted", (0, 0), 0),
+    "diag-shift-end-0-m2": ("diagonal_shifted", (0, -2), 0),
+    "diag-shift-end-1-m1": ("diagonal_shifted", (1, -1), 1),
 }
+
+
+def diag_F0(order: int) -> Series1:
+    """F0 = P0 - S(-1) of the diagonal origin pipeline."""
+    dg = decompose.pipeline("diagonal_origin", order)
+    return dg.P0 - dg.S_m1
+
+
+def diag_shift_F0(order: int) -> Series1:
+    """F0 = P0 - 3 S(-1) of the shifted diagonal pipeline, with S from N."""
+    ds = decompose.pipeline("diagonal_shifted", order)
+    return ds.P0 - 3 * ds.S_m1
+
 
 # key -> the pipeline constant it names.
 _CONSTANTS = {
     "sq-origin-m01": lambda n: decompose.tmul(
-        decompose.square_origin(n).M_0y.coeff_x(1), 2),
-    "sq-S1": lambda n: decompose.square_origin(n).S1,
-    "sq-P0": lambda n: decompose.square_origin(n).P0,
-    "diag-S1": lambda n: decompose.diagonal_origin(n).S1,
-    "diag-F0": lambda n: decompose.diagonal_origin(n).F0,
-    "diag-R0": lambda n: decompose.diagonal_origin(n).R0,
-    "diag-shift-S1": lambda n: decompose.diagonal_shifted(n).Npair.S1,
-    "diag-shift-F0": lambda n: decompose.diagonal_shifted(n).N_F0,
+        decompose.pipeline("square_origin", n).L_0y.coeff_x(1), 2),
+    "sq-S1": lambda n: decompose.pipeline("square_origin", n).S1,
+    "sq-P0": lambda n: decompose.pipeline("square_origin", n).P0,
+    "diag-S1": lambda n: decompose.pipeline("diagonal_origin", n).S1,
+    "diag-F0": diag_F0,
+    "diag-R0": lambda n: decompose.pipeline("diagonal_origin", n).R0,
+    "diag-shift-S1": lambda n: decompose.pipeline("diagonal_shifted", n).S1,
+    "diag-shift-F0": diag_shift_F0,
 }
 
 
@@ -277,12 +293,9 @@ def z_rational_oracle(key: str, order: int) -> Series1:
     """The oracle series matching a one-variable catalog entry."""
     if key in _CONSTANTS:
         return _CONSTANTS[key](order)
-    pipeline, end, dt, q00 = _ENDPOINTS[key]
-    p = getattr(decompose, pipeline)(order)
-    s = decompose.tmul(decompose.at_point(p.C, end), dt)
-    if q00:
-        s = s + Fraction(q00, 3) * decompose.at_point(p.Q, (0, 0))
-    return s
+    pipeline, end, dt = _ENDPOINTS[key]
+    A = decompose.pipeline(pipeline, order).A
+    return decompose.tmul(decompose.at_point(A, end), dt)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +418,7 @@ def sq_cubic(order: int):
     P(S(x), x) = 0, of the boundary series S of the square origin pipeline,
     and S.  P is cleared by x^3, so that each a_k is a polynomial in x and
     P can be evaluated at a series X with X(0) = 0."""
-    sq = decompose.square_origin(order)
+    sq = decompose.pipeline("square_origin", order)
     S1 = sq.S1
     t = Series1.t(order)
     x = Series1.x(order)
@@ -428,9 +441,9 @@ def diag_cubic(order: int):
     """The coefficients [a0, a1, a2, a3] in s of the cubic P(s, x), with
     P(S(x), x) = 0, of the boundary series S of the diagonal origin
     pipeline (in the squared variable), and S."""
-    dg = decompose.diagonal_origin(order)
+    dg = decompose.pipeline("diagonal_origin", order)
     S1 = dg.S1
-    F0 = dg.F0
+    F0 = diag_F0(order)
     t2 = _scal([0, 0, 1], order)
     x = Series1.x(order)
     lead = x - 4 * t2 * (1 + x) ** 2
@@ -443,9 +456,9 @@ def diag_shift_cubic(order: int):
     """The coefficients [a0, a1, a2, a3] in s of the cubic P(s, x), with
     P(S(x), x) = 0, of the antisymmetric boundary series S (from N) of the
     shifted diagonal model, and S."""
-    ds = decompose.diagonal_shifted(order)
-    S1 = ds.Npair.S1
-    F0 = ds.N_F0
+    ds = decompose.pipeline("diagonal_shifted", order)
+    S1 = ds.S1
+    F0 = diag_shift_F0(order)
     t2 = _scal([0, 0, 1], order)
     x = Series1.x(order)
     lead = x - 4 * t2 * (1 + x) ** 2
@@ -453,7 +466,7 @@ def diag_shift_cubic(order: int):
           + x * (F0 + 2 * t2 * S1))
     a1 = (2 - x) * lead - (x + 1) * (
         (16 * t2 * S1 - F0) * x + t2 * (x * x + 1))
-    return [a0, a1, -3 * lead, (x + 1) * lead], ds.Npair.S
+    return [a0, a1, -3 * lead, (x + 1) * lead], ds.S
 
 
 def cubic_residual(coeffs, S: Series1) -> Series1:
@@ -483,7 +496,7 @@ def gqm_series(coeffs, S: Series1):
 def sq_wrong_parity(order: int):
     """The terms of S (shift 1), S1 and P0 (shift 0) of the square origin
     pipeline that ``_rotate`` cannot make real: all zero."""
-    sq = decompose.square_origin(order)
+    sq = decompose.pipeline("square_origin", order)
     return [_rotate(sq.S, 1)[1], _rotate(sq.S1, 0)[1], _rotate(sq.P0, 0)[1]]
 
 

@@ -4,19 +4,22 @@ Every identity is verified against series produced by the dynamic
 programming oracle, order by order in t.  The two equation shapes of the
 paper are stated once each: ``_step_eq`` (the step-by-step equation of a
 cone or quadrant series) and ``_half_eq`` (the quadrant-like equation of
-M, N and L).  Each identity function adds only what is particular to its
-model.  Identities sit in three tables: series identities (pass when the
-residual is zero), negative identities (pass when every residual is
-nonzero) and list identities (pass when no count mismatches).  Every
-report is built by ``engine.report``, as for the engine checks.
+M, N and L).  An equation that the paper writes for several models is one
+function of a ``decompose.PIPELINES`` name, reading the start and the
+orbit sign from its row; the other identity functions add only what is
+particular to their model.  Identities sit in three tables: series
+identities (pass when the residual is zero), negative identities (pass
+when every residual is nonzero) and list identities (pass when no count
+mismatches).  Every report is built by ``engine.report``, as for the
+engine checks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
-from . import decompose
-from .decompose import THIRD, at_point, discriminant, tmul
+from .decompose import PIPELINES, at_point, discriminant, pipeline, tmul
 from .engine import (
     cubic_residual,
     diag_cubic,
@@ -45,8 +48,6 @@ YB = LPoly2.y(-1)
 ONE = LPoly2.const(1)
 SX = X + XB
 SY = Y + YB
-# Constant of the equation for A from the origin.
-A_ORIGIN = LPoly2.const(Fraction(2, 3)) + THIRD * (XB * XB + YB * YB)
 
 
 _x_series = Series2.from_x_series
@@ -84,13 +85,6 @@ def _split(W, P, L, B) -> Series2:
                 + B.sub_inverse("y").mul_xy(0, -1))
 
 
-def _P_LB(p) -> Series2:
-    """P - (xbar (L - L(0,y)) + ybar (B - B(x,0))) for a shifted pipeline."""
-    rhs = ((p.L - _y_series(p.L_0y)).mul_xy(-1, 0)
-           + (p.B - _x_series(p.B_x0)).mul_xy(0, -1))
-    return p.P - rhs
-
-
 def _steps(p, factor: LPoly2, s: Series2) -> Series2:
     """factor * s on the diagonal lattice, s on the square one."""
     if p.steps is DIAGONAL:
@@ -103,13 +97,13 @@ def _at_t_ybar(s: Series1) -> Series2:
     return tmul(_x_series(s).mul_xy(0, -1))
 
 
-def _step_eq(p, W, const, x_section, y_section, corner=None):
+def _step_eq(p, W, const, x_section, y_section, corner):
     """K W - (const - t sx ybar X(x) - t sy xbar Y(y) - t xbar ybar c).
 
     The step-by-step equation of a series W of pipeline p.  X and Y are
     the sections of W on the two axes from which a step leaves the region;
-    c is the corner term of the diagonal lattice (minus W(0,0) for a
-    quadrant series, whose corner step the axis terms remove twice).
+    c is the corner term, read on the diagonal lattice only (minus W(0,0)
+    for a quadrant series, whose corner step the axis terms remove twice).
     sx = x + xbar and sy = y + ybar on the diagonal lattice, 1 on the
     square one.
     """
@@ -119,7 +113,7 @@ def _step_eq(p, W, const, x_section, y_section, corner=None):
         - tmul(_steps(p, SX, _x_series(x_section).mul_xy(0, -1)))
         - tmul(_steps(p, SY, _y_series(y_section).mul_xy(-1, 0)))
     )
-    if corner is not None:
+    if p.steps is DIAGONAL:
         rhs = rhs - tmul(Series2.from_x_series(corner).mul_xy(-1, -1))
     return p.K * W - rhs
 
@@ -148,83 +142,110 @@ def _y_rest(p, s: Series1) -> Series2:
 
 
 # ---------------------------------------------------------------------------
+# Equations of every pipeline, by name
+# ---------------------------------------------------------------------------
+
+
+def _cone_eq(p, W, const) -> Series2:
+    """The step-by-step equation of a three-quadrant series W of p (C or A),
+    whose sections are its negative half-axes."""
+    return _step_eq(p, W, const, _neg_x_axis(W), _neg_y_axis(W),
+                    at_point(W, (0, 0)))
+
+
+def func_eq_C(name, order):
+    """The step-by-step equation of C: its constant is the start monomial."""
+    p = pipeline(name, order)
+    return _cone_eq(p, p.C, LPoly2({p.start: 1}))
+
+
+def func_eq_Q(name, order):
+    """The step-by-step equation of the quadrant series."""
+    p = pipeline(name, order)
+    Q = p.Q
+    return _step_eq(p, Q, ONE, Q.coeff_of("y", 0), Q.coeff_of("x", 0),
+                    -at_point(Q, (0, 0)))
+
+
+def eq_A(name, order):
+    """The step-by-step equation of A, whose constant is
+    x^start - (s/3)(1 - xbar^2 - ybar^2) for the orbit sign s."""
+    p = pipeline(name, order)
+    const = LPoly2({p.start: 1}) - Fraction(p.sign, 3) * (ONE - XB * XB
+                                                          - YB * YB)
+    return _cone_eq(p, p.A, const)
+
+
+def orbit_eq_C(name, order):
+    """K orbit(C) - s (x - xbar)(y - ybar) for the orbit sign s."""
+    p = pipeline(name, order)
+    return p.K * _orbit(p.C) - Series2.from_poly(p.sign * _cross(), order)
+
+
+def orbit_zero_A(name, order):
+    return _orbit(pipeline(name, order).A)
+
+
+def split_A(name, order):
+    """A - (P + xbar L(xbar, y) + ybar B(x, ybar))."""
+    p = pipeline(name, order)
+    return _split(p.A, p.P, p.L, p.B)
+
+
+def P_LB(name, order) -> Series2:
+    """P - (xbar (L - L(0,y)) + ybar (B - B(x,0))) for a shifted pipeline."""
+    p = pipeline(name, order)
+    rhs = ((p.L - _y_series(p.L_0y)).mul_xy(-1, 0)
+           + (p.B - _x_series(p.B_x0)).mul_xy(0, -1))
+    return p.P - rhs
+
+
+# ---------------------------------------------------------------------------
 # Square lattice, start (0,0)
 # ---------------------------------------------------------------------------
 
 
-def func_eq_sq_origin(order):
-    sq = decompose.square_origin(order)
-    C = sq.C
-    return _step_eq(sq, C, ONE, _neg_x_axis(C), _neg_y_axis(C))
-
-
-def func_eq_quadrant_sq(order):
-    sq = decompose.square_origin(order)
-    Q = sq.Q
-    return _step_eq(sq, Q, ONE, Q.coeff_of("y", 0), Q.coeff_of("x", 0))
-
-
-def orbit_eq_sq_origin(order):
-    sq = decompose.square_origin(order)
-    return sq.K * _orbit(sq.C) - Series2.from_poly(_cross(), order)
-
-
 def orbit_eq_quadrant_sq(order):
-    sq = decompose.square_origin(order)
+    sq = pipeline("square_origin", order)
     return sq.K * _orbit(sq.Q) - Series2.from_poly(_cross(), order)
 
 
 def quadrant_positive_part_sq(order):
-    sq = decompose.square_origin(order)
+    sq = pipeline("square_origin", order)
     rhs = (Series2.from_poly(_cross(), order) * sq.K.inverse()).part(
         "x", "pos"
     ).part("y", "pos")
     return sq.Q.mul_xy(1, 1) - rhs
 
 
-def eq_A_sq(order):
-    sq = decompose.square_origin(order)
-    Am = sq.M_x0.sub_inverse_x().mul_x(-1)  # A restricted to the negative x-axis
-    return _step_eq(sq, sq.A, A_ORIGIN, Am, Am)
-
-
-def orbit_zero_A_sq(order):
-    return _orbit(decompose.square_origin(order).A)
-
-
-def split_A_sq(order):
-    sq = decompose.square_origin(order)
-    return _split(sq.A, sq.P, sq.M, sq.M.swap_vars())
-
-
 def PM_relation_sq(order):
-    sq = decompose.square_origin(order)
-    M = sq.M
-    M0y = _y_series(sq.M_0y)
-    M0x = _x_series(sq.M_0y)
+    sq = pipeline("square_origin", order)
+    M = sq.L
+    M0y = _y_series(sq.L_0y)
+    M0x = _x_series(sq.L_0y)
     lhs = sq.P.mul_xy(1, 1)
     rhs = (M - M0y).mul_xy(0, 1) + (M.swap_vars() - M0x).mul_xy(1, 0)
     return lhs - rhs
 
 
 def func_M_sq(order):
-    sq = decompose.square_origin(order)
-    eq = _half_eq(sq, sq.M, sq.M_x0, sq.M_0y, Fraction(2, 3) * X)
-    return eq - _y_rest(sq, sq.M_x0)
+    sq = pipeline("square_origin", order)
+    eq = _half_eq(sq, sq.L, sq.L_x0, sq.L_0y, Fraction(2, 3) * X)
+    return eq - _y_rest(sq, sq.L_x0)
 
 
 def catM_sq(order):
-    sq = decompose.square_origin(order)
+    sq = pipeline("square_origin", order)
     Yr = kernel_root_Y(sq.steps, order)
-    M0x = sq.M_0y
+    M0x = sq.L_0y
     lhs = -sq.sqrt_Delta * (
         M0x.mul_x(1) - 2 * M0x.sub_inverse_x().mul_x(-1)
     )
-    return lhs - 2 * Yr.mul_x(-1) + 3 * tmul(sq.M_x0)
+    return lhs - 2 * Yr.mul_x(-1) + 3 * tmul(sq.L_x0)
 
 
 def eqRS_sq(order):
-    sq = decompose.square_origin(order)
+    sq = pipeline("square_origin", order)
     S = sq.S
     xb = Series1.x(order, -1)
     t = Series1.t(order)
@@ -232,20 +253,28 @@ def eqRS_sq(order):
     return lhs + xb - t - tmul(xb * xb) - 3 * tmul(sq.R)
 
 
+def _sq_F(sq):
+    """The boundary constants F0, F1, F2 of the square origin pipeline."""
+    S1 = sq.S1
+    inner = tmul(sq.S.coeff_x(2)) + 3 * tmul(sq.R.coeff_x(1)) - 5 * S1
+    return (tmul(S1 * (1 + S1), 2), tmul(inner) * Fraction(1, 2),
+            tmul(1 + 2 * S1, 2))
+
+
 def F_forms_sq(order):
-    sq = decompose.square_origin(order)
+    sq = pipeline("square_origin", order)
     S = sq.S
     Sb = S.sub_inverse_x()
     xb = Series1.x(order, -1)
     prod = sq.Delta * S * Sb
     lhs = sq.Delta * (Sb * Sb + xb * Sb) - prod.part_x("neg")
-    rhs = sq.F0 + xb * sq.F1 + xb * xb * sq.F2
-    return lhs - rhs
+    F0, F1, F2 = _sq_F(sq)
+    return lhs - (F0 + xb * F1 + xb * xb * F2)
 
 
 def F1_value_sq(order):
-    sq = decompose.square_origin(order)
-    return sq.F1 + 2 * tmul(sq.S1)
+    sq = pipeline("square_origin", order)
+    return _sq_F(sq)[1] + 2 * tmul(sq.S1)
 
 
 def _eqcat_rhs(sq) -> Series1:
@@ -253,11 +282,12 @@ def _eqcat_rhs(sq) -> Series1:
     relation between S(x) and S(xbar)."""
     x = Series1.x(sq.order)
     xb = Series1.x(sq.order, -1)
-    return 2 * sq.F0 - sq.P0 + (x + xb) * sq.F1 + (x * x + xb * xb) * sq.F2
+    F0, F1, F2 = _sq_F(sq)
+    return 2 * F0 - sq.P0 + (x + xb) * F1 + (x * x + xb * xb) * F2
 
 
 def eqcat_S_sq(order):
-    sq = decompose.square_origin(order)
+    sq = pipeline("square_origin", order)
     S = sq.S
     Sb = S.sub_inverse_x()
     x = Series1.x(order)
@@ -273,7 +303,7 @@ def no_kernel_factor_sq(order):
     t^2, so a lower order cannot tell."""
     if order < 3:
         raise OrderError("its residuals are zero below t^2")
-    sq = decompose.square_origin(order)
+    sq = pipeline("square_origin", order)
     cleared = _eqcat_rhs(sq).mul_x(2)  # polynomial in x of degree 4
     roots = (diag_X0(order), -diag_X1(order))  # zeros of 1 - t(x + xbar +/- 2)
     return [cleared.compose(r) for r in roots]
@@ -284,50 +314,29 @@ def no_kernel_factor_sq(order):
 # ---------------------------------------------------------------------------
 
 
-def func_eq_diag_origin(order):
-    dg = decompose.diagonal_origin(order)
-    C = dg.C
-    return _step_eq(dg, C, ONE, _neg_x_axis(C), _neg_y_axis(C),
-                    at_point(C, (0, 0)))
-
-
-def func_eq_quadrant_diag(order):
-    dg = decompose.diagonal_origin(order)
-    Q = dg.Q
-    return _step_eq(dg, Q, ONE, Q.coeff_of("y", 0), Q.coeff_of("x", 0),
-                    -at_point(Q, (0, 0)))
-
-
-def eq_A_diag(order):
-    dg = decompose.diagonal_origin(order)
-    A = dg.A
-    Am = _neg_x_axis(A)
-    return _step_eq(dg, A, A_ORIGIN, Am, Am, at_point(A, (0, 0)))
-
-
 def func_M_diag(order):
-    dg = decompose.diagonal_origin(order)
-    eq = _half_eq(dg, dg.M, dg.M_x0, dg.M_0y, Fraction(2, 3) * X)
-    return eq - _y_rest(dg, dg.M_x0) + _at_t_ybar(dg.M10)
+    dg = pipeline("diagonal_origin", order)
+    eq = _half_eq(dg, dg.L, dg.L_x0, dg.L_0y, Fraction(2, 3) * X)
+    return eq - _y_rest(dg, dg.L_x0) + _at_t_ybar(dg.M10)
 
 
 def catM_diag(order):
-    dg = decompose.diagonal_origin(order)
+    dg = pipeline("diagonal_origin", order)
     Yr = kernel_root_Y(dg.steps, order)
     s = Series1.from_poly(LPoly.var(1) + LPoly.var(-1), order)
-    M0x = dg.M_0y
+    M0x = dg.L_0y
     lhs = -discriminant(dg.steps, order).sqrt() * (
         M0x.mul_x(1) - 2 * M0x.sub_inverse_x().mul_x(-1))
     return (
         lhs
         - 2 * Yr.mul_x(-1)
-        + 3 * tmul(s * dg.M_x0)
+        + 3 * tmul(s * dg.L_x0)
         + 3 * tmul(dg.M10)
     )
 
 
 def eqRS_diag(order):
-    dg = decompose.diagonal_origin(order)
+    dg = pipeline("diagonal_origin", order)
     S = dg.S
     x = Series1.x(order)
     xp1 = 1 + x
@@ -337,12 +346,12 @@ def eqRS_diag(order):
 
 
 def R0_Sm1_diag(order):
-    dg = decompose.diagonal_origin(order)
+    dg = pipeline("diagonal_origin", order)
     return 3 * dg.R0 + dg.S_m1
 
 
 def P0_S1_diag(order):
-    dg = decompose.diagonal_origin(order)
+    dg = pipeline("diagonal_origin", order)
     t2 = Series1.from_scalar_coeffs([0, 0, 1], order)
     return dg.P0 + dg.S_m1 * dg.S_m1 - 2 * t2 * dg.S1
 
@@ -352,27 +361,8 @@ def P0_S1_diag(order):
 # ---------------------------------------------------------------------------
 
 
-def func_eq_sq_shift(order):
-    ss = decompose.square_shifted(order)
-    C = ss.C
-    return _step_eq(ss, C, XB, _neg_x_axis(C), _neg_y_axis(C))
-
-
-def orbit_zero_sq_shift(order):
-    return _orbit(decompose.square_shifted(order).C)
-
-
-def split_C_sq_shift(order):
-    ss = decompose.square_shifted(order)
-    return _split(ss.C, ss.P, ss.L, ss.B)
-
-
-def P_LB_sq_shift(order):
-    return _P_LB(decompose.square_shifted(order))
-
-
 def eqL_sq_shift(order):
-    ss = decompose.square_shifted(order)
+    ss = pipeline("square_shifted", order)
     L00 = ss.L_0y.coeff_x(0)
     B00 = ss.B_0y.coeff_x(0)
     eq = _half_eq(ss, ss.L, ss.L_x0, ss.L_0y, ONE)
@@ -381,7 +371,7 @@ def eqL_sq_shift(order):
 
 def eqB_sq_shift(order):
     """The equation for L with x and y swapped."""
-    ss = decompose.square_shifted(order)
+    ss = pipeline("square_shifted", order)
     L00 = ss.L_0y.coeff_x(0)
     B00 = ss.B_0y.coeff_x(0)
     eq = _half_eq(ss, ss.B.swap_vars(), ss.B_0y, ss.B_x0, LPoly2())
@@ -389,18 +379,18 @@ def eqB_sq_shift(order):
 
 
 def func_M_sq_shift(order):
-    ss = decompose.square_shifted(order)
-    pair = ss.Mpair
-    eq = _half_eq(ss, ss.M, pair.x0, pair.on_y, ONE)
-    return eq - _y_rest(ss, pair.x0)
+    ss = pipeline("square_shifted", order)
+    Mx0 = ss.M.coeff_of("y", 0)
+    eq = _half_eq(ss, ss.M, Mx0, ss.M.coeff_of("x", 0), ONE)
+    return eq - _y_rest(ss, Mx0)
 
 
 def func_N_sq_shift(order):
-    ss = decompose.square_shifted(order)
-    pair = ss.Npair
-    N00 = pair.on_y.coeff_x(0)
-    eq = _half_eq(ss, ss.N, pair.x0, pair.on_y, ONE)
-    return eq + _y_rest(ss, pair.x0) - 2 * _at_t_ybar(N00)
+    ss = pipeline("square_shifted", order)
+    Nx0 = ss.N.coeff_of("y", 0)
+    N0y = ss.N.coeff_of("x", 0)
+    eq = _half_eq(ss, ss.N, Nx0, N0y, ONE)
+    return eq + _y_rest(ss, Nx0) - 2 * _at_t_ybar(N0y.coeff_x(0))
 
 
 # ---------------------------------------------------------------------------
@@ -408,42 +398,8 @@ def func_N_sq_shift(order):
 # ---------------------------------------------------------------------------
 
 
-def func_eq_diag_shift(order):
-    ds = decompose.diagonal_shifted(order)
-    C = ds.C
-    return _step_eq(ds, C, XB * XB, _neg_x_axis(C), _neg_y_axis(C),
-                    at_point(C, (0, 0)))
-
-
-def eq_A_diag_shift(order):
-    ds = decompose.diagonal_shifted(order)
-    A = ds.A
-    const = THIRD * (ONE + 2 * XB * XB - YB * YB)
-    return _step_eq(ds, A, const, _neg_x_axis(A), _neg_y_axis(A),
-                    at_point(A, (0, 0)))
-
-
-def orbit_zero_A_diag_shift(order):
-    return _orbit(decompose.diagonal_shifted(order).A)
-
-
-def orbit_C_diag_shift(order):
-    """The orbit sum of the shifted diagonal walks is minus the quadrant one."""
-    ds = decompose.diagonal_shifted(order)
-    return ds.K * _orbit(ds.C) + Series2.from_poly(_cross(), order)
-
-
-def split_A_diag_shift(order):
-    ds = decompose.diagonal_shifted(order)
-    return _split(ds.A, ds.P, ds.L, ds.B)
-
-
-def P_LB_diag_shift(order):
-    return _P_LB(decompose.diagonal_shifted(order))
-
-
 def eqL_diag_shift(order):
-    ds = decompose.diagonal_shifted(order)
+    ds = pipeline("diagonal_shifted", order)
     B01 = ds.B_0y.coeff_x(1)
     eq = _half_eq(ds, ds.L, ds.L_x0, ds.L_0y, Fraction(4, 3) * X)
     return eq - _y_rest(ds, ds.B_0y) + _at_t_ybar(B01)
@@ -451,21 +407,21 @@ def eqL_diag_shift(order):
 
 def eqB_diag_shift(order):
     """The equation for L with x and y swapped."""
-    ds = decompose.diagonal_shifted(order)
+    ds = pipeline("diagonal_shifted", order)
     L10 = ds.L_x0.coeff_x(1)
     eq = _half_eq(ds, ds.B.swap_vars(), ds.B_0y, ds.B_x0, Fraction(-2, 3) * X)
     return (eq - _y_rest(ds, ds.L_x0) + _at_t_ybar(L10)).swap_vars()
 
 
 def func_M_diag_shift(order):
-    ds = decompose.diagonal_shifted(order)
+    ds = pipeline("diagonal_shifted", order)
     Mx0 = ds.M.coeff_of("y", 0)
     eq = _half_eq(ds, ds.M, Mx0, ds.M.coeff_of("x", 0), Fraction(2, 3) * X)
     return eq - _y_rest(ds, Mx0) + _at_t_ybar(Mx0.coeff_x(1))
 
 
 def func_N_diag_shift(order):
-    ds = decompose.diagonal_shifted(order)
+    ds = pipeline("diagonal_shifted", order)
     Nx0 = ds.N.coeff_of("y", 0)
     eq = _half_eq(ds, ds.N, Nx0, ds.N.coeff_of("x", 0), 2 * X)
     return eq + _y_rest(ds, Nx0) - _at_t_ybar(Nx0.coeff_x(1))
@@ -502,7 +458,7 @@ def _reflection(cone_model, wedge_end, order):
 
 def reflection_square(order):
     """Cone walks from (-1,0); endpoint mapped to (-i-1, j)."""
-    return _reflection(WalkModel(SQUARE, Region.THREE_QUADRANT, (-1, 0)),
+    return _reflection(pipeline("square_shifted", order).model,
                        lambda i, j: (-i - 1, j), order)
 
 
@@ -510,7 +466,7 @@ def reflection_diag(order):
     """The diagonal-lattice version: cone walks from (-2,0), wedge walks
     with square steps; endpoint mapped by k=(i+j)/2+1, l=(j-i)/2-1."""
     return _reflection(
-        WalkModel(DIAGONAL, Region.THREE_QUADRANT, (-2, 0)),
+        pipeline("diagonal_shifted", order).model,
         lambda i, j: None if (i + j) % 2 else ((i + j) // 2 + 1,
                                                (j - i) // 2 - 1),
         order)
@@ -519,7 +475,7 @@ def reflection_diag(order):
 def gessel_axis_series(order):
     """G(x,0) for wedge walks equals L(x,0) - B(0,x) of the shifted
     square-lattice cone model."""
-    ss = decompose.square_shifted(order)
+    ss = pipeline("square_shifted", order)
     G = generating_series(WEDGE, order)
     return (ss.L_x0 - ss.B_0y) - G.coeff_of("y", 0)
 
@@ -527,7 +483,7 @@ def gessel_axis_series(order):
 def gessel_diag_series(order):
     """The diagonal slice of the wedge model from the shifted diagonal
     cone model, in the halved variable."""
-    ds = decompose.diagonal_shifted(order)
+    ds = pipeline("diagonal_shifted", order)
     lhs = ds.L_x0.mul_x(-1).halve_x() - ds.B_0y.mul_x(-1).halve_x()
     coeffs = [
         LPoly({j: frontier.get((-j, j), 0) for j in range(n + 1)})
@@ -537,27 +493,20 @@ def gessel_diag_series(order):
 
 
 def orbit_endpoint(order):
-    """C_{i,j} = sign * Q_{i,j} + C_{-i-2,j} + C_{i,-j-2} with sign
-    +1 (both origins), 0 (square shifted), -1 (diagonal shifted)."""
-    cases = [
-        (decompose.square_origin, 1),
-        (decompose.diagonal_origin, 1),
-        (decompose.square_shifted, 0),
-        (decompose.diagonal_shifted, -1),
-    ]
+    """C_{i,j} = s Q_{i,j} + C_{-i-2,j} + C_{i,-j-2} for each pipeline,
+    with its orbit sign s."""
     points = [(0, 0), (1, 0), (1, 1), (2, 0), (0, 2), (2, 2)]
     mismatches = []
-    for pipeline, sign in cases:
-        p = pipeline(order)
+    for name in PIPELINES:
+        p = pipeline(name, order)
         for (i, j) in points:
             lhs = at_point(p.C, (i, j))
             rhs = at_point(p.C, (-i - 2, j)) + at_point(p.C, (i, -j - 2))
-            if sign:
-                rhs = rhs + sign * at_point(p.Q, (i, j))
+            if p.sign:
+                rhs = rhs + p.sign * at_point(p.Q, (i, j))
             if (lhs - rhs).first_failure() is not None:
                 mismatches.append((p.steps.name, p.start, i, j))
     return mismatches
-
 
 # ---------------------------------------------------------------------------
 # Registry
@@ -565,24 +514,28 @@ def orbit_endpoint(order):
 
 IDENTITIES = {
     "func-eq-sq-origin": (
-        "step-by-step equation, square lattice from (0,0)", func_eq_sq_origin),
+        "step-by-step equation, square lattice from (0,0)",
+        partial(func_eq_C, "square_origin")),
     "func-eq-quadrant-sq": (
-        "step-by-step equation, square quadrant walks", func_eq_quadrant_sq),
+        "step-by-step equation, square quadrant walks",
+        partial(func_eq_Q, "square_origin")),
     "orbit-eq-sq-origin": (
-        "orbit equation of the cone series, square origin", orbit_eq_sq_origin),
+        "orbit equation of the cone series, square origin",
+        partial(orbit_eq_C, "square_origin")),
     "orbit-eq-quadrant-sq": (
         "orbit equation of the quadrant series, square", orbit_eq_quadrant_sq),
     "quadrant-positive-part-sq": (
         "quadrant series as a positive part of a rational function",
         quadrant_positive_part_sq),
     "eq-A-sq": (
-        "equation for the zero-orbit-sum correction, square origin", eq_A_sq),
+        "equation for the zero-orbit-sum correction, square origin",
+        partial(eq_A, "square_origin")),
     "orbit-zero-A-sq": (
         "vanishing orbit sum of the corrected series, square origin",
-        orbit_zero_A_sq),
+        partial(orbit_zero_A, "square_origin")),
     "split-A-sq": (
         "three-quadrant split of the corrected series, square origin",
-        split_A_sq),
+        partial(split_A, "square_origin")),
     "PM-relation-sq": (
         "positive part of the orbit equation, square origin", PM_relation_sq),
     "func-M-sq": (
@@ -603,13 +556,13 @@ IDENTITIES = {
                    lambda n: cubic_residual(*sq_cubic(n))),
     "func-eq-diag-origin": (
         "step-by-step equation, diagonal lattice from (0,0)",
-        func_eq_diag_origin),
+        partial(func_eq_C, "diagonal_origin")),
     "func-eq-quadrant-diag": (
         "step-by-step equation, diagonal quadrant walks",
-        func_eq_quadrant_diag),
+        partial(func_eq_Q, "diagonal_origin")),
     "eq-A-diag": (
         "equation for the zero-orbit-sum correction, diagonal origin",
-        eq_A_diag),
+        partial(eq_A, "diagonal_origin")),
     "func-M-diag": (
         "quadrant-like equation for the mixed series, diagonal origin",
         func_M_diag),
@@ -625,15 +578,16 @@ IDENTITIES = {
                      lambda n: cubic_residual(*diag_cubic(n))),
     "func-eq-sq-shift": (
         "step-by-step equation, square lattice from (-1,0)",
-        func_eq_sq_shift),
+        partial(func_eq_C, "square_shifted")),
     "orbit-zero-sq-shift": (
         "vanishing orbit sum, square lattice from (-1,0)",
-        orbit_zero_sq_shift),
+        partial(orbit_zero_A, "square_shifted")),
     "split-C-sq-shift": (
-        "three-quadrant split, square lattice from (-1,0)", split_C_sq_shift),
+        "three-quadrant split, square lattice from (-1,0)",
+        partial(split_A, "square_shifted")),
     "P-LB-sq-shift": (
         "positive part in terms of left and below parts, square shifted",
-        P_LB_sq_shift),
+        partial(P_LB, "square_shifted")),
     "eqL-sq-shift": ("equation for the left part, square shifted",
                      eqL_sq_shift),
     "eqB-sq-shift": ("equation for the below part, square shifted",
@@ -644,22 +598,22 @@ IDENTITIES = {
                         func_N_sq_shift),
     "func-eq-diag-shift": (
         "step-by-step equation, diagonal lattice from (-2,0)",
-        func_eq_diag_shift),
+        partial(func_eq_C, "diagonal_shifted")),
     "eq-A-diag-shift": (
         "equation for the zero-orbit-sum correction, diagonal shifted",
-        eq_A_diag_shift),
+        partial(eq_A, "diagonal_shifted")),
     "orbit-zero-A-diag-shift": (
         "vanishing orbit sum of the corrected series, diagonal shifted",
-        orbit_zero_A_diag_shift),
+        partial(orbit_zero_A, "diagonal_shifted")),
     "orbit-C-diag-shift": (
         "orbit sum of the cone series is minus the quadrant one",
-        orbit_C_diag_shift),
+        partial(orbit_eq_C, "diagonal_shifted")),
     "split-A-diag-shift": (
         "three-quadrant split of the corrected series, diagonal shifted",
-        split_A_diag_shift),
+        partial(split_A, "diagonal_shifted")),
     "P-LB-diag-shift": (
         "positive part in terms of left and below parts, diagonal shifted",
-        P_LB_diag_shift),
+        partial(P_LB, "diagonal_shifted")),
     "eqL-diag-shift": ("equation for the left part, diagonal shifted",
                        eqL_diag_shift),
     "eqB-diag-shift": ("equation for the below part, diagonal shifted",

@@ -10,7 +10,8 @@ One series type per coefficient ring:
   named by the class attribute ``RING``).  Houses the full bivariate walk
   generating functions and adds only the operations on the variables x
   and y.  The two classes never mix: an operation between them raises
-  ``TypeError``.
+  ``TypeError``, and so does a one-variable operation of ``Series1``
+  (``ONE_VARIABLE``) called on a ``Series2``.
 
 Every series carries an explicit truncation ``order`` N: coefficients of
 t^n are valid for n < N.  Binary operations propagate the minimum of the
@@ -396,3 +397,23 @@ class Series2(Series1):
 
     def mul_xy(self, di: int, dj: int) -> "Series2":
         return self.map_poly(lambda p: p.shift(di, dj))
+
+
+# The methods of ``Series1`` that read its coefficients as polynomials in
+# one variable; a ``Series2`` refuses each of them by name.
+ONE_VARIABLE = ("eval_x", "coeff_x", "part_x", "halve_x", "x_to_xt", "sqrt",
+                "mul_x", "sub_inverse_x", "compose")
+
+
+def _one_variable_only(name: str):
+    def refuse(self, *args, **kwargs):
+        raise TypeError(f"Series2.{name} is not defined: {name} works on "
+                        "one-variable coefficients (Series1)")
+
+    refuse.__name__ = refuse.__qualname__ = name
+    return refuse
+
+
+for _name in ONE_VARIABLE:
+    setattr(Series2, _name, _one_variable_only(_name))
+del _name

@@ -18,8 +18,8 @@ GOOD = """\
 def test_parse_good():
     bf = parse_bfile(GOOD)
     assert bf.entries == ((0, 1), (1, 4), (2, 14), (3, 54))
-    assert bf.as_dict()[2] == 14
-    assert len(bf) == 4
+    assert dict(bf.entries)[2] == 14
+    assert len(bf.entries) == 4
 
 
 def test_parse_empty():

@@ -422,13 +422,14 @@ class TestEndpointAndSuiteRules:
                    "--format", fmt) == (0, expected)
 
 
-# sha256 of `verify --suite all --order N --format json` at N = 12 and at
-# the benchmark's N = 16.  A refactor keeps these bytes; a change that
-# alters a verdict or an order on purpose re-pins.
-VERIFY_ALL_12_SHA256 = (
-    "89b9b395e147c7e4d7ff6269b3a10f9d62c49329336791b258acb7f857567b1b")
-VERIFY_ALL_16_SHA256 = (
-    "1efc1f517de39e280ff13a9dbcf321c2f451ab9f85e789ce5cd7ac7d17dda6cd")
+# sha256 of `verify --suite all --order N --format json` at N = 12, at the
+# benchmark's N = 16 and at N = 20.  A refactor keeps these bytes; a change
+# that alters a verdict or an order on purpose re-pins.
+VERIFY_ALL_SHA256 = {
+    12: "89b9b395e147c7e4d7ff6269b3a10f9d62c49329336791b258acb7f857567b1b",
+    16: "1efc1f517de39e280ff13a9dbcf321c2f451ab9f85e789ce5cd7ac7d17dda6cd",
+    20: "ad6fa0b1cf8c8eabadf6bee04f84a04a7a3ddf33cad5ebcf7fde5509d23e1e2f",
+}
 
 # sha256 of the two solver outputs, pinned the same way: T with scalar
 # coefficients, U with coefficients in x.
@@ -440,18 +441,12 @@ PARAM_SHA256 = {
 }
 
 
-def test_verify_all_order_12_bytes_are_pinned(capsys):
-    code, out = run(capsys, "verify", "--suite", "all", "--order", "12",
+@pytest.mark.parametrize("order", sorted(VERIFY_ALL_SHA256))
+def test_verify_all_bytes_are_pinned(capsys, order):
+    code, out = run(capsys, "verify", "--suite", "all", "--order", str(order),
                     "--format", "json")
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_12_SHA256
-
-
-def test_verify_all_order_16_bytes_are_pinned(capsys):
-    code, out = run(capsys, "verify", "--suite", "all", "--order", "16",
-                    "--format", "json")
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_16_SHA256
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256[order]
 
 
 @pytest.mark.parametrize("order", range(1, 13))

@@ -400,7 +400,7 @@ I = QI(0, 1)
 def paper_quad_residual(order):
     """The cleared (times X^4) derivative equation of the square origin
     pipeline as the paper states it, whose roots are X1 and its conjugate."""
-    sq = decompose.square_origin(order)
+    sq = decompose.pipeline("square_origin", order)
     S, S1, P0 = sq.S, sq.S1, sq.P0
     t = Series1.t(order)
     t2 = t * t
@@ -432,7 +432,7 @@ def paper_quad_residual(order):
 def paper_fact3_residual(X):
     """The cleared (times X^3) cubic factor that X1 satisfies, as the
     paper states it."""
-    sq = decompose.square_origin(X.order)
+    sq = decompose.pipeline("square_origin", X.order)
     S, S1 = sq.S, sq.S1
     t = Series1.t(X.order)
     X2 = X * X
@@ -479,11 +479,11 @@ class TestXSq12IsNotTrueByConstruction:
         assert r["verdict"] == "fail" and r["first_failure"] == [11, 0]
 
     def _with_pipeline(self, monkeypatch, **changes):
-        sq = decompose.square_origin(12)
+        sq = decompose.pipeline("square_origin", 12)
         fake = SimpleNamespace(S=sq.S, S1=sq.S1, P0=sq.P0)
         for name, delta in changes.items():
             setattr(fake, name, getattr(fake, name) + delta)
-        monkeypatch.setattr(decompose, "square_origin", lambda n: fake)
+        monkeypatch.setattr(decompose, "pipeline", lambda name, n: fake)
         return engine.run_check("x-sq-12", 12)
 
     def test_perturbed_S1_fails(self, monkeypatch):
@@ -499,10 +499,10 @@ class TestXSq12IsNotTrueByConstruction:
 
 class TestXSq0ReadsTheOracle:
     def test_perturbed_S_fails(self, monkeypatch):
-        sq = decompose.square_origin(12)
+        sq = decompose.pipeline("square_origin", 12)
         bad_S = sq.S + Series1.x(12) * Series1.t(12) ** 7
         fake = SimpleNamespace(S=bad_S, S1=sq.S1, P0=sq.P0)
-        monkeypatch.setattr(decompose, "square_origin", lambda n: fake)
+        monkeypatch.setattr(decompose, "pipeline", lambda name, n: fake)
         r = engine.run_check("x-sq-0", 12)
         assert r["verdict"] == "fail" and r["first_failure"] == [10, 0]
 
@@ -511,9 +511,9 @@ def reference_diag_quad_residual(X):
     """The hand-expanded (times x(x+1)) dP/ds of the diagonal origin cubic
     that the derived dP/ds of ``gqm_series`` replaced."""
     order = X.order
-    dg = decompose.diagonal_origin(order)
+    dg = decompose.pipeline("diagonal_origin", order)
     S = dg.S
-    F0 = dg.F0
+    F0 = engine.diag_F0(order)
     t2 = Series1.from_scalar_coeffs([0, 0, 1], order)
     SX = S.compose(X)
     lead = X - 4 * t2 * (1 + X) ** 2
@@ -561,7 +561,7 @@ class TestDerivedGQMResiduals:
 def rotated_square(order):
     """S, S1 and P0 of the square origin pipeline made real by
     ``engine._rotate`` (S with shift 1, the constants with shift 0)."""
-    sq = decompose.square_origin(order)
+    sq = decompose.pipeline("square_origin", order)
     return [engine._rotate(sq.S, 1)[0], engine._rotate(sq.S1, 0)[0],
             engine._rotate(sq.P0, 0)[0]]
 
@@ -646,5 +646,5 @@ class TestKernelFromTheStepSet:
         halved = Series1([LPoly.const(1), LPoly(), -4 * prod], n)
         assert decompose.discriminant(SQUARE, n) == square
         assert decompose.discriminant(DIAGONAL, n) == diagonal
-        assert decompose.square_origin(n).Delta == square
-        assert decompose.diagonal_origin(n).Delta == halved
+        assert decompose.pipeline("square_origin", n).Delta == square
+        assert decompose.pipeline("diagonal_origin", n).Delta == halved

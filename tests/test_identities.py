@@ -46,7 +46,7 @@ def test_a_perturbed_identity_fails():
     from conewalks import decompose
     from conewalks.series import Series2
 
-    sq = decompose.square_origin(6)
+    sq = decompose.pipeline("square_origin", 6)
     wrong = sq.K * sq.C - Series2.one(6)  # drops the boundary terms
     assert wrong.first_failure() is not None
 
@@ -93,7 +93,7 @@ def test_negative_check_names_a_vanishing_residual():
 def test_step_eq_sees_a_flipped_corner():
     from conewalks import decompose
 
-    dg = decompose.diagonal_origin(6)
+    dg = decompose.pipeline("diagonal_origin", 6)
     C = dg.C
     sections = (identities._neg_x_axis(C), identities._neg_y_axis(C))
     corner = identities.at_point(C, (0, 0))
@@ -108,9 +108,9 @@ def test_half_eq_sees_a_wrong_constant():
 
     from conewalks import decompose
 
-    sq = decompose.square_origin(6)
-    rest = identities._y_rest(sq, sq.M_x0)
+    sq = decompose.pipeline("square_origin", 6)
+    rest = identities._y_rest(sq, sq.L_x0)
     for const, zero in ((Fraction(2, 3) * identities.X, True),
                         (identities.X, False)):
-        res = identities._half_eq(sq, sq.M, sq.M_x0, sq.M_0y, const) - rest
+        res = identities._half_eq(sq, sq.L, sq.L_x0, sq.L_0y, const) - rest
         assert (res.first_failure() is None) == zero

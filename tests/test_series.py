@@ -357,3 +357,19 @@ def test_series2_x_stays_in_its_ring():
     assert x + Series2.one(3) == Series2.from_poly(LPoly2.x(1) + 1, 3)
     assert Series2.x(3, -2).coeff(0) == LPoly2.x(-2)
     assert Series1.x(3, 2).coeff(0) == LPoly.var(2)
+
+
+# Each one-variable method of Series1 with arguments it accepts there.
+ONE_VARIABLE_CALLS = {
+    "eval_x": (2,), "coeff_x": (1,), "part_x": ("neg",), "halve_x": (),
+    "x_to_xt": (), "sqrt": (), "mul_x": (1,), "sub_inverse_x": (),
+    "compose": (Series1.t(3),),
+}
+
+
+@pytest.mark.parametrize("name", ONE_VARIABLE_CALLS)
+def test_series2_refuses_one_variable_methods_by_name(name):
+    args = ONE_VARIABLE_CALLS[name]
+    getattr(Series1.one(3), name)(*args)  # defined on Series1
+    with pytest.raises(TypeError, match=rf"Series2\.{name}\b"):
+        getattr(Series2.one(3), name)(*args)

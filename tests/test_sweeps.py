@@ -1,6 +1,8 @@
 """One DP sweep per walk model: each command and check reads every count
 it needs from a single pass of ``walks._layers``."""
 
+import json
+
 import pytest
 
 from conewalks import decompose, identities, walks
@@ -11,9 +13,7 @@ def record(monkeypatch, entry):
     """``entry(model, n)`` for every DP sweep started, in order, with the
     sweep memo and the pipeline caches empty so that every sweep a check
     needs is seen."""
-    for pipeline in (decompose.square_origin, decompose.diagonal_origin,
-                     decompose.square_shifted, decompose.diagonal_shifted):
-        pipeline.cache_clear()
+    decompose.pipeline.cache_clear()
     walks.sweep.cache_clear()
     seen = []
     layers = walks._layers
@@ -108,3 +108,45 @@ def test_memoised_frontiers_equal_a_fresh_sweep(capsys, swept):
     for model, n in list(swept):
         assert walks.sweep(model, n) == tuple(walks._layers(model, n))
     assert walks.sweep.cache_info().misses == misses
+
+
+# The checks that no count of the walk oracle can fail: the solver's own
+# equations (base-T, base-Y-*), the hypergeometric side of base-Z-hyper,
+# the bookkeeping of the three-quadrant split (split-*) and the negative
+# check no-kernel-factor-sq.
+ORACLE_BLIND = {"base-T", "base-Y-square", "base-Y-diagonal", "base-Z-hyper",
+                "no-kernel-factor-sq", "split-A-sq", "split-C-sq-shift",
+                "split-A-diag-shift"}
+
+
+def verify_all(capsys, order):
+    code = main(["verify", "--suite", "all", "--order", str(order),
+                 "--format", "json"])
+    reports = json.loads(capsys.readouterr().out)
+    return code, {r["id"] for r in reports if r["verdict"] == "pass"}
+
+
+def test_a_perturbed_oracle_fails_every_check_that_reads_it(capsys,
+                                                            monkeypatch):
+    """Adding 1 to every count of layers 1-4 fails every check except the
+    declared ORACLE_BLIND ones.  The unperturbed run warms every memo first,
+    so the perturbed run also shows that no memo but ``walks.sweep`` and
+    ``decompose.pipeline`` keeps an oracle count."""
+    code, passed = verify_all(capsys, 12)
+    assert code == 0 and len(passed) == 112
+    walks.sweep.cache_clear()
+    decompose.pipeline.cache_clear()
+    layers = walks._layers
+
+    def perturbed(model, n):
+        for k, frontier in enumerate(layers(model, n)):
+            yield ({p: c + 1 for p, c in frontier.items()} if 1 <= k <= 4
+                   else frontier)
+
+    monkeypatch.setattr(walks, "_layers", perturbed)
+    try:
+        code, passed = verify_all(capsys, 12)
+    finally:
+        walks.sweep.cache_clear()
+        decompose.pipeline.cache_clear()
+    assert code == 1 and passed == ORACLE_BLIND
