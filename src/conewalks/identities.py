@@ -449,8 +449,8 @@ def _reflection(cone_model, wedge_end, order):
                 end = wedge_end(i, j)
                 if end is None:
                     continue
-                lhs = cone[n].get((i, j), 0) - cone[n].get((j, i), 0)
-                rhs = wedge[n].get(end, 0)
+                lhs = cone[n].get(i, j) - cone[n].get(j, i)
+                rhs = wedge[n].get(*end)
                 if lhs != rhs:
                     mismatches.append((n, i, j, lhs, rhs))
     return mismatches
@@ -486,7 +486,7 @@ def gessel_diag_series(order):
     ds = pipeline("diagonal_shifted", order)
     lhs = ds.L_x0.mul_x(-1).halve_x() - ds.B_0y.mul_x(-1).halve_x()
     coeffs = [
-        LPoly({j: frontier.get((-j, j), 0) for j in range(n + 1)})
+        LPoly({j: frontier.get(-j, j) for j in range(n + 1)})
         for n, frontier in enumerate(sweep(WEDGE, order)[:order])
     ]
     return lhs - Series1(coeffs, order)

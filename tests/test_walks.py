@@ -7,17 +7,20 @@ all step sequences (independent of the DP) while the tests were written.
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conewalks.walks import (
     DIAGONAL,
     SQUARE,
     Region,
+    StepSet,
     WalkModel,
     count_sequence,
     count_walks_upto,
     float_totals,
     generating_series,
     _layers,
+    _stride,
 )
 
 
@@ -216,3 +219,85 @@ def test_support_stays_within_n_steps_of_start(steps, region):
             assert poly.terms
             for (i, j) in poly.terms:
                 assert abs(i - x0) <= n and abs(j - y0) <= n
+
+
+# The region predicates as first written, one lambda per region: the
+# reference for the row bounds that state each region now.
+REFERENCE_REGION_TESTS = {
+    Region.QUADRANT: lambda i, j: i >= 0 and j >= 0,
+    Region.THREE_QUADRANT: lambda i, j: i >= 0 or j >= 0,
+    Region.WEDGE135: lambda i, j: i + j >= 0 and j >= 0,
+    Region.HALF_PLANE: lambda i, j: i + j >= 0,
+    Region.FULL_PLANE: lambda i, j: True,
+}
+
+
+@pytest.mark.parametrize("region", list(Region))
+def test_row_bounds_agree_with_the_reference_predicates(region):
+    inside = REFERENCE_REGION_TESTS[region]
+    for i, j in product(range(-12, 13), repeat=2):
+        assert region.contains(i, j) == inside(i, j), (i, j)
+
+
+def reference_layers(model, n):
+    """The cell-by-cell dict DP the row DP replaced: a frontier is a dict
+    (i, j) -> count of the cells some walk reaches."""
+    if n < 0:
+        return
+    contains = REFERENCE_REGION_TESTS[model.region]
+    steps = model.steps.steps
+    frontier = {model.start: 1}
+    yield frontier
+    for _ in range(n):
+        nxt = {}
+        for (i, j), c in frontier.items():
+            for dx, dy in steps:
+                p = (i + dx, j + dy)
+                if contains(*p):
+                    nxt[p] = nxt.get(p, 0) + c
+        frontier = nxt
+        yield frontier
+
+
+# Two step sets that break the parity rule, so their rows keep every cell.
+KING = StepSet("king", frozenset(
+    step for step in product((-1, 0, 1), repeat=2) if step != (0, 0)))
+KREWERAS = StepSet("kreweras", frozenset({(1, 0), (0, 1), (-1, -1)}))
+
+
+def test_stride_follows_the_parity_rule():
+    assert [_stride(s) for s in (SQUARE, DIAGONAL, KING, KREWERAS)] == [
+        2, 2, 1, 1]
+    # Three square steps still fix the parity of i + j.
+    assert _stride(StepSet("half", frozenset({(1, 0), (-1, 0), (0, 1)}))) == 2
+
+
+@st.composite
+def walk_models(draw):
+    region = draw(st.sampled_from(list(Region)))
+    steps = draw(st.sampled_from([SQUARE, DIAGONAL, KING, KREWERAS]))
+    start = draw(st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(
+        lambda p: REFERENCE_REGION_TESTS[region](*p)))
+    return WalkModel(steps, region, start)
+
+
+@settings(max_examples=150, deadline=None)
+@given(walk_models(), st.integers(0, 25))
+def test_row_frontiers_equal_the_dict_reference(model, n):
+    """Every frontier holds exactly the cells the dict DP reaches, with
+    their counts.  With a parity stride it stores no zero either, so the
+    rows hold exactly those cells; a step set without one (king,
+    Kreweras) leaves unreached cells inside a row, which ``cells`` skips."""
+    pairs = list(zip(_layers(model, n), reference_layers(model, n),
+                     strict=True))
+    assert len(pairs) == n + 1
+    for frontier, expected in pairs:
+        assert frontier.cells() == expected
+        assert frontier.total() == sum(expected.values())
+        if frontier.stride == 2:
+            assert all(all(counts) for _, counts in frontier.rows.values())
+    frontier, expected = pairs[-1]
+    x0, y0 = model.start
+    for i, j in product(range(x0 - n - 2, x0 + n + 3),
+                        range(y0 - n - 2, y0 + n + 3)):
+        assert frontier.get(i, j) == expected.get((i, j), 0)
