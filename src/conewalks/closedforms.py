@@ -12,21 +12,25 @@ is wrong.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
 
-def rising_factorial(a, n: int) -> Fraction:
-    """(a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1."""
+def _rising(a, n: int) -> tuple:
+    """(a)_n for a = p/q in lowest terms, as the integers
+    (p (p+q) ... (p+(n-1)q), q^n)."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    a = Fraction(a)
-    out = Fraction(1)
-    for k in range(n):
-        out *= a + k
-    return out
+    p, q = a.numerator, a.denominator
+    return math.prod(range(p, p + n * q, q)), q**n
+
+
+def rising_factorial(a, n: int) -> Fraction:
+    """(a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1."""
+    return Fraction(*_rising(Fraction(a), n))
 
 
 def binomial(n: int, k) -> int:
@@ -80,12 +84,17 @@ class HypTerm:
     den: tuple   # pairs (b, shift)
 
     def value(self, n: int) -> Fraction:
+        """The term at n: integer numerator and denominator products, then
+        one ``Fraction``."""
         val = self.coeff * sum(c * n**k for k, c in enumerate(self.poly))
+        num, den = val.numerator, val.denominator
         for a, s in self.num:
-            val *= rising_factorial(a, n + s)
+            p, q = _rising(a, n + s)
+            num, den = num * p, den * q
         for b, s in self.den:
-            val /= rising_factorial(b, n + s)
-        return val
+            p, q = _rising(b, n + s)
+            num, den = num * q, den * p
+        return Fraction(num, den)
 
 
 def hyp_sum(terms, n: int) -> Fraction:

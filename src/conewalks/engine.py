@@ -5,6 +5,9 @@ square root, plus the two variable-parametrizing series), solves implicit
 algebraic equations by Newton iteration with precision doubling,
 evaluates the parametrized rational expressions from the data catalog,
 and checks everything against series extracted from the walk oracle.
+Every term list of the catalog reads the powers of z, u and v from one
+memo (``_power``), and costs one series product per group of terms that
+share their powers of u, v and x (``eval_terms``).
 
 Every check is a table row: its id maps to an anchor and a function from
 the order to a list of residual series, all recomputed from the oracle
@@ -175,24 +178,42 @@ _BUILDERS = {
 }
 
 
+@lru_cache(maxsize=None)
+def _power(sym: str, e: int, order: int) -> Series1:
+    """The parametrizing series ``sym`` to the power e >= 0, shared by every
+    term list read at this order."""
+    if e == 0:
+        return Series1.one(order)
+    if e == 1:
+        return _BUILDERS[sym](order).truncate(order)
+    return _power(sym, e - 1, order) * _power(sym, 1, order)
+
+
 def eval_terms(terms, order: int) -> Series1:
-    """Evaluate an expanded term list at the parametrizing series."""
-    cache = {}
+    """Evaluate an expanded term list at the parametrizing series.
 
-    def power(sym, e):
-        if (sym, e) not in cache:
-            if e == 1:
-                cache[(sym, e)] = _BUILDERS[sym](order).truncate(order)
-            else:
-                cache[(sym, e)] = power(sym, e - 1) * power(sym, 1)
-        return cache[(sym, e)]
-
-    acc = Series1.zero(order)
+    The terms are grouped by their powers of the symbols other than z.  A
+    group's combination of powers of z is summed coefficient by
+    coefficient, and then multiplied by the group's other powers: one
+    series product per group and symbol, not one per term.
+    """
+    groups = {}  # other powers -> [(coefficient, its power of z)]
     for coeff, exps in terms:
-        term = Series1.const(Fraction(coeff), order)
-        for sym, e in exps.items():
-            term = term * power(sym, e)
-        acc = acc + term
+        rest = tuple(sorted((sym, e) for sym, e in exps.items() if sym != "z"))
+        z = _power("z", exps.get("z", 0), order)
+        groups.setdefault(rest, []).append((LPoly.const(Fraction(coeff)), z))
+    acc = Series1.zero(order)
+    for rest, pairs in groups.items():
+        combo = []
+        for k in range(order):
+            coeff = {}
+            for c, z in pairs:
+                z.coeffs[k].mul_into(coeff, c)
+            combo.append(LPoly(coeff))
+        group = Series1(combo, order)
+        for sym, e in rest:
+            group = group * _power(sym, e, order)
+        acc = acc + group
     return acc
 
 

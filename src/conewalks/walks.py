@@ -23,6 +23,9 @@ swept once.  The readers whose length the user picks (``count``,
 ``series``, ``oeis`` and the closed forms) stream ``_layers`` instead:
 each frontier is dropped once read, because holding every frontier of a
 long sweep until the process ends raises its peak memory.
+``endpoint_columns`` is the one endpoint reader: it reads any number of
+endpoints of one model from one streamed sweep, so the closed forms sweep
+each walk model once however many of its endpoints they check.
 """
 
 from __future__ import annotations
@@ -228,16 +231,31 @@ def count_walks_upto(model: WalkModel, n: int) -> list:
     ]
 
 
+def endpoint_columns(model: WalkModel, n: int, endpoints) -> dict:
+    """The counts of the walks of lengths 0..n ending at each of
+    ``endpoints``, as endpoint -> [count at length 0, ..., n], read from
+    one sweep that keeps no frontier.  Every endpoint is checked against
+    the region before the sweep starts; when n is negative the lists are
+    empty and nothing is swept."""
+    columns = {endpoint: [] for endpoint in endpoints}
+    for endpoint in columns:
+        model.require_inside("endpoint", endpoint)
+    if n < 0:
+        return columns
+    for frontier in _layers(model, n):
+        for endpoint, column in columns.items():
+            column.append(frontier.get(*endpoint))
+    return columns
+
+
 def count_sequence(model: WalkModel, n: int, endpoint=None) -> list:
     """Counts of the walks of lengths 0..n from one sweep: all of them, or
     only those ending at ``endpoint``.  Empty when n is negative."""
     if endpoint is not None:
-        model.require_inside("endpoint", endpoint)
+        return endpoint_columns(model, n, [endpoint])[endpoint]
     if n < 0:
         return []
-    if endpoint is None:
-        return [frontier.total() for frontier in _layers(model, n)]
-    return [frontier.get(*endpoint) for frontier in _layers(model, n)]
+    return [frontier.total() for frontier in _layers(model, n)]
 
 
 def generating_series(model: WalkModel, order: int) -> Series2:

@@ -3,8 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conewalks import closedforms as cf
+from conewalks.engine import Z_TERMS
 from conewalks.walks import (
     DIAGONAL,
     SQUARE,
@@ -23,6 +25,81 @@ def test_rising_factorial():
     assert cf.rising_factorial(5, 0) == 1
     with pytest.raises(ValueError):
         cf.rising_factorial(1, -1)
+
+
+def reference_rising_factorial(a, n):
+    """(a)_n as a product of ``Fraction`` factors."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    a = Fraction(a)
+    out = Fraction(1)
+    for k in range(n):
+        out *= a + k
+    return out
+
+
+def reference_value(term, n):
+    """A term's value at n, one ``Fraction`` operation at a time."""
+    val = term.coeff * sum(c * n**k for k, c in enumerate(term.poly))
+    for a, s in term.num:
+        val *= reference_rising_factorial(a, n + s)
+    for b, s in term.den:
+        val /= reference_rising_factorial(b, n + s)
+    return val
+
+
+def outcome(f, *args):
+    """f(*args), or the type of the exception it raises."""
+    try:
+        return f(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+CATALOG_TERMS = [t for entry in cf.catalog().values() for t in entry.terms]
+
+
+@pytest.mark.parametrize("term", [*CATALOG_TERMS, *Z_TERMS])
+def test_integer_first_terms_equal_the_fraction_loops(term):
+    for n in range(-2, 41):
+        assert outcome(term.value, n) == outcome(reference_value, term, n)
+        for a, s in (*term.num, *term.den):
+            assert outcome(cf.rising_factorial, a, n + s) == outcome(
+                reference_rising_factorial, a, n + s)
+
+
+@given(st.fractions(min_value=-20, max_value=20, max_denominator=12),
+       st.integers(-3, 30))
+def test_rising_factorial_equals_the_fraction_loop(a, n):
+    assert outcome(cf.rising_factorial, a, n) == outcome(
+        reference_rising_factorial, a, n)
+
+
+def test_rising_factorial_at_nonpositive_integers():
+    """(a)_n vanishes from n = 1 - a on when a is an integer <= 0."""
+    assert [cf.rising_factorial(-3, n) for n in range(6)] == [
+        1, -3, 6, -6, 0, 0]
+    assert [cf.rising_factorial(0, n) for n in range(3)] == [1, 0, 0]
+    assert cf.rising_factorial(Fraction(-5, 2), 3) == Fraction(-15, 8)
+    for a in (-3, Fraction(1, 2)):
+        with pytest.raises(ValueError):
+            cf.rising_factorial(a, -1)
+
+
+def test_term_with_a_vanishing_rising_factorial():
+    """A numerator (a)_n with an integer a <= 0 zeroes the term; the same
+    factor in the denominator divides by zero, as the Fraction loop does."""
+    zeroed = cf.HypTerm(Fraction(3), (Fraction(1),), ((Fraction(-2), 0),),
+                        ((Fraction(1, 2), 1),))
+    assert [zeroed.value(n) for n in range(5)] == [
+        reference_value(zeroed, n) for n in range(5)]
+    assert [zeroed.value(n) for n in range(3, 6)] == [0, 0, 0]
+    pole = cf.HypTerm(Fraction(1), (Fraction(1),), (), ((Fraction(-1), 0),))
+    assert pole.value(1) == -1
+    with pytest.raises(ZeroDivisionError):
+        pole.value(2)
+    with pytest.raises(ValueError):
+        zeroed.value(-2)
 
 
 def test_binomial():

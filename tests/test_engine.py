@@ -1,5 +1,6 @@
 """Algebraic engine: implicit-equation solving and the series catalogs."""
 
+import copy
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -203,6 +204,66 @@ class TestCatalogs:
         assert set(r) == {"id", "anchor", "order_checked", "verdict",
                           "first_failure"}
         assert r["verdict"] == "pass" and r["first_failure"] is None
+
+
+def reference_eval_terms(terms, order):
+    """A term list evaluated one term at a time: each term a product of its
+    coefficient and its powers, the powers built afresh for each list."""
+    cache = {}
+
+    def power(sym, e):
+        if (sym, e) not in cache:
+            if e == 1:
+                cache[(sym, e)] = engine._BUILDERS[sym](order).truncate(order)
+            else:
+                cache[(sym, e)] = power(sym, e - 1) * power(sym, 1)
+        return cache[(sym, e)]
+
+    acc = Series1.zero(order)
+    for coeff, exps in terms:
+        term = Series1.const(Fraction(coeff), order)
+        for sym, e in exps.items():
+            term = term * power(sym, e)
+        acc = acc + term
+    return acc
+
+
+def term_lists():
+    data = engine._param_data()
+    return [(key, part)
+            for section in ("bivariate", "z_rationals")
+            for key in sorted(data[section])
+            for part in ("num", "den")]
+
+
+class TestGroupedTerms:
+    @pytest.mark.parametrize("order", [8, 16])
+    @pytest.mark.parametrize("key, part", term_lists())
+    def test_equal_the_per_term_loop(self, key, part, order):
+        data = engine._param_data()
+        terms = (data["bivariate"].get(key) or data["z_rationals"][key])[part]
+        assert engine.eval_terms(terms, order) == reference_eval_terms(
+            terms, order)
+
+    @pytest.mark.parametrize("key, part", [
+        ("sq-origin-axis-x", "den"), ("sq-shift-below-axis-y", "den"),
+        ("diag-shift-left-axis-x", "num"), ("sq-P0", "num"),
+        ("diag-origin-end-0-0", "den")])
+    def test_one_changed_coefficient_changes_the_residual(self, key, part,
+                                                          monkeypatch):
+        """Raising the coefficient of a list's last term by 1 fails the
+        key's check: no term of a grouped list is dropped or shared.  No
+        square-lattice numerator is changed: its denominator vanishes at
+        t^0, so the division would raise ``PivotError`` instead."""
+        assert engine.run_check(key, 12)["verdict"] == "pass"
+        before = engine.catalog_series(key, 12)
+        data = copy.deepcopy(engine._param_data())
+        section = "bivariate" if key in data["bivariate"] else "z_rationals"
+        terms = data[section][key][part]
+        terms[-1][0] += 1
+        monkeypatch.setattr(engine, "_param_data", lambda: data)
+        assert engine.catalog_series(key, 12) != before
+        assert engine.run_check(key, 12)["verdict"] == "fail"
 
 
 class TestFrozenEndpointValues:

@@ -6,8 +6,9 @@ from dataclasses import replace
 
 import pytest
 
-from conewalks import decompose, identities, walks
-from conewalks.cli import main
+from conewalks import closedforms, decompose, identities, walks
+from conewalks.cli import LATTICES, REGIONS, main
+from conewalks.walks import WalkModel
 
 
 def record(monkeypatch, entry):
@@ -82,10 +83,49 @@ def test_oeis_sweeps_to_its_last_index(capsys, sweeps, bfile):
     assert sweeps == [2]
 
 
-def test_closed_forms_sweep_once_per_entry(capsys, sweeps):
+def catalog_models():
+    """The walk model of each closed-form catalog entry, by key."""
+    return {key: WalkModel(LATTICES[entry.lattice], REGIONS[entry.region],
+                           entry.start)
+            for key, entry in closedforms.catalog().items()}
+
+
+def test_closed_forms_sweep_once_per_model(capsys, swept):
+    """The 11 catalog entries read their endpoints from one sweep of each
+    of their 5 distinct walk models."""
     assert run(capsys, "verify", "--suite", "closed-forms",
                "--order", "6") == 0
-    assert sweeps == [12] * 11
+    assert [n for _, n in swept] == [12] * 5
+    models = [model for model, _ in swept]
+    assert len(set(models)) == 5
+    assert set(models) == set(catalog_models().values())
+
+
+def test_swapped_closed_form_endpoints_fail_with_their_own_values(
+        capsys, monkeypatch):
+    """Two entries of one model with their endpoints swapped both fail, at
+    the first n where the counts at the two endpoints differ, and each
+    reports its own formula against the count at its new endpoint: each
+    entry reads its own column of the shared sweep."""
+    cat = dict(closedforms.catalog())
+    a, b = "diag-origin-m2-0", "diag-origin-m4-0"
+    cat[a], cat[b] = (replace(cat[a], end=cat[b].end),
+                      replace(cat[b], end=cat[a].end))
+    monkeypatch.setattr(closedforms, "catalog", lambda: cat)
+    order = 6
+    tables = walks.count_walks_upto(catalog_models()[a], 2 * order)
+    assert main(["verify", "--suite", "closed-forms", "--order", str(order),
+                 "--format", "json"]) == 1
+    reports = {r["id"]: r for r in json.loads(capsys.readouterr().out)}
+    assert {key for key, r in reports.items() if r["verdict"] != "pass"} == {
+        a, b}
+    for key in (a, b):
+        entry = cat[key]
+        n = next(n for n in range(order + 1)
+                 if entry.count(n) != tables[2 * n].get(*entry.end))
+        assert reports[key]["first_failure"] == [
+            n, str(entry.count(n)), str(tables[2 * n].get(*entry.end))]
+    assert reports[a]["first_failure"] != reports[b]["first_failure"]
 
 
 def test_orbit_endpoint_reads_the_pipelines(sweeps):

@@ -9,6 +9,8 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conewalks import closedforms, walks
+from conewalks.cli import LATTICES, REGIONS
 from conewalks.walks import (
     DIAGONAL,
     SQUARE,
@@ -17,6 +19,7 @@ from conewalks.walks import (
     WalkModel,
     count_sequence,
     count_walks_upto,
+    endpoint_columns,
     float_totals,
     generating_series,
     _layers,
@@ -201,6 +204,50 @@ def test_count_sequence_edges():
     assert count_sequence(SQ3, 0, (1, 0)) == [0]
     with pytest.raises(ValueError, match="endpoint .* outside region"):
         count_sequence(SQ3, 3, (-1, -1))
+
+
+def catalog_models():
+    """Each distinct walk model of the closed-form catalog, with the
+    endpoints its entries read."""
+    models = {}
+    for entry in closedforms.catalog().values():
+        model = WalkModel(LATTICES[entry.lattice], REGIONS[entry.region],
+                          entry.start)
+        models.setdefault(model, []).append(entry.end)
+    return list(models.items())
+
+
+@pytest.mark.parametrize("model, ends", catalog_models())
+def test_endpoint_columns_equal_the_tables(model, ends):
+    """One sweep reads every endpoint's column: each equals the counts of
+    the per-length tables, for the catalog's endpoints and a few others."""
+    n = 24
+    tables = count_walks_upto(model, n)
+    points = [*ends, model.start, (1, 1), (-3, 1), (5, 0), (40, 0)]
+    points = [p for p in dict.fromkeys(points) if model.region.contains(*p)]
+    columns = endpoint_columns(model, n, points)
+    assert list(columns) == points
+    for end in points:
+        assert columns[end] == [t.get(*end) for t in tables]
+        assert count_sequence(model, n, end) == columns[end]
+
+
+def test_endpoint_columns_check_every_endpoint_before_sweeping(monkeypatch):
+    started = []
+    monkeypatch.setattr(walks, "_layers",
+                        lambda model, n: started.append(n) or iter(()))
+    with pytest.raises(ValueError, match=r"endpoint \(-1, -1\) outside"):
+        endpoint_columns(SQ3, 5, [(0, 0), (2, 1), (-1, -1)])
+    with pytest.raises(ValueError, match="outside region"):
+        count_sequence(SQ3, 5, (-1, -1))
+    assert started == []
+
+
+def test_endpoint_columns_edges():
+    assert endpoint_columns(SQ3, -1, [(0, 0), (1, 0)]) == {(0, 0): [],
+                                                          (1, 0): []}
+    assert endpoint_columns(SQ3, 3, []) == {}
+    assert endpoint_columns(SQ3, 2, [(0, 0), (0, 0)]) == {(0, 0): [1, 0, 4]}
 
 
 def test_negative_length_sweeps_nothing():
