@@ -378,7 +378,8 @@ Z_RATIONALS = {
 }
 
 
-def main():
+def build() -> str:
+    """The text of parametrizations.json."""
     data = {
         "symbols": list(SYMS),
         "bivariate": {
@@ -398,13 +399,16 @@ def main():
             for key, e in Z_RATIONALS.items()
         },
     }
+    return json.dumps(data, indent=1, sort_keys=True) + "\n"
+
+
+def main():
     here = os.path.dirname(os.path.abspath(__file__))
     dest = os.path.join(
         here, "..", "src", "conewalks", "data", "parametrizations.json"
     )
     with open(dest, "w") as fh:
-        json.dump(data, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(build())
     print("wrote", os.path.normpath(dest))
 
 

@@ -19,7 +19,8 @@ model and reads each model's endpoints from one sweep
 (``walks.endpoint_columns``) before it checks them, so its 11 entries make
 5 sweeps; the counts live only for that suite run.
 
-Exit codes: 0 success, 1 verification failure or data mismatch, 2 usage
+Exit codes: 0 success, 1 verification failure or data mismatch (including
+a catalog entry whose numerator its denominator does not divide), 2 usage
 error (including an --order too low for any check, such as a catalog
 entry whose denominator is zero to that order, and an asympt --n beyond
 the float64 range).
@@ -354,6 +355,9 @@ def cmd_param(cfg: dict, args, out) -> int:
             series = engine.catalog_series(key, order)
         except OrderError as exc:
             raise _order_too_low(order, key, exc)
+        except engine.CatalogError as exc:
+            print(f"error: {key}: {exc}", file=sys.stderr)
+            return 1
     else:
         raise UsageError(f"unknown series key {key!r}")
     if cfg["format"] == "json":

@@ -71,9 +71,11 @@ def quadrant_mirror_combo(Q: Series2) -> Series2:
     return Q - Qxb - Qyb
 
 
-def x_neg_factor2(series2: Series2) -> Series2:
-    """Recover F(x, y) from the identity [x^<] A = xbar * F(xbar, y)."""
-    return series2.part("x", "neg").mul_xy(1, 0).sub_inverse("x")
+def neg_factor(A: Series2, var: str) -> Series2:
+    """The series F with [v^<] A = vbar F(vbar) in the variable v = var:
+    the negative part of A in v, shifted by v and inverted in v."""
+    shift = (1, 0) if var == "x" else (0, 1)
+    return A.part(var, "neg").mul_xy(*shift).sub_inverse(var)
 
 
 def _cached(build):
@@ -165,12 +167,11 @@ class Pipeline:
 
     @_cached
     def L(self) -> Series2:
-        return x_neg_factor2(self.A)
+        return neg_factor(self.A, "x")
 
     @_cached
     def B(self) -> Series2:
-        # [y^<] A = ybar B(x, ybar): shift and invert y only.
-        return self.A.part("y", "neg").mul_xy(0, 1).sub_inverse("y")
+        return neg_factor(self.A, "y")
 
     @_cached
     def M(self) -> Series2:
@@ -235,11 +236,6 @@ class Pipeline:
     @_cached
     def R0(self) -> Series1:
         return self.R.coeff_x(0)
-
-    @_cached
-    def M10(self) -> Series1:
-        """[x^1 y^0] of the paper's M from the origin (L here)."""
-        return self.L_x0.coeff_x(1)
 
 
 @lru_cache(maxsize=None)

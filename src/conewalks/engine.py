@@ -217,13 +217,22 @@ def eval_terms(terms, order: int) -> Series1:
     return acc
 
 
+class CatalogError(ValueError):
+    """A catalog entry's numerator is not divisible by its denominator."""
+
+
 def catalog_series(key: str, order: int) -> Series1:
     """A catalog entry's rational expression in the parametrizing series,
-    as a series in t (with coefficients in x for the bivariate entries)."""
+    as a series in t (with coefficients in x for the bivariate entries).
+    A division that does not go through raises ``CatalogError``."""
     data = _param_data()
     entry = data["bivariate"].get(key) or data["z_rationals"][key]
     num = eval_terms(entry["num"], order)
-    return num.divide(eval_terms(entry["den"], order))
+    den = eval_terms(entry["den"], order)
+    try:
+        return num.divide(den)
+    except PivotError as exc:
+        raise CatalogError(f"catalog division num/den: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -438,15 +447,15 @@ def sq_cubic(order: int):
     """The coefficients [a0, a1, a2, a3] in s of the cubic P(s, x), with
     P(S(x), x) = 0, of the boundary series S of the square origin pipeline,
     and S.  P is cleared by x^3, so that each a_k is a polynomial in x and
-    P can be evaluated at a series X with X(0) = 0."""
+    P can be evaluated at a series X with X(0) = 0.  Its leading factor
+    is x^2 disc, for the discriminant disc of the square kernel."""
     sq = decompose.pipeline("square_origin", order)
     S1 = sq.S1
     t = Series1.t(order)
     x = Series1.x(order)
     t2 = t * t
     x2 = x * x
-    w = x - t * (x2 + 1)
-    lead = w * w - 4 * t2 * x2
+    lead = decompose.discriminant(SQUARE, order).mul_x(2)
     rest = x * (
         2 * t2 * S1 * S1 * x2
         + 2 * t * (t * x2 * x2 + t * x2 + t - x2 * x - x) * S1
@@ -461,13 +470,14 @@ def sq_cubic(order: int):
 def diag_cubic(order: int):
     """The coefficients [a0, a1, a2, a3] in s of the cubic P(s, x), with
     P(S(x), x) = 0, of the boundary series S of the diagonal origin
-    pipeline (in the squared variable), and S."""
+    pipeline (in the squared variable), and S.  Its leading factor is
+    x Delta, for the pipeline's Delta (the kernel discriminant, halved)."""
     dg = decompose.pipeline("diagonal_origin", order)
     S1 = dg.S1
     F0 = diag_F0(order)
     t2 = _scal([0, 0, 1], order)
     x = Series1.x(order)
-    lead = x - 4 * t2 * (1 + x) ** 2
+    lead = dg.Delta.mul_x(1)
     g = (t2 * (x * x + 1) - F0 * x) * (x + 1)
     a0 = -(g + t2 * S1 * x * (x + 1) - (2 * t2 * S1 - F0) * x - t2 * (x + 1))
     return [a0, lead * x - g, lead * (2 * x + 1), lead * (x + 1)], dg.S
@@ -476,13 +486,14 @@ def diag_cubic(order: int):
 def diag_shift_cubic(order: int):
     """The coefficients [a0, a1, a2, a3] in s of the cubic P(s, x), with
     P(S(x), x) = 0, of the antisymmetric boundary series S (from N) of the
-    shifted diagonal model, and S."""
+    shifted diagonal model, and S.  Its leading factor is x Delta, as in
+    ``diag_cubic``."""
     ds = decompose.pipeline("diagonal_shifted", order)
     S1 = ds.S1
     F0 = diag_shift_F0(order)
     t2 = _scal([0, 0, 1], order)
     x = Series1.x(order)
-    lead = x - 4 * t2 * (1 + x) ** 2
+    lead = ds.Delta.mul_x(1)
     a0 = (x * (x + 1) * (7 * t2 * S1 - F0) + t2 * x * x * (x + 1)
           + x * (F0 + 2 * t2 * S1))
     a1 = (2 - x) * lead - (x + 1) * (
@@ -674,5 +685,10 @@ def _checks() -> dict:
 
 
 def run_check(key: str, order: int) -> dict:
+    """The report of one engine check; a catalog entry whose division
+    fails is reported as failing there."""
     anchor, residuals = _checks()[key]
-    return report(key, anchor, residuals(order))
+    try:
+        return report(key, anchor, residuals(order))
+    except CatalogError as exc:
+        return report(key, anchor, order=order, failure=[str(exc)])

@@ -3,15 +3,27 @@
 Every identity is verified against series produced by the dynamic
 programming oracle, order by order in t.  The two equation shapes of the
 paper are stated once each: ``_step_eq`` (the step-by-step equation of a
-cone or quadrant series) and ``_half_eq`` (the quadrant-like equation of
-M, N and L).  An equation that the paper writes for several models is one
-function of a ``decompose.PIPELINES`` name, reading the start and the
-orbit sign from its row; the other identity functions add only what is
-particular to their model.  Identities sit in three tables: series
-identities (pass when the residual is zero), negative identities (pass
-when every residual is nonzero) and list identities (pass when no count
-mismatches).  Every report is built by ``engine.report``, as for the
-engine checks.
+cone or quadrant series) and ``_half_eq`` (the quadrant-like equation).
+An equation that the paper writes for several models is one function of a
+``decompose.PIPELINES`` name, reading the start and the orbit sign from
+its row; the other identity functions add only what is particular to
+their model.
+
+The quadrant-like rule (``quadrant_like``): W = a L + b B(y, x) has the
+partner W' = b L + a B(y, x); (a, b) = (1, 0), (0, 1), (1, 1), (1, -1)
+give L, B(y, x), M and N.  So L and B(y, x) are each other's partner, M is
+its own and N's is -N; from the origin B(y, x) = L, so L is its own
+partner there.  The residual is ``_half_eq`` less t sy ybar W'(y, 0),
+plus the corner t ybar [x^1] W'(x, 0) on the diagonal lattice or minus
+t ybar [x^0] (W - W')(x, 0) on the square one.  Its ten rows in
+``IDENTITIES`` carry only (pipeline, a, b, const), so they are the one
+table of the constants: 2x/3 for M from the origin on both lattices;
+1, 0, 1, 1 for L, B, M, N from (-1, 0); 4x/3, -2x/3, 2x/3, 2x from (-2, 0).
+
+Identities sit in three tables: series identities (pass when the residual
+is zero), negative identities (pass when every residual is nonzero) and
+list identities (pass when no count mismatches).  Every report is built by
+``engine.report``, as for the engine checks.
 """
 
 from __future__ import annotations
@@ -121,10 +133,10 @@ def _step_eq(p, W, const, x_section, y_section, corner):
 def _half_eq(p, W, x0, on_y, const):
     """K (2W - W(0,y)) - (const - 2t sx ybar W(x,0) + t sy (x - xbar) W(0,y)).
 
-    The quadrant-like equation of a series W of pipeline p, given its
-    sections x0 = W(x,0) and on_y = W(0,y), with sx, sy as in ``_step_eq``.
-    Each caller subtracts the rest of its right side (the terms in ybar
-    that differ between M, N and L).
+    The part of the quadrant-like equation of a series W of pipeline p
+    that W alone determines, given its sections x0 = W(x,0) and on_y =
+    W(0,y), with sx, sy as in ``_step_eq``.  ``quadrant_like`` subtracts
+    the rest of the right side, read on W's partner.
     """
     W0y = _y_series(on_y)
     rhs = (
@@ -136,8 +148,8 @@ def _half_eq(p, W, x0, on_y, const):
 
 
 def _y_rest(p, s: Series1) -> Series2:
-    """t sy ybar s(y): the y-section term that each quadrant-like equation
-    adds (s is M(y,0), -N(y,0), or B(0,y) for L)."""
+    """t sy ybar s(y): the y-section term of a quadrant-like equation, for
+    the x-section s = W'(x, 0) of the partner W'."""
     return tmul(_steps(p, SY, _y_series(s).mul_xy(0, -1)))
 
 
@@ -176,10 +188,13 @@ def eq_A(name, order):
     return _cone_eq(p, p.A, const)
 
 
-def orbit_eq_C(name, order):
-    """K orbit(C) - s (x - xbar)(y - ybar) for the orbit sign s."""
+def orbit_eq(name, series, order):
+    """K orbit(W) - s (x - xbar)(y - ybar), for W = C with the orbit sign s
+    of the row, or for W = Q, whose orbit sign is 1."""
     p = pipeline(name, order)
-    return p.K * _orbit(p.C) - Series2.from_poly(p.sign * _cross(), order)
+    sign = p.sign if series == "C" else 1
+    return (p.K * _orbit(getattr(p, series))
+            - Series2.from_poly(sign * _cross(), order))
 
 
 def orbit_zero_A(name, order):
@@ -193,21 +208,56 @@ def split_A(name, order):
 
 
 def P_LB(name, order) -> Series2:
-    """P - (xbar (L - L(0,y)) + ybar (B - B(x,0))) for a shifted pipeline."""
+    """P - (xbar (L - L(0,y)) + ybar (B - B(x,0)))."""
     p = pipeline(name, order)
     rhs = ((p.L - _y_series(p.L_0y)).mul_xy(-1, 0)
            + (p.B - _x_series(p.B_x0)).mul_xy(0, -1))
     return p.P - rhs
 
 
+def quadrant_like(name, a, b, const, order):
+    """The quadrant-like equation of W = a L + b B(y, x) of pipeline name:
+    ``_half_eq`` with the constant const, less the y-section term and plus
+    the corner term of W's partner (see the module docstring).  The
+    equation of B(y, x) is swapped back to the variables of B."""
+    p = pipeline(name, order)
+    if b == 0:
+        W, x0, on_y = p.L, p.L_x0, p.L_0y
+        partner = x0 if p.start == (0, 0) else p.B_0y
+    elif a == 0:
+        W, x0, on_y, partner = p.B.swap_vars(), p.B_0y, p.B_x0, p.L_x0
+    else:
+        W = p.M if b == 1 else p.N
+        x0, on_y = W.coeff_of("y", 0), W.coeff_of("x", 0)
+        partner = x0 if b == 1 else -x0
+    res = _half_eq(p, W, x0, on_y, const) - _y_rest(p, partner)
+    if p.steps is DIAGONAL:
+        res = res + _at_t_ybar(partner.coeff_x(1))
+    elif partner is not x0:  # the square corner is zero for W' = W
+        res = res - _at_t_ybar(x0.coeff_x(0) - partner.coeff_x(0))
+    return res if a else res.swap_vars()
+
+
+def catM(name, order):
+    """-sqrt(disc) (x M(0,x) - 2 xbar M(0,xbar)) - 2 xbar Y + 3t sx M(x,0),
+    plus 3t [x^1] M(x,0) on the diagonal lattice: the kernel-eliminated
+    relation of M = L from the origin, for the kernel root Y and the kernel
+    discriminant disc, with sx as in ``_step_eq``."""
+    p = pipeline(name, order)
+    M0x, step = p.L_0y, p.L_x0
+    if p.steps is DIAGONAL:
+        root = discriminant(p.steps, order).sqrt()
+        sx = Series1.from_poly(LPoly.var(1) + LPoly.var(-1), order)
+        step = sx * step + step.coeff_x(1)
+    else:
+        root = p.sqrt_Delta  # Delta is disc on the square lattice
+    lhs = -root * (M0x.mul_x(1) - 2 * M0x.sub_inverse_x().mul_x(-1))
+    return lhs - 2 * kernel_root_Y(p.steps, order).mul_x(-1) + 3 * tmul(step)
+
+
 # ---------------------------------------------------------------------------
 # Square lattice, start (0,0)
 # ---------------------------------------------------------------------------
-
-
-def orbit_eq_quadrant_sq(order):
-    sq = pipeline("square_origin", order)
-    return sq.K * _orbit(sq.Q) - Series2.from_poly(_cross(), order)
 
 
 def quadrant_positive_part_sq(order):
@@ -216,32 +266,6 @@ def quadrant_positive_part_sq(order):
         "x", "pos"
     ).part("y", "pos")
     return sq.Q.mul_xy(1, 1) - rhs
-
-
-def PM_relation_sq(order):
-    sq = pipeline("square_origin", order)
-    M = sq.L
-    M0y = _y_series(sq.L_0y)
-    M0x = _x_series(sq.L_0y)
-    lhs = sq.P.mul_xy(1, 1)
-    rhs = (M - M0y).mul_xy(0, 1) + (M.swap_vars() - M0x).mul_xy(1, 0)
-    return lhs - rhs
-
-
-def func_M_sq(order):
-    sq = pipeline("square_origin", order)
-    eq = _half_eq(sq, sq.L, sq.L_x0, sq.L_0y, Fraction(2, 3) * X)
-    return eq - _y_rest(sq, sq.L_x0)
-
-
-def catM_sq(order):
-    sq = pipeline("square_origin", order)
-    Yr = kernel_root_Y(sq.steps, order)
-    M0x = sq.L_0y
-    lhs = -sq.sqrt_Delta * (
-        M0x.mul_x(1) - 2 * M0x.sub_inverse_x().mul_x(-1)
-    )
-    return lhs - 2 * Yr.mul_x(-1) + 3 * tmul(sq.L_x0)
 
 
 def eqRS_sq(order):
@@ -314,27 +338,6 @@ def no_kernel_factor_sq(order):
 # ---------------------------------------------------------------------------
 
 
-def func_M_diag(order):
-    dg = pipeline("diagonal_origin", order)
-    eq = _half_eq(dg, dg.L, dg.L_x0, dg.L_0y, Fraction(2, 3) * X)
-    return eq - _y_rest(dg, dg.L_x0) + _at_t_ybar(dg.M10)
-
-
-def catM_diag(order):
-    dg = pipeline("diagonal_origin", order)
-    Yr = kernel_root_Y(dg.steps, order)
-    s = Series1.from_poly(LPoly.var(1) + LPoly.var(-1), order)
-    M0x = dg.L_0y
-    lhs = -discriminant(dg.steps, order).sqrt() * (
-        M0x.mul_x(1) - 2 * M0x.sub_inverse_x().mul_x(-1))
-    return (
-        lhs
-        - 2 * Yr.mul_x(-1)
-        + 3 * tmul(s * dg.L_x0)
-        + 3 * tmul(dg.M10)
-    )
-
-
 def eqRS_diag(order):
     dg = pipeline("diagonal_origin", order)
     S = dg.S
@@ -354,77 +357,6 @@ def P0_S1_diag(order):
     dg = pipeline("diagonal_origin", order)
     t2 = Series1.from_scalar_coeffs([0, 0, 1], order)
     return dg.P0 + dg.S_m1 * dg.S_m1 - 2 * t2 * dg.S1
-
-
-# ---------------------------------------------------------------------------
-# Square lattice, start (-1,0)
-# ---------------------------------------------------------------------------
-
-
-def eqL_sq_shift(order):
-    ss = pipeline("square_shifted", order)
-    L00 = ss.L_0y.coeff_x(0)
-    B00 = ss.B_0y.coeff_x(0)
-    eq = _half_eq(ss, ss.L, ss.L_x0, ss.L_0y, ONE)
-    return eq - _y_rest(ss, ss.B_0y) - _at_t_ybar(L00 - B00)
-
-
-def eqB_sq_shift(order):
-    """The equation for L with x and y swapped."""
-    ss = pipeline("square_shifted", order)
-    L00 = ss.L_0y.coeff_x(0)
-    B00 = ss.B_0y.coeff_x(0)
-    eq = _half_eq(ss, ss.B.swap_vars(), ss.B_0y, ss.B_x0, LPoly2())
-    return (eq - _y_rest(ss, ss.L_x0) + _at_t_ybar(L00 - B00)).swap_vars()
-
-
-def func_M_sq_shift(order):
-    ss = pipeline("square_shifted", order)
-    Mx0 = ss.M.coeff_of("y", 0)
-    eq = _half_eq(ss, ss.M, Mx0, ss.M.coeff_of("x", 0), ONE)
-    return eq - _y_rest(ss, Mx0)
-
-
-def func_N_sq_shift(order):
-    ss = pipeline("square_shifted", order)
-    Nx0 = ss.N.coeff_of("y", 0)
-    N0y = ss.N.coeff_of("x", 0)
-    eq = _half_eq(ss, ss.N, Nx0, N0y, ONE)
-    return eq + _y_rest(ss, Nx0) - 2 * _at_t_ybar(N0y.coeff_x(0))
-
-
-# ---------------------------------------------------------------------------
-# Diagonal lattice, start (-2,0)
-# ---------------------------------------------------------------------------
-
-
-def eqL_diag_shift(order):
-    ds = pipeline("diagonal_shifted", order)
-    B01 = ds.B_0y.coeff_x(1)
-    eq = _half_eq(ds, ds.L, ds.L_x0, ds.L_0y, Fraction(4, 3) * X)
-    return eq - _y_rest(ds, ds.B_0y) + _at_t_ybar(B01)
-
-
-def eqB_diag_shift(order):
-    """The equation for L with x and y swapped."""
-    ds = pipeline("diagonal_shifted", order)
-    L10 = ds.L_x0.coeff_x(1)
-    eq = _half_eq(ds, ds.B.swap_vars(), ds.B_0y, ds.B_x0, Fraction(-2, 3) * X)
-    return (eq - _y_rest(ds, ds.L_x0) + _at_t_ybar(L10)).swap_vars()
-
-
-def func_M_diag_shift(order):
-    ds = pipeline("diagonal_shifted", order)
-    Mx0 = ds.M.coeff_of("y", 0)
-    eq = _half_eq(ds, ds.M, Mx0, ds.M.coeff_of("x", 0), Fraction(2, 3) * X)
-    return eq - _y_rest(ds, Mx0) + _at_t_ybar(Mx0.coeff_x(1))
-
-
-def func_N_diag_shift(order):
-    ds = pipeline("diagonal_shifted", order)
-    Nx0 = ds.N.coeff_of("y", 0)
-    eq = _half_eq(ds, ds.N, Nx0, ds.N.coeff_of("x", 0), 2 * X)
-    return eq + _y_rest(ds, Nx0) - _at_t_ybar(Nx0.coeff_x(1))
 
 
 # ---------------------------------------------------------------------------
@@ -521,9 +453,10 @@ IDENTITIES = {
         partial(func_eq_Q, "square_origin")),
     "orbit-eq-sq-origin": (
         "orbit equation of the cone series, square origin",
-        partial(orbit_eq_C, "square_origin")),
+        partial(orbit_eq, "square_origin", "C")),
     "orbit-eq-quadrant-sq": (
-        "orbit equation of the quadrant series, square", orbit_eq_quadrant_sq),
+        "orbit equation of the quadrant series, square",
+        partial(orbit_eq, "square_origin", "Q")),
     "quadrant-positive-part-sq": (
         "quadrant series as a positive part of a rational function",
         quadrant_positive_part_sq),
@@ -537,12 +470,14 @@ IDENTITIES = {
         "three-quadrant split of the corrected series, square origin",
         partial(split_A, "square_origin")),
     "PM-relation-sq": (
-        "positive part of the orbit equation, square origin", PM_relation_sq),
+        "positive part of the orbit equation, square origin",
+        lambda n: P_LB("square_origin", n).mul_xy(1, 1)),
     "func-M-sq": (
         "quadrant-like equation for the mixed series, square origin",
-        func_M_sq),
+        partial(quadrant_like, "square_origin", 1, 0, Fraction(2, 3) * X)),
     "catM-sq": (
-        "kernel-eliminated boundary relation, square origin", catM_sq),
+        "kernel-eliminated boundary relation, square origin",
+        partial(catM, "square_origin")),
     "eqRS-sq": (
         "square-root form of the boundary relation, square origin", eqRS_sq),
     "F-forms-sq": (
@@ -565,9 +500,10 @@ IDENTITIES = {
         partial(eq_A, "diagonal_origin")),
     "func-M-diag": (
         "quadrant-like equation for the mixed series, diagonal origin",
-        func_M_diag),
+        partial(quadrant_like, "diagonal_origin", 1, 0, Fraction(2, 3) * X)),
     "catM-diag": (
-        "kernel-eliminated boundary relation, diagonal origin", catM_diag),
+        "kernel-eliminated boundary relation, diagonal origin",
+        partial(catM, "diagonal_origin")),
     "eqRS-diag": (
         "square-root form of the boundary relation, diagonal origin",
         eqRS_diag),
@@ -589,13 +525,13 @@ IDENTITIES = {
         "positive part in terms of left and below parts, square shifted",
         partial(P_LB, "square_shifted")),
     "eqL-sq-shift": ("equation for the left part, square shifted",
-                     eqL_sq_shift),
+                     partial(quadrant_like, "square_shifted", 1, 0, ONE)),
     "eqB-sq-shift": ("equation for the below part, square shifted",
-                     eqB_sq_shift),
+                     partial(quadrant_like, "square_shifted", 0, 1, LPoly2())),
     "func-M-sq-shift": ("decoupled sum equation, square shifted",
-                        func_M_sq_shift),
+                        partial(quadrant_like, "square_shifted", 1, 1, ONE)),
     "func-N-sq-shift": ("decoupled difference equation, square shifted",
-                        func_N_sq_shift),
+                        partial(quadrant_like, "square_shifted", 1, -1, ONE)),
     "func-eq-diag-shift": (
         "step-by-step equation, diagonal lattice from (-2,0)",
         partial(func_eq_C, "diagonal_shifted")),
@@ -607,21 +543,26 @@ IDENTITIES = {
         partial(orbit_zero_A, "diagonal_shifted")),
     "orbit-C-diag-shift": (
         "orbit sum of the cone series is minus the quadrant one",
-        partial(orbit_eq_C, "diagonal_shifted")),
+        partial(orbit_eq, "diagonal_shifted", "C")),
     "split-A-diag-shift": (
         "three-quadrant split of the corrected series, diagonal shifted",
         partial(split_A, "diagonal_shifted")),
     "P-LB-diag-shift": (
         "positive part in terms of left and below parts, diagonal shifted",
         partial(P_LB, "diagonal_shifted")),
-    "eqL-diag-shift": ("equation for the left part, diagonal shifted",
-                       eqL_diag_shift),
-    "eqB-diag-shift": ("equation for the below part, diagonal shifted",
-                       eqB_diag_shift),
-    "func-M-diag-shift": ("decoupled sum equation, diagonal shifted",
-                          func_M_diag_shift),
-    "func-N-diag-shift": ("decoupled difference equation, diagonal shifted",
-                          func_N_diag_shift),
+    "eqL-diag-shift": (
+        "equation for the left part, diagonal shifted",
+        partial(quadrant_like, "diagonal_shifted", 1, 0, Fraction(4, 3) * X)),
+    "eqB-diag-shift": (
+        "equation for the below part, diagonal shifted",
+        partial(quadrant_like, "diagonal_shifted", 0, 1,
+                Fraction(-2, 3) * X)),
+    "func-M-diag-shift": (
+        "decoupled sum equation, diagonal shifted",
+        partial(quadrant_like, "diagonal_shifted", 1, 1, Fraction(2, 3) * X)),
+    "func-N-diag-shift": (
+        "decoupled difference equation, diagonal shifted",
+        partial(quadrant_like, "diagonal_shifted", 1, -1, 2 * X)),
     "cubic-S-N-diag-shift": (
         "cubic relation for the difference boundary series, diagonal shifted",
         lambda n: cubic_residual(*diag_shift_cubic(n))),

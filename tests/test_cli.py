@@ -304,6 +304,32 @@ class TestReportsAndInputErrors:
         err = self.assert_error(capsys, 2, "series", "--endpoint=-1,-1").err
         assert err.startswith("error: endpoint (-1, -1) outside region")
 
+    def test_a_broken_catalog_entry_fails_its_check(self, capsys,
+                                                     monkeypatch):
+        """A numerator that its denominator does not divide (one entry's
+        last coefficient raised by 1) fails that entry's check, while every
+        other check still reports; ``param`` names the entry."""
+        import copy
+
+        from conewalks import engine
+
+        key = "sq-origin-axis-x"
+        data = copy.deepcopy(engine._param_data())
+        data["bivariate"][key]["num"][-1][0] += 1
+        monkeypatch.setattr(engine, "_param_data", lambda: data)
+        out = self.assert_error(capsys, 1, "verify", "--suite", "params",
+                                "--order", "16", "--format", "json").out
+        reports = json.loads(out)
+        assert len(reports) == len(engine.param_keys())
+        failing = [r for r in reports if r["verdict"] != "pass"]
+        assert [r["id"] for r in failing] == [key]
+        assert failing[0]["first_failure"] == [
+            "catalog division num/den: dividend valuation below divisor "
+            "valuation"]
+        err = self.assert_error(capsys, 1, "param", "--key", key,
+                                "--order", "16").err
+        assert err.startswith(f"error: {key}: catalog division num/den: ")
+
     @pytest.mark.parametrize("cfg", [
         {"suite": [1]}, {"suite": 5}, {"lattice": ["square"]}, {"region": {}},
     ])

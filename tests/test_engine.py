@@ -1,7 +1,10 @@
 """Algebraic engine: implicit-equation solving and the series catalogs."""
 
 import copy
+import runpy
 from fractions import Fraction
+from importlib import resources
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -254,7 +257,7 @@ class TestGroupedTerms:
         """Raising the coefficient of a list's last term by 1 fails the
         key's check: no term of a grouped list is dropped or shared.  No
         square-lattice numerator is changed: its denominator vanishes at
-        t^0, so the division would raise ``PivotError`` instead."""
+        t^0, so the division would raise ``CatalogError`` instead."""
         assert engine.run_check(key, 12)["verdict"] == "pass"
         before = engine.catalog_series(key, 12)
         data = copy.deepcopy(engine._param_data())
@@ -264,6 +267,17 @@ class TestGroupedTerms:
         monkeypatch.setattr(engine, "_param_data", lambda: data)
         assert engine.catalog_series(key, 12) != before
         assert engine.run_check(key, 12)["verdict"] == "fail"
+
+
+def test_the_catalog_generator_rebuilds_the_committed_file():
+    """scripts/build_param_data.py gives the committed catalog byte for
+    byte.  It needs sympy, which is not a runtime dependency."""
+    pytest.importorskip("sympy")
+    script = Path(__file__).parents[1] / "scripts" / "build_param_data.py"
+    build = runpy.run_path(str(script))["build"]
+    committed = resources.files("conewalks").joinpath(
+        "data/parametrizations.json").read_text()
+    assert build() == committed
 
 
 class TestFrozenEndpointValues:

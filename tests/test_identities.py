@@ -1,8 +1,26 @@
 """The identity catalog: every functional equation and bijection holds."""
 
+from dataclasses import replace
+from fractions import Fraction
+
 import pytest
 
-from conewalks import identities
+from conewalks import decompose, identities, walks
+from conewalks.decompose import discriminant, pipeline, tmul
+from conewalks.engine import kernel_root_Y
+from conewalks.identities import (
+    ONE,
+    X,
+    _at_t_ybar,
+    _cross,
+    _half_eq,
+    _orbit,
+    _x_series,
+    _y_rest,
+    _y_series,
+)
+from conewalks.laurent import LPoly, LPoly2
+from conewalks.series import Series1, Series2
 
 ORDER = 8
 
@@ -103,14 +121,195 @@ def test_step_eq_sees_a_flipped_corner():
     assert wrong.first_failure() is not None
 
 
-def test_half_eq_sees_a_wrong_constant():
-    from fractions import Fraction
+# id -> (pipeline, a, b, constant) of each quadrant-like registry row.
+QUADRANT_LIKE = {
+    key: build.args for key, (_, build) in identities.IDENTITIES.items()
+    if getattr(build, "func", None) is identities.quadrant_like
+}
 
-    from conewalks import decompose
 
-    sq = decompose.pipeline("square_origin", 6)
-    rest = identities._y_rest(sq, sq.L_x0)
-    for const, zero in ((Fraction(2, 3) * identities.X, True),
-                        (identities.X, False)):
-        res = identities._half_eq(sq, sq.L, sq.L_x0, sq.L_0y, const) - rest
+def test_ten_quadrant_like_rows():
+    assert len(QUADRANT_LIKE) == 10
+
+
+@pytest.mark.parametrize("key", sorted(QUADRANT_LIKE))
+def test_half_eq_sees_a_wrong_constant(key):
+    name, a, b, const = QUADRANT_LIKE[key]
+    for c, zero in ((const, True), (const + identities.X, False)):
+        res = identities.quadrant_like(name, a, b, c, 6)
         assert (res.first_failure() is None) == zero
+
+
+# ---------------------------------------------------------------------------
+# The per-model equations that ``quadrant_like``, ``catM``, ``P_LB`` and
+# ``orbit_eq`` state once, kept as test-only references.  They are the old
+# functions verbatim, except that the corner [x^1 y^0] L, once the
+# ``Pipeline.M10`` property, is read as ``L_x0.coeff_x(1)``.
+# ---------------------------------------------------------------------------
+
+def reference_orbit_eq_quadrant_sq(order):
+    sq = pipeline("square_origin", order)
+    return sq.K * _orbit(sq.Q) - Series2.from_poly(_cross(), order)
+
+
+def reference_PM_relation_sq(order):
+    sq = pipeline("square_origin", order)
+    M = sq.L
+    M0y = _y_series(sq.L_0y)
+    M0x = _x_series(sq.L_0y)
+    lhs = sq.P.mul_xy(1, 1)
+    rhs = (M - M0y).mul_xy(0, 1) + (M.swap_vars() - M0x).mul_xy(1, 0)
+    return lhs - rhs
+
+
+def reference_func_M_sq(order):
+    sq = pipeline("square_origin", order)
+    eq = _half_eq(sq, sq.L, sq.L_x0, sq.L_0y, Fraction(2, 3) * X)
+    return eq - _y_rest(sq, sq.L_x0)
+
+
+def reference_catM_sq(order):
+    sq = pipeline("square_origin", order)
+    Yr = kernel_root_Y(sq.steps, order)
+    M0x = sq.L_0y
+    lhs = -sq.sqrt_Delta * (
+        M0x.mul_x(1) - 2 * M0x.sub_inverse_x().mul_x(-1)
+    )
+    return lhs - 2 * Yr.mul_x(-1) + 3 * tmul(sq.L_x0)
+
+
+def reference_func_M_diag(order):
+    dg = pipeline("diagonal_origin", order)
+    eq = _half_eq(dg, dg.L, dg.L_x0, dg.L_0y, Fraction(2, 3) * X)
+    return eq - _y_rest(dg, dg.L_x0) + _at_t_ybar(dg.L_x0.coeff_x(1))
+
+
+def reference_catM_diag(order):
+    dg = pipeline("diagonal_origin", order)
+    Yr = kernel_root_Y(dg.steps, order)
+    s = Series1.from_poly(LPoly.var(1) + LPoly.var(-1), order)
+    M0x = dg.L_0y
+    lhs = -discriminant(dg.steps, order).sqrt() * (
+        M0x.mul_x(1) - 2 * M0x.sub_inverse_x().mul_x(-1))
+    return (
+        lhs
+        - 2 * Yr.mul_x(-1)
+        + 3 * tmul(s * dg.L_x0)
+        + 3 * tmul(dg.L_x0.coeff_x(1))
+    )
+
+
+def reference_eqL_sq_shift(order):
+    ss = pipeline("square_shifted", order)
+    L00 = ss.L_0y.coeff_x(0)
+    B00 = ss.B_0y.coeff_x(0)
+    eq = _half_eq(ss, ss.L, ss.L_x0, ss.L_0y, ONE)
+    return eq - _y_rest(ss, ss.B_0y) - _at_t_ybar(L00 - B00)
+
+
+def reference_eqB_sq_shift(order):
+    ss = pipeline("square_shifted", order)
+    L00 = ss.L_0y.coeff_x(0)
+    B00 = ss.B_0y.coeff_x(0)
+    eq = _half_eq(ss, ss.B.swap_vars(), ss.B_0y, ss.B_x0, LPoly2())
+    return (eq - _y_rest(ss, ss.L_x0) + _at_t_ybar(L00 - B00)).swap_vars()
+
+
+def reference_func_M_sq_shift(order):
+    ss = pipeline("square_shifted", order)
+    Mx0 = ss.M.coeff_of("y", 0)
+    eq = _half_eq(ss, ss.M, Mx0, ss.M.coeff_of("x", 0), ONE)
+    return eq - _y_rest(ss, Mx0)
+
+
+def reference_func_N_sq_shift(order):
+    ss = pipeline("square_shifted", order)
+    Nx0 = ss.N.coeff_of("y", 0)
+    N0y = ss.N.coeff_of("x", 0)
+    eq = _half_eq(ss, ss.N, Nx0, N0y, ONE)
+    return eq + _y_rest(ss, Nx0) - 2 * _at_t_ybar(N0y.coeff_x(0))
+
+
+def reference_eqL_diag_shift(order):
+    ds = pipeline("diagonal_shifted", order)
+    B01 = ds.B_0y.coeff_x(1)
+    eq = _half_eq(ds, ds.L, ds.L_x0, ds.L_0y, Fraction(4, 3) * X)
+    return eq - _y_rest(ds, ds.B_0y) + _at_t_ybar(B01)
+
+
+def reference_eqB_diag_shift(order):
+    ds = pipeline("diagonal_shifted", order)
+    L10 = ds.L_x0.coeff_x(1)
+    eq = _half_eq(ds, ds.B.swap_vars(), ds.B_0y, ds.B_x0, Fraction(-2, 3) * X)
+    return (eq - _y_rest(ds, ds.L_x0) + _at_t_ybar(L10)).swap_vars()
+
+
+def reference_func_M_diag_shift(order):
+    ds = pipeline("diagonal_shifted", order)
+    Mx0 = ds.M.coeff_of("y", 0)
+    eq = _half_eq(ds, ds.M, Mx0, ds.M.coeff_of("x", 0), Fraction(2, 3) * X)
+    return eq - _y_rest(ds, Mx0) + _at_t_ybar(Mx0.coeff_x(1))
+
+
+def reference_func_N_diag_shift(order):
+    ds = pipeline("diagonal_shifted", order)
+    Nx0 = ds.N.coeff_of("y", 0)
+    eq = _half_eq(ds, ds.N, Nx0, ds.N.coeff_of("x", 0), 2 * X)
+    return eq + _y_rest(ds, Nx0) - _at_t_ybar(Nx0.coeff_x(1))
+
+
+REFERENCES = {
+    "orbit-eq-quadrant-sq": reference_orbit_eq_quadrant_sq,
+    "PM-relation-sq": reference_PM_relation_sq,
+    "func-M-sq": reference_func_M_sq,
+    "catM-sq": reference_catM_sq,
+    "func-M-diag": reference_func_M_diag,
+    "catM-diag": reference_catM_diag,
+    "eqL-sq-shift": reference_eqL_sq_shift,
+    "eqB-sq-shift": reference_eqB_sq_shift,
+    "func-M-sq-shift": reference_func_M_sq_shift,
+    "func-N-sq-shift": reference_func_N_sq_shift,
+    "eqL-diag-shift": reference_eqL_diag_shift,
+    "eqB-diag-shift": reference_eqB_diag_shift,
+    "func-M-diag-shift": reference_func_M_diag_shift,
+    "func-N-diag-shift": reference_func_N_diag_shift,
+}
+
+
+@pytest.fixture
+def perturbed_layers(monkeypatch):
+    """``perturb(ks)`` adds 1 to every stored count of the layers ks of
+    every DP sweep from then on, with the sweep and pipeline memos empty
+    before and after."""
+    layers = walks._layers
+
+    def perturb(ks):
+        def perturbed(model, n):
+            for k, frontier in enumerate(layers(model, n)):
+                if k in ks:
+                    frontier = replace(frontier, rows={
+                        j: (i0, [c + 1 for c in counts])
+                        for j, (i0, counts) in frontier.rows.items()})
+                yield frontier
+
+        walks.sweep.cache_clear()
+        decompose.pipeline.cache_clear()
+        monkeypatch.setattr(walks, "_layers", perturbed)
+
+    yield perturb
+    walks.sweep.cache_clear()
+    decompose.pipeline.cache_clear()
+
+
+@pytest.mark.parametrize("layers", [(), (1, 2, 3, 4), (5,), (2, 9)])
+def test_each_equation_equals_its_per_model_reference(perturbed_layers,
+                                                      layers):
+    """Each equation stated once gives exactly its old per-model residual,
+    at a correct oracle and at a perturbed one (where the residuals are
+    not zero, so that the comparison is not of zeros alone)."""
+    perturbed_layers(layers)
+    for key, reference in REFERENCES.items():
+        _, build = identities.IDENTITIES[key]
+        expected = reference(12)
+        assert build(12) == expected, key
+        assert (expected.first_failure() is None) == (not layers), key

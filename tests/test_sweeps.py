@@ -1,6 +1,7 @@
 """One DP sweep per walk model: each command and check reads every count
 it needs from a single pass of ``walks._layers``."""
 
+import hashlib
 import json
 from dataclasses import replace
 
@@ -160,20 +161,31 @@ ORACLE_BLIND = {"base-T", "base-Y-square", "base-Y-diagonal", "base-Z-hyper",
                 "split-A-diag-shift"}
 
 
+# The sha256 of the perturbed run's ``verify --suite all --order 12 --format
+# json`` output: it pins where each failing check first fails, not only
+# which checks pass.
+PERTURBED_SHA256 = (
+    "69c7181b69f2f17165d0b49800c5f40843f8ec58adfef7d6c77f1b18c781b355")
+
+
 def verify_all(capsys, order):
+    """The exit code, the ids that pass and the sha256 of the JSON output."""
     code = main(["verify", "--suite", "all", "--order", str(order),
                  "--format", "json"])
-    reports = json.loads(capsys.readouterr().out)
-    return code, {r["id"] for r in reports if r["verdict"] == "pass"}
+    out = capsys.readouterr().out
+    reports = json.loads(out)
+    return (code, {r["id"] for r in reports if r["verdict"] == "pass"},
+            hashlib.sha256(out.encode()).hexdigest())
 
 
 def test_a_perturbed_oracle_fails_every_check_that_reads_it(capsys,
                                                             monkeypatch):
     """Adding 1 to every stored count of layers 1-4 fails every check except
-    the declared ORACLE_BLIND ones.  The unperturbed run warms every memo
-    first, so the perturbed run also shows that no memo but ``walks.sweep``
-    and ``decompose.pipeline`` keeps an oracle count."""
-    code, passed = verify_all(capsys, 12)
+    the declared ORACLE_BLIND ones, each at the position pinned by
+    PERTURBED_SHA256.  The unperturbed run warms every memo first, so the
+    perturbed run also shows that no memo but ``walks.sweep`` and
+    ``decompose.pipeline`` keeps an oracle count."""
+    code, passed, _ = verify_all(capsys, 12)
     assert code == 0 and len(passed) == 112
     walks.sweep.cache_clear()
     decompose.pipeline.cache_clear()
@@ -190,8 +202,9 @@ def test_a_perturbed_oracle_fails_every_check_that_reads_it(capsys,
 
     monkeypatch.setattr(walks, "_layers", perturbed)
     try:
-        code, passed = verify_all(capsys, 12)
+        code, passed, digest = verify_all(capsys, 12)
     finally:
         walks.sweep.cache_clear()
         decompose.pipeline.cache_clear()
     assert code == 1 and passed == ORACLE_BLIND
+    assert digest == PERTURBED_SHA256
