@@ -16,6 +16,15 @@ for the cone series C, the quadrant series Q and an algebraic A.  The one
 ``_cached`` property: built on first use, then kept.  The kernel is read
 off the step set: ``kernel_series`` gives K and ``kernel_quadratic`` gives
 K as a quadratic in y, whose ``discriminant`` is each pipeline's Delta.
+
+Integer scale: a pipeline carries k A, for k the denominator of s/3 (3
+when s != 0, 1 when s = 0), so that A and every bivariate series read off
+it (P, L, B, M, N and their sections) have integer coefficients and no
+bivariate product touches a ``Fraction``.  Those series are k times the
+paper's.  ``Pipeline.unscale`` divides by k, and only the one-variable
+readers call it: R and S (so S1, S(-1), P0 and R0 too) and, in
+``engine``, the oracles of the catalog entries.  An equation linear in
+the k-scaled series multiplies its inhomogeneous term by k.
 """
 
 from __future__ import annotations
@@ -117,13 +126,19 @@ class Pipeline:
     is L.  From a shifted start the sum and difference M = L + B-swapped,
     N = L - B-swapped decouple the functional equations.  The boundary
     series R, S and their constants are read from L from the origin and
-    from N from a shifted start.
+    from N from a shifted start.  A, P, L, B, M and N are held k times the
+    paper's, for the integer ``scale`` k (see the module docstring); R and
+    S are at the paper's scale.
     """
 
     def __init__(self, name: str, order: int):
         self.name = name
         self.order = order
         self.steps, self.start, self.sign = PIPELINES[name]
+        # k, the denominator of s/3, and the integer k s/3: the weights of C
+        # and of the quadrant mirror combination in k A.
+        self.scale = Fraction(self.sign, 3).denominator
+        self.mirror_weight = self.scale * self.sign // 3
         self.model = WalkModel(self.steps, Region.THREE_QUADRANT, self.start)
         self.qmodel = WalkModel(self.steps, Region.QUADRANT, (0, 0))
 
@@ -151,15 +166,19 @@ class Pipeline:
     def sqrt_Delta(self) -> Series1:
         return self.Delta.sqrt()
 
+    def unscale(self, s: Series1) -> Series1:
+        """s / k: a one-variable series read off k A, at the paper's scale."""
+        return s if self.scale == 1 else s * Fraction(1, self.scale)
+
     @_cached
     def A(self) -> Series2:
-        """C - (s/3)(Q - xbar^2 Q(xbar,y) - ybar^2 Q(x,ybar)), whose orbit
-        sum is zero; A is C itself when s = 0."""
+        """k C - (k s/3)(Q - xbar^2 Q(xbar,y) - ybar^2 Q(x,ybar)): k times
+        the paper's A, whose orbit sum is zero, with integer coefficients.
+        When s = 0, k = 1 and A is C itself."""
         if not self.sign:
             return self.C
-        third = LPoly2.const(Fraction(self.sign, 3))
-        combo = quadrant_mirror_combo(self.Q)
-        return self.C - combo.map_poly(lambda p: p * third)
+        return (self.scale * self.C
+                - self.mirror_weight * quadrant_mirror_combo(self.Q))
 
     @_cached
     def P(self) -> Series2:
@@ -206,8 +225,9 @@ class Pipeline:
     @_cached
     def R(self) -> Series1:
         """R(x) = t W(x, 0); on the diagonal lattice x W(x, 0) is even and
-        R(x) = t^2 W(sqrt x, 0) / sqrt x lives in the squared variable."""
-        x0 = self.boundary.coeff_of("y", 0)
+        R(x) = t^2 W(sqrt x, 0) / sqrt x lives in the squared variable.
+        W is read at the paper's scale."""
+        x0 = self.unscale(self.boundary.coeff_of("y", 0))
         if self.steps is DIAGONAL:
             return tmul(x0.mul_x(-1).halve_x(), 2)
         return tmul(x0)
@@ -215,8 +235,9 @@ class Pipeline:
     @_cached
     def S(self) -> Series1:
         """S(x) = t x W(0, x); on the diagonal lattice it lives in the
-        squared variable: S(x) = t sqrt(x) W(0, sqrt x)."""
-        xW = self.boundary.coeff_of("x", 0).mul_x(1)
+        squared variable: S(x) = t sqrt(x) W(0, sqrt x).  W is read at the
+        paper's scale."""
+        xW = self.unscale(self.boundary.coeff_of("x", 0)).mul_x(1)
         return tmul(xW.halve_x() if self.steps is DIAGONAL else xW)
 
     @_cached

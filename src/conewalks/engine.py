@@ -262,7 +262,7 @@ def param_oracle(key: str, order: int) -> Series1:
     """The walk-oracle series that a bivariate catalog entry must match."""
     pipeline, name, dx, dt = _PARAM_ORACLES[key]
     p = decompose.pipeline(pipeline, order)
-    s = getattr(p, name)
+    s = p.unscale(getattr(p, name))
     if p.steps is SQUARE:
         return decompose.tmul(s, dt).x_to_xt().mul_x(dx)
     return decompose.tmul(s.mul_x(dx).halve_x(), dt)
@@ -305,10 +305,15 @@ def diag_shift_F0(order: int) -> Series1:
     return ds.P0 - 3 * ds.S_m1
 
 
+def sq_origin_m01(order: int) -> Series1:
+    """t^2 [x^0 y^1] L of the square origin pipeline."""
+    sq = decompose.pipeline("square_origin", order)
+    return decompose.tmul(sq.unscale(sq.L_0y.coeff_x(1)), 2)
+
+
 # key -> the pipeline constant it names.
 _CONSTANTS = {
-    "sq-origin-m01": lambda n: decompose.tmul(
-        decompose.pipeline("square_origin", n).L_0y.coeff_x(1), 2),
+    "sq-origin-m01": sq_origin_m01,
     "sq-S1": lambda n: decompose.pipeline("square_origin", n).S1,
     "sq-P0": lambda n: decompose.pipeline("square_origin", n).P0,
     "diag-S1": lambda n: decompose.pipeline("diagonal_origin", n).S1,
@@ -324,8 +329,8 @@ def z_rational_oracle(key: str, order: int) -> Series1:
     if key in _CONSTANTS:
         return _CONSTANTS[key](order)
     pipeline, end, dt = _ENDPOINTS[key]
-    A = decompose.pipeline(pipeline, order).A
-    return decompose.tmul(decompose.at_point(A, end), dt)
+    p = decompose.pipeline(pipeline, order)
+    return decompose.tmul(p.unscale(decompose.at_point(p.A, end)), dt)
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +633,7 @@ def _x_diag_shift_01(n):
 # Check tables: id -> (anchor, order -> residual series).
 BASE_CHECKS = {
     "base-T": ("defining quartic of the base series",
-               lambda n: [T_residual(series_T(n))]),
+               lambda n: [T_residual(hypergeometric_Z(n) ** 2)]),
     "base-Z-hyper": ("square-root base series as a hypergeometric sum",
                      lambda n: [series_Z(n) - hypergeometric_Z(n)]),
     **{

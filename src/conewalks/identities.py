@@ -20,6 +20,15 @@ t ybar [x^0] (W - W')(x, 0) on the square one.  Its ten rows in
 table of the constants: 2x/3 for M from the origin on both lattices;
 1, 0, 1, 1 for L, B, M, N from (-1, 0); 4x/3, -2x/3, 2x/3, 2x from (-2, 0).
 
+The table keeps the paper's constants, while a pipeline's A, P, L, B, M
+and N are k times the paper's, for its integer ``scale`` k (see
+``decompose``).  So every equation linear in those series multiplies its
+inhomogeneous term by k: ``quadrant_like`` its constant, ``eq_A`` its
+constant, ``catM`` its kernel-root term and ``gessel_*`` their wedge
+side.  A residual times a nonzero integer has the same zeros and the same
+first failure, so every report is the paper's.  The homogeneous ones
+(``orbit_zero_A``, ``split_A``, ``P_LB``) need nothing.
+
 Identities sit in three tables: series identities (pass when the residual
 is zero), negative identities (pass when every residual is nonzero) and
 list identities (pass when no count mismatches).  Every report is built by
@@ -180,11 +189,11 @@ def func_eq_Q(name, order):
 
 
 def eq_A(name, order):
-    """The step-by-step equation of A, whose constant is
+    """The step-by-step equation of k A, whose constant is k times
     x^start - (s/3)(1 - xbar^2 - ybar^2) for the orbit sign s."""
     p = pipeline(name, order)
-    const = LPoly2({p.start: 1}) - Fraction(p.sign, 3) * (ONE - XB * XB
-                                                          - YB * YB)
+    const = (p.scale * LPoly2({p.start: 1})
+             - p.mirror_weight * (ONE - XB * XB - YB * YB))
     return _cone_eq(p, p.A, const)
 
 
@@ -230,7 +239,7 @@ def quadrant_like(name, a, b, const, order):
         W = p.M if b == 1 else p.N
         x0, on_y = W.coeff_of("y", 0), W.coeff_of("x", 0)
         partner = x0 if b == 1 else -x0
-    res = _half_eq(p, W, x0, on_y, const) - _y_rest(p, partner)
+    res = _half_eq(p, W, x0, on_y, p.scale * const) - _y_rest(p, partner)
     if p.steps is DIAGONAL:
         res = res + _at_t_ybar(partner.coeff_x(1))
     elif partner is not x0:  # the square corner is zero for W' = W
@@ -242,7 +251,8 @@ def catM(name, order):
     """-sqrt(disc) (x M(0,x) - 2 xbar M(0,xbar)) - 2 xbar Y + 3t sx M(x,0),
     plus 3t [x^1] M(x,0) on the diagonal lattice: the kernel-eliminated
     relation of M = L from the origin, for the kernel root Y and the kernel
-    discriminant disc, with sx as in ``_step_eq``."""
+    discriminant disc, with sx as in ``_step_eq``.  M is the pipeline's k M,
+    so the term in Y is multiplied by k."""
     p = pipeline(name, order)
     M0x, step = p.L_0y, p.L_x0
     if p.steps is DIAGONAL:
@@ -252,7 +262,8 @@ def catM(name, order):
     else:
         root = p.sqrt_Delta  # Delta is disc on the square lattice
     lhs = -root * (M0x.mul_x(1) - 2 * M0x.sub_inverse_x().mul_x(-1))
-    return lhs - 2 * kernel_root_Y(p.steps, order).mul_x(-1) + 3 * tmul(step)
+    xbar_Y = kernel_root_Y(p.steps, order).mul_x(-1)
+    return lhs - 2 * p.scale * xbar_Y + 3 * tmul(step)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +420,7 @@ def gessel_axis_series(order):
     square-lattice cone model."""
     ss = pipeline("square_shifted", order)
     G = generating_series(WEDGE, order)
-    return (ss.L_x0 - ss.B_0y) - G.coeff_of("y", 0)
+    return (ss.L_x0 - ss.B_0y) - ss.scale * G.coeff_of("y", 0)
 
 
 def gessel_diag_series(order):
@@ -421,7 +432,7 @@ def gessel_diag_series(order):
         LPoly({j: frontier.get(-j, j) for j in range(n + 1)})
         for n, frontier in enumerate(sweep(WEDGE, order)[:order])
     ]
-    return lhs - Series1(coeffs, order)
+    return lhs - ds.scale * Series1(coeffs, order)
 
 
 def orbit_endpoint(order):

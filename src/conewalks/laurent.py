@@ -159,6 +159,10 @@ class LPoly:
 
     __rmul__ = __mul__
 
+    def scale(self, c):
+        """c times self, for an exact scalar c: every coefficient times c."""
+        return type(self)({e: v * c for e, v in self.terms.items()})
+
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError(f"negative power of an {type(self).__name__}")
@@ -261,9 +265,6 @@ class LPoly:
                 else:
                     rem[ee] = s
         return self._with_terms({e + shift: c for e, c in quot.items()})
-
-    def map_coeffs(self, f):
-        return type(self)({e: f(c) for e, c in self.terms.items()})
 
     def __str__(self):
         if not self.terms:

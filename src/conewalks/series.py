@@ -121,11 +121,35 @@ class Series1:
             return NotImplemented
         return o + (-self)
 
+    def constant(self):
+        """The scalar c if the series is c to its order, else None."""
+        if any(p.terms for p in self.coeffs[1:]):
+            return None
+        head = self.coeffs[0].terms if self.coeffs else {}
+        if head.keys() <= {self.RING.ZERO}:
+            return head.get(self.RING.ZERO, 0)
+        return None
+
+    def scale(self, c, order: int = None):
+        """c times the series, truncated to order (default: its own), for
+        an exact scalar c."""
+        n = self.order if order is None else order
+        return type(self)([p.scale(c) for p in self.coeffs[:n]], n)
+
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
         o = self._lift(other, self.order)
         if o is None:
             return NotImplemented
         n = min(self.order, o.order)
+        # A factor that is a constant to its order scales the other one.
+        c = o.constant()
+        if c is not None:
+            return self.scale(c, n)
+        c = self.constant()
+        if c is not None:
+            return o.scale(c, n)
         ring = self.RING
         a = [(i, p) for i, p in enumerate(self.coeffs[:n]) if p.terms]
         b = o.coeffs
@@ -257,7 +281,7 @@ class Series1:
             acc = self.coeffs[n]
             for k in range(1, n):
                 acc = acc - out[k] * out[n - k]
-            out.append(acc.map_coeffs(lambda c: c * half))
+            out.append(acc.scale(half))
         return Series1(out, self.order)
 
     # -- x-operations ----------------------------------------------------
@@ -330,7 +354,7 @@ class Series1:
             for e, c in p.terms.items():
                 if v is not None and v > 0 and e > 0 and n + e * v >= order:
                     continue  # contributes beyond truncation
-                term = power(e) * Series1.const(c, order)
+                term = power(e) * c
                 result = result + term.mul_t(n).truncate(order)
         return result
 

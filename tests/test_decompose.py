@@ -63,8 +63,9 @@ def test_MN_recover_L_and_B():
 
 def test_boundary_series_square():
     sq = decompose.pipeline("square_origin", ORDER)
-    assert (sq.R - decompose.tmul(sq.L_x0)).is_zero()
-    assert (sq.S - decompose.tmul(sq.L_0y.mul_x(1))).is_zero()
+    # L is the pipeline's k L; R and S are at the paper's scale
+    assert (sq.R - decompose.tmul(sq.unscale(sq.L_x0))).is_zero()
+    assert (sq.S - decompose.tmul(sq.unscale(sq.L_0y).mul_x(1))).is_zero()
     # S has no constant term in x: S = t x M(0, x)
     assert sq.S.coeff_x(0).is_zero()
 
@@ -121,3 +122,64 @@ def test_origin_split_is_symmetric(name, order):
     p = decompose.pipeline(name, order)
     assert p.B == p.L.swap_vars()
     assert p.N.is_zero()
+
+
+# ---------------------------------------------------------------------------
+# The integer scale k: pipelines carry k A, with k the denominator of s/3
+# ---------------------------------------------------------------------------
+
+
+def reference_A(p):
+    """The paper's A = C - (s/3)(Q - xbar^2 Q(xbar,y) - ybar^2 Q(x,ybar)),
+    with the 1/3 as a ``Fraction``: the construction before the integer
+    scale, kept as a test-only reference."""
+    if not p.sign:
+        return p.C
+    third = LPoly2.const(Fraction(p.sign, 3))
+    combo = decompose.quadrant_mirror_combo(p.Q)
+    return p.C - combo.map_poly(lambda q: q * third)
+
+
+class PaperPipeline(decompose.Pipeline):
+    """A pipeline at the paper's scale: k = 1 and A = ``reference_A``, so
+    that P, L, B, M and N are the paper's series.  Not memoised, so it
+    always reads the current oracle."""
+
+    def __init__(self, name, order):
+        super().__init__(name, order)
+        self.scale, self.mirror_weight = 1, Fraction(self.sign, 3)
+
+    @decompose._cached
+    def A(self):
+        return reference_A(self)
+
+
+def value_types(s):
+    return {type(c) for p in s.coeffs for c in p.terms.values()}
+
+
+@pytest.mark.parametrize("name", decompose.PIPELINES)
+def test_pipeline_A_is_k_times_the_papers(name):
+    p = decompose.pipeline(name, 12)
+    assert p.scale == (3 if p.sign else 1)
+    assert p.A == p.scale * reference_A(p)
+
+
+@pytest.mark.parametrize("name", decompose.PIPELINES)
+def test_bivariate_pipeline_series_hold_only_ints(name):
+    """A, P, L, B, M and N hold no ``Fraction``, where the paper's A does
+    whenever s != 0."""
+    p = decompose.pipeline(name, 12)
+    for series in ("A", "P", "L", "B", "M", "N"):
+        assert value_types(getattr(p, series)) <= {int}, series
+    assert (Fraction in value_types(reference_A(p))) == bool(p.sign)
+
+
+@pytest.mark.parametrize("name", decompose.PIPELINES)
+def test_one_variable_readers_are_at_the_papers_scale(name):
+    """``unscale`` undoes k: R, S and their constants equal those of the
+    paper-scale pipeline."""
+    p, paper = decompose.pipeline(name, 12), PaperPipeline(name, 12)
+    assert p.L_x0 == p.scale * paper.L_x0
+    for series in ("R", "S", "S1", "S_m1", "P0", "R0"):
+        assert getattr(p, series) == getattr(paper, series), series

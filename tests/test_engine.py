@@ -2,6 +2,7 @@
 
 import copy
 import runpy
+from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -201,6 +202,22 @@ class TestCatalogs:
     @pytest.mark.parametrize("key", engine.XSERIES_KEYS)
     def test_x_series(self, key):
         assert engine.run_check(key, 10)["verdict"] == "pass"
+
+    @pytest.mark.parametrize("which,change", [
+        (0, {"coeff": Fraction(3)}),
+        (1, {"coeff": Fraction(-2)}),
+        (0, {"num": ((Fraction(-1, 2), 0), (Fraction(1, 7), 0))}),
+    ])
+    def test_base_T_reads_the_hypergeometric_terms(self, monkeypatch, which,
+                                                   change):
+        """base-T evaluates the quartic at the square of the sum
+        ``Z_TERMS``, not at the solver's own output: a changed coefficient
+        or parameter of either term fails it."""
+        assert engine.run_check("base-T", 12)["verdict"] == "pass"
+        terms = list(engine.Z_TERMS)
+        terms[which] = replace(terms[which], **change)
+        monkeypatch.setattr(engine, "Z_TERMS", tuple(terms))
+        assert engine.run_check("base-T", 12)["verdict"] == "fail"
 
     def test_report_shape(self):
         r = engine.run_check("base-T", 6)

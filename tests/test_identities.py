@@ -21,6 +21,7 @@ from conewalks.identities import (
 )
 from conewalks.laurent import LPoly, LPoly2
 from conewalks.series import Series1, Series2
+from test_decompose import PaperPipeline
 
 ORDER = 8
 
@@ -144,16 +145,17 @@ def test_half_eq_sees_a_wrong_constant(key):
 # The per-model equations that ``quadrant_like``, ``catM``, ``P_LB`` and
 # ``orbit_eq`` state once, kept as test-only references.  They are the old
 # functions verbatim, except that the corner [x^1 y^0] L, once the
-# ``Pipeline.M10`` property, is read as ``L_x0.coeff_x(1)``.
+# ``Pipeline.M10`` property, is read as ``L_x0.coeff_x(1)``, and that they
+# read a ``PaperPipeline``: at the paper's scale, with its constants.
 # ---------------------------------------------------------------------------
 
 def reference_orbit_eq_quadrant_sq(order):
-    sq = pipeline("square_origin", order)
+    sq = PaperPipeline("square_origin", order)
     return sq.K * _orbit(sq.Q) - Series2.from_poly(_cross(), order)
 
 
 def reference_PM_relation_sq(order):
-    sq = pipeline("square_origin", order)
+    sq = PaperPipeline("square_origin", order)
     M = sq.L
     M0y = _y_series(sq.L_0y)
     M0x = _x_series(sq.L_0y)
@@ -163,13 +165,13 @@ def reference_PM_relation_sq(order):
 
 
 def reference_func_M_sq(order):
-    sq = pipeline("square_origin", order)
+    sq = PaperPipeline("square_origin", order)
     eq = _half_eq(sq, sq.L, sq.L_x0, sq.L_0y, Fraction(2, 3) * X)
     return eq - _y_rest(sq, sq.L_x0)
 
 
 def reference_catM_sq(order):
-    sq = pipeline("square_origin", order)
+    sq = PaperPipeline("square_origin", order)
     Yr = kernel_root_Y(sq.steps, order)
     M0x = sq.L_0y
     lhs = -sq.sqrt_Delta * (
@@ -179,13 +181,13 @@ def reference_catM_sq(order):
 
 
 def reference_func_M_diag(order):
-    dg = pipeline("diagonal_origin", order)
+    dg = PaperPipeline("diagonal_origin", order)
     eq = _half_eq(dg, dg.L, dg.L_x0, dg.L_0y, Fraction(2, 3) * X)
     return eq - _y_rest(dg, dg.L_x0) + _at_t_ybar(dg.L_x0.coeff_x(1))
 
 
 def reference_catM_diag(order):
-    dg = pipeline("diagonal_origin", order)
+    dg = PaperPipeline("diagonal_origin", order)
     Yr = kernel_root_Y(dg.steps, order)
     s = Series1.from_poly(LPoly.var(1) + LPoly.var(-1), order)
     M0x = dg.L_0y
@@ -200,7 +202,7 @@ def reference_catM_diag(order):
 
 
 def reference_eqL_sq_shift(order):
-    ss = pipeline("square_shifted", order)
+    ss = PaperPipeline("square_shifted", order)
     L00 = ss.L_0y.coeff_x(0)
     B00 = ss.B_0y.coeff_x(0)
     eq = _half_eq(ss, ss.L, ss.L_x0, ss.L_0y, ONE)
@@ -208,7 +210,7 @@ def reference_eqL_sq_shift(order):
 
 
 def reference_eqB_sq_shift(order):
-    ss = pipeline("square_shifted", order)
+    ss = PaperPipeline("square_shifted", order)
     L00 = ss.L_0y.coeff_x(0)
     B00 = ss.B_0y.coeff_x(0)
     eq = _half_eq(ss, ss.B.swap_vars(), ss.B_0y, ss.B_x0, LPoly2())
@@ -216,14 +218,14 @@ def reference_eqB_sq_shift(order):
 
 
 def reference_func_M_sq_shift(order):
-    ss = pipeline("square_shifted", order)
+    ss = PaperPipeline("square_shifted", order)
     Mx0 = ss.M.coeff_of("y", 0)
     eq = _half_eq(ss, ss.M, Mx0, ss.M.coeff_of("x", 0), ONE)
     return eq - _y_rest(ss, Mx0)
 
 
 def reference_func_N_sq_shift(order):
-    ss = pipeline("square_shifted", order)
+    ss = PaperPipeline("square_shifted", order)
     Nx0 = ss.N.coeff_of("y", 0)
     N0y = ss.N.coeff_of("x", 0)
     eq = _half_eq(ss, ss.N, Nx0, N0y, ONE)
@@ -231,48 +233,50 @@ def reference_func_N_sq_shift(order):
 
 
 def reference_eqL_diag_shift(order):
-    ds = pipeline("diagonal_shifted", order)
+    ds = PaperPipeline("diagonal_shifted", order)
     B01 = ds.B_0y.coeff_x(1)
     eq = _half_eq(ds, ds.L, ds.L_x0, ds.L_0y, Fraction(4, 3) * X)
     return eq - _y_rest(ds, ds.B_0y) + _at_t_ybar(B01)
 
 
 def reference_eqB_diag_shift(order):
-    ds = pipeline("diagonal_shifted", order)
+    ds = PaperPipeline("diagonal_shifted", order)
     L10 = ds.L_x0.coeff_x(1)
     eq = _half_eq(ds, ds.B.swap_vars(), ds.B_0y, ds.B_x0, Fraction(-2, 3) * X)
     return (eq - _y_rest(ds, ds.L_x0) + _at_t_ybar(L10)).swap_vars()
 
 
 def reference_func_M_diag_shift(order):
-    ds = pipeline("diagonal_shifted", order)
+    ds = PaperPipeline("diagonal_shifted", order)
     Mx0 = ds.M.coeff_of("y", 0)
     eq = _half_eq(ds, ds.M, Mx0, ds.M.coeff_of("x", 0), Fraction(2, 3) * X)
     return eq - _y_rest(ds, Mx0) + _at_t_ybar(Mx0.coeff_x(1))
 
 
 def reference_func_N_diag_shift(order):
-    ds = pipeline("diagonal_shifted", order)
+    ds = PaperPipeline("diagonal_shifted", order)
     Nx0 = ds.N.coeff_of("y", 0)
     eq = _half_eq(ds, ds.N, Nx0, ds.N.coeff_of("x", 0), 2 * X)
     return eq + _y_rest(ds, Nx0) - _at_t_ybar(Nx0.coeff_x(1))
 
 
+# id -> (the pipeline whose scale k the row carries, or None for a row
+# that reads Q alone, the reference).
 REFERENCES = {
-    "orbit-eq-quadrant-sq": reference_orbit_eq_quadrant_sq,
-    "PM-relation-sq": reference_PM_relation_sq,
-    "func-M-sq": reference_func_M_sq,
-    "catM-sq": reference_catM_sq,
-    "func-M-diag": reference_func_M_diag,
-    "catM-diag": reference_catM_diag,
-    "eqL-sq-shift": reference_eqL_sq_shift,
-    "eqB-sq-shift": reference_eqB_sq_shift,
-    "func-M-sq-shift": reference_func_M_sq_shift,
-    "func-N-sq-shift": reference_func_N_sq_shift,
-    "eqL-diag-shift": reference_eqL_diag_shift,
-    "eqB-diag-shift": reference_eqB_diag_shift,
-    "func-M-diag-shift": reference_func_M_diag_shift,
-    "func-N-diag-shift": reference_func_N_diag_shift,
+    "orbit-eq-quadrant-sq": (None, reference_orbit_eq_quadrant_sq),
+    "PM-relation-sq": ("square_origin", reference_PM_relation_sq),
+    "func-M-sq": ("square_origin", reference_func_M_sq),
+    "catM-sq": ("square_origin", reference_catM_sq),
+    "func-M-diag": ("diagonal_origin", reference_func_M_diag),
+    "catM-diag": ("diagonal_origin", reference_catM_diag),
+    "eqL-sq-shift": ("square_shifted", reference_eqL_sq_shift),
+    "eqB-sq-shift": ("square_shifted", reference_eqB_sq_shift),
+    "func-M-sq-shift": ("square_shifted", reference_func_M_sq_shift),
+    "func-N-sq-shift": ("square_shifted", reference_func_N_sq_shift),
+    "eqL-diag-shift": ("diagonal_shifted", reference_eqL_diag_shift),
+    "eqB-diag-shift": ("diagonal_shifted", reference_eqB_diag_shift),
+    "func-M-diag-shift": ("diagonal_shifted", reference_func_M_diag_shift),
+    "func-N-diag-shift": ("diagonal_shifted", reference_func_N_diag_shift),
 }
 
 
@@ -304,12 +308,14 @@ def perturbed_layers(monkeypatch):
 @pytest.mark.parametrize("layers", [(), (1, 2, 3, 4), (5,), (2, 9)])
 def test_each_equation_equals_its_per_model_reference(perturbed_layers,
                                                       layers):
-    """Each equation stated once gives exactly its old per-model residual,
-    at a correct oracle and at a perturbed one (where the residuals are
-    not zero, so that the comparison is not of zeros alone)."""
+    """Each equation stated once gives exactly k times its old per-model
+    residual at the paper's scale, for the scale k of its pipeline, at a
+    correct oracle and at a perturbed one (where the residuals are not
+    zero, so that the comparison is not of zeros alone)."""
     perturbed_layers(layers)
-    for key, reference in REFERENCES.items():
+    for key, (name, reference) in REFERENCES.items():
         _, build = identities.IDENTITIES[key]
         expected = reference(12)
-        assert build(12) == expected, key
+        scale = pipeline(name, 12).scale if name else 1
+        assert build(12) == scale * expected, key
         assert (expected.first_failure() is None) == (not layers), key

@@ -329,6 +329,60 @@ class TestFusedProduct:
         assert type(prod.coeffs[0].terms[0]) is int
 
 
+def fused_mul(s, o):
+    """The fused loop of ``Series1.__mul__`` before its short path for a
+    constant factor, kept as the exact reference for that path."""
+    n = min(s.order, o.order)
+    a = [(i, p) for i, p in enumerate(s.coeffs[:n]) if p.terms]
+    out = []
+    for k in range(n):
+        acc = {}
+        for i, p in a:
+            if i > k:
+                break
+            q = o.coeffs[k - i]
+            if q.terms:
+                p.mul_into(acc, q)
+        out.append(s.RING(acc))
+    return type(s)(out, n)
+
+
+def stored(s):
+    """The order of s and each stored coefficient with its type."""
+    return s.order, [{e: (c, type(c)) for e, c in p.terms.items()}
+                     for p in s.coeffs]
+
+
+class TestConstantFactorShortPath:
+    """A product with a scalar, or with a series that is a constant to its
+    order, scales coefficients; it must equal the fused loop exactly, with
+    the same order and the same int or Fraction storage."""
+
+    @pytest.mark.parametrize("cls,terms", [(Series1, terms1),
+                                           (Series2, terms2)])
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_equals_the_fused_loop(self, cls, terms, data):
+        a = data.draw(series_of(cls, terms))
+        c = data.draw(st.one_of(st.integers(-3, 3), scalars))
+        const = cls.const(c, data.draw(st.integers(0, 7)))
+        as_series = cls.const(c, a.order)
+        for got, want in ((a * c, fused_mul(a, as_series)),
+                          (c * a, fused_mul(as_series, a)),
+                          (a * const, fused_mul(a, const)),
+                          (const * a, fused_mul(const, a))):
+            assert type(got) is cls
+            assert stored(got) == stored(want)
+
+    def test_a_series_with_a_later_term_is_not_constant(self):
+        assert Series1.const(2, 3).constant() == 2
+        assert Series1.zero(3).constant() == 0
+        late = Series1([LPoly.const(2), LPoly(), LPoly.var(1)], 3)
+        assert late.constant() is None
+        assert Series1.x(3).constant() is None
+        assert Series2.from_poly(LPoly2.y(1), 3).constant() is None
+
+
 class TestEvalXIsExact:
     def test_negative_exponents_at_integer_points(self):
         s = Series1([LPoly({-1: 1, 2: 3}), LPoly({-2: 4, 0: 1}),

@@ -152,10 +152,10 @@ def test_memoised_frontiers_equal_a_fresh_sweep(capsys, swept):
     assert walks.sweep.cache_info().misses == misses
 
 
-# The checks that no count of the walk oracle can fail: the solver's own
-# equations (base-T, base-Y-*), the hypergeometric side of base-Z-hyper,
-# the bookkeeping of the three-quadrant split (split-*) and the negative
-# check no-kernel-factor-sq.
+# The checks that no count of the walk oracle can fail: the quartic at the
+# hypergeometric sum (base-T), the solver's own equations (base-Y-*), the
+# hypergeometric side of base-Z-hyper, the bookkeeping of the
+# three-quadrant split (split-*) and the negative check no-kernel-factor-sq.
 ORACLE_BLIND = {"base-T", "base-Y-square", "base-Y-diagonal", "base-Z-hyper",
                 "no-kernel-factor-sq", "split-A-sq", "split-C-sq-shift",
                 "split-A-diag-shift"}
