@@ -7,7 +7,7 @@ increasing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .walks import Record
 
 
 class BFileError(ValueError):
@@ -18,11 +18,10 @@ class BFileError(ValueError):
         self.lineno = lineno
 
 
-@dataclass(frozen=True)
-class BFile:
+class BFile(Record):
     """Parsed sequence file: a list of (n, value) pairs, n strictly increasing."""
 
-    entries: tuple
+    __slots__ = ("entries",)
 
 
 def parse_bfile(text: str) -> BFile:

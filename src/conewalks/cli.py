@@ -10,8 +10,11 @@ ordering is fixed, so identical configurations give identical bytes.
 it takes; a config file may set any key.  Each command reads its walk
 counts from one DP sweep (``oeis`` sweeps only to the last file index it
 compares); ``build_model`` rejects a start or --endpoint outside the
-region.
-``verify`` runs suites from the ``SUITES`` table (suite -> its keys and
+region.  Each command imports only what it runs: ``count``, ``series``
+and ``asympt`` need ``walks`` alone and ``oeis`` adds ``bfile``, while
+``verify`` and ``param`` import ``engine`` (and ``verify`` ``identities``)
+when called.  Only the table commands (``CSV_COMMANDS``) take --format csv.
+``verify`` runs suites from the ``suites()`` table (suite -> its keys and
 the function that checks one key): 'all' stands for every suite and a
 repeated suite runs once.  Every check returns the one report shape built
 by ``engine.report``.  The closed-forms suite groups its entries by walk
@@ -34,9 +37,6 @@ import math
 import sys
 from functools import partial
 
-from . import bfile as bfile_mod
-from . import closedforms, engine, identities
-from .series import OrderError
 from .walks import (
     DIAGONAL,
     SQUARE,
@@ -78,7 +78,7 @@ class UsageError(ValueError):
     pass
 
 
-def _order_too_low(order: int, key: str, exc: OrderError) -> UsageError:
+def _order_too_low(order: int, key: str, exc) -> UsageError:
     return UsageError(f"--order {order} is too low for {key} ({exc})")
 
 
@@ -228,6 +228,8 @@ def cmd_series(cfg: dict, args, out) -> int:
 def _closed_form_columns(keys, max_n: int) -> dict:
     """Each catalog entry's oracle counts for lengths 0..2 max_n, by key:
     the entries of one walk model read their endpoints from one sweep."""
+    from . import closedforms
+
     ends = {}  # model -> {key: endpoint}
     for key in keys:
         entry = closedforms.catalog()[key]
@@ -244,6 +246,8 @@ def _closed_form_columns(keys, max_n: int) -> dict:
 def _closed_form(key: str, max_n: int, columns: dict) -> dict:
     """Compare a catalog closed form with its oracle counts in ``columns``
     for n = 0..max_n (walks of 2n steps)."""
+    from . import closedforms, engine
+
     entry = closedforms.catalog()[key]
     counts = columns[key]
     first = None
@@ -255,36 +259,42 @@ def _closed_form(key: str, max_n: int, columns: dict) -> dict:
     return engine.report(key, entry.anchor, order=max_n, failure=first)
 
 
-# suite -> (its keys, the function checking one key at an order).  The
-# closed-forms check also takes the oracle columns of all its keys, which
-# ``run_suite`` reads once per walk model.
-SUITES = {
-    "base": (lambda: engine.BASE_KEYS, engine.run_check),
-    "params": (engine.param_keys, engine.run_check),
-    "endpoints": (engine.z_rational_keys, engine.run_check),
-    "quartics": (lambda: engine.QUARTIC_KEYS, engine.run_check),
-    "xseries": (lambda: engine.XSERIES_KEYS, engine.run_check),
-    "identities": (identities.all_identity_keys, identities.run_identity),
-    "closed-forms": (lambda: sorted(closedforms.catalog()), _closed_form),
-}
+def suites() -> dict:
+    """suite -> (its keys, the function checking one key at an order).  The
+    closed-forms check also takes the oracle columns of all its keys, which
+    ``run_suite`` reads once per walk model."""
+    from . import closedforms, engine, identities
+
+    return {
+        "base": (lambda: engine.BASE_KEYS, engine.run_check),
+        "params": (engine.param_keys, engine.run_check),
+        "endpoints": (engine.z_rational_keys, engine.run_check),
+        "quartics": (lambda: engine.QUARTIC_KEYS, engine.run_check),
+        "xseries": (lambda: engine.XSERIES_KEYS, engine.run_check),
+        "identities": (identities.all_identity_keys, identities.run_identity),
+        "closed-forms": (lambda: sorted(closedforms.catalog()), _closed_form),
+    }
 
 
 def suite_names(selection) -> list:
-    """The suites named, in order: 'all' is every suite in ``SUITES`` order
-    wherever it appears; a repeated suite keeps its first position."""
+    """The suites named, in order: 'all' is every suite in ``suites()``
+    order wherever it appears; a repeated suite keeps its first position."""
     names = selection.split(",") if isinstance(selection, str) else selection
+    known = suites()
     chosen = {}
     for name in (name.strip() for name in names):
-        if name != "all" and name not in SUITES:
+        if name != "all" and name not in known:
             raise UsageError(f"unknown suite {name!r}")
-        chosen.update(dict.fromkeys(SUITES if name == "all" else [name]))
+        chosen.update(dict.fromkeys(known if name == "all" else [name]))
     if not chosen:
         raise UsageError("no suite selected")
     return list(chosen)
 
 
 def run_suite(suite: str, order: int) -> list:
-    keys, check = SUITES[suite]
+    from .series import OrderError
+
+    keys, check = suites()[suite]
     keys = keys()
     if suite == "closed-forms":
         check = partial(check, columns=_closed_form_columns(keys, order))
@@ -320,18 +330,23 @@ def cmd_verify(cfg: dict, args, out) -> int:
 # -- param -----------------------------------------------------------------
 
 
-# param key -> its series builder; every catalog key expands as well.
-PARAM_BUILDERS = {
-    "base-T": engine.series_T,
-    "base-Z": engine.series_Z,
-    "base-U": engine.series_U,
-    "base-V": engine.series_V,
-}
+def param_builders() -> dict:
+    """param key -> its series builder; every catalog key expands as well."""
+    from . import engine
+
+    return {
+        "base-T": engine.series_T,
+        "base-Z": engine.series_Z,
+        "base-U": engine.series_U,
+        "base-V": engine.series_V,
+    }
 
 
 def param_series_keys() -> list:
     """Every key that ``param --key`` expands, in ``param --list`` order."""
-    return [*PARAM_BUILDERS, *engine.param_keys(), *engine.z_rational_keys()]
+    from . import engine
+
+    return [*param_builders(), *engine.param_keys(), *engine.z_rational_keys()]
 
 
 def cmd_param(cfg: dict, args, out) -> int:
@@ -347,9 +362,13 @@ def cmd_param(cfg: dict, args, out) -> int:
     key = args.key
     if key is None:
         raise UsageError("param requires --key or --list")
+    from . import engine
+    from .series import OrderError
+
     order = cfg["order"]
-    if key in PARAM_BUILDERS:
-        series = PARAM_BUILDERS[key](order)
+    builders = param_builders()
+    if key in builders:
+        series = builders[key](order)
     elif key in param_series_keys():
         try:
             series = engine.catalog_series(key, order)
@@ -383,17 +402,19 @@ def cmd_oeis(cfg: dict, args, out) -> int:
     path = args.bfile
     if path is None:
         raise UsageError("oeis requires --bfile <path>")
+    from . import bfile
+
     try:
-        data = bfile_mod.read_bfile(path)
+        data = bfile.read_bfile(path)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}")
-    except bfile_mod.BFileError as exc:
+    except bfile.BFileError as exc:
         out.write(f"parse error in {path}: {exc}\n")
         return 1
     model = build_model(cfg)
     last = max((n for n, _ in data.entries if n <= cfg["n"]), default=-1)
     counts = count_sequence(model, last, cfg["endpoint"])
-    report = bfile_mod.compare(data, counts.__getitem__, max_n=cfg["n"])
+    report = bfile.compare(data, counts.__getitem__, max_n=cfg["n"])
     if cfg["format"] == "json":
         json.dump(report, out, indent=2, sort_keys=True)
         out.write("\n")
@@ -470,6 +491,8 @@ COMMANDS = {
     "oeis": (cmd_oeis, (*_MODEL, "n", "endpoint", "format", "bfile")),
     "asympt": (cmd_asympt, (*_MODEL, "n", "format")),
 }
+# The subcommands that print a table; the others reject --format csv.
+CSV_COMMANDS = ("count", "series", "asympt")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -490,7 +513,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler, _ = COMMANDS[args.command]
     try:
-        return handler(load_config(args), args, sys.stdout)
+        cfg = load_config(args)
+        if cfg["format"] == "csv" and args.command not in CSV_COMMANDS:
+            raise UsageError(f"{args.command} has no csv output")
+        return handler(cfg, args, sys.stdout)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,10 +13,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import os
 from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
+
+from .walks import Record
+
+
+def read_data(name: str):
+    """The JSON file ``name`` of the package's ``data`` directory."""
+    path = os.path.join(os.path.dirname(__file__), "data", name)
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def _rising(a, n: int) -> tuple:
@@ -74,14 +82,12 @@ def quadrant_diag_count(i: int, j: int, n: int) -> int:
     return val.numerator
 
 
-@dataclass(frozen=True)
-class HypTerm:
-    """coeff * poly(n) * prod (a)_{n+s} / prod (b)_{n+r}."""
+class HypTerm(Record):
+    """coeff * poly(n) * prod (a)_{n+s} / prod (b)_{n+r}: ``coeff`` a
+    Fraction, ``poly`` the coefficients of a polynomial in n, low degree
+    first, and ``num`` and ``den`` the pairs (a, s) and (b, r)."""
 
-    coeff: Fraction
-    poly: tuple  # coefficients of a polynomial in n, low degree first
-    num: tuple   # pairs (a, shift)
-    den: tuple   # pairs (b, shift)
+    __slots__ = ("coeff", "poly", "num", "den")
 
     def value(self, n: int) -> Fraction:
         """The term at n: integer numerator and denominator products, then
@@ -102,15 +108,12 @@ def hyp_sum(terms, n: int) -> Fraction:
     return Fraction(16) ** n * sum((t.value(n) for t in terms), Fraction(0))
 
 
-@dataclass(frozen=True)
-class ClosedForm:
-    key: str
-    anchor: str
-    lattice: str
-    region: str
-    start: tuple
-    end: tuple
-    terms: tuple
+class ClosedForm(Record):
+    """A catalog entry: its key and anchor, its walk model (lattice and
+    region names, start), its endpoint and its ``HypTerm`` terms."""
+
+    __slots__ = ("key", "anchor", "lattice", "region", "start", "end",
+                 "terms")
 
     def count(self, n: int) -> int:
         """Number of 2n-step walks from start to end in the cone."""
@@ -124,30 +127,26 @@ class ClosedForm:
 
 def _parse_term(raw) -> HypTerm:
     return HypTerm(
-        coeff=Fraction(raw["coeff"]),
-        poly=tuple(Fraction(c) for c in raw.get("poly", ["1"])),
-        num=tuple((Fraction(a), s) for a, s in raw["num"]),
-        den=tuple((Fraction(b), s) for b, s in raw["den"]),
+        Fraction(raw["coeff"]),
+        tuple(Fraction(c) for c in raw.get("poly", ["1"])),
+        tuple((Fraction(a), s) for a, s in raw["num"]),
+        tuple((Fraction(b), s) for b, s in raw["den"]),
     )
 
 
 @lru_cache(maxsize=None)
 def catalog() -> dict:
-    text = (
-        resources.files("conewalks").joinpath("data/closed_forms.json")
-        .read_text()
-    )
     return {
         key: ClosedForm(
-            key=key,
-            anchor=entry["anchor"],
-            lattice=entry["lattice"],
-            region=entry["region"],
-            start=tuple(entry["start"]),
-            end=tuple(entry["end"]),
-            terms=tuple(_parse_term(t) for t in entry["terms"]),
+            key,
+            entry["anchor"],
+            entry["lattice"],
+            entry["region"],
+            tuple(entry["start"]),
+            tuple(entry["end"]),
+            tuple(_parse_term(t) for t in entry["terms"]),
         )
-        for key, entry in json.loads(text).items()
+        for key, entry in read_data("closed_forms.json").items()
     }
 
 

@@ -31,13 +31,11 @@ The kernel quadratic of each lattice is read off its step set
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import lru_cache, partial
-from importlib import resources
 
 from . import decompose
-from .closedforms import HypTerm, hyp_sum
+from .closedforms import HypTerm, hyp_sum, read_data
 from .laurent import LPoly
 from .series import PivotError, Series1
 from .walks import DIAGONAL, SQUARE
@@ -162,12 +160,7 @@ def kernel_root_Y(steps, order: int) -> Series1:
 
 @lru_cache(maxsize=None)
 def _param_data() -> dict:
-    text = (
-        resources.files("conewalks")
-        .joinpath("data/parametrizations.json")
-        .read_text()
-    )
-    return json.loads(text)
+    return read_data("parametrizations.json")
 
 
 _BUILDERS = {

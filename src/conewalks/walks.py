@@ -26,35 +26,70 @@ long sweep until the process ends raises its peak memory.
 ``endpoint_columns`` is the one endpoint reader: it reads any number of
 endpoints of one model from one streamed sweep, so the closed forms sweep
 each walk model once however many of its endpoints they check.
+
+The module needs no other module of the package: ``StepSet.step_poly`` and
+``generating_series`` import ``laurent`` and ``series`` when called, so
+``count``, ``series``, ``oeis`` and ``asympt`` load only this module and
+``cli`` (and ``bfile`` for ``oeis``).  Its records (and those of ``bfile``
+and ``closedforms``) are ``Record`` classes, not dataclasses, which cost
+an ``exec`` per class at import.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from operator import add
 
-from .laurent import LPoly2
-from .series import Series2
+
+class Record:
+    """An immutable value record: its fields are its ``__slots__``, set in
+    order by ``__init__``, and it compares and hashes by their values.
+
+    Records are not tuples (no namedtuple): ``perfbench/tracer.py`` rebuilds
+    every module-level tuple as a plain tuple, which would turn ``SQUARE``
+    and ``DIAGONAL`` into tuples without their fields."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
 
-@dataclass(frozen=True)
-class StepSet:
+class StepSet(Record):
     """Finite set of small steps (dx, dy) with dx, dy in {-1, 0, 1}."""
 
-    name: str
-    steps: frozenset
+    __slots__ = ("name", "steps")
 
-    def __post_init__(self):
-        if not self.steps:
+    def __init__(self, name: str, steps: frozenset):
+        if not steps:
             raise ValueError("step set must be nonempty")
-        for dx, dy in self.steps:
+        for dx, dy in steps:
             if dx not in (-1, 0, 1) or dy not in (-1, 0, 1) or (dx, dy) == (0, 0):
                 raise ValueError(f"not a small step: {(dx, dy)}")
+        super().__init__(name, steps)
 
-    def step_poly(self) -> LPoly2:
+    def step_poly(self):
         """The Laurent polynomial sum of x^dx y^dy over all steps."""
+        from .laurent import LPoly2
+
         return LPoly2({s: 1 for s in self.steps})
 
 
@@ -91,28 +126,25 @@ ROW_BOUNDS = {
 }
 
 
-@dataclass(frozen=True)
-class WalkModel:
+class WalkModel(Record):
     """A complete enumeration problem: steps, cone and starting point."""
 
-    steps: StepSet
-    region: Region
-    start: tuple
+    __slots__ = ("steps", "region", "start")
 
-    def __post_init__(self):
-        self.require_inside("start", self.start)
+    def __init__(self, steps: StepSet, region: Region, start: tuple):
+        super().__init__(steps, region, start)
+        self.require_inside("start", start)
 
     def require_inside(self, what: str, point: tuple) -> None:
         if not self.region.contains(*point):
             raise ValueError(f"{what} {point} outside region {self.region.value}")
 
 
-@dataclass
-class CountTable:
-    """Endpoint counts for all walks of one length."""
+class CountTable(Record):
+    """Endpoint counts for all walks of one length: ``counts`` maps (i, j)
+    to an int."""
 
-    n: int
-    counts: dict  # (i, j) -> int
+    __slots__ = ("n", "counts")
 
     def get(self, i: int, j: int) -> int:
         return self.counts.get((i, j), 0)
@@ -127,8 +159,7 @@ class CountTable:
         }
 
 
-@dataclass(frozen=True)
-class Frontier:
+class Frontier(Record):
     """The counts of the walks of one length, by endpoint.
 
     ``rows`` maps j to (i0, counts): counts[k] walks end at
@@ -137,8 +168,7 @@ class Frontier:
     ``total`` and ``cells`` only.
     """
 
-    rows: dict
-    stride: int
+    __slots__ = ("rows", "stride")
 
     def get(self, i: int, j: int) -> int:
         row = self.rows.get(j)
@@ -226,7 +256,7 @@ def sweep(model: WalkModel, n: int) -> tuple:
 def count_walks_upto(model: WalkModel, n: int) -> list:
     """CountTable for every length 0..n, sharing one DP sweep."""
     return [
-        CountTable(n=k, counts=frontier.cells())
+        CountTable(k, frontier.cells())
         for k, frontier in enumerate(_layers(model, n))
     ]
 
@@ -258,11 +288,14 @@ def count_sequence(model: WalkModel, n: int, endpoint=None) -> list:
     return [frontier.total() for frontier in _layers(model, n)]
 
 
-def generating_series(model: WalkModel, order: int) -> Series2:
-    """Full bivariate generating function as an exact truncated series.
+def generating_series(model: WalkModel, order: int):
+    """Full bivariate generating function as an exact truncated ``Series2``.
 
     It reads ``sweep(model, order)``, one layer more than it needs, so the
     checks that compare lengths 0..order read the same memo entry."""
+    from .laurent import LPoly2
+    from .series import Series2
+
     frontiers = sweep(model, order)[:order]
     return Series2([LPoly2(frontier.cells()) for frontier in frontiers], order)
 

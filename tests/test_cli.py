@@ -269,7 +269,7 @@ class TestReportsAndInputErrors:
         return captured
 
     def test_all_suites_share_one_report_shape(self, capsys):
-        from conewalks.cli import SUITES
+        from conewalks.cli import suites
 
         code, out = run(capsys, "verify", "--suite", "all", "--order", "9",
                         "--format", "json")
@@ -277,7 +277,7 @@ class TestReportsAndInputErrors:
         reports = json.loads(out)
         ids = [r["id"] for r in reports]
         assert len(ids) == len(set(ids))
-        assert ids == [key for keys, _ in SUITES.values() for key in keys()]
+        assert ids == [key for keys, _ in suites().values() for key in keys()]
         assert all(set(r) == {"id", "anchor", "order_checked", "verdict",
                               "first_failure"} for r in reports)
 
@@ -371,6 +371,95 @@ class TestFlagsPerCommand:
         assert build_parser().parse_args(argv).command == argv[0]
 
 
+class TestFormatContract:
+    """Only the table commands print CSV.  The others reject --format csv,
+    from a flag or from a config file, as a usage error."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "base", "--order", "6"],
+        ["param", "--key", "base-T", "--order", "6"],
+        ["param", "--list"],
+        ["oeis", "--n", "3"],
+    ])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_csv_is_a_usage_error(self, capsys, tmp_path, argv, source):
+        bfile = tmp_path / "b.txt"
+        bfile.write_text("0 1\n1 4\n2 14\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"format": "csv"}))
+        argv = argv + (["--bfile", str(bfile)] if argv[0] == "oeis" else [])
+        argv += (["--format", "csv"] if source == "flag"
+                 else ["--config", str(cfg)])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {argv[0]} has no csv output\n"
+
+    @pytest.mark.parametrize("argv,head", [
+        (["count", "--n", "2"], ["n,i,j,count"]),
+        (["series", "--order", "3"], ["n,total"]),
+        (["asympt", "--n", "4"], [
+            "non-exact diagnostic (float64 dynamic programming)",
+            "n,total_float,ratio,target"]),
+    ])
+    def test_table_commands_print_csv(self, capsys, argv, head):
+        code, out = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[:len(head)] == head
+
+
+# The conewalks modules each command loads, besides the package and cli.
+STACK = {"walks", "engine", "decompose", "closedforms", "laurent", "series"}
+LOADS = {
+    ("count", "--n", "3"): {"walks"},
+    ("series", "--order", "5", "--endpoint", "0,0"): {"walks"},
+    ("asympt", "--n", "4"): {"walks"},
+    ("oeis", "--n", "3"): {"walks", "bfile"},
+    ("param", "--key", "base-T", "--order", "4"): STACK,
+    ("param", "--list"): STACK,
+    ("verify", "--suite", "base", "--order", "3"): STACK | {"identities"},
+}
+
+LOADED = """\
+import contextlib, io, json, sys
+from conewalks import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+@pytest.mark.parametrize("argv", sorted(LOADS), ids=" ".join)
+def test_each_command_imports_only_what_it_runs(tmp_path, argv):
+    """A fresh interpreter without site initialisation (-S: a site .pth
+    may preload modules) runs one command; it must load exactly the
+    package modules the command runs, and no command but asympt loads
+    dataclasses or importlib.resources."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import conewalks
+
+    paths = [Path(conewalks.__file__).parents[1]]
+    if argv[0] == "asympt":
+        paths.append(Path(pytest.importorskip("numpy").__file__).parents[1])
+    bfile = tmp_path / "b.txt"
+    bfile.write_text("0 1\n1 4\n2 14\n")
+    extra = ["--bfile", str(bfile)] if argv[0] == "oeis" else []
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
+    done = subprocess.run([sys.executable, "-S", "-c", LOADED, *argv, *extra],
+                          env=env, capture_output=True, text=True, check=True)
+    code, modules = json.loads(done.stdout)
+    assert code == 0
+    assert {m for m in modules if m.startswith("conewalks")} == {
+        "conewalks", "conewalks.cli",
+        *(f"conewalks.{name}" for name in LOADS[argv])}
+    if argv[0] != "asympt":
+        assert not {"dataclasses", "importlib.resources"} & set(modules)
+
+
 class TestEndpointAndSuiteRules:
     """An --endpoint outside the region is refused where the model is
     built; a suite selection names each suite once."""
@@ -411,7 +500,7 @@ class TestEndpointAndSuiteRules:
     @pytest.mark.parametrize("selection", ["all,base", ["all"]])
     def test_all_expands_wherever_it_appears(self, capsys, tmp_path,
                                              selection):
-        from conewalks.cli import SUITES
+        from conewalks.cli import suites
 
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"suite": selection}))
@@ -419,14 +508,14 @@ class TestEndpointAndSuiteRules:
                         "--order", "9", "--format", "json")
         assert code == 0
         assert [r["id"] for r in json.loads(out)] == [
-            key for keys, _ in SUITES.values() for key in keys()]
+            key for keys, _ in suites().values() for key in keys()]
 
     def test_suite_names_keep_first_positions(self):
-        from conewalks.cli import SUITES, suite_names
+        from conewalks.cli import suite_names, suites
 
-        rest = [name for name in SUITES if name != "xseries"]
+        rest = [name for name in suites() if name != "xseries"]
         assert suite_names(["xseries", "all", "base"]) == ["xseries", *rest]
-        assert suite_names("base,all") == list(SUITES)
+        assert suite_names("base,all") == list(suites())
 
     @pytest.mark.parametrize("fmt,expected", [
         ("text", ""),

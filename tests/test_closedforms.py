@@ -14,6 +14,7 @@ from conewalks.walks import (
     WalkModel,
     count_walks_upto,
 )
+from test_walks import replace
 
 LATTICES = {"square": SQUARE, "diagonal": DIAGONAL}
 REGIONS = {"three-quadrant": Region.THREE_QUADRANT, "wedge135": Region.WEDGE135}
@@ -161,21 +162,9 @@ def test_catalog_against_dp(key):
 
 def test_non_integral_raises():
     entry = cf.catalog()["sq-origin-0-0"]
-    broken = cf.ClosedForm(
-        key="broken",
-        anchor="",
-        lattice=entry.lattice,
-        region=entry.region,
-        start=entry.start,
-        end=entry.end,
-        terms=(
-            cf.HypTerm(
-                coeff=Fraction(1, 3),
-                poly=(Fraction(1),),
-                num=((Fraction(1, 2), 0),),
-                den=((Fraction(2), 0),),
-            ),
-        ),
-    )
+    broken = replace(entry, key="broken", anchor="", terms=(
+        cf.HypTerm(Fraction(1, 3), (Fraction(1),), ((Fraction(1, 2), 0),),
+                   ((Fraction(2), 0),)),
+    ))
     with pytest.raises(ArithmeticError):
         broken.count(2)

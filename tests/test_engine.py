@@ -2,7 +2,6 @@
 
 import copy
 import runpy
-from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -21,6 +20,7 @@ from conewalks.walks import (
     WalkModel,
     count_sequence,
 )
+from test_walks import replace
 
 
 def scalar_coeffs(series, upto):

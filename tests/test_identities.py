@@ -1,6 +1,5 @@
 """The identity catalog: every functional equation and bijection holds."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -291,9 +290,10 @@ def perturbed_layers(monkeypatch):
         def perturbed(model, n):
             for k, frontier in enumerate(layers(model, n)):
                 if k in ks:
-                    frontier = replace(frontier, rows={
-                        j: (i0, [c + 1 for c in counts])
-                        for j, (i0, counts) in frontier.rows.items()})
+                    frontier = walks.Frontier(
+                        {j: (i0, [c + 1 for c in counts])
+                         for j, (i0, counts) in frontier.rows.items()},
+                        frontier.stride)
                 yield frontier
 
         walks.sweep.cache_clear()

@@ -3,13 +3,13 @@ it needs from a single pass of ``walks._layers``."""
 
 import hashlib
 import json
-from dataclasses import replace
 
 import pytest
 
 from conewalks import closedforms, decompose, identities, walks
 from conewalks.cli import LATTICES, REGIONS, main
-from conewalks.walks import WalkModel
+from conewalks.walks import Frontier, WalkModel
+from test_walks import replace
 
 
 def record(monkeypatch, entry):
@@ -192,9 +192,9 @@ def test_a_perturbed_oracle_fails_every_check_that_reads_it(capsys,
     layers = walks._layers
 
     def plus_one(frontier):
-        return replace(frontier, rows={
-            j: (i0, [c + 1 for c in counts])
-            for j, (i0, counts) in frontier.rows.items()})
+        return Frontier({j: (i0, [c + 1 for c in counts])
+                         for j, (i0, counts) in frontier.rows.items()},
+                        frontier.stride)
 
     def perturbed(model, n):
         for k, frontier in enumerate(layers(model, n)):

@@ -14,6 +14,8 @@ from conewalks.cli import LATTICES, REGIONS
 from conewalks.walks import (
     DIAGONAL,
     SQUARE,
+    CountTable,
+    Frontier,
     Region,
     StepSet,
     WalkModel,
@@ -41,6 +43,13 @@ def brute_force(steps, region, start, n):
         if ok:
             counts[pos] = counts.get(pos, 0) + 1
     return counts
+
+
+def replace(record, **changes):
+    """A copy of ``record`` with the fields named in ``changes`` set to
+    their new values."""
+    return type(record)(*(changes.get(name, getattr(record, name))
+                          for name in record.__slots__))
 
 
 def table(model, n):
@@ -348,3 +357,55 @@ def test_row_frontiers_equal_the_dict_reference(model, n):
     for i, j in product(range(x0 - n - 2, x0 + n + 3),
                         range(y0 - n - 2, y0 + n + 3)):
         assert frontier.get(i, j) == expected.get((i, j), 0)
+
+
+class TestRecords:
+    """The records are plain ``__slots__`` classes: value equality, value
+    hashes for the memo keys, no assignment, and the old validation."""
+
+    def test_a_model_built_twice_is_one_memo_key(self):
+        a = WalkModel(StepSet("square", frozenset(SQUARE.steps)),
+                      Region.THREE_QUADRANT, (-1, 0))
+        b = WalkModel(SQUARE, Region.THREE_QUADRANT, (-1, 0))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != WalkModel(SQUARE, Region.THREE_QUADRANT, (0, 0))
+        walks.sweep.cache_clear()
+        try:
+            assert walks.sweep(a, 6) is walks.sweep(b, 6)
+            assert walks.sweep.cache_info().misses == 1
+        finally:
+            walks.sweep.cache_clear()
+
+    @pytest.mark.parametrize("steps", [
+        frozenset(), frozenset({(0, 0)}), frozenset({(2, 0)}),
+        frozenset({(1, 0), (0, -2)})])
+    def test_step_set_rejects_what_it_rejected(self, steps):
+        with pytest.raises(ValueError):
+            StepSet("bad", steps)
+
+    def test_start_outside_region_is_rejected(self):
+        with pytest.raises(ValueError, match=r"start \(0, -1\) outside"):
+            WalkModel(SQUARE, Region.QUADRANT, (0, -1))
+
+    @pytest.mark.parametrize("record,field", [
+        (SQUARE, "steps"), (SQ3, "start"), (SQ3, "region"),
+        (Frontier({0: (0, [1])}, 2), "stride"),
+        (CountTable(0, {(0, 0): 1}), "n"),
+        (closedforms.catalog()["wedge-0-0"], "end")])
+    def test_fields_cannot_be_assigned(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+
+    def test_frontiers_compare_by_value(self):
+        a, b = list(_layers(SQ3, 4)), list(_layers(SQ3, 4))
+        assert a == b and a[3] is not b[3]
+        assert a[3] != a[4]
+        assert replace(a[3], stride=1) != a[3]
+        assert a[3] == Frontier(dict(a[3].rows), a[3].stride)
+
+    def test_equality_with_another_type_is_not_implemented(self):
+        assert SQUARE.__eq__(("square", SQUARE.steps)) is NotImplemented
+        assert SQUARE != ("square", SQUARE.steps) and SQUARE != SQ3
+        assert not isinstance(SQUARE, tuple)
