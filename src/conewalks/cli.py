@@ -158,11 +158,16 @@ def build_model(cfg: dict) -> WalkModel:
     return model
 
 
+def _write_json(value, out) -> None:
+    """The one JSON writer: indent 2, sorted keys, a trailing newline."""
+    json.dump(value, out, indent=2, sort_keys=True)
+    out.write("\n")
+
+
 def _emit_rows(rows: list, header: list, fmt: str, out) -> None:
     """rows: list of dicts with keys from header, values already strings."""
     if fmt == "json":
-        json.dump(rows, out, indent=2, sort_keys=True)
-        out.write("\n")
+        _write_json(rows, out)
     elif fmt == "csv":
         out.write(",".join(header) + "\n")
         for row in rows:
@@ -188,9 +193,7 @@ def cmd_count(cfg: dict, args, out) -> int:
         return 0
     tables = count_walks_upto(model, limit)
     if cfg["format"] == "json":
-        json.dump([table.to_json() for table in tables], out, indent=2,
-                  sort_keys=True)
-        out.write("\n")
+        _write_json([table.to_json() for table in tables], out)
     else:
         rows = [
             {"n": table.n, "i": i, "j": j, "count": str(table.counts[(i, j)])}
@@ -214,8 +217,7 @@ def cmd_series(cfg: dict, args, out) -> int:
         payload, column = {"endpoint": list(endpoint), "order": order,
                            "coeffs": values}, "count"
     if cfg["format"] == "json":
-        json.dump(payload, out, indent=2, sort_keys=True)
-        out.write("\n")
+        _write_json(payload, out)
     else:
         rows = [{"n": n, column: v} for n, v in enumerate(values)]
         _emit_rows(rows, ["n", column], cfg["format"], out)
@@ -315,8 +317,7 @@ def cmd_verify(cfg: dict, args, out) -> int:
                for report in run_suite(name, order)]
     failures = [r for r in reports if r["verdict"] != "pass"]
     if cfg["format"] == "json":
-        json.dump(reports, out, indent=2, sort_keys=True)
-        out.write("\n")
+        _write_json(reports, out)
     else:
         for r in reports:
             line = f"{r['verdict']:4s}  {r['id']}"
@@ -353,8 +354,7 @@ def cmd_param(cfg: dict, args, out) -> int:
     if args.list_keys:
         keys = param_series_keys()
         if cfg["format"] == "json":
-            json.dump(keys, out, indent=2)
-            out.write("\n")
+            _write_json(keys, out)
         else:
             for k in keys:
                 out.write(k + "\n")
@@ -388,8 +388,7 @@ def cmd_param(cfg: dict, args, out) -> int:
                 for p in series.coeffs
             ],
         }
-        json.dump(payload, out, indent=2, sort_keys=True)
-        out.write("\n")
+        _write_json(payload, out)
     else:
         out.write(series.render() + "\n")
     return 0
@@ -416,8 +415,7 @@ def cmd_oeis(cfg: dict, args, out) -> int:
     counts = count_sequence(model, last, cfg["endpoint"])
     report = bfile.compare(data, counts.__getitem__, max_n=cfg["n"])
     if cfg["format"] == "json":
-        json.dump(report, out, indent=2, sort_keys=True)
-        out.write("\n")
+        _write_json(report, out)
     else:
         out.write(f"verdict: {report['verdict']}\n")
         for k in sorted(report):

@@ -14,10 +14,13 @@ normalization shortcuts.
 Scalars are integer-first: a coefficient with an integral value is
 stored as an ``int`` and any other rational one as a ``Fraction``
 (``_coerce`` keeps this on every stored value).  ``qdiv`` is the one
-division in the module, so an ``int`` quotient stays an ``int`` when it is
-exact and becomes a ``Fraction``, never a ``float``, when it is not.
-Other exact scalar types (such as a Gaussian rational) pass through
-untouched and use their own arithmetic.
+scalar division, so an ``int`` quotient stays an ``int`` when it is exact
+and becomes a ``Fraction``, never a ``float``, when it is not.
+``divexact`` divides a polynomial by a nonzero constant and by nothing
+else: that is the only division series arithmetic needs.  Other exact
+scalar types pass through ``_coerce`` and ``qdiv`` untouched and use their
+own arithmetic; that serves the tests' foreign-scalar check, since the
+Gaussian rationals it was written for (``gaussian.py``) are gone.
 
 Each ring has one fused multiply-accumulate kernel, ``mul_into``, which
 adds a product into an exponent dict; ``__mul__`` and the series product
@@ -93,21 +96,25 @@ class LPoly:
             return cls.const(other)
         return None
 
-    def __add__(self, other):
+    def _sum(self, other, sign):
+        """self + other (sign 1) or self - other (sign -1), term by term, so
+        no negated copy of `other` is made."""
         o = self._lift(other)
         if o is None:
             return NotImplemented
         out = dict(self.terms)
+        minus = sign < 0
         for e, c in o.terms.items():
-            s = _coerce(out.get(e, 0) + c)
+            s = out.get(e, 0)
+            s = _coerce(s - c if minus else s + c)
             if s == 0:
                 out.pop(e, None)
             else:
                 out[e] = s
-        cls = type(self)
-        r = cls.__new__(cls)
-        r.terms = out
-        return r
+        return self._with_terms(out)
+
+    def __add__(self, other):
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
@@ -119,22 +126,10 @@ class LPoly:
         return r
 
     def __neg__(self):
-        cls = type(self)
-        r = cls.__new__(cls)
-        r.terms = {e: -c for e, c in self.terms.items()}
-        return r
+        return self._with_terms({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        return self._sum(other, -1)
 
     def mul_into(self, out: dict, other) -> None:
         """Add self * other into the exponent dict `out`.
@@ -163,18 +158,6 @@ class LPoly:
         """c times self, for an exact scalar c: every coefficient times c."""
         return type(self)({e: v * c for e, v in self.terms.items()})
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError(f"negative power of an {type(self).__name__}")
-        result = self.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __eq__(self, other):
         o = self._lift(other)
         if o is None:
@@ -184,23 +167,10 @@ class LPoly:
     def __bool__(self):
         return bool(self.terms)
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     # -- structure queries ----------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def valuation(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial has no valuation")
-        return min(self.terms)
-
-    def degree(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial has no degree")
-        return max(self.terms)
 
     def coeff(self, e: int):
         return self.terms.get(e, 0)
@@ -237,34 +207,15 @@ class LPoly:
             acc = acc + (c * v**e if e >= 0 else qdiv(c, v ** (-e)))
         return _coerce(acc)
 
-    def divexact(self, other: "LPoly") -> "LPoly":
-        """Exact division; raises ValueError if the remainder is nonzero."""
+    def divexact(self, other):
+        """self / c for a nonzero constant c, coefficient by coefficient
+        (``qdiv``).  Any other divisor raises ValueError: series division
+        only ever divides by a constant lowest coefficient."""
         o = self._lift(other)
         if o is None or o.is_zero():
-            raise ZeroDivisionError("division by zero LPoly")
-        if self.is_zero():
-            return LPoly()
-        shift = self.valuation() - o.valuation()
-        # Work with ordinary polynomials anchored at exponent 0.
-        rem = {e - self.valuation(): c for e, c in self.terms.items()}
-        div = {e - o.valuation(): c for e, c in o.terms.items()}
-        db = max(div)
-        cb = div[db]
-        quot = {}
-        while rem:
-            da = max(rem)
-            if da < db:
-                raise ValueError("inexact LPoly division")
-            q = qdiv(rem[da], cb)
-            quot[da - db] = q
-            for e, c in div.items():
-                ee = da - db + e
-                s = rem.get(ee, 0) - q * c
-                if s == 0:
-                    rem.pop(ee, None)
-                else:
-                    rem[ee] = s
-        return self._with_terms({e + shift: c for e, c in quot.items()})
+            raise ZeroDivisionError(f"division by zero {type(self).__name__}")
+        c = o.const_value()  # ValueError unless o is a constant
+        return self._with_terms({e: qdiv(v, c) for e, v in self.terms.items()})
 
     def __str__(self):
         if not self.terms:
@@ -286,8 +237,9 @@ class LPoly:
 class LPoly2(LPoly):
     """Sparse bivariate Laurent polynomial: map (i, j) -> coefficient.
 
-    Exponent pair (i, j) stands for x^i y^j.  Sums, negation, powers,
-    equality and the constant queries are inherited from ``LPoly``.
+    Exponent pair (i, j) stands for x^i y^j.  Sums, negation, equality,
+    division by a constant and the constant queries are inherited from
+    ``LPoly``.
     """
 
     __slots__ = ()
@@ -352,25 +304,6 @@ class LPoly2(LPoly):
         return self._with_terms(
             {(i + di, j + dj): c for (i, j), c in self.terms.items()}
         )
-
-    def eval(self, vx, vy):
-        acc = 0
-        for (i, j), c in self.terms.items():
-            term = c * vx**i if i >= 0 else qdiv(c, vx ** (-i))
-            term = term * vy**j if j >= 0 else qdiv(term, vy ** (-j))
-            acc = acc + term
-        return _coerce(acc)
-
-    def divexact(self, other) -> "LPoly2":
-        """Exact division by a nonzero constant; any other divisor raises
-        ValueError (series division never needs more)."""
-        o = self._lift(other)
-        if o is None or o.is_zero():
-            raise ZeroDivisionError("division by zero LPoly2")
-        if not o.is_const():
-            raise ValueError("LPoly2 divides only by a nonzero constant")
-        c0 = o.const_value()
-        return self._with_terms({e: qdiv(c, c0) for e, c in self.terms.items()})
 
     def __str__(self):
         if not self.terms:

@@ -15,9 +15,10 @@ One series type per coefficient ring:
 
 Every series carries an explicit truncation ``order`` N: coefficients of
 t^n are valid for n < N.  Binary operations propagate the minimum of the
-two orders; nothing is ever silently re-expanded.  Division requires the
-divisor's lowest nonzero coefficient to divide exactly and reports the
-order loss caused by stripping a common power of t.
+two orders; nothing is ever silently re-expanded.  Division strips a
+common power of t (losing that much order) and then needs the divisor's
+lowest nonzero coefficient to be a constant.  ``compose`` substitutes a
+series for x in polynomials in x.
 """
 
 from __future__ import annotations
@@ -97,12 +98,19 @@ class Series1:
             return cls.const(other, order)
         return None
 
-    def __add__(self, other):
+    def _sum(self, other, sign):
+        """self + other (sign 1) or self - other (sign -1), coefficient by
+        coefficient, so no negated copy of `other` is made."""
         o = self._lift(other, self.order)
         if o is None:
             return NotImplemented
         n = min(self.order, o.order)
-        return type(self)([self.coeffs[k] + o.coeffs[k] for k in range(n)], n)
+        if sign < 0:
+            return type(self)([p - q for p, q in zip(self.coeffs, o.coeffs)], n)
+        return type(self)([p + q for p, q in zip(self.coeffs, o.coeffs)], n)
+
+    def __add__(self, other):
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
@@ -110,16 +118,13 @@ class Series1:
         return type(self)([-c for c in self.coeffs], self.order)
 
     def __sub__(self, other):
-        o = self._lift(other, self.order)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
         o = self._lift(other, self.order)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o._sum(self, -1)
 
     def constant(self):
         """The scalar c if the series is c to its order, else None."""
@@ -172,7 +177,7 @@ class Series1:
 
     def __pow__(self, n: int):
         if n < 0:
-            return self.inverse() ** (-n)
+            raise ValueError(f"negative power of a {type(self).__name__}")
         result = self.one(self.order)
         base = self
         while n:
@@ -231,9 +236,9 @@ class Series1:
         """Exact series division with valuation stripping.
 
         A common power of t is cancelled first (losing that much order),
-        then the divisor's lowest coefficient must divide every step
-        exactly, else PivotError.  A divisor that is zero to order, or
-        leaves no order after stripping, raises OrderError.
+        then the divisor's lowest coefficient must be a nonzero constant,
+        else PivotError.  A divisor that is zero to order, or leaves no
+        order after stripping, raises OrderError.
         """
         o = self._lift(other, self.order)
         v = o.valuation()
@@ -259,12 +264,6 @@ class Series1:
             except ValueError as exc:
                 raise PivotError(f"at t^{k}: {exc}")
         return type(self)(out, n)
-
-    def __truediv__(self, other):
-        o = self._lift(other, self.order)
-        if o is None:
-            return NotImplemented
-        return self.divide(o)
 
     def inverse(self):
         return self.one(self.order).divide(self)
@@ -326,36 +325,26 @@ class Series1:
         return Series1(out, self.order)
 
     def compose(self, inner: "Series1") -> "Series1":
-        """Substitute `inner` for x.  Needs `inner` nonzero or self polynomial.
+        """Substitute `inner` for x; every coefficient must be a polynomial
+        in x (no negative exponent), else ValueError.
 
-        Convergence: each t^n coefficient of self is a Laurent polynomial, so
-        only finitely many powers of `inner` enter each output coefficient.
-        Negative exponents use the series inverse of `inner`.
+        When `inner` has positive valuation, a term that lands beyond the
+        truncation is skipped, and its power of `inner` is never formed.
         """
         order = min(self.order, inner.order)
-        result = Series1.zero(order)
-        powers = {0: Series1.one(order)}
-        inv = None
-
-        def power(e):
-            nonlocal inv
-            if e in powers:
-                return powers[e]
-            if e > 0:
-                powers[e] = power(e - 1) * inner.truncate(order)
-            else:
-                if inv is None:
-                    inv = inner.truncate(order).inverse()
-                powers[e] = power(e + 1) * inv
-            return powers[e]
-
         v = inner.valuation()
+        inner = inner.truncate(order)
+        powers = [Series1.one(order)]
+        result = Series1.zero(order)
         for n, p in enumerate(self.coeffs[:order]):
             for e, c in p.terms.items():
-                if v is not None and v > 0 and e > 0 and n + e * v >= order:
+                if e < 0:
+                    raise ValueError("compose needs nonnegative x-exponents")
+                if v and e and n + e * v >= order:
                     continue  # contributes beyond truncation
-                term = power(e) * c
-                result = result + term.mul_t(n).truncate(order)
+                while len(powers) <= e:
+                    powers.append(powers[-1] * inner)
+                result = result + (powers[e] * c).mul_t(n).truncate(order)
         return result
 
     # -- rendering -------------------------------------------------------

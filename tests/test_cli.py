@@ -580,6 +580,108 @@ def test_param_bytes_are_pinned(capsys, key, order, fmt):
             == PARAM_SHA256[(key, order, fmt)])
 
 
+# sha256 of `param --key K --order 12 --format json` for every catalog key
+# (the `params` and `endpoints` suites), pinned the same way.  Those suites
+# check only that each residual vanishes; these pin the series themselves,
+# each of which goes through a series division.
+CATALOG_PARAM_SHA256 = {
+    "diag-F0":
+        "237900fd1eaf52c04cd70aa3ad455403d56dfb6ea800fdc61d047857422f2d06",
+    "diag-R0":
+        "67dc6842d8e987dbb00b1e11b184db2eeb8bb0692f6abb0aa83ea7f0d8635a14",
+    "diag-S1":
+        "00215073c411c3f0a012a42ee96ec5e690c7913f6c41aa1682fcd0165e76c54a",
+    "diag-origin-axis-x":
+        "3947da509807485720ef540546b6fa13d8f0ff209c95b022e5027c4b9028831e",
+    "diag-origin-axis-y":
+        "36bfa9c90952adfcd4142b0f9c4b83be6feb4045c9d71f9c449221b920dca93c",
+    "diag-origin-end-0-0":
+        "80618b413d880e82d6048efbe0a7cfe0ec3f7abc24e83e77480a52f3d4ffce0a",
+    "diag-origin-end-m1-1":
+        "cfba39e97c0e0b0202375062366b9584e6a5f0e564a2a2c704937b7a0b427999",
+    "diag-origin-end-m2-0":
+        "8dee3bfc7d7e97d40e9781fbc244a711b14bb696161ffb0e6b8466c321e3098a",
+    "diag-shift-F0":
+        "56de7e0c96bc4809704742463729d3a8008ddf2b528c6d45694d63b8cc0fc998",
+    "diag-shift-S1":
+        "289522039b9171701f5d457ae99925f5d55ae10d422ae0234b154cbd5c708e3d",
+    "diag-shift-below-axis-x":
+        "4a8ce99bf73e99e3c767964ddcf3655f307513634096f066b33022992a786e5f",
+    "diag-shift-below-axis-y":
+        "228e84ffec3ed4d038157cf1777b741db766d5eb90b7769c6d5ccee61bf3b9e5",
+    "diag-shift-end-0-0":
+        "aaf083dffcb56920c67bd75cc951c158a0299011920b4611d9c637ad9e8b12e2",
+    "diag-shift-end-0-m2":
+        "b457628539ab883abeb37ae569caf63a916c222ccaf984bf3f64ca68df6b5919",
+    "diag-shift-end-1-m1":
+        "b7bad0580f723ba74373a1bd0eadca3eea0b9b2ce9f777e00f59aa6c3d8832a2",
+    "diag-shift-end-m1-1":
+        "8dbb85af354973ea016371cf5b40463bc8ff91b04feffea3101e4fea7f9fe22f",
+    "diag-shift-end-m1-3":
+        "15ffec2fb676213a7f6c3bbd6b554eb1ed972f8fad6e2495a54689f1cece4381",
+    "diag-shift-end-m2-0":
+        "423c1b41dda51de255a908f3861237de95b6269c66dedfdca22384d1fd1ff9dc",
+    "diag-shift-left-axis-x":
+        "ef8b75a529379dc06d86657d888ce0ac1f769b6726ebb4d2628447abced9b3a8",
+    "diag-shift-left-axis-y":
+        "85c9d0279d36350ad1231b4d39a546030b3f60a2cb4266c58d5c8eb01df2bc4f",
+    "sq-P0":
+        "b437484c0fbace4fd32df61942e50323e0e6004ceb7fcb7311f71aeaa821644f",
+    "sq-S1":
+        "040f5d3aeee8dc4b57cf951e0090172e6cec9f57c375c90d780de6925731fd1d",
+    "sq-origin-axis-x":
+        "a0541dd1585e3a3dbe667267fc9e097fd529f445e1a7b706e90a3ca344e1015d",
+    "sq-origin-axis-y":
+        "bedffe1db7044fedb1732e747711835b618ad16e83bfdea5cbdf8f90d4a82f17",
+    "sq-origin-end-0-0":
+        "574c4377ab853a8144b7e6712d2fa546b5e8e1a5a56c8ce8fb1ced2a6ed47651",
+    "sq-origin-end-m1-0":
+        "628bbff992cd3cf6aecdd894e7f5b0bae47803a09b196a7dafdbc5abf02fa3d0",
+    "sq-origin-end-m1-1":
+        "560b97de02840e46e815e167f8acd46daa6d7ba8a1f3bd2bc04bd709c1e6a358",
+    "sq-origin-end-m2-0":
+        "e0427b4270ba39de03509a10f0a35c6394f3d989b591171459f7273eb7b99052",
+    "sq-origin-m01":
+        "bd8bfc7dd49c433975964d73924b0903905c182c32cd528447c5e64414e5052b",
+    "sq-shift-below-axis-x":
+        "451a3f7eeb2c9d795a2c714655ed71699d5828766f8491a765641ab7ee09f845",
+    "sq-shift-below-axis-y":
+        "69a3d15c4b1d49d07bc9d5990c783d45eecc7b37abebc374fd1770d72c8eb1ed",
+    "sq-shift-end-0-0":
+        "faae231d59414702b3622df81fcb7e0c669f1de63fc79b2e9cf63f99e95ce139",
+    "sq-shift-end-0-m1":
+        "1dc4f6f85e80565ba435741d4201e1385393617d1f28c261e1f9b4720579c203",
+    "sq-shift-end-0-m2":
+        "03abc843b71725fee70b1f50009dc503b29edc5f78876b97a2e81e903e525539",
+    "sq-shift-end-m1-0":
+        "ead29868da2853157286e7691bb4e6a354e856f7041e27275557b7f00d85b602",
+    "sq-shift-end-m1-1":
+        "5a1bf00106722468b7b1326fb85d024a620158e3985a4b1abffb7001e8c29f92",
+    "sq-shift-end-m2-0":
+        "a84b793d08ac8dafa63d11ba970c53fd82d8945fac4a303afd071c244a9c8b88",
+    "sq-shift-left-axis-x":
+        "8cca359b474a7ff524f894b1627314b81b9dd0981633ece45fc3c5edf4bdc28c",
+    "sq-shift-left-axis-y":
+        "5e8512a748aad508e84a68c2ca6c6b8d7e335b0c837f7f2bf6e4bdad85ddb9cf",
+}
+
+
+def test_every_catalog_key_is_pinned():
+    from conewalks import engine
+
+    assert set(CATALOG_PARAM_SHA256) == {*engine.param_keys(),
+                                         *engine.z_rational_keys()}
+
+
+@pytest.mark.parametrize("key", sorted(CATALOG_PARAM_SHA256))
+def test_catalog_param_bytes_are_pinned(capsys, key):
+    code, out = run(capsys, "param", "--key", key, "--order", "12",
+                    "--format", "json")
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == CATALOG_PARAM_SHA256[key])
+
+
 # sha256 of the walk-oracle commands, pinned the same way.  The six series
 # runs are the benchmark's oracle-sweep inputs: both lattices in the
 # three-quadrant cone from (0, 0), (-1, 0) and (-2, 0).  A change to the DP

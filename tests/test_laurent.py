@@ -35,6 +35,12 @@ def is_stored_form(c) -> bool:
     return type(c) is Fraction and c.denominator != 1
 
 
+# Each ring with a second monomial: 1/x for LPoly, 1/y for LPoly2.
+RINGS = pytest.mark.parametrize(
+    "ring,m", [(LPoly, LPoly.var(-1)), (LPoly2, LPoly2.y(-1))],
+    ids=["LPoly", "LPoly2"])
+
+
 class TestLPoly:
     def test_zero_and_const(self):
         assert LPoly().is_zero()
@@ -48,16 +54,6 @@ class TestLPoly:
         assert (p + q) == lp({-1: 2, 0: 1})
         assert (p - p).is_zero()
         assert p * LPoly.var(1) == lp({0: 2, 2: 3})
-
-    def test_pow(self):
-        p = lp({1: 1, -1: 1})
-        assert p**2 == lp({2: 1, 0: 2, -2: 1})
-        assert p**0 == LPoly.const(1)
-
-    def test_valuation_degree(self):
-        p = lp({-2: 1, 3: 5})
-        assert p.valuation() == -2
-        assert p.degree() == 3
 
     def test_sub_inverse_involution(self):
         p = lp({-2: 1, 0: 7, 3: -5})
@@ -77,12 +73,35 @@ class TestLPoly:
         p = lp({-1: 1, 1: 1})
         assert p.eval(2) == Fraction(5, 2)
 
-    def test_divexact(self):
-        a = lp({0: 1, 1: 2, 2: 1})
-        b = lp({0: 1, 1: 1})
-        assert a.divexact(b) == b
+    @RINGS
+    def test_divexact(self, ring, m):
+        """A nonzero constant divides (integral quotients stay ints); a
+        non-constant divisor raises ValueError, even one that divides."""
+        p = ring.var(1) * 6 + m * 3
+        q = p.divexact(3)
+        assert q == ring.var(1) * 2 + m
+        assert all(type(c) is int for c in q.terms.values())
+        assert p.divexact(Fraction(3, 2)) == ring.var(1) * 4 + m * 2
+        assert p.divexact(4) == (ring.var(1) * Fraction(3, 2)
+                                 + m * Fraction(3, 4))
         with pytest.raises(ValueError):
-            lp({0: 1, 2: 1}).divexact(b)
+            p.divexact(ring.var(1))
+        with pytest.raises(ValueError):
+            (p * (m + 1)).divexact(m + 1)
+        with pytest.raises(ZeroDivisionError):
+            p.divexact(0)
+        with pytest.raises(ZeroDivisionError):
+            p.divexact(ring())
+
+    @RINGS
+    @given(data=st.data())
+    def test_divexact_roundtrip(self, ring, m, data):
+        a = ring(data.draw(int_terms if ring is LPoly else int_terms2))
+        c = data.draw(st.one_of(nonzero_int,
+                                st.fractions(max_denominator=5).filter(bool)))
+        q = (a * c).divexact(c)
+        assert q == a
+        assert all(type(q.terms[e]) is type(v) for e, v in a.terms.items())
 
     @given(small_lpoly, small_lpoly, small_lpoly)
     def test_ring_axioms(self, a, b, c):
@@ -91,12 +110,6 @@ class TestLPoly:
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
-
-    @given(small_lpoly, small_lpoly)
-    def test_divexact_roundtrip(self, a, b):
-        if a.is_zero() or b.is_zero():
-            return
-        assert (a * b).divexact(b) == a
 
 
 class TestLPoly2:
@@ -132,7 +145,6 @@ class TestLPoly2:
     def test_shift_eval(self):
         p = LPoly2.x(1) + LPoly2.y(1)
         assert p.shift(1, -1) == LPoly2.x(2) * LPoly2.y(-1) + LPoly2.x(1)
-        assert p.eval(2, 3) == 5
 
 
 def test_one_and_two_variable_polynomials_do_not_mix():
@@ -143,15 +155,6 @@ def test_one_and_two_variable_polynomials_do_not_mix():
     with pytest.raises(TypeError):
         LPoly2.x(1) - LPoly.var(1)
     assert LPoly.const(1) != LPoly2.const(1)
-
-
-def test_two_variable_divexact_only_by_constants():
-    p = LPoly2.x(1) * 6 + LPoly2.y(-1) * 3
-    assert p.divexact(3) == LPoly2.x(1) * 2 + LPoly2.y(-1)
-    with pytest.raises(ValueError):
-        p.divexact(LPoly2.x(1))
-    with pytest.raises(ZeroDivisionError):
-        p.divexact(0)
 
 
 class Ratio:
@@ -214,15 +217,10 @@ class TestIntegerFirstStorage:
             assert all(c != 0 and is_stored_form(c) for c in p.terms.values())
 
 
-def reference_eval(terms, *point):
-    """Sum of c * prod(v**e) in Fraction arithmetic."""
-    total = Fraction(0)
-    for e, c in terms.items():
-        term = Fraction(c)
-        for v, k in zip(point, e if isinstance(e, tuple) else (e,)):
-            term *= Fraction(v) ** k
-        total += term
-    return total
+def reference_eval(terms, v):
+    """Sum of c * v**e in Fraction arithmetic."""
+    return sum((Fraction(c) * Fraction(v) ** e for e, c in terms.items()),
+               Fraction(0))
 
 
 class TestEvalIsExact:
@@ -232,8 +230,6 @@ class TestEvalIsExact:
     def test_printed_cases(self):
         v = LPoly({-1: 1, 2: 3}).eval(2)
         assert v == Fraction(25, 2) and type(v) is Fraction
-        v = LPoly2({(-1, -2): 5}).eval(2, 3)
-        assert v == Fraction(5, 18) and type(v) is Fraction
         v = LPoly({-1: 4, 1: 1}).eval(2)
         assert v == 4 and type(v) is int
         assert type(LPoly().eval(3)) is int
@@ -243,9 +239,3 @@ class TestEvalIsExact:
         value = LPoly(terms).eval(v)
         assert is_stored_form(value)
         assert value == reference_eval(terms, v)
-
-    @given(int_terms2, nonzero_int, nonzero_int)
-    def test_two_variables(self, terms, vx, vy):
-        value = LPoly2(terms).eval(vx, vy)
-        assert is_stored_form(value)
-        assert value == reference_eval(terms, vx, vy)

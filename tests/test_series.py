@@ -83,13 +83,30 @@ class TestSeries1Basics:
         assert out.coeff(2) == LPoly.const(1)
 
     def test_compose_negative_exponent(self):
-        # x^-1 at x = 1 + t starts 1 - t + t^2 - ...
+        # compose substitutes into polynomials in x only.
         s = Series1([lp({-1: 1})], 5)
         inner = Series1.one(5) + Series1.t(5)
-        out = s.compose(inner)
-        assert out.coeff(0) == LPoly.const(1)
-        assert out.coeff(1) == LPoly.const(-1)
-        assert out.coeff(2) == LPoly.const(1)
+        with pytest.raises(ValueError):
+            s.compose(inner)
+
+    def test_compose_skips_terms_beyond_the_order(self):
+        # x + x^3 t^2 at x = t is t + t^5, which is t to order 5.
+        s = Series1([lp({1: 1}), LPoly(), lp({3: 1})], 5)
+        assert s.compose(Series1.t(5)) == Series1([LPoly(), LPoly.const(1)], 5)
+
+    @pytest.mark.parametrize("cls", [Series1, Series2])
+    def test_negative_power_raises(self, cls):
+        u = cls.one(4) + cls.t(4)
+        assert u ** 0 == cls.one(4)
+        assert u ** 2 == u * u
+        with pytest.raises(ValueError):
+            u ** -1
+
+    def test_divide_needs_a_constant_lowest_coefficient(self):
+        # x t / x t = 1 would need a division by x: a PivotError.
+        num = Series1([LPoly(), lp({1: 1})], 4)
+        with pytest.raises(PivotError):
+            num.divide(num)
 
 
 class TestSeries1Properties:
@@ -239,9 +256,7 @@ class TestIntInputsStayExact:
     @given(int_terms, int_terms, st.lists(int_terms, max_size=4), nonzero_int)
     def test_one_variable(self, a, b, tail, c0):
         p, q = LPoly(a), LPoly(b)
-        assert_exact(p + q, p - q, p * q, p * 7)
-        if q:
-            assert_exact((p * q).divexact(q))
+        assert_exact(p + q, p - q, p * q, p * 7, p.divexact(c0))
         s = Series1([LPoly(t) for t in [a] + tail], 5)
         u = Series1([LPoly.const(c0)] + [LPoly(t) for t in tail], 5)
         assert_exact(s * u, s.divide(u), u.inverse())
@@ -381,6 +396,76 @@ class TestConstantFactorShortPath:
         assert late.constant() is None
         assert Series1.x(3).constant() is None
         assert Series2.from_poly(LPoly2.y(1), 3).constant() is None
+
+
+def reference_add(a: dict, b: dict) -> dict:
+    """``LPoly.__add__`` as it was before the signed sum, on exponent dicts:
+    b's terms added into a copy of a, zeros dropped, integral fractions
+    stored as ints."""
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e, 0) + c
+        if type(s) is Fraction and s.denominator == 1:
+            s = s.numerator
+        if s == 0:
+            out.pop(e, None)
+        else:
+            out[e] = s
+    return out
+
+
+def negate_then_add(a, b, sign, like):
+    """a + b (sign 1) or a - b (sign -1) by the path the signed sum
+    replaced: a + (-b), through a negated copy of b.  A scalar operand is lifted as the
+    operators lift it, to the order of `like`; the result is returned in
+    the shape of ``stored_terms``: (order or None, each coefficient's
+    terms with their types)."""
+    def lift(v):
+        if isinstance(v, (int, Fraction)):
+            return (like.const(v, like.order) if isinstance(like, Series1)
+                    else type(like).const(v))
+        return v
+
+    a, b = lift(a), lift(b)
+    polys_a = a.coeffs if isinstance(a, Series1) else [a]
+    polys_b = b.coeffs if isinstance(b, Series1) else [b]
+    out = [reference_add(p.terms, {e: sign * c for e, c in q.terms.items()})
+           for p, q in zip(polys_a, polys_b)]
+    order = min(a.order, b.order) if isinstance(a, Series1) else None
+    return order, [[(e, c, type(c)) for e, c in t.items()] for t in out]
+
+
+def stored_terms(v):
+    """(order or None, each coefficient's terms in order, with types)."""
+    polys = v.coeffs if isinstance(v, Series1) else [v]
+    return (v.order if isinstance(v, Series1) else None,
+            [[(e, c, type(c)) for e, c in p.terms.items()] for p in polys])
+
+
+class TestSignedSum:
+    """``_sum`` adds or subtracts term by term with no negated copy; every
+    sum and difference must equal the negate-then-add path it replaced:
+    the same terms in the same order, the same order in t, ints kept."""
+
+    @pytest.mark.parametrize("cls,values", [
+        (LPoly, terms1.map(LPoly)),
+        (LPoly2, terms2.map(LPoly2)),
+        (Series1, series_of(Series1, terms1)),
+        (Series2, series_of(Series2, terms2)),
+    ], ids=["LPoly", "LPoly2", "Series1", "Series2"])
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_equals_negate_then_add(self, cls, values, data):
+        a, b = data.draw(values), data.draw(values)
+        c = data.draw(scalars)
+        cases = [(a + b, a, b, 1), (a - b, a, b, -1), (a + c, a, c, 1),
+                 (c + a, a, c, 1), (a - c, a, c, -1)]
+        if cls in (Series1, Series2):
+            cases.append((c - a, c, a, -1))
+        for got, x, y, sign in cases:
+            assert type(got) is cls
+            assert stored_terms(got) == negate_then_add(x, y, sign, a)
+            assert_exact(got)
 
 
 class TestEvalXIsExact:
