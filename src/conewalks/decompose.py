@@ -247,7 +247,7 @@ class Pipeline:
     @_cached
     def S_m1(self) -> Series1:
         """S(-1)."""
-        return self.S.eval_x(-1)
+        return self.S.compose(Series1.const(-1, self.order))
 
     @_cached
     def P0(self) -> Series1:

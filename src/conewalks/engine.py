@@ -20,7 +20,7 @@ pipeline's zero-orbit-sum series A by ``decompose.at_point`` (so the orbit
 sign of each model stays in ``decompose.PIPELINES``).  The engine runs no
 walk DP of its own; each walk model is swept once per run.  Each
 pipeline's cubic P(S(x), x) = 0 is stated once, as its coefficients in s
-(``sq_cubic``, ``diag_cubic``, ``diag_shift_cubic``).  ``cubic_residual``
+(``sq_cubic``, ``diag_cubic``, ``diag_shift_cubic``).  ``series.horner``
 gives its identity, and ``gqm_series`` gives dP/ds and dP/dx at
 (S(x), x), which every x-series check composes at its roots X of the
 generalized quadratic method; ``x-sq-12`` first rotates them to real
@@ -37,7 +37,7 @@ from functools import lru_cache, partial
 from . import decompose
 from .closedforms import HypTerm, hyp_sum, read_data
 from .laurent import LPoly
-from .series import PivotError, Series1
+from .series import PivotError, Series1, horner
 from .walks import DIAGONAL, SQUARE
 
 
@@ -499,15 +499,6 @@ def diag_shift_cubic(order: int):
     return [a0, a1, -3 * lead, (x + 1) * lead], ds.S
 
 
-def cubic_residual(coeffs, S: Series1) -> Series1:
-    """The sum of a_k S^k over the coefficients a_k in s (Horner's rule):
-    for a pipeline's cubic, P(S(x), x), a series identity in x."""
-    acc = coeffs[-1]
-    for a in reversed(coeffs[:-1]):
-        acc = acc * S + a
-    return acc
-
-
 def _d_dx(p: LPoly) -> LPoly:
     return LPoly({e - 1: e * c for e, c in p.terms.items()})
 
@@ -518,8 +509,8 @@ def gqm_series(coeffs, S: Series1):
     of a_k' S^k.  The series X of the generalized quadratic method are the
     power series roots of dP/ds composed at X; P and dP/dx vanish there
     too, because S(X) is a double root of P(s, X)."""
-    ds = cubic_residual([k * a for k, a in enumerate(coeffs) if k], S)
-    dx = cubic_residual([a.map_poly(_d_dx) for a in coeffs], S)
+    ds = horner([k * a for k, a in enumerate(coeffs) if k], S)
+    dx = horner([a.map_poly(_d_dx) for a in coeffs], S)
     return ds, dx
 
 
@@ -617,7 +608,7 @@ def _x_diag_01(n):
 
 def _x_diag_shift_01(n):
     coeffs, S = diag_shift_cubic(n)
-    P = cubic_residual(coeffs, S)
+    P = horner(coeffs, S)
     _, dx = gqm_series(coeffs, S)
     roots = [diag_shift_X(n, which) for which in (0, 1)]
     return [r.compose(X) for X in roots for r in (P, dx)]

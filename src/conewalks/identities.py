@@ -42,7 +42,6 @@ from functools import partial
 
 from .decompose import PIPELINES, at_point, discriminant, pipeline, tmul
 from .engine import (
-    cubic_residual,
     diag_cubic,
     diag_shift_cubic,
     diag_X0,
@@ -52,7 +51,7 @@ from .engine import (
     sq_cubic,
 )
 from .laurent import LPoly, LPoly2
-from .series import OrderError, Series1, Series2
+from .series import OrderError, Series1, Series2, horner
 from .walks import (
     DIAGONAL,
     SQUARE,
@@ -499,7 +498,7 @@ IDENTITIES = {
     "eqcat-S-sq": (
         "relation between S(x) and S(xbar), square origin", eqcat_S_sq),
     "cubic-S-sq": ("cubic equation for S(x), square origin",
-                   lambda n: cubic_residual(*sq_cubic(n))),
+                   lambda n: horner(*sq_cubic(n))),
     "func-eq-diag-origin": (
         "step-by-step equation, diagonal lattice from (0,0)",
         partial(func_eq_C, "diagonal_origin")),
@@ -522,7 +521,7 @@ IDENTITIES = {
                     R0_Sm1_diag),
     "P0-S1-diag": ("constant-term relation, diagonal origin", P0_S1_diag),
     "cubic-S-diag": ("cubic equation for S(x), diagonal origin",
-                     lambda n: cubic_residual(*diag_cubic(n))),
+                     lambda n: horner(*diag_cubic(n))),
     "func-eq-sq-shift": (
         "step-by-step equation, square lattice from (-1,0)",
         partial(func_eq_C, "square_shifted")),
@@ -576,7 +575,7 @@ IDENTITIES = {
         partial(quadrant_like, "diagonal_shifted", 1, -1, 2 * X)),
     "cubic-S-N-diag-shift": (
         "cubic relation for the difference boundary series, diagonal shifted",
-        lambda n: cubic_residual(*diag_shift_cubic(n))),
+        lambda n: horner(*diag_shift_cubic(n))),
     "gessel-axis-from-LB": (
         "wedge walks ending on the x-axis from the shifted square model",
         gessel_axis_series),

@@ -17,10 +17,11 @@ stored as an ``int`` and any other rational one as a ``Fraction``
 scalar division, so an ``int`` quotient stays an ``int`` when it is exact
 and becomes a ``Fraction``, never a ``float``, when it is not.
 ``divexact`` divides a polynomial by a nonzero constant and by nothing
-else: that is the only division series arithmetic needs.  Other exact
-scalar types pass through ``_coerce`` and ``qdiv`` untouched and use their
-own arithmetic; that serves the tests' foreign-scalar check, since the
-Gaussian rationals it was written for (``gaussian.py``) are gone.
+else: that is the only division series arithmetic needs.  There is no
+evaluation at a scalar: ``Series1.compose`` substitutes for x.  Another
+exact scalar type passes through ``_coerce`` and ``qdiv`` untouched and
+uses its own division; the tests' Gaussian rationals need that, to run
+the Newton solver on the paper's equation over Q(i).
 
 Each ring has one fused multiply-accumulate kernel, ``mul_into``, which
 adds a product into an exponent dict; ``__mul__`` and the series product
@@ -49,16 +50,12 @@ def _coerce(c):
 
 
 def qdiv(a, b):
-    """Exact quotient a / b: an ``int`` when b divides a, else a ``Fraction``.
-
-    Any other exact scalar type falls back to its own ``a / b``.
-    """
+    """Exact quotient a / b: an ``int`` when b divides a, else a ``Fraction``
+    (or the quotient of another exact scalar type, by its own division)."""
     if type(a) is int and type(b) is int:
         q, r = divmod(a, b)
         return q if r == 0 else Fraction(a, b)
-    if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
-        return _coerce(Fraction(a) / b)
-    return a / b
+    return _coerce(a / b)
 
 
 class LPoly:
@@ -199,13 +196,6 @@ class LPoly:
             if e % 2:
                 raise ValueError(f"odd exponent {e} in halve_exponents")
         return self._with_terms({e // 2: c for e, c in self.terms.items()})
-
-    def eval(self, v):
-        """Evaluate at a scalar; negative exponents use exact division."""
-        acc = 0
-        for e, c in self.terms.items():
-            acc = acc + (c * v**e if e >= 0 else qdiv(c, v ** (-e)))
-        return _coerce(acc)
 
     def divexact(self, other):
         """self / c for a nonzero constant c, coefficient by coefficient

@@ -18,7 +18,8 @@ t^n are valid for n < N.  Binary operations propagate the minimum of the
 two orders; nothing is ever silently re-expanded.  Division strips a
 common power of t (losing that much order) and then needs the divisor's
 lowest nonzero coefficient to be a constant.  ``compose`` substitutes a
-series for x in polynomials in x.
+series for x in polynomials in x by Horner's rule: ``horner`` is the one
+polynomial evaluator, shared with the pipeline cubics of ``engine``.
 """
 
 from __future__ import annotations
@@ -34,6 +35,15 @@ class OrderError(ValueError):
 
 class PivotError(ValueError):
     """Division or solving hit a coefficient that does not determine the result."""
+
+
+def horner(coeffs, x):
+    """The sum of coeffs[k] x^k by Horner's rule, d products for degree d:
+    ``Series1.compose`` and the pipeline cubics P(S(x), x) both use it."""
+    acc = coeffs[-1]
+    for a in reversed(coeffs[:-1]):
+        acc = acc * x + a
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -178,14 +188,15 @@ class Series1:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError(f"negative power of a {type(self).__name__}")
-        result = self.one(self.order)
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return self.one(self.order) if result is None else result
 
     def __eq__(self, other):
         o = self._lift(other, self.order)
@@ -310,9 +321,6 @@ class Series1:
             lambda p: LPoly({e: c for e, c in p.terms.items() if test(e)})
         )
 
-    def eval_x(self, v) -> "Series1":
-        return Series1([LPoly.const(c.eval(v)) for c in self.coeffs], self.order)
-
     def x_to_xt(self) -> "Series1":
         """Substitute x -> x*t; coefficients must be ordinary polynomials."""
         out = [LPoly() for _ in range(self.order)]
@@ -325,27 +333,15 @@ class Series1:
         return Series1(out, self.order)
 
     def compose(self, inner: "Series1") -> "Series1":
-        """Substitute `inner` for x; every coefficient must be a polynomial
-        in x (no negative exponent), else ValueError.
-
-        When `inner` has positive valuation, a term that lands beyond the
-        truncation is skipped, and its power of `inner` is never formed.
-        """
+        """Substitute `inner` for x by Horner's rule over the coefficients
+        of x^0, ..., x^d; every coefficient must be a polynomial in x (no
+        negative exponent), else ValueError."""
         order = min(self.order, inner.order)
-        v = inner.valuation()
-        inner = inner.truncate(order)
-        powers = [Series1.one(order)]
-        result = Series1.zero(order)
-        for n, p in enumerate(self.coeffs[:order]):
-            for e, c in p.terms.items():
-                if e < 0:
-                    raise ValueError("compose needs nonnegative x-exponents")
-                if v and e and n + e * v >= order:
-                    continue  # contributes beyond truncation
-                while len(powers) <= e:
-                    powers.append(powers[-1] * inner)
-                result = result + (powers[e] * c).mul_t(n).truncate(order)
-        return result
+        exponents = [e for p in self.coeffs[:order] for e in p.terms]
+        if min(exponents, default=0) < 0:
+            raise ValueError("compose needs nonnegative x-exponents")
+        return horner([self.coeff_x(e).truncate(order)
+                       for e in range(max(exponents, default=0) + 1)], inner)
 
     # -- rendering -------------------------------------------------------
 
@@ -414,7 +410,7 @@ class Series2(Series1):
 
 # The methods of ``Series1`` that read its coefficients as polynomials in
 # one variable; a ``Series2`` refuses each of them by name.
-ONE_VARIABLE = ("eval_x", "coeff_x", "part_x", "halve_x", "x_to_xt", "sqrt",
+ONE_VARIABLE = ("coeff_x", "part_x", "halve_x", "x_to_xt", "sqrt",
                 "mul_x", "sub_inverse_x", "compose")
 
 

@@ -460,6 +460,35 @@ def test_each_command_imports_only_what_it_runs(tmp_path, argv):
         assert not {"dataclasses", "importlib.resources"} & set(modules)
 
 
+# Counts the benchmark's per-layer metrics read; each must stay traced.
+TRACED = ("walks.sweeps", "series.mul.calls", "series.compose.calls",
+          "laurent.mul.calls", "engine.solve.calls",
+          "decompose.extract.calls", "closedforms.count.calls")
+
+
+def test_tracer_still_hooks_every_layer():
+    """perfbench/tracer.py wraps functions and classes by name; a renamed
+    one drops out of the trace silently, so a full verify run under it must
+    still record a verdict per report and every counted layer."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import conewalks
+
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(Path(conewalks.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "tracer.py"), "verify",
+         "--suite", "all", "--order", "10", "--format", "json"],
+        env=env, capture_output=True, text=True, check=True)
+    trace = json.loads(done.stdout)
+    assert trace["exit"] == 0
+    assert len(trace["verdict_s"]) == len(json.loads(trace["stdout"])) == 112
+    assert [key for key in TRACED if not trace["counts"].get(key)] == []
+
+
 class TestEndpointAndSuiteRules:
     """An --endpoint outside the region is refused where the model is
     built; a suite selection names each suite once."""

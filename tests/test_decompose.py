@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from conewalks import decompose, identities
-from conewalks.laurent import LPoly, LPoly2
+from conewalks.laurent import LPoly, LPoly2, _coerce, qdiv
 from conewalks.series import Series1, Series2
+from test_series import stored
 
 ORDER = 8
 
@@ -183,3 +184,22 @@ def test_one_variable_readers_are_at_the_papers_scale(name):
     assert p.L_x0 == p.scale * paper.L_x0
     for series in ("R", "S", "S1", "S_m1", "P0", "R0"):
         assert getattr(p, series) == getattr(paper, series), series
+
+
+def reference_eval_x(s, v):
+    """``Series1.eval_x`` as it was before ``S_m1`` became ``compose`` at a
+    constant: each coefficient evaluated term by term at the scalar v."""
+    def value(p):
+        acc = 0
+        for e, c in p.terms.items():
+            acc = acc + (c * v ** e if e >= 0 else qdiv(c, v ** -e))
+        return _coerce(acc)
+
+    return Series1([LPoly.const(value(p)) for p in s.coeffs], s.order)
+
+
+@pytest.mark.parametrize("order", range(8, 17))
+@pytest.mark.parametrize("name", decompose.PIPELINES)
+def test_S_m1_equals_the_term_by_term_value(name, order):
+    p = decompose.pipeline(name, order)
+    assert stored(p.S_m1) == stored(reference_eval_x(p.S, -1))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conewalks.laurent import LPoly, LPoly2, qdiv
+from conewalks.series import Series1
 
 
 def lp(d):
@@ -70,8 +71,11 @@ class TestLPoly:
             lp({1: 1}).halve_exponents()
 
     def test_eval(self):
-        p = lp({-1: 1, 1: 1})
-        assert p.eval(2) == Fraction(5, 2)
+        # A polynomial is evaluated by composing it at a constant series.
+        p = Series1.from_poly(lp({0: 1, 2: 1}), 1)
+        assert p.compose(Series1.const(2, 1)) == Series1.const(5, 1)
+        assert p.compose(Series1.const(Fraction(1, 2), 1)) == Series1.const(
+            Fraction(5, 4), 1)
 
     @RINGS
     def test_divexact(self, ring, m):
@@ -223,19 +227,26 @@ def reference_eval(terms, v):
                Fraction(0))
 
 
+def value_at(terms, v):
+    """The polynomial with these terms at the scalar v, by ``compose``."""
+    p = Series1.from_poly(LPoly(terms), 1)
+    return p.compose(Series1.const(v, 1)).coeff(0).coeff(0)
+
+
 class TestEvalIsExact:
-    """Evaluation at integer points divides for negative exponents; the
-    quotient is an exact int or Fraction, never a float."""
+    """Evaluation at a scalar, by ``compose`` at a constant series, gives
+    an exact int or Fraction, never a float, and an int when integral."""
 
     def test_printed_cases(self):
-        v = LPoly({-1: 1, 2: 3}).eval(2)
-        assert v == Fraction(25, 2) and type(v) is Fraction
-        v = LPoly({-1: 4, 1: 1}).eval(2)
-        assert v == 4 and type(v) is int
-        assert type(LPoly().eval(3)) is int
+        v = value_at({0: 1, 2: 3}, Fraction(1, 2))
+        assert v == Fraction(7, 4) and type(v) is Fraction
+        v = value_at({0: 4, 1: 2}, Fraction(1, 2))
+        assert v == 5 and type(v) is int
+        assert type(value_at({}, 3)) is int
 
-    @given(int_terms, nonzero_int)
+    @given(st.dictionaries(st.integers(0, 4), st.integers(-9, 9), max_size=5),
+           st.one_of(st.integers(-5, 5), st.fractions(max_denominator=4)))
     def test_one_variable(self, terms, v):
-        value = LPoly(terms).eval(v)
+        value = value_at(terms, v)
         assert is_stored_form(value)
         assert value == reference_eval(terms, v)

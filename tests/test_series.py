@@ -102,6 +102,25 @@ class TestSeries1Basics:
         with pytest.raises(ValueError):
             u ** -1
 
+    @pytest.mark.parametrize("cls", [Series1, Series2])
+    def test_power_wastes_no_product(self, cls, monkeypatch):
+        # Square-and-multiply: one squaring per bit after the first, one
+        # product per set bit after the lowest, and nothing else.
+        u = cls([cls.RING.const(1), cls.RING.var(1), cls.RING.const(
+            Fraction(1, 2))], 6)
+        powers = [cls.one(6)]
+        for _ in range(9):
+            powers.append(powers[-1] * u)
+        calls = []
+        mul = Series1.__mul__
+        monkeypatch.setattr(Series1, "__mul__",
+                            lambda a, b: calls.append(1) or mul(a, b))
+        for n, want in enumerate(powers):
+            calls.clear()
+            assert stored(u ** n) == stored(want)
+            squares, products = n.bit_length() - 1, bin(n).count("1") - 1
+            assert len(calls) == (squares + products if n else 0)
+
     def test_divide_needs_a_constant_lowest_coefficient(self):
         # x t / x t = 1 would need a division by x: a PivotError.
         num = Series1([LPoly(), lp({1: 1})], 4)
@@ -468,21 +487,67 @@ class TestSignedSum:
             assert_exact(got)
 
 
-class TestEvalXIsExact:
-    def test_negative_exponents_at_integer_points(self):
-        s = Series1([LPoly({-1: 1, 2: 3}), LPoly({-2: 4, 0: 1}),
-                     LPoly({-3: 5})], 3)
-        assert [p.terms for p in s.eval_x(2).coeffs] == [
-            {0: Fraction(25, 2)}, {0: 2}, {0: Fraction(5, 8)}]
-        assert [p.terms for p in s.eval_x(-1).coeffs] == [
-            {0: 2}, {0: 5}, {0: -5}]
-        assert_exact(s.eval_x(2))
-        assert_exact(s.eval_x(-3))
+def reference_compose(s, inner):
+    """``Series1.compose`` as it was before Horner's rule: a list of powers
+    of `inner`, and one scale, shift, truncation and sum per term, skipping
+    a term that lands beyond the order when `inner` has positive valuation.
+    Kept as the exact reference for the Horner path."""
+    order = min(s.order, inner.order)
+    v = inner.valuation()
+    inner = inner.truncate(order)
+    powers = [Series1.one(order)]
+    result = Series1.zero(order)
+    for n, p in enumerate(s.coeffs[:order]):
+        for e, c in p.terms.items():
+            if e < 0:
+                raise ValueError("compose needs nonnegative x-exponents")
+            if v and e and n + e * v >= order:
+                continue
+            while len(powers) <= e:
+                powers.append(powers[-1] * inner)
+            result = result + (powers[e] * c).mul_t(n).truncate(order)
+    return result
+
+
+# Polynomials in x: compose substitutes into nothing else.
+poly_terms = st.dictionaries(st.integers(0, 3), scalars, max_size=3)
+
+
+class TestComposeByHorner:
+    """``compose`` runs Horner's rule over the coefficients of x^0..x^d; it
+    must equal the power-sum path it replaced exactly: the same terms with
+    their int or Fraction types, and the same order."""
+
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_equals_the_power_sum(self, data):
+        s = data.draw(series_of(Series1, poly_terms))
+        kind = data.draw(st.sampled_from(["valuation 0", "positive valuation",
+                                          "constant"]))
+        if kind == "constant":
+            inner = Series1.const(data.draw(scalars), data.draw(
+                st.integers(0, 7)))
+        else:
+            inner = data.draw(series_of(Series1, terms1))
+            if kind == "positive valuation":
+                inner = inner.mul_t(data.draw(st.integers(1, 3)))
+        got = s.compose(inner)
+        assert stored(got) == stored(reference_compose(s, inner))
+        assert_exact(got)
+
+    def test_printed_cases(self):
+        s = Series1([LPoly({1: 1, 2: 3}), LPoly({0: 1, 2: 4}),
+                     LPoly({3: 5})], 3)
+        for v, want in [(2, [14, 17, 40]), (-1, [2, 5, -5]),
+                        (Fraction(1, 2), [Fraction(5, 4), 2, Fraction(5, 8)])]:
+            out = s.compose(Series1.const(v, 3))
+            assert [p.terms for p in out.coeffs] == [{0: c} for c in want]
+            assert_exact(out)
 
     @settings(max_examples=60)
-    @given(series_of(Series1, terms1), st.integers(-4, 4).filter(bool))
+    @given(series_of(Series1, poly_terms), scalars)
     def test_agrees_with_fraction_arithmetic(self, s, v):
-        out = s.eval_x(v)
+        out = s.compose(Series1.const(v, s.order))
         assert_exact(out)
         for p, q in zip(s.coeffs, out.coeffs):
             want = sum((Fraction(c) * Fraction(v) ** e
@@ -500,9 +565,8 @@ def test_series2_x_stays_in_its_ring():
 
 # Each one-variable method of Series1 with arguments it accepts there.
 ONE_VARIABLE_CALLS = {
-    "eval_x": (2,), "coeff_x": (1,), "part_x": ("neg",), "halve_x": (),
-    "x_to_xt": (), "sqrt": (), "mul_x": (1,), "sub_inverse_x": (),
-    "compose": (Series1.t(3),),
+    "coeff_x": (1,), "part_x": ("neg",), "halve_x": (), "x_to_xt": (),
+    "sqrt": (), "mul_x": (1,), "sub_inverse_x": (), "compose": (Series1.t(3),),
 }
 
 
