@@ -268,11 +268,11 @@ def suites() -> dict:
     from . import closedforms, engine, identities
 
     return {
-        "base": (lambda: engine.BASE_KEYS, engine.run_check),
+        "base": (lambda: engine.BASE_CHECKS, engine.run_check),
         "params": (engine.param_keys, engine.run_check),
         "endpoints": (engine.z_rational_keys, engine.run_check),
-        "quartics": (lambda: engine.QUARTIC_KEYS, engine.run_check),
-        "xseries": (lambda: engine.XSERIES_KEYS, engine.run_check),
+        "quartics": (lambda: engine.QUARTIC_CHECKS, engine.run_check),
+        "xseries": (lambda: engine.XSERIES_CHECKS, engine.run_check),
         "identities": (identities.all_identity_keys, identities.run_identity),
         "closed-forms": (lambda: sorted(closedforms.catalog()), _closed_form),
     }

@@ -24,7 +24,8 @@ pipeline's cubic P(S(x), x) = 0 is stated once, as its coefficients in s
 gives its identity, and ``gqm_series`` gives dP/ds and dP/dx at
 (S(x), x), which every x-series check composes at its roots X of the
 generalized quadratic method; ``x-sq-12`` first rotates them to real
-series with ``_rotate``.
+series with ``_rotate``.  ``sq_relation_rhs`` states the square relation
+between S(x) and S(xbar) once, and ``sq_cubic`` reads it.
 The kernel quadratic of each lattice is read off its step set
 (``decompose.kernel_quadratic``).
 """
@@ -441,6 +442,22 @@ def _rotate(A: Series1, shift: int):
     return Series1(real, A.order), Series1(rest, A.order)
 
 
+def sq_F_forms(S1: Series1):
+    """F0 = t^2 S1 (1 + S1), F1 = -2t S1 and F2 = t^2 (1 + 2 S1): the
+    boundary constants of the square origin pipeline, from its S1."""
+    return (decompose.tmul(S1 * (1 + S1), 2), -2 * decompose.tmul(S1),
+            decompose.tmul(1 + 2 * S1, 2))
+
+
+def sq_relation_rhs(S1: Series1, P0: Series1) -> Series1:
+    """2 F0 - P0 + (x + xbar) F1 + (x^2 + xbar^2) F2, for the constants of
+    ``sq_F_forms``: the right side of the relation between S(x) and
+    S(xbar) of the square origin pipeline."""
+    F0, F1, F2 = sq_F_forms(S1)
+    x, xb = Series1.x(S1.order), Series1.x(S1.order, -1)
+    return 2 * F0 - P0 + (x + xb) * F1 + (x * x + xb * xb) * F2
+
+
 def sq_cubic(order: int):
     """The coefficients [a0, a1, a2, a3] in s of the cubic P(s, x), with
     P(S(x), x) = 0, of the boundary series S of the square origin pipeline,
@@ -448,19 +465,12 @@ def sq_cubic(order: int):
     P can be evaluated at a series X with X(0) = 0.  Its leading factor
     is x^2 disc, for the discriminant disc of the square kernel."""
     sq = decompose.pipeline("square_origin", order)
-    S1 = sq.S1
-    t = Series1.t(order)
+    t2 = Series1.t(order) ** 2
     x = Series1.x(order)
-    t2 = t * t
     x2 = x * x
     lead = decompose.discriminant(SQUARE, order).mul_x(2)
-    rest = x * (
-        2 * t2 * S1 * S1 * x2
-        + 2 * t * (t * x2 * x2 + t * x2 + t - x2 * x - x) * S1
-        - sq.P0 * x2
-        + t2 * (x2 * x2 + 1)
-    )
-    a0 = -t2 * x2 * (x2 - 1) * (1 + S1) ** 2 - rest * x
+    rest = sq_relation_rhs(sq.S1, sq.P0).mul_x(3)
+    a0 = -t2 * x2 * (x2 - 1) * (1 + sq.S1) ** 2 - rest * x
     a1 = lead * x * (x2 + 1) - rest
     return [a0, a1, lead * (2 * x2 + 1), lead * x], sq.S
 
@@ -643,9 +653,6 @@ XSERIES_CHECKS = {
     "x-diag-01": ("diagonal origin: the two explicit roots", _x_diag_01),
     "x-diag-shift-01": ("shifted diagonal: implicit roots", _x_diag_shift_01),
 }
-BASE_KEYS = tuple(BASE_CHECKS)
-QUARTIC_KEYS = tuple(QUARTIC_CHECKS)
-XSERIES_KEYS = tuple(XSERIES_CHECKS)
 
 
 def param_keys():

@@ -29,10 +29,10 @@ side.  A residual times a nonzero integer has the same zeros and the same
 first failure, so every report is the paper's.  The homogeneous ones
 (``orbit_zero_A``, ``split_A``, ``P_LB``) need nothing.
 
-Identities sit in three tables: series identities (pass when the residual
-is zero), negative identities (pass when every residual is nonzero) and
-list identities (pass when no count mismatches).  Every report is built by
-``engine.report``, as for the engine checks.
+Identities sit in two tables: series identities (pass when the residual
+is zero) and list identities (pass when nothing mismatches; the negative
+check's mismatches are its residuals that vanish).  Every report is built
+by ``engine.report``, as for the engine checks.
 """
 
 from __future__ import annotations
@@ -49,6 +49,8 @@ from .engine import (
     kernel_root_Y,
     report,
     sq_cubic,
+    sq_F_forms,
+    sq_relation_rhs,
 )
 from .laurent import LPoly, LPoly2
 from .series import OrderError, Series1, Series2, horner
@@ -288,11 +290,11 @@ def eqRS_sq(order):
 
 
 def _sq_F(sq):
-    """The boundary constants F0, F1, F2 of the square origin pipeline."""
+    """F0 and F2 from ``sq_F_forms``, and F1 read off S and R."""
     S1 = sq.S1
     inner = tmul(sq.S.coeff_x(2)) + 3 * tmul(sq.R.coeff_x(1)) - 5 * S1
-    return (tmul(S1 * (1 + S1), 2), tmul(inner) * Fraction(1, 2),
-            tmul(1 + 2 * S1, 2))
+    F0, _, F2 = sq_F_forms(S1)
+    return F0, tmul(inner) * Fraction(1, 2), F2
 
 
 def F_forms_sq(order):
@@ -308,16 +310,7 @@ def F_forms_sq(order):
 
 def F1_value_sq(order):
     sq = pipeline("square_origin", order)
-    return _sq_F(sq)[1] + 2 * tmul(sq.S1)
-
-
-def _eqcat_rhs(sq) -> Series1:
-    """2 F0 - P0 + (x + xbar) F1 + (x^2 + xbar^2) F2: the right side of the
-    relation between S(x) and S(xbar)."""
-    x = Series1.x(sq.order)
-    xb = Series1.x(sq.order, -1)
-    F0, F1, F2 = _sq_F(sq)
-    return 2 * F0 - sq.P0 + (x + xb) * F1 + (x * x + xb * xb) * F2
+    return _sq_F(sq)[1] - sq_F_forms(sq.S1)[1]
 
 
 def eqcat_S_sq(order):
@@ -327,7 +320,7 @@ def eqcat_S_sq(order):
     x = Series1.x(order)
     xb = Series1.x(order, -1)
     lhs = sq.Delta * (S * S + Sb * Sb - S * Sb + x * S + xb * Sb)
-    return lhs - _eqcat_rhs(sq)
+    return lhs - sq_relation_rhs(sq.S1, sq.P0)
 
 
 def no_kernel_factor_sq(order):
@@ -338,7 +331,7 @@ def no_kernel_factor_sq(order):
     if order < 3:
         raise OrderError("its residuals are zero below t^2")
     sq = pipeline("square_origin", order)
-    cleared = _eqcat_rhs(sq).mul_x(2)  # polynomial in x of degree 4
+    cleared = sq_relation_rhs(sq.S1, sq.P0).mul_x(2)  # degree 4 in x
     roots = (diag_X0(order), -diag_X1(order))  # zeros of 1 - t(x + xbar +/- 2)
     return [cleared.compose(r) for r in roots]
 
@@ -584,13 +577,13 @@ IDENTITIES = {
         gessel_diag_series),
 }
 
-NEGATIVE_IDENTITIES = {
+LIST_IDENTITIES = {
     "no-kernel-factor-sq": (
         "the boundary relation is not divisible by either kernel factor "
-        "(negative check)", no_kernel_factor_sq),
-}
-
-LIST_IDENTITIES = {
+        "(negative check)",
+        lambda n: [(f"residual {i} vanishes",)
+                   for i, r in enumerate(no_kernel_factor_sq(n))
+                   if r.is_zero()]),
     "reflection-square": (
         "reflection principle, square lattice", reflection_square),
     "reflection-diag": (
@@ -600,35 +593,15 @@ LIST_IDENTITIES = {
 }
 
 
-def _zero(key, anchor, residual, order):
-    return report(key, anchor, [residual])
-
-
-def _nonzero(key, anchor, residuals, order):
-    zero = [i for i, r in enumerate(residuals) if r.first_failure() is None]
-    failure = [f"residual {zero[0]} vanishes"] if zero else None
-    return report(key, anchor, order=order, failure=failure)
-
-
-def _no_mismatch(key, anchor, mismatches, order):
-    return report(key, anchor, order=order,
-                  failure=mismatches[0] if mismatches else None)
-
-
-# id -> (anchor, order -> result, report on the result), in report order.
-_ROWS = {
-    key: (anchor, build, verdict)
-    for table, verdict in ((IDENTITIES, _zero),
-                           (NEGATIVE_IDENTITIES, _nonzero),
-                           (LIST_IDENTITIES, _no_mismatch))
-    for key, (anchor, build) in table.items()
-}
-
-
 def run_identity(key: str, order: int) -> dict:
-    anchor, build, verdict = _ROWS[key]
-    return verdict(key, anchor, build(order), order)
+    if key in IDENTITIES:
+        anchor, residual = IDENTITIES[key]
+        return report(key, anchor, [residual(order)])
+    anchor, mismatches = LIST_IDENTITIES[key]
+    found = mismatches(order)
+    return report(key, anchor, order=order,
+                  failure=found[0] if found else None)
 
 
 def all_identity_keys():
-    return list(_ROWS)
+    return [*IDENTITIES, *LIST_IDENTITIES]

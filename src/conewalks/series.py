@@ -102,8 +102,6 @@ class Series1:
     def _lift(cls, other, order):
         if type(other) is cls:
             return other
-        if type(other) is cls.RING:
-            return cls.from_poly(other, order)
         if isinstance(other, (int, Fraction)):
             return cls.const(other, order)
         return None

@@ -125,7 +125,7 @@ def test_07_identity_suite():
 def test_08_quartic_relations():
     """The boundary constants satisfy their degree-4 equations through t^30
     and match their rational expressions in the parametrizing series."""
-    for key in engine.QUARTIC_KEYS:
+    for key in engine.QUARTIC_CHECKS:
         assert engine.run_check(key, 30)["verdict"] == "pass", key
     for key in ("sq-S1", "sq-P0", "diag-S1", "diag-F0", "diag-R0",
                 "diag-shift-S1", "diag-shift-F0"):

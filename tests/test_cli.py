@@ -519,12 +519,12 @@ class TestEndpointAndSuiteRules:
         assert err == "error: no suite selected\n"
 
     def test_repeated_suite_runs_once(self, capsys):
-        from conewalks.engine import BASE_KEYS
+        from conewalks.engine import BASE_CHECKS
 
         code, out = run(capsys, "verify", "--suite", "base, base",
                         "--order", "3", "--format", "json")
         assert code == 0
-        assert [r["id"] for r in json.loads(out)] == list(BASE_KEYS)
+        assert [r["id"] for r in json.loads(out)] == list(BASE_CHECKS)
 
     @pytest.mark.parametrize("selection", ["all,base", ["all"]])
     def test_all_expands_wherever_it_appears(self, capsys, tmp_path,
@@ -750,3 +750,25 @@ def test_oracle_bytes_are_pinned(capsys, argv):
     code, out = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_SHA256[argv]
+
+
+def _readme_walk_commands():
+    """The `conewalks count` and `conewalks series` lines of the README's
+    Command line block."""
+    from pathlib import Path
+
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines()
+            if line.split()[:2] in (["conewalks", "count"],
+                                    ["conewalks", "series"])]
+
+
+@pytest.mark.parametrize("line", _readme_walk_commands())
+def test_readme_walk_commands_run(capsys, line):
+    """Every count and series example of the README runs, including the
+    shifted starts written in the `--start=-1,0` form."""
+    import shlex
+
+    code, _ = run(capsys, *shlex.split(line)[1:])
+    assert code == 0

@@ -195,11 +195,11 @@ class TestCatalogs:
     def test_endpoint_rationals(self, key):
         assert engine.run_check(key, 12)["verdict"] == "pass"
 
-    @pytest.mark.parametrize("key", engine.QUARTIC_KEYS)
+    @pytest.mark.parametrize("key", engine.QUARTIC_CHECKS)
     def test_quartics(self, key):
         assert engine.run_check(key, 16)["verdict"] == "pass"
 
-    @pytest.mark.parametrize("key", engine.XSERIES_KEYS)
+    @pytest.mark.parametrize("key", engine.XSERIES_CHECKS)
     def test_x_series(self, key):
         assert engine.run_check(key, 10)["verdict"] == "pass"
 
@@ -597,6 +597,37 @@ class TestXSq0ReadsTheOracle:
         monkeypatch.setattr(decompose, "pipeline", lambda name, n: fake)
         r = engine.run_check("x-sq-0", 12)
         assert r["verdict"] == "fail" and r["first_failure"] == [10, 0]
+
+
+def reference_sq_rest(order):
+    """x^3 times the right side of the square S(x)/S(xbar) relation, as
+    ``sq_cubic`` expanded it by hand before it read ``sq_relation_rhs``."""
+    sq = decompose.pipeline("square_origin", order)
+    S1 = sq.S1
+    t = Series1.t(order)
+    x = Series1.x(order)
+    t2 = t * t
+    x2 = x * x
+    return x * (
+        2 * t2 * S1 * S1 * x2
+        + 2 * t * (t * x2 * x2 + t * x2 + t - x2 * x - x) * S1
+        - sq.P0 * x2
+        + t2 * (x2 * x2 + 1)
+    )
+
+
+@pytest.mark.parametrize("order", [*range(1, 17), 30])
+def test_sq_relation_rhs_is_the_hand_expanded_rest(order):
+    """x^3 sq_relation_rhs equals the hand expansion term by term, with the
+    same coefficient types and the same order."""
+    sq = decompose.pipeline("square_origin", order)
+    shared = engine.sq_relation_rhs(sq.S1, sq.P0).mul_x(3)
+    ref = reference_sq_rest(order)
+    assert shared.order == ref.order == order
+    for a, b in zip(shared.coeffs, ref.coeffs, strict=True):
+        assert a.terms == b.terms
+        assert ({e: type(c) for e, c in a.terms.items()}
+                == {e: type(c) for e, c in b.terms.items()})
 
 
 def reference_diag_quad_residual(X):

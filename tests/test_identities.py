@@ -98,14 +98,16 @@ def test_negative_check_needs_order_3(order):
         identities.run_identity("no-kernel-factor-sq", order)
 
 
-def test_negative_check_names_a_vanishing_residual():
+def test_negative_check_names_a_vanishing_residual(monkeypatch):
     from conewalks.series import Series1
 
+    assert identities.run_identity("no-kernel-factor-sq", 3)["verdict"] == "pass"
     nonzero = Series1.from_scalar_coeffs([0, 0, 1], 4)
-    report = identities._nonzero("k", "a", [nonzero, Series1.zero(4)], 4)
+    monkeypatch.setattr(identities, "no_kernel_factor_sq",
+                        lambda n: [nonzero, Series1.zero(4)])
+    report = identities.run_identity("no-kernel-factor-sq", 4)
     assert report["verdict"] == "fail"
     assert report["first_failure"] == ["residual 1 vanishes"]
-    assert identities.run_identity("no-kernel-factor-sq", 3)["verdict"] == "pass"
 
 
 def test_step_eq_sees_a_flipped_corner():
