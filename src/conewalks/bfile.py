@@ -2,12 +2,10 @@
 
 The file format is plain text: one "n value" pair per line, '#'-prefixed
 comment lines and blank lines skipped.  Indices must be strictly
-increasing.
+increasing.  A parsed file is the tuple of its (n, value) pairs.
 """
 
 from __future__ import annotations
-
-from .walks import Record
 
 
 class BFileError(ValueError):
@@ -18,13 +16,9 @@ class BFileError(ValueError):
         self.lineno = lineno
 
 
-class BFile(Record):
-    """Parsed sequence file: a list of (n, value) pairs, n strictly increasing."""
-
-    __slots__ = ("entries",)
-
-
-def parse_bfile(text: str) -> BFile:
+def parse_bfile(text: str) -> tuple:
+    """The (n, value) pairs of a sequence file's text, n strictly
+    increasing."""
     entries = []
     prev_n = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -47,10 +41,10 @@ def parse_bfile(text: str) -> BFile:
             raise BFileError(lineno, f"index {n} not increasing (previous {prev_n})")
         prev_n = n
         entries.append((n, value))
-    return BFile(tuple(entries))
+    return tuple(entries)
 
 
-def read_bfile(path) -> BFile:
+def read_bfile(path) -> tuple:
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -61,17 +55,15 @@ def read_bfile(path) -> BFile:
     return parse_bfile(text)
 
 
-def compare(bfile: BFile, oracle, max_n=None) -> dict:
-    """Compare file entries against a callable n -> count.
+def compare(entries, oracle, max_n=None) -> dict:
+    """Compare a file's (n, value) pairs up to ``max_n`` against a callable
+    n -> count.
 
     Returns a report dict: verdict "agree" (possibly vacuous), or
     "mismatch" with the first differing index and both values.
     """
-    checked = 0
-    first = last = None
-    for n, value in bfile.entries:
-        if max_n is not None and n > max_n:
-            break
+    entries = [(n, v) for n, v in entries if max_n is None or n <= max_n]
+    for checked, (n, value) in enumerate(entries):
         expected = oracle(n)
         if expected != value:
             return {
@@ -81,14 +73,9 @@ def compare(bfile: BFile, oracle, max_n=None) -> dict:
                 "computed_value": str(expected),
                 "entries_checked": checked,
             }
-        if first is None:
-            first = n
-        last = n
-        checked += 1
-    report = {"verdict": "agree", "entries_checked": checked}
-    if checked == 0:
-        report["warning"] = "no entries compared"
+    report = {"verdict": "agree", "entries_checked": len(entries)}
+    if entries:
+        report["first_n"], report["last_n"] = entries[0][0], entries[-1][0]
     else:
-        report["first_n"] = first
-        report["last_n"] = last
+        report["warning"] = "no entries compared"
     return report

@@ -14,13 +14,13 @@ region.  Each command imports only what it runs: ``count``, ``series``
 and ``asympt`` need ``walks`` alone and ``oeis`` adds ``bfile``, while
 ``verify`` and ``param`` import ``engine`` (and ``verify`` ``identities``)
 when called.  Only the table commands (``CSV_COMMANDS``) take --format csv.
-``verify`` runs suites from the ``suites()`` table (suite -> its keys and
-the function that checks one key): 'all' stands for every suite and a
-repeated suite runs once.  Every check returns the one report shape built
-by ``engine.report``.  The closed-forms suite groups its entries by walk
-model and reads each model's endpoints from one sweep
-(``walks.endpoint_columns``) before it checks them, so its 11 entries make
-5 sweeps; the counts live only for that suite run.
+``verify`` runs suites from the ``suites()`` table (suite -> its table):
+'all' stands for every suite and a repeated suite runs once.
+``engine.run_check`` turns each check row into its report; the closed
+forms keep one loop (``_closed_forms``), which reads the endpoints of each
+walk model from one sweep (``walks.endpoint_columns``), so its 11 entries
+make 5 sweeps.  --start and --endpoint take a value that begins with '-'
+after a space, as after '='.
 
 Exit codes: 0 success, 1 verification failure or data mismatch (including
 a catalog entry whose numerator its denominator does not divide), 2 usage
@@ -35,11 +35,9 @@ import argparse
 import json
 import math
 import sys
-from functools import partial
 
 from .walks import (
-    DIAGONAL,
-    SQUARE,
+    LATTICES,
     Region,
     WalkModel,
     count_sequence,
@@ -47,8 +45,6 @@ from .walks import (
     endpoint_columns,
     float_totals,
 )
-
-LATTICES = {"square": SQUARE, "diagonal": DIAGONAL}
 
 REGIONS = {region.value: region for region in Region}
 
@@ -227,54 +223,20 @@ def cmd_series(cfg: dict, args, out) -> int:
 # -- verify ----------------------------------------------------------------
 
 
-def _closed_form_columns(keys, max_n: int) -> dict:
-    """Each catalog entry's oracle counts for lengths 0..2 max_n, by key:
-    the entries of one walk model read their endpoints from one sweep."""
-    from . import closedforms
-
-    ends = {}  # model -> {key: endpoint}
-    for key in keys:
-        entry = closedforms.catalog()[key]
-        model = WalkModel(LATTICES[entry.lattice], REGIONS[entry.region],
-                          entry.start)
-        ends.setdefault(model, {})[key] = entry.end
-    columns = {}
-    for model, points in ends.items():
-        counts = endpoint_columns(model, 2 * max_n, points.values())
-        columns.update({key: counts[end] for key, end in points.items()})
-    return columns
-
-
-def _closed_form(key: str, max_n: int, columns: dict) -> dict:
-    """Compare a catalog closed form with its oracle counts in ``columns``
-    for n = 0..max_n (walks of 2n steps)."""
-    from . import closedforms, engine
-
-    entry = closedforms.catalog()[key]
-    counts = columns[key]
-    first = None
-    for n in range(max_n + 1):
-        expected = entry.count(n)
-        if expected != counts[2 * n]:
-            first = [n, str(expected), str(counts[2 * n])]
-            break
-    return engine.report(key, entry.anchor, order=max_n, failure=first)
-
-
 def suites() -> dict:
-    """suite -> (its keys, the function checking one key at an order).  The
-    closed-forms check also takes the oracle columns of all its keys, which
-    ``run_suite`` reads once per walk model."""
+    """suite -> its table, in report order: id -> its row (anchor, check)
+    for ``engine.run_check``, or to its ``ClosedForm`` for the closed
+    forms."""
     from . import closedforms, engine, identities
 
     return {
-        "base": (lambda: engine.BASE_CHECKS, engine.run_check),
-        "params": (engine.param_keys, engine.run_check),
-        "endpoints": (engine.z_rational_keys, engine.run_check),
-        "quartics": (lambda: engine.QUARTIC_CHECKS, engine.run_check),
-        "xseries": (lambda: engine.XSERIES_CHECKS, engine.run_check),
-        "identities": (identities.all_identity_keys, identities.run_identity),
-        "closed-forms": (lambda: sorted(closedforms.catalog()), _closed_form),
+        "base": engine.BASE_CHECKS,
+        "params": engine.catalog_checks("bivariate"),
+        "endpoints": engine.catalog_checks("z_rationals"),
+        "quartics": engine.QUARTIC_CHECKS,
+        "xseries": engine.XSERIES_CHECKS,
+        "identities": identities.IDENTITIES,
+        "closed-forms": dict(sorted(closedforms.catalog().items())),
     }
 
 
@@ -293,17 +255,40 @@ def suite_names(selection) -> list:
     return list(chosen)
 
 
+def _closed_forms(entries: dict, order: int) -> list:
+    """Compare each catalog closed form with its oracle counts for
+    n = 0..order (walks of 2n steps).  The counts come from one sweep of
+    each walk model and live only for this call."""
+    from . import engine
+
+    ends = {}  # model -> the endpoints of its entries
+    for entry in entries.values():
+        ends.setdefault(entry.model, []).append(entry.end)
+    columns = {model: endpoint_columns(model, 2 * order, points)
+               for model, points in ends.items()}
+    reports = []
+    for key, entry in entries.items():
+        found = []
+        for n, count in enumerate(columns[entry.model][entry.end][::2]):
+            expected = entry.count(n)
+            if expected != count:
+                found = [(n, str(expected), str(count))]
+                break
+        reports.append(engine.report(key, entry.anchor, found, order))
+    return reports
+
+
 def run_suite(suite: str, order: int) -> list:
+    from . import engine
     from .series import OrderError
 
-    keys, check = suites()[suite]
-    keys = keys()
+    table = suites()[suite]
     if suite == "closed-forms":
-        check = partial(check, columns=_closed_form_columns(keys, order))
+        return _closed_forms(table, order)
     reports = []
-    for key in keys:
+    for key in table:
         try:
-            reports.append(check(key, order))
+            reports.append(engine.run_check(table, key, order))
         except OrderError as exc:
             raise _order_too_low(order, key, exc)
     return reports
@@ -347,7 +332,8 @@ def param_series_keys() -> list:
     """Every key that ``param --key`` expands, in ``param --list`` order."""
     from . import engine
 
-    return [*param_builders(), *engine.param_keys(), *engine.z_rational_keys()]
+    return [*param_builders(), *engine.catalog_checks("bivariate"),
+            *engine.catalog_checks("z_rationals")]
 
 
 def cmd_param(cfg: dict, args, out) -> int:
@@ -411,7 +397,7 @@ def cmd_oeis(cfg: dict, args, out) -> int:
         out.write(f"parse error in {path}: {exc}\n")
         return 1
     model = build_model(cfg)
-    last = max((n for n, _ in data.entries if n <= cfg["n"]), default=-1)
+    last = max((n for n, _ in data if n <= cfg["n"]), default=-1)
     counts = count_sequence(model, last, cfg["endpoint"])
     report = bfile.compare(data, counts.__getitem__, max_n=cfg["n"])
     if cfg["format"] == "json":
@@ -491,6 +477,9 @@ COMMANDS = {
 }
 # The subcommands that print a table; the others reject --format csv.
 CSV_COMMANDS = ("count", "series", "asympt")
+# The flags whose value is a point 'i,j'.  argparse reads a value such as
+# -1,0 after a space as a flag, so ``main`` joins the two with '='.
+POINT_FLAGS = ("--start", "--endpoint")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -507,8 +496,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_points(argv) -> list:
+    """argv with each point flag and a following value that begins with '-'
+    and a digit, such as -1,0, joined as 'flag=value'."""
+    joined = []
+    for arg in argv:
+        if (joined and joined[-1] in POINT_FLAGS and arg[:1] == "-"
+                and arg[1:2].isdigit()):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(
+        _join_points(sys.argv[1:] if argv is None else argv))
     handler, _ = COMMANDS[args.command]
     try:
         cfg = load_config(args)

@@ -2,8 +2,9 @@
 
 Each catalog entry expresses a count of 2n-step walks as 16^n times a
 short combination of ratios of rising factorials.  The catalog itself
-lives in data/closed_forms.json; entries carry the walk model and
-endpoint they refer to, so tests can replay them against the oracle.
+lives in data/closed_forms.json; entries carry their walk model (built
+when the catalog loads, so a start outside its region fails there) and
+endpoint, so tests can replay them against the oracle.
 Formulas must produce integers: a non-integral value raises instead of
 being rounded, since it would mean the formula (or its transcription)
 is wrong.
@@ -17,7 +18,7 @@ import os
 from fractions import Fraction
 from functools import lru_cache
 
-from .walks import Record
+from .walks import LATTICES, Record, Region, WalkModel
 
 
 def read_data(name: str):
@@ -109,11 +110,10 @@ def hyp_sum(terms, n: int) -> Fraction:
 
 
 class ClosedForm(Record):
-    """A catalog entry: its key and anchor, its walk model (lattice and
-    region names, start), its endpoint and its ``HypTerm`` terms."""
+    """A catalog entry: its key and anchor, its ``WalkModel``, its
+    endpoint and its ``HypTerm`` terms."""
 
-    __slots__ = ("key", "anchor", "lattice", "region", "start", "end",
-                 "terms")
+    __slots__ = ("key", "anchor", "model", "end", "terms")
 
     def count(self, n: int) -> int:
         """Number of 2n-step walks from start to end in the cone."""
@@ -140,9 +140,8 @@ def catalog() -> dict:
         key: ClosedForm(
             key,
             entry["anchor"],
-            entry["lattice"],
-            entry["region"],
-            tuple(entry["start"]),
+            WalkModel(LATTICES[entry["lattice"]], Region(entry["region"]),
+                      tuple(entry["start"])),
             tuple(entry["end"]),
             tuple(_parse_term(t) for t in entry["terms"]),
         )

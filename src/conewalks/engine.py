@@ -9,11 +9,11 @@ Every term list of the catalog reads the powers of z, u and v from one
 memo (``_power``), and costs one series product per group of terms that
 share their powers of u, v and x (``eval_terms``).
 
-Every check is a table row: its id maps to an anchor and a function from
-the order to a list of residual series, all recomputed from the oracle
-side.  ``report`` turns residuals (or a list comparison) into the one
-report dict every check of the package returns.  The oracle side of each
-catalog entry is data too: ``_PARAM_ORACLES``, ``_ENDPOINTS`` and
+Every check of ``verify`` but the closed forms is a row id -> (anchor,
+check) of a table, where check(order) gives its residual series or its
+mismatches, recomputed from the oracle side.  ``run_check`` turns a row
+into the one report dict of ``report``.  The oracle side of each catalog
+entry is data too: ``_PARAM_ORACLES``, ``_ENDPOINTS`` and
 ``_CONSTANTS`` map its key to the ``decompose`` pipeline series it must
 match: a boundary series, a constant, or an endpoint count read off a
 pipeline's zero-orbit-sum series A by ``decompose.at_point`` (so the orbit
@@ -567,25 +567,29 @@ def diag_shift_X(order: int, which: int) -> Series1:
 # ---------------------------------------------------------------------------
 
 
-def report(key, anchor, residuals=(), order=None, failure=None) -> dict:
+def report(key, anchor, found, order) -> dict:
     """The report of one check: the only place its dict is built.
 
-    A series check gives its residuals.  It passes when every residual is
-    zero to its order; otherwise the report names the first nonzero one.
-    ``order_checked`` is the order of the residual reported on.  A check
-    that compares lists gives the order it ran to and its first failure.
+    ``found`` is the check's residual series (one, or a list), which pass
+    when each is zero to its order, or its mismatches (a list of tuples),
+    which pass when there are none.  A failing report names the first
+    nonzero residual's first failure, or the first mismatch.
+    ``order_checked`` is the order of the residual reported on (the first
+    when all pass), or ``order`` for mismatches.
     """
-    if residuals:
-        order = residuals[0].order
-        for r in residuals:
-            failure = r.first_failure()
-            if failure is not None:
-                order = r.order
-                break
+    if isinstance(found, Series1):
+        found = [found]
+    failure = None
+    for item in found:
+        failure = item.first_failure() if isinstance(item, Series1) else item
+        if failure is not None:
+            break
+    else:  # a pass reports on the first residual
+        item = found[0] if found else None
     return {
         "id": key,
         "anchor": anchor,
-        "order_checked": order,
+        "order_checked": getattr(item, "order", order),
         "verdict": "pass" if failure is None else "fail",
         "first_failure": None if failure is None else list(failure),
     }
@@ -659,32 +663,25 @@ def param_keys():
     return sorted(_param_data()["bivariate"])
 
 
-def z_rational_keys():
-    return sorted(_param_data()["z_rationals"])
-
-
-def _catalog_residuals(key, oracle, n):
-    return [catalog_series(key, n) - oracle(key, n)]
-
-
-@lru_cache(maxsize=None)
-def _checks() -> dict:
-    """Every engine check in report order; a catalog entry's residual is
-    its rational expression minus its oracle series."""
-    catalog = {
-        key: (entry["anchor"], partial(_catalog_residuals, key, oracle))
-        for section, oracle in (("bivariate", param_oracle),
-                                ("z_rationals", z_rational_oracle))
+def catalog_checks(section: str) -> dict:
+    """The check table of one catalog section, "bivariate" or
+    "z_rationals", in key order: each entry's residual is its rational
+    expression minus its oracle series."""
+    oracle = param_oracle if section == "bivariate" else z_rational_oracle
+    return {
+        key: (entry["anchor"],
+              lambda n, key=key: [catalog_series(key, n) - oracle(key, n)])
         for key, entry in sorted(_param_data()[section].items())
     }
-    return {**BASE_CHECKS, **catalog, **QUARTIC_CHECKS, **XSERIES_CHECKS}
 
 
-def run_check(key: str, order: int) -> dict:
-    """The report of one engine check; a catalog entry whose division
-    fails is reported as failing there."""
-    anchor, residuals = _checks()[key]
+def run_check(checks: dict, key: str, order: int) -> dict:
+    """The report of the check ``key`` of a check table.  A catalog entry
+    whose division fails is reported as failing there, with the message as
+    its mismatch."""
+    anchor, check = checks[key]
     try:
-        return report(key, anchor, residuals(order))
+        found = check(order)
     except CatalogError as exc:
-        return report(key, anchor, order=order, failure=[str(exc)])
+        found = [(str(exc),)]
+    return report(key, anchor, found, order)

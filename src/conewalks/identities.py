@@ -29,10 +29,12 @@ side.  A residual times a nonzero integer has the same zeros and the same
 first failure, so every report is the paper's.  The homogeneous ones
 (``orbit_zero_A``, ``split_A``, ``P_LB``) need nothing.
 
-Identities sit in two tables: series identities (pass when the residual
-is zero) and list identities (pass when nothing mismatches; the negative
-check's mismatches are its residuals that vanish).  Every report is built
-by ``engine.report``, as for the engine checks.
+``IDENTITIES`` is the one table of the suite, in report order: id ->
+(anchor, check), where check(order) gives a residual series, which passes
+when it is zero, or a list of mismatches, which passes when it is empty
+(the negative check's mismatches are its residuals that vanish).
+``engine.run_check`` turns each row into its report, as it does for the
+engine checks.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .engine import (
     diag_X0,
     diag_X1,
     kernel_root_Y,
-    report,
     sq_cubic,
     sq_F_forms,
     sq_relation_rhs,
@@ -447,6 +448,7 @@ def orbit_endpoint(order):
 # Registry
 # ---------------------------------------------------------------------------
 
+# id -> (anchor, order -> residual series or list of mismatches).
 IDENTITIES = {
     "func-eq-sq-origin": (
         "step-by-step equation, square lattice from (0,0)",
@@ -575,9 +577,6 @@ IDENTITIES = {
     "gessel-diag-from-LB": (
         "wedge walks ending on the diagonal from the shifted diagonal model",
         gessel_diag_series),
-}
-
-LIST_IDENTITIES = {
     "no-kernel-factor-sq": (
         "the boundary relation is not divisible by either kernel factor "
         "(negative check)",
@@ -591,17 +590,3 @@ LIST_IDENTITIES = {
     "orbit-endpoint": (
         "endpoint identities from the orbit equation", orbit_endpoint),
 }
-
-
-def run_identity(key: str, order: int) -> dict:
-    if key in IDENTITIES:
-        anchor, residual = IDENTITIES[key]
-        return report(key, anchor, [residual(order)])
-    anchor, mismatches = LIST_IDENTITIES[key]
-    found = mismatches(order)
-    return report(key, anchor, order=order,
-                  failure=found[0] if found else None)
-
-
-def all_identity_keys():
-    return [*IDENTITIES, *LIST_IDENTITIES]

@@ -30,9 +30,9 @@ each walk model once however many of its endpoints they check.
 The module needs no other module of the package: ``StepSet.step_poly`` and
 ``generating_series`` import ``laurent`` and ``series`` when called, so
 ``count``, ``series``, ``oeis`` and ``asympt`` load only this module and
-``cli`` (and ``bfile`` for ``oeis``).  Its records (and those of ``bfile``
-and ``closedforms``) are ``Record`` classes, not dataclasses, which cost
-an ``exec`` per class at import.
+``cli`` (and ``bfile`` for ``oeis``).  Its records (and those of
+``closedforms``) are ``Record`` classes, not dataclasses, which cost an
+``exec`` per class at import.
 """
 
 from __future__ import annotations
@@ -95,6 +95,9 @@ class StepSet(Record):
 
 SQUARE = StepSet("square", frozenset({(1, 0), (-1, 0), (0, 1), (0, -1)}))
 DIAGONAL = StepSet("diagonal", frozenset({(1, 1), (1, -1), (-1, 1), (-1, -1)}))
+
+# Lattice name -> its step set, for the command line and the catalogs.
+LATTICES = {"square": SQUARE, "diagonal": DIAGONAL}
 
 
 class Region(Enum):

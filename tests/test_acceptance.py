@@ -19,9 +19,6 @@ from conewalks.walks import (
     float_totals,
 )
 
-LATTICES = {"square": SQUARE, "diagonal": DIAGONAL}
-REGIONS = {"three-quadrant": Region.THREE_QUADRANT, "wedge135": Region.WEDGE135}
-
 
 def test_01_quadrant_closed_forms():
     """Quadrant counting formulas equal the DP oracle for all (i,j,n), n <= 20."""
@@ -54,10 +51,7 @@ def test_03_three_quadrant_closed_forms():
     """Every catalog entry for a cone endpoint equals the DP count, 2n <= 24."""
     for key in sorted(cf.catalog()):
         entry = cf.catalog()[key]
-        model = WalkModel(
-            LATTICES[entry.lattice], REGIONS[entry.region], entry.start
-        )
-        tables = count_walks_upto(model, 24)
+        tables = count_walks_upto(entry.model, 24)
         for n in range(13):
             assert entry.count(n) == tables[2 * n].get(*entry.end), (key, n)
 
@@ -78,7 +72,8 @@ def test_04_parametrizing_series():
     V = engine.series_V(9)
     assert V.coeff(8).coeff(3) == 5
     for key in ("base-T", "base-Z-hyper"):
-        assert engine.run_check(key, 40)["verdict"] == "pass"
+        assert engine.run_check(engine.BASE_CHECKS, key, 40)["verdict"] == (
+            "pass")
     # defining equations of T, U, V at order 40 via the residuals used
     # by the solver (zero residual = equation satisfied)
     order = 40
@@ -94,19 +89,20 @@ def test_04_parametrizing_series():
 
 def test_05_bivariate_parametrizations():
     """All twelve axis-series parametrizations match the oracle through t^20."""
-    keys = engine.param_keys()
-    assert len(keys) == 12
-    for key in keys:
-        assert engine.run_check(key, 20)["verdict"] == "pass", key
+    checks = engine.catalog_checks("bivariate")
+    assert list(checks) == engine.param_keys() and len(checks) == 12
+    for key in checks:
+        assert engine.run_check(checks, key, 20)["verdict"] == "pass", key
 
 
 def test_06_endpoint_rational_expressions():
     """All printed endpoint expressions match DP endpoint series through t^24,
     including the cross-lattice coincidence of two endpoint series."""
-    end_keys = [k for k in engine.z_rational_keys() if "-end-" in k]
+    checks = engine.catalog_checks("z_rationals")
+    end_keys = [k for k in checks if "-end-" in k]
     assert len(end_keys) == 19
-    for key in engine.z_rational_keys():
-        assert engine.run_check(key, 24)["verdict"] == "pass", key
+    for key in checks:
+        assert engine.run_check(checks, key, 24)["verdict"] == "pass", key
     a = engine.z_rational_oracle("sq-origin-end-m1-0", 24)
     b = engine.z_rational_oracle("diag-origin-end-m1-1", 24)
     assert (a - b).is_zero()
@@ -116,9 +112,9 @@ def test_07_identity_suite():
     """Every identity in the catalog passes at order 12 (order 10 for the
     heaviest kernel-substitution entries)."""
     heavy = {"catM-sq", "catM-diag", "no-kernel-factor-sq"}
-    for key in identities.all_identity_keys():
+    for key in identities.IDENTITIES:
         order = 10 if key in heavy else 12
-        report = identities.run_identity(key, order)
+        report = engine.run_check(identities.IDENTITIES, key, order)
         assert report["verdict"] == "pass", report
 
 
@@ -126,17 +122,20 @@ def test_08_quartic_relations():
     """The boundary constants satisfy their degree-4 equations through t^30
     and match their rational expressions in the parametrizing series."""
     for key in engine.QUARTIC_CHECKS:
-        assert engine.run_check(key, 30)["verdict"] == "pass", key
+        report = engine.run_check(engine.QUARTIC_CHECKS, key, 30)
+        assert report["verdict"] == "pass", key
+    checks = engine.catalog_checks("z_rationals")
     for key in ("sq-S1", "sq-P0", "diag-S1", "diag-F0", "diag-R0",
                 "diag-shift-S1", "diag-shift-F0"):
-        assert engine.run_check(key, 30)["verdict"] == "pass", key
+        assert engine.run_check(checks, key, 30)["verdict"] == "pass", key
 
 
 def test_09_reflection_principle():
     """Reflection identities hold for all admissible endpoints with n <= 16,
     and the wedge series rebuilt from the cone models match the direct DP."""
     for key in ("reflection-square", "reflection-diag"):
-        assert identities.run_identity(key, 16)["verdict"] == "pass", key
+        report = engine.run_check(identities.IDENTITIES, key, 16)
+        assert report["verdict"] == "pass", key
     assert identities.gessel_axis_series(16).is_zero()
     assert identities.gessel_diag_series(16).is_zero()
 

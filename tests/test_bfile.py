@@ -2,7 +2,7 @@
 
 import pytest
 
-from conewalks.bfile import BFile, BFileError, compare, parse_bfile, read_bfile
+from conewalks.bfile import BFileError, compare, parse_bfile, read_bfile
 
 
 GOOD = """\
@@ -16,20 +16,19 @@ GOOD = """\
 
 
 def test_parse_good():
-    bf = parse_bfile(GOOD)
-    assert bf.entries == ((0, 1), (1, 4), (2, 14), (3, 54))
-    assert dict(bf.entries)[2] == 14
-    assert len(bf.entries) == 4
+    entries = parse_bfile(GOOD)
+    assert entries == ((0, 1), (1, 4), (2, 14), (3, 54))
+    assert dict(entries)[2] == 14
 
 
 def test_parse_empty():
-    assert parse_bfile("").entries == ()
-    assert parse_bfile("# only comments\n").entries == ()
+    assert parse_bfile("") == ()
+    assert parse_bfile("# only comments\n") == ()
 
 
 def test_big_values():
-    bf = parse_bfile("0 123456789012345678901234567890\n")
-    assert bf.entries[0][1] == 123456789012345678901234567890
+    entries = parse_bfile("0 123456789012345678901234567890\n")
+    assert entries[0][1] == 123456789012345678901234567890
 
 
 @pytest.mark.parametrize(
@@ -54,7 +53,7 @@ def test_malformed_lines(text, lineno):
 def test_read_bfile(tmp_path):
     path = tmp_path / "b.txt"
     path.write_text("0 1\n1 4\n")
-    assert read_bfile(path).entries == ((0, 1), (1, 4))
+    assert read_bfile(path) == ((0, 1), (1, 4))
 
 
 def test_compare_agree():
@@ -72,10 +71,11 @@ def test_compare_mismatch():
     assert report["n"] == 1
     assert report["file_value"] == "5"
     assert report["computed_value"] == "4"
+    assert report["entries_checked"] == 1
 
 
 def test_compare_empty_is_vacuous():
-    report = compare(BFile(()), lambda n: 1)
+    report = compare((), lambda n: 1)
     assert report["verdict"] == "agree"
     assert "warning" in report
 
@@ -85,6 +85,7 @@ def test_compare_respects_max_n():
     report = compare(bf, lambda n: [1, 4][n], max_n=10)
     assert report["verdict"] == "agree"
     assert report["entries_checked"] == 2
+    assert report["first_n"] == 0 and report["last_n"] == 1
 
 
 def test_compare_against_oracle():

@@ -102,7 +102,7 @@ class TestParam:
         keys = out.split()
         assert keys[:4] == ["base-T", "base-Z", "base-U", "base-V"]
         assert len(keys) == 4 + len(engine.param_keys()) + len(
-            engine.z_rational_keys())
+            engine.catalog_checks("z_rationals"))
         for key in ("base-Z-hyper", "base-Y-square", "quartic-sq-S1",
                     "x-sq-0"):
             assert key not in keys
@@ -277,7 +277,7 @@ class TestReportsAndInputErrors:
         reports = json.loads(out)
         ids = [r["id"] for r in reports]
         assert len(ids) == len(set(ids))
-        assert ids == [key for keys, _ in suites().values() for key in keys()]
+        assert ids == [key for table in suites().values() for key in table]
         assert all(set(r) == {"id", "anchor", "order_checked", "verdict",
                               "first_failure"} for r in reports)
 
@@ -537,7 +537,7 @@ class TestEndpointAndSuiteRules:
                         "--order", "9", "--format", "json")
         assert code == 0
         assert [r["id"] for r in json.loads(out)] == [
-            key for keys, _ in suites().values() for key in keys()]
+            key for table in suites().values() for key in table]
 
     def test_suite_names_keep_first_positions(self):
         from conewalks.cli import suite_names, suites
@@ -567,12 +567,13 @@ class TestEndpointAndSuiteRules:
 
 
 # sha256 of `verify --suite all --order N --format json` at N = 12, at the
-# benchmark's N = 16 and at N = 20.  A refactor keeps these bytes; a change
-# that alters a verdict or an order on purpose re-pins.
+# benchmark's N = 16, and at N = 20 and 30.  A refactor keeps these bytes; a
+# change that alters a verdict or an order on purpose re-pins.
 VERIFY_ALL_SHA256 = {
     12: "89b9b395e147c7e4d7ff6269b3a10f9d62c49329336791b258acb7f857567b1b",
     16: "1efc1f517de39e280ff13a9dbcf321c2f451ab9f85e789ce5cd7ac7d17dda6cd",
     20: "ad6fa0b1cf8c8eabadf6bee04f84a04a7a3ddf33cad5ebcf7fde5509d23e1e2f",
+    30: "171261602d8b290200ca190f4d3b82081360df45334aa1c5234e2a2d891bf395",
 }
 
 # sha256 of the two solver outputs, pinned the same way: T with scalar
@@ -698,8 +699,8 @@ CATALOG_PARAM_SHA256 = {
 def test_every_catalog_key_is_pinned():
     from conewalks import engine
 
-    assert set(CATALOG_PARAM_SHA256) == {*engine.param_keys(),
-                                         *engine.z_rational_keys()}
+    assert set(CATALOG_PARAM_SHA256) == {
+        *engine.param_keys(), *engine.catalog_checks("z_rationals")}
 
 
 @pytest.mark.parametrize("key", sorted(CATALOG_PARAM_SHA256))
@@ -767,8 +768,41 @@ def _readme_walk_commands():
 @pytest.mark.parametrize("line", _readme_walk_commands())
 def test_readme_walk_commands_run(capsys, line):
     """Every count and series example of the README runs, including the
-    shifted starts written in the `--start=-1,0` form."""
+    shifted starts written in the spaced `--start -1,0` form."""
     import shlex
 
     code, _ = run(capsys, *shlex.split(line)[1:])
     assert code == 0
+
+
+# Command lines with a point that begins with '-' after a space, and the
+# exit code each gives: every command that takes --start or --endpoint,
+# and a start outside the region.
+SPACED_POINTS = {
+    "count --n 4 --start -1,0": 0,
+    "count --n 4 --start -1,0 --endpoint -1,1 --format json": 0,
+    "count --n 4 --endpoint -1,0 --format csv": 0,
+    "series --lattice diagonal --order 9 --start -2,0": 0,
+    "series --order 9 --start -1,0 --endpoint -1,0 --format json": 0,
+    "oeis --bfile BFILE --n 2 --start -1,0 --endpoint -1,0": 0,
+    "asympt --n 16 --start -2,0": 0,
+    "count --n 2 --start -1,-1": 2,
+}
+
+
+@pytest.mark.parametrize("line", sorted(SPACED_POINTS))
+def test_spaced_point_gives_the_bytes_of_the_equals_form(capsys, tmp_path,
+                                                        line):
+    import re
+
+    path = tmp_path / "b.txt"
+    path.write_text("0 1\n")
+    spaced = line.replace("BFILE", str(path))
+    joined = re.sub(r"(--start|--endpoint) (-\d)", r"\1=\2", spaced)
+    assert "=-" in joined
+    outputs = []
+    for argv in (spaced, joined):
+        code = main(argv.split())
+        outputs.append((code, *capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == SPACED_POINTS[line]

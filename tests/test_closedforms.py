@@ -9,15 +9,13 @@ from conewalks import closedforms as cf
 from conewalks.engine import Z_TERMS
 from conewalks.walks import (
     DIAGONAL,
+    LATTICES,
     SQUARE,
     Region,
     WalkModel,
     count_walks_upto,
 )
 from test_walks import replace
-
-LATTICES = {"square": SQUARE, "diagonal": DIAGONAL}
-REGIONS = {"three-quadrant": Region.THREE_QUADRANT, "wedge135": Region.WEDGE135}
 
 
 def test_rising_factorial():
@@ -144,18 +142,31 @@ def test_catalog_well_formed():
     assert len(cat) == 11
     for key, entry in cat.items():
         assert entry.key == key
-        assert entry.lattice in LATTICES
-        assert entry.region in REGIONS
-        assert len(entry.start) == 2 and len(entry.end) == 2
+        assert entry.model.steps in LATTICES.values()
+        assert entry.model.region in (Region.THREE_QUADRANT, Region.WEDGE135)
+        assert len(entry.model.start) == 2 and len(entry.end) == 2
+
+
+def test_a_start_outside_its_region_fails_when_the_catalog_loads(
+        monkeypatch):
+    raw = cf.read_data("closed_forms.json")
+    key = sorted(raw)[0]
+    raw[key] = dict(raw[key], start=[-1, -1])
+    monkeypatch.setattr(cf, "read_data", lambda name: raw)
+    cf.catalog.cache_clear()
+    try:
+        with pytest.raises(ValueError,
+                           match=r"start \(-1, -1\) outside region"):
+            cf.catalog()
+    finally:
+        monkeypatch.undo()
+        cf.catalog.cache_clear()
 
 
 @pytest.mark.parametrize("key", sorted(cf.catalog()))
 def test_catalog_against_dp(key):
     entry = cf.catalog()[key]
-    model = WalkModel(
-        LATTICES[entry.lattice], REGIONS[entry.region], entry.start
-    )
-    tables = count_walks_upto(model, 16)
+    tables = count_walks_upto(entry.model, 16)
     for n in range(9):
         assert entry.count(n) == tables[2 * n].get(*entry.end), (key, n)
 

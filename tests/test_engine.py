@@ -15,6 +15,7 @@ from conewalks.laurent import LPoly
 from conewalks.series import PivotError, Series1, Series2, horner
 from conewalks.walks import (
     DIAGONAL,
+    LATTICES,
     SQUARE,
     Region,
     WalkModel,
@@ -67,7 +68,8 @@ class TestBaseSeries:
 
     def test_kernel_roots_satisfy_quadratic(self):
         for k in ("base-Y-square", "base-Y-diagonal"):
-            assert engine.run_check(k, 14)["verdict"] == "pass"
+            assert engine.run_check(engine.BASE_CHECKS, k, 14)["verdict"] == (
+                "pass")
 
 
 def reference_solve(residual, order, c0):
@@ -86,9 +88,6 @@ def reference_solve(residual, order, c0):
         if not c.is_zero():
             G = G + Series1([LPoly()] * k + [c], order)
     return G
-
-
-LATTICES = {"square": SQUARE, "diagonal": DIAGONAL}
 
 
 def reference_kernel_root(lattice, order):
@@ -189,19 +188,23 @@ class TestSolver:
 class TestCatalogs:
     @pytest.mark.parametrize("key", sorted(engine.param_keys()))
     def test_parametrizations(self, key):
-        assert engine.run_check(key, 12)["verdict"] == "pass"
+        checks = engine.catalog_checks("bivariate")
+        assert engine.run_check(checks, key, 12)["verdict"] == "pass"
 
-    @pytest.mark.parametrize("key", sorted(engine.z_rational_keys()))
+    @pytest.mark.parametrize("key", engine.catalog_checks("z_rationals"))
     def test_endpoint_rationals(self, key):
-        assert engine.run_check(key, 12)["verdict"] == "pass"
+        checks = engine.catalog_checks("z_rationals")
+        assert engine.run_check(checks, key, 12)["verdict"] == "pass"
 
     @pytest.mark.parametrize("key", engine.QUARTIC_CHECKS)
     def test_quartics(self, key):
-        assert engine.run_check(key, 16)["verdict"] == "pass"
+        checks = engine.QUARTIC_CHECKS
+        assert engine.run_check(checks, key, 16)["verdict"] == "pass"
 
     @pytest.mark.parametrize("key", engine.XSERIES_CHECKS)
     def test_x_series(self, key):
-        assert engine.run_check(key, 10)["verdict"] == "pass"
+        checks = engine.XSERIES_CHECKS
+        assert engine.run_check(checks, key, 10)["verdict"] == "pass"
 
     @pytest.mark.parametrize("which,change", [
         (0, {"coeff": Fraction(3)}),
@@ -213,14 +216,15 @@ class TestCatalogs:
         """base-T evaluates the quartic at the square of the sum
         ``Z_TERMS``, not at the solver's own output: a changed coefficient
         or parameter of either term fails it."""
-        assert engine.run_check("base-T", 12)["verdict"] == "pass"
+        base = engine.BASE_CHECKS
+        assert engine.run_check(base, "base-T", 12)["verdict"] == "pass"
         terms = list(engine.Z_TERMS)
         terms[which] = replace(terms[which], **change)
         monkeypatch.setattr(engine, "Z_TERMS", tuple(terms))
-        assert engine.run_check("base-T", 12)["verdict"] == "fail"
+        assert engine.run_check(base, "base-T", 12)["verdict"] == "fail"
 
     def test_report_shape(self):
-        r = engine.run_check("base-T", 6)
+        r = engine.run_check(engine.BASE_CHECKS, "base-T", 6)
         assert set(r) == {"id", "anchor", "order_checked", "verdict",
                           "first_failure"}
         assert r["verdict"] == "pass" and r["first_failure"] is None
@@ -275,15 +279,16 @@ class TestGroupedTerms:
         key's check: no term of a grouped list is dropped or shared.  No
         square-lattice numerator is changed: its denominator vanishes at
         t^0, so the division would raise ``CatalogError`` instead."""
-        assert engine.run_check(key, 12)["verdict"] == "pass"
-        before = engine.catalog_series(key, 12)
         data = copy.deepcopy(engine._param_data())
         section = "bivariate" if key in data["bivariate"] else "z_rationals"
+        checks = engine.catalog_checks(section)
+        assert engine.run_check(checks, key, 12)["verdict"] == "pass"
+        before = engine.catalog_series(key, 12)
         terms = data[section][key][part]
         terms[-1][0] += 1
         monkeypatch.setattr(engine, "_param_data", lambda: data)
         assert engine.catalog_series(key, 12) != before
-        assert engine.run_check(key, 12)["verdict"] == "fail"
+        assert engine.run_check(checks, key, 12)["verdict"] == "fail"
 
 
 def test_the_catalog_generator_rebuilds_the_committed_file():
@@ -347,7 +352,7 @@ class TestXSeriesBranches:
                 assert r.order == order and r.is_zero()
 
     def test_diag_shift_check_reaches_requested_order(self):
-        r = engine.run_check("x-diag-shift-01", 12)
+        r = engine.run_check(engine.XSERIES_CHECKS, "x-diag-shift-01", 12)
         assert r["verdict"] == "pass" and r["order_checked"] == 12
 
     def test_diag_branch_constants(self):
@@ -357,7 +362,8 @@ class TestXSeriesBranches:
 
 
 class TestReport:
-    """engine.report builds the report of every check."""
+    """engine.report builds the report of every check from what the check
+    found, and engine.run_check is the one runner of a check row."""
 
     def test_names_the_first_nonzero_residual(self):
         residuals = [
@@ -365,25 +371,63 @@ class TestReport:
             Series1.from_scalar_coeffs([0, 0, 0, 1], 7),
             Series1.from_scalar_coeffs([0, 1], 5),
         ]
-        report = engine.report("k", "anchor", residuals)
+        report = engine.report("k", "anchor", residuals, 12)
         assert report == {
             "id": "k", "anchor": "anchor", "order_checked": 7,
             "verdict": "fail", "first_failure": [3, 0],
         }
 
     def test_all_zero_passes_at_the_first_order(self):
-        report = engine.report("k", "a", [Series1.zero(6), Series1.zero(4)])
+        report = engine.report("k", "a", [Series1.zero(6), Series1.zero(4)],
+                               12)
         assert report["verdict"] == "pass"
         assert report["order_checked"] == 6
         assert report["first_failure"] is None
 
-    def test_list_comparison(self):
-        assert engine.report("k", "a", order=5)["verdict"] == "pass"
-        report = engine.report("k", "a", order=5, failure=(2, "3", "4"))
+    def test_one_residual_series(self):
+        assert engine.report("k", "a", Series1.zero(6), 12) == engine.report(
+            "k", "a", [Series1.zero(6)], 12)
+        report = engine.report("k", "a", Series1.t(5) ** 2, 12)
         assert report["verdict"] == "fail"
-        assert report["first_failure"] == [2, "3", "4"]
+        assert report["first_failure"] == [2, 0]
         assert report["order_checked"] == 5
 
+    def test_list_comparison(self):
+        report = engine.report("k", "a", [(2, "3", "4"), (4, "1", "2")], 5)
+        assert report == {
+            "id": "k", "anchor": "a", "order_checked": 5,
+            "verdict": "fail", "first_failure": [2, "3", "4"],
+        }
+
+    def test_empty_list_passes_at_the_order(self):
+        assert engine.report("k", "a", [], 5) == {
+            "id": "k", "anchor": "a", "order_checked": 5,
+            "verdict": "pass", "first_failure": None,
+        }
+
+    def test_run_check_reports_what_the_row_returns(self):
+        checks = {"k": ("a", lambda n: [Series1.t(n) ** 3])}
+        assert engine.run_check(checks, "k", 8) == engine.report(
+            "k", "a", [Series1.t(8) ** 3], 8)
+
+    def test_catalog_error_row(self):
+        def broken(order):
+            raise engine.CatalogError("catalog division num/den: no pivot")
+
+        report = engine.run_check({"k": ("a", broken)}, "k", 7)
+        assert report == {
+            "id": "k", "anchor": "a", "order_checked": 7, "verdict": "fail",
+            "first_failure": ["catalog division num/den: no pivot"],
+        }
+
+    def test_order_error_is_not_a_verdict(self):
+        from conewalks.series import OrderError
+
+        def too_low(order):
+            raise OrderError("needs t^3")
+
+        with pytest.raises(OrderError):
+            engine.run_check({"k": ("a", too_low)}, "k", 2)
 
 
 # The endpoint oracle before it read the pipelines: key -> (lattice, start,
@@ -567,7 +611,7 @@ class TestXSq12IsNotTrueByConstruction:
         F = engine.sq_F(12)
         bad = F + Series1.t(12) ** 9
         monkeypatch.setattr(engine, "sq_F", lambda n: bad)
-        r = engine.run_check("x-sq-12", 12)
+        r = engine.run_check(engine.XSERIES_CHECKS, "x-sq-12", 12)
         assert r["verdict"] == "fail" and r["first_failure"] == [11, 0]
 
     def _with_pipeline(self, monkeypatch, **changes):
@@ -576,7 +620,7 @@ class TestXSq12IsNotTrueByConstruction:
         for name, delta in changes.items():
             setattr(fake, name, getattr(fake, name) + delta)
         monkeypatch.setattr(decompose, "pipeline", lambda name, n: fake)
-        return engine.run_check("x-sq-12", 12)
+        return engine.run_check(engine.XSERIES_CHECKS, "x-sq-12", 12)
 
     def test_perturbed_S1_fails(self, monkeypatch):
         r = self._with_pipeline(monkeypatch, S1=Series1.t(12) ** 6)
@@ -595,7 +639,7 @@ class TestXSq0ReadsTheOracle:
         bad_S = sq.S + Series1.x(12) * Series1.t(12) ** 7
         fake = SimpleNamespace(S=bad_S, S1=sq.S1, P0=sq.P0)
         monkeypatch.setattr(decompose, "pipeline", lambda name, n: fake)
-        r = engine.run_check("x-sq-0", 12)
+        r = engine.run_check(engine.XSERIES_CHECKS, "x-sq-0", 12)
         assert r["verdict"] == "fail" and r["first_failure"] == [10, 0]
 
 

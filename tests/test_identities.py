@@ -6,7 +6,7 @@ import pytest
 
 from conewalks import decompose, identities, walks
 from conewalks.decompose import discriminant, pipeline, tmul
-from conewalks.engine import kernel_root_Y
+from conewalks.engine import kernel_root_Y, run_check
 from conewalks.identities import (
     ONE,
     X,
@@ -24,38 +24,50 @@ from test_decompose import PaperPipeline
 
 ORDER = 8
 
+# The rows whose check gives a list of mismatches; every other row gives a
+# residual series.
+LIST_KEYS = ("no-kernel-factor-sq", "reflection-square", "reflection-diag",
+             "orbit-endpoint")
 
-@pytest.mark.parametrize("key", sorted(identities.IDENTITIES))
+
+def run_identity(key, order):
+    return run_check(identities.IDENTITIES, key, order)
+
+
+@pytest.mark.parametrize("key", sorted(set(identities.IDENTITIES)
+                                       - set(LIST_KEYS)))
 def test_series_identities(key):
-    report = identities.run_identity(key, ORDER)
+    report = run_identity(key, ORDER)
     assert report["verdict"] == "pass", report
 
 
 def test_negative_divisibility_check():
-    report = identities.run_identity("no-kernel-factor-sq", ORDER)
+    report = run_identity("no-kernel-factor-sq", ORDER)
     assert report["verdict"] == "pass"
     # and the underlying composed series really are nonzero
     for res in identities.no_kernel_factor_sq(ORDER):
         assert res.first_failure() is not None
 
 
-@pytest.mark.parametrize("key", sorted(identities.LIST_IDENTITIES))
+@pytest.mark.parametrize("key", sorted(LIST_KEYS))
 def test_count_level_identities(key):
-    report = identities.run_identity(key, 10)
+    assert isinstance(identities.IDENTITIES[key][1](4), list)
+    report = run_identity(key, 10)
     assert report["verdict"] == "pass", report
+    assert report["order_checked"] == 10
 
 
 def test_report_shape():
-    report = identities.run_identity("func-eq-sq-origin", 6)
+    report = run_identity("func-eq-sq-origin", 6)
     assert set(report) == {
         "id", "anchor", "order_checked", "verdict", "first_failure"
     }
 
 
 def test_all_keys_unique_and_covered():
-    keys = identities.all_identity_keys()
-    assert len(keys) == len(set(keys))
-    assert "no-kernel-factor-sq" in keys
+    keys = list(identities.IDENTITIES)
+    assert len(keys) == len(set(keys)) == 50
+    assert keys[-len(LIST_KEYS):] == list(LIST_KEYS)
 
 
 def test_a_perturbed_identity_fails():
@@ -95,17 +107,17 @@ def test_negative_check_needs_order_3(order):
     from conewalks.series import OrderError
 
     with pytest.raises(OrderError):
-        identities.run_identity("no-kernel-factor-sq", order)
+        run_identity("no-kernel-factor-sq", order)
 
 
 def test_negative_check_names_a_vanishing_residual(monkeypatch):
     from conewalks.series import Series1
 
-    assert identities.run_identity("no-kernel-factor-sq", 3)["verdict"] == "pass"
+    assert run_identity("no-kernel-factor-sq", 3)["verdict"] == "pass"
     nonzero = Series1.from_scalar_coeffs([0, 0, 1], 4)
     monkeypatch.setattr(identities, "no_kernel_factor_sq",
                         lambda n: [nonzero, Series1.zero(4)])
-    report = identities.run_identity("no-kernel-factor-sq", 4)
+    report = run_identity("no-kernel-factor-sq", 4)
     assert report["verdict"] == "fail"
     assert report["first_failure"] == ["residual 1 vanishes"]
 

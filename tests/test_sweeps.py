@@ -7,8 +7,8 @@ import json
 import pytest
 
 from conewalks import closedforms, decompose, identities, walks
-from conewalks.cli import LATTICES, REGIONS, main
-from conewalks.walks import Frontier, WalkModel
+from conewalks.cli import main
+from conewalks.walks import Frontier
 from test_walks import replace
 
 
@@ -86,9 +86,7 @@ def test_oeis_sweeps_to_its_last_index(capsys, sweeps, bfile):
 
 def catalog_models():
     """The walk model of each closed-form catalog entry, by key."""
-    return {key: WalkModel(LATTICES[entry.lattice], REGIONS[entry.region],
-                           entry.start)
-            for key, entry in closedforms.catalog().items()}
+    return {key: entry.model for key, entry in closedforms.catalog().items()}
 
 
 def test_closed_forms_sweep_once_per_model(capsys, swept):

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conewalks import closedforms, walks
-from conewalks.cli import LATTICES, REGIONS
 from conewalks.walks import (
     DIAGONAL,
     SQUARE,
@@ -220,9 +219,7 @@ def catalog_models():
     endpoints its entries read."""
     models = {}
     for entry in closedforms.catalog().values():
-        model = WalkModel(LATTICES[entry.lattice], REGIONS[entry.region],
-                          entry.start)
-        models.setdefault(model, []).append(entry.end)
+        models.setdefault(entry.model, []).append(entry.end)
     return list(models.items())
 
 
