@@ -19,14 +19,15 @@ when called.  Only the table commands (``CSV_COMMANDS``) take --format csv.
 ``engine.run_check`` turns each check row into its report; the closed
 forms keep one loop (``_closed_forms``), which reads the endpoints of each
 walk model from one sweep (``walks.endpoint_columns``), so its 11 entries
-make 5 sweeps.  --start and --endpoint take a value that begins with '-'
-after a space, as after '='.
+make 5 sweeps.  ``asympt`` reads the exact totals of one sweep and turns
+them into floats only to print them.  --start and --endpoint take a value
+that begins with '-' after a space, as after '='.
 
 Exit codes: 0 success, 1 verification failure or data mismatch (including
-a catalog entry whose numerator its denominator does not divide), 2 usage
-error (including an --order too low for any check, such as a catalog
-entry whose denominator is zero to that order, and an asympt --n beyond
-the float64 range).
+a catalog entry whose numerator its denominator does not divide, and a
+closed form with a non-integral value), 2 usage error (including an
+--order too low for any check, such as a catalog entry whose denominator
+is zero to that order, and an asympt --n beyond the float64 range).
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .walks import (
     count_sequence,
     count_walks_upto,
     endpoint_columns,
-    float_totals,
 )
 
 REGIONS = {region.value: region for region in Region}
@@ -258,7 +258,8 @@ def suite_names(selection) -> list:
 def _closed_forms(entries: dict, order: int) -> list:
     """Compare each catalog closed form with its oracle counts for
     n = 0..order (walks of 2n steps).  The counts come from one sweep of
-    each walk model and live only for this call."""
+    each walk model and live only for this call.  A formula that gives a
+    non-integral value fails there, with the message as its mismatch."""
     from . import engine
 
     ends = {}  # model -> the endpoints of its entries
@@ -270,7 +271,11 @@ def _closed_forms(entries: dict, order: int) -> list:
     for key, entry in entries.items():
         found = []
         for n, count in enumerate(columns[entry.model][entry.end][::2]):
-            expected = entry.count(n)
+            try:
+                expected = entry.count(n)
+            except ArithmeticError as exc:
+                found = [(str(exc),)]
+                break
             if expected != count:
                 found = [(n, str(expected), str(count))]
                 break
@@ -414,15 +419,17 @@ def cmd_oeis(cfg: dict, args, out) -> int:
 
 
 def asympt_rows(model: WalkModel, lattice: str, limit: int) -> list:
-    totals = float_totals(model, limit)
+    """The growth-rate rows, read from one exact sweep; each exact total
+    becomes a float only here, to be printed."""
+    totals = count_sequence(model, limit)
     target = None
     if model.region is Region.THREE_QUADRANT and model.start == (0, 0):
         target = ASYMPT_CONSTANTS[lattice]
     rows = []
     points = sorted({limit, *range(0, limit + 1, max(1, limit // 8))})
     for n in points:
-        total = totals[n]
-        ratio = total * n ** (1 / 3) / 4.0**n if n else float(total)
+        total = float(totals[n])
+        ratio = total * n ** (1 / 3) / 4.0**n if n else total
         rows.append(
             {
                 "n": n,
@@ -440,7 +447,7 @@ def cmd_asympt(cfg: dict, args, out) -> int:
                          "must stay inside the float64 range")
     rows = asympt_rows(build_model(cfg), cfg["lattice"], cfg["n"])
     if cfg["format"] != "json":
-        out.write("non-exact diagnostic (float64 dynamic programming)\n")
+        out.write("non-exact diagnostic (float64 values of exact counts)\n")
     _emit_rows(rows, ["n", "total_float", "ratio", "target"], cfg["format"], out)
     return 0
 

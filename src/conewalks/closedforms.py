@@ -7,7 +7,7 @@ when the catalog loads, so a start outside its region fails there) and
 endpoint, so tests can replay them against the oracle.
 Formulas must produce integers: a non-integral value raises instead of
 being rounded, since it would mean the formula (or its transcription)
-is wrong.
+is wrong, and ``verify`` reports it as a failed check.
 """
 
 from __future__ import annotations
@@ -147,8 +147,3 @@ def catalog() -> dict:
         )
         for key, entry in read_data("closed_forms.json").items()
     }
-
-
-def gessel_count(n: int) -> int:
-    """Walks of length 2n from (0,0) to (0,0) in the 135-degree wedge."""
-    return catalog()["wedge-0-0"].count(n)

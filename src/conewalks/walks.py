@@ -3,7 +3,7 @@
 This is the ground-truth oracle: a layer-by-layer dynamic program with
 exact arbitrary-precision counts.  Every closed form, functional equation
 and parametrization elsewhere in the package is checked against this
-module.
+module, and ``asympt`` prints its totals as floats.
 
 The DP works on rows.  Each region meets row j in a half-line i >= lo(j),
 the whole row, or nothing (``ROW_BOUNDS``), so one step adds a shifted copy
@@ -16,13 +16,13 @@ them are never reached.  A step set without such a parity rule keeps
 every cell (stride 1).  ``Frontier`` hides the rows: ``get``, ``total``
 and ``cells`` are the only way to read a frontier.
 
-``_layers`` is the one exact DP loop, and ``sweep`` is the one memo.
+``_layers`` is the one DP loop, and ``sweep`` is the one memo.
 Verification reads are memoised per run: every pipeline series and every
 identity check reads its walk model through ``sweep``, so each model is
 swept once.  The readers whose length the user picks (``count``,
-``series``, ``oeis`` and the closed forms) stream ``_layers`` instead:
-each frontier is dropped once read, because holding every frontier of a
-long sweep until the process ends raises its peak memory.
+``series``, ``oeis``, ``asympt`` and the closed forms) stream ``_layers``
+instead: each frontier is dropped once read, because holding every
+frontier of a long sweep until the process ends raises its peak memory.
 ``endpoint_columns`` is the one endpoint reader: it reads any number of
 endpoints of one model from one streamed sweep, so the closed forms sweep
 each walk model once however many of its endpoints they check.
@@ -302,42 +302,3 @@ def generating_series(model: WalkModel, order: int):
     frontiers = sweep(model, order)[:order]
     return Series2([LPoly2(frontier.cells()) for frontier in frontiers], order)
 
-
-def float_totals(model: WalkModel, n: int):
-    """Fast non-exact total counts for lengths 0..n (diagnostics only).
-
-    Uses a dense numpy float64 layer DP; values are approximate and must
-    never feed a verification path.  It stays because ``asympt`` accepts
-    n up to ``cli.ASYMPT_MAX_N`` = 511: at n = 200 on the three-quadrant
-    model from the origin, the exact row DP takes 1.1 s (square) and
-    0.93 s (diagonal) against 0.37 s here (Python 3.11.7, 2 vCPU).
-    """
-    import numpy as np
-
-    size = 2 * n + 1
-    x0, y0 = model.start
-    grid = np.zeros((size, size), dtype=np.float64)
-    grid[n, n] = 1.0  # the grid spans n steps either way of the start
-    ii, jj = np.meshgrid(
-        np.arange(x0 - n, x0 + n + 1), np.arange(y0 - n, y0 + n + 1),
-        indexing="ij",
-    )
-    mask = np.vectorize(model.region.contains, otypes=[bool])(ii, jj)
-    totals = [1.0]
-    for _ in range(n):
-        nxt = np.zeros_like(grid)
-        for dx, dy in model.steps.steps:
-            src = grid
-            shifted = np.zeros_like(grid)
-            lo_i = max(0, dx)
-            hi_i = size + min(0, dx)
-            lo_j = max(0, dy)
-            hi_j = size + min(0, dy)
-            shifted[lo_i:hi_i, lo_j:hi_j] = src[
-                lo_i - dx : hi_i - dx, lo_j - dy : hi_j - dy
-            ]
-            nxt += shifted
-        nxt *= mask
-        grid = nxt
-        totals.append(float(grid.sum()))
-    return totals

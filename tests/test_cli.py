@@ -330,6 +330,37 @@ class TestReportsAndInputErrors:
                                 "--order", "16").err
         assert err.startswith(f"error: {key}: catalog division num/den: ")
 
+    def test_a_non_integral_closed_form_fails_its_check(self, capsys,
+                                                        monkeypatch):
+        """A closed form whose value is not an integer (one entry's first
+        coefficient scaled by 1001/1000) fails that entry's check with the
+        message of ``ClosedForm.count``, while every other entry still
+        reports."""
+        from fractions import Fraction
+
+        from conewalks import closedforms
+        from conewalks.closedforms import ClosedForm, HypTerm
+
+        key = "sq-origin-0-0"
+        entries = dict(closedforms.catalog())
+        entry = entries[key]
+        first, *rest = entry.terms
+        scaled = HypTerm(first.coeff * Fraction(1001, 1000), first.poly,
+                         first.num, first.den)
+        entries[key] = ClosedForm(entry.key, entry.anchor, entry.model,
+                                  entry.end, (scaled, *rest))
+        monkeypatch.setattr(closedforms, "catalog", lambda: entries)
+        out = self.assert_error(capsys, 1, "verify", "--suite",
+                                "closed-forms", "--order", "6",
+                                "--format", "json").out
+        reports = json.loads(out)
+        assert sorted(r["id"] for r in reports) == sorted(entries)
+        failing = [r for r in reports if r["verdict"] != "pass"]
+        assert [r["id"] for r in failing] == [key]
+        assert failing[0]["first_failure"] == [
+            f"{key}: non-integral value at n=0: 3001/3000"]
+        assert len(reports) - len(failing) == 10
+
     @pytest.mark.parametrize("cfg", [
         {"suite": [1]}, {"suite": 5}, {"lattice": ["square"]}, {"region": {}},
     ])
@@ -399,7 +430,7 @@ class TestFormatContract:
         (["count", "--n", "2"], ["n,i,j,count"]),
         (["series", "--order", "3"], ["n,total"]),
         (["asympt", "--n", "4"], [
-            "non-exact diagnostic (float64 dynamic programming)",
+            "non-exact diagnostic (float64 values of exact counts)",
             "n,total_float,ratio,target"]),
     ])
     def test_table_commands_print_csv(self, capsys, argv, head):
@@ -433,8 +464,8 @@ print(json.dumps([code, sorted(sys.modules)]))
 def test_each_command_imports_only_what_it_runs(tmp_path, argv):
     """A fresh interpreter without site initialisation (-S: a site .pth
     may preload modules) runs one command; it must load exactly the
-    package modules the command runs, and no command but asympt loads
-    dataclasses or importlib.resources."""
+    package modules the command runs, and none loads dataclasses,
+    importlib.resources or numpy."""
     import os
     import subprocess
     import sys
@@ -442,13 +473,10 @@ def test_each_command_imports_only_what_it_runs(tmp_path, argv):
 
     import conewalks
 
-    paths = [Path(conewalks.__file__).parents[1]]
-    if argv[0] == "asympt":
-        paths.append(Path(pytest.importorskip("numpy").__file__).parents[1])
     bfile = tmp_path / "b.txt"
     bfile.write_text("0 1\n1 4\n2 14\n")
     extra = ["--bfile", str(bfile)] if argv[0] == "oeis" else []
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
+    env = dict(os.environ, PYTHONPATH=str(Path(conewalks.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-S", "-c", LOADED, *argv, *extra],
                           env=env, capture_output=True, text=True, check=True)
     code, modules = json.loads(done.stdout)
@@ -456,8 +484,7 @@ def test_each_command_imports_only_what_it_runs(tmp_path, argv):
     assert {m for m in modules if m.startswith("conewalks")} == {
         "conewalks", "conewalks.cli",
         *(f"conewalks.{name}" for name in LOADS[argv])}
-    if argv[0] != "asympt":
-        assert not {"dataclasses", "importlib.resources"} & set(modules)
+    assert not {"dataclasses", "importlib.resources", "numpy"} & set(modules)
 
 
 # Counts the benchmark's per-layer metrics read; each must stay traced.
@@ -608,6 +635,211 @@ def test_param_bytes_are_pinned(capsys, key, order, fmt):
     assert code == 0
     assert (hashlib.sha256(out.encode()).hexdigest()
             == PARAM_SHA256[(key, order, fmt)])
+
+
+# sha256 of `asympt --lattice L --region R --start=S --n N --format F`,
+# keyed "L R S N F".  They were computed with a float64 DP separate from
+# the exact one (with the current text and csv header line), so they also
+# pin how each exact total rounds to a float: at N = 10 in every format,
+# for every region and the starts (0, 0), (-1, 1) ((1, 1) in the quadrant,
+# which excludes (-1, 1)) and (12, 0), more than N steps from the origin;
+# at N = 200 in JSON for the three-quadrant cones from the origin, which
+# print the paper's constant as their target.
+ASYMPT_SHA256 = {
+    "square quadrant 0,0 10 json":
+        "0d4f70cad8b71eb088231bdd4b712a6d03cd1f34105eb20a5ad8a4c3184f4175",
+    "square quadrant 0,0 10 text":
+        "7dfcd8bbc9fb89979f1dd0f602d98787ffebe85834e64397a984b2b46c3091e5",
+    "square quadrant 0,0 10 csv":
+        "94f09bf630adce12e32e315960d5736ce1a3f358c8a4a3b6a55eb6ed83c0af3f",
+    "square quadrant 1,1 10 json":
+        "bc1876c073e8c764af101d3d112519188408ffafce921aa6dff814fe9f02f737",
+    "square quadrant 1,1 10 text":
+        "3b1a382ec381ff1a90664a429173402751e757c52b8b73834ddb6adfe10fc13c",
+    "square quadrant 1,1 10 csv":
+        "3efd2ec03ac7313876ff6c813257dc63a28c56d7dca8d143dc795ab5b1bce5e3",
+    "square quadrant 12,0 10 json":
+        "04d7e3023466fa9953c5e293e8e5620185c5ff5034c184baebfba2f9c9a68c42",
+    "square quadrant 12,0 10 text":
+        "845fe2a124cddf16e23f597647dd8f7f65f8997dfe1f43212394c8f6c660255a",
+    "square quadrant 12,0 10 csv":
+        "681cb76022ec2111470cce5d2d8c4942f3c8bfd435b2808c76b02b560e0e9308",
+    "square three-quadrant 0,0 10 json":
+        "bad1dffe563ef6beffc78bc97847d551683c675526150b90b2ab20c768b628a8",
+    "square three-quadrant 0,0 10 text":
+        "b5bd90cbd713480bf873a8e7da9470c88a4c93e01d18b0d004475b8a886548b5",
+    "square three-quadrant 0,0 10 csv":
+        "3ed573c24d0fad59f60287159f862f347cd07d87a3d85523ba4c36aeea48c438",
+    "square three-quadrant -1,1 10 json":
+        "5f5948c8967006b8a36d1df682eff9ec1ce62bc967b95fa814260f7586af5dd8",
+    "square three-quadrant -1,1 10 text":
+        "37e1adfc8fe971a8efdad55d3a6d5f57a6b43f99e7e17f97dea85432830afd3c",
+    "square three-quadrant -1,1 10 csv":
+        "6b969764907e3d9d75be56ab6f25258c289c7bd541789862268126bfb0ba805c",
+    "square three-quadrant 12,0 10 json":
+        "4b2d6f20c7539261fc47eb14611f686dbaa0915ed83f7b5a4fa38e6234d7df2b",
+    "square three-quadrant 12,0 10 text":
+        "a0d28d714aba1aad335e10ac75023853db369000ba816761d9053fffb2ddc44a",
+    "square three-quadrant 12,0 10 csv":
+        "cd8aab2077b21dd0801fbac74fe37a6ab78d34f839fd3d98e15635f93e1eb760",
+    "square wedge135 0,0 10 json":
+        "e08a560519430afe0acb828b236d21c78dc5ec7d612b71e3aa1aa328260a03f2",
+    "square wedge135 0,0 10 text":
+        "8e373fed3a8ddb7dfcf110ac9dc10dab48dcdabbb55ea970add13a045fb91350",
+    "square wedge135 0,0 10 csv":
+        "8dd18ef281947f90fb7a836bb1032d3b928354df9618c5e966183794570570fd",
+    "square wedge135 -1,1 10 json":
+        "a486bb3d48453ffdbf3bdb28d4dd7a1417a23514468212e556198be334896914",
+    "square wedge135 -1,1 10 text":
+        "beefb264abf10a8322c2d1b0044cfea4a795554a4d056609648edb96f02dca8c",
+    "square wedge135 -1,1 10 csv":
+        "de5d92bb3aa1bd0db92a7051fd27ecf142e7f2e9739fbd4f5410b6b22c053b17",
+    "square wedge135 12,0 10 json":
+        "04d7e3023466fa9953c5e293e8e5620185c5ff5034c184baebfba2f9c9a68c42",
+    "square wedge135 12,0 10 text":
+        "845fe2a124cddf16e23f597647dd8f7f65f8997dfe1f43212394c8f6c660255a",
+    "square wedge135 12,0 10 csv":
+        "681cb76022ec2111470cce5d2d8c4942f3c8bfd435b2808c76b02b560e0e9308",
+    "square half-plane 0,0 10 json":
+        "305377b533eec9dd5a9f92388909aedca536dcb24809e2d724936adb8fe4907e",
+    "square half-plane 0,0 10 text":
+        "5bb2156fe87342989af39c8d3841263e8ca562f22b32c642d0d66ba0dc41bd3a",
+    "square half-plane 0,0 10 csv":
+        "b1af715c244fd9fb33c22c107d7cdf9a682588cad3d53a29d3b36fdf5537a596",
+    "square half-plane -1,1 10 json":
+        "305377b533eec9dd5a9f92388909aedca536dcb24809e2d724936adb8fe4907e",
+    "square half-plane -1,1 10 text":
+        "5bb2156fe87342989af39c8d3841263e8ca562f22b32c642d0d66ba0dc41bd3a",
+    "square half-plane -1,1 10 csv":
+        "b1af715c244fd9fb33c22c107d7cdf9a682588cad3d53a29d3b36fdf5537a596",
+    "square half-plane 12,0 10 json":
+        "4b2d6f20c7539261fc47eb14611f686dbaa0915ed83f7b5a4fa38e6234d7df2b",
+    "square half-plane 12,0 10 text":
+        "a0d28d714aba1aad335e10ac75023853db369000ba816761d9053fffb2ddc44a",
+    "square half-plane 12,0 10 csv":
+        "cd8aab2077b21dd0801fbac74fe37a6ab78d34f839fd3d98e15635f93e1eb760",
+    "square full-plane 0,0 10 json":
+        "4b2d6f20c7539261fc47eb14611f686dbaa0915ed83f7b5a4fa38e6234d7df2b",
+    "square full-plane 0,0 10 text":
+        "a0d28d714aba1aad335e10ac75023853db369000ba816761d9053fffb2ddc44a",
+    "square full-plane 0,0 10 csv":
+        "cd8aab2077b21dd0801fbac74fe37a6ab78d34f839fd3d98e15635f93e1eb760",
+    "square full-plane -1,1 10 json":
+        "4b2d6f20c7539261fc47eb14611f686dbaa0915ed83f7b5a4fa38e6234d7df2b",
+    "square full-plane -1,1 10 text":
+        "a0d28d714aba1aad335e10ac75023853db369000ba816761d9053fffb2ddc44a",
+    "square full-plane -1,1 10 csv":
+        "cd8aab2077b21dd0801fbac74fe37a6ab78d34f839fd3d98e15635f93e1eb760",
+    "square full-plane 12,0 10 json":
+        "4b2d6f20c7539261fc47eb14611f686dbaa0915ed83f7b5a4fa38e6234d7df2b",
+    "square full-plane 12,0 10 text":
+        "a0d28d714aba1aad335e10ac75023853db369000ba816761d9053fffb2ddc44a",
+    "square full-plane 12,0 10 csv":
+        "cd8aab2077b21dd0801fbac74fe37a6ab78d34f839fd3d98e15635f93e1eb760",
+    "diagonal quadrant 0,0 10 json":
+        "c82381ab3e18e7126f3f249fa9f944c4371ac3f753a7868a3d19eeea2b5a869b",
+    "diagonal quadrant 0,0 10 text":
+        "bb717acf0ee8351f3b00939b02f01aa7b80a673cfb39715b42df856e73aa15bd",
+    "diagonal quadrant 0,0 10 csv":
+        "27c34c6de963d47a38edbea7e0cf02b9e546d1e5e4911b63cb4bbe41f759e6a2",
+    "diagonal quadrant 1,1 10 json":
+        "aa0bba43c181f4889fe92d1872dda24ed906ac6a857482c80b06ff05fcc0cb6c",
+    "diagonal quadrant 1,1 10 text":
+        "95338f8a62bdfa53095ec188ae569d30181f650879daa379548315d74c648a76",
+    "diagonal quadrant 1,1 10 csv":
+        "9d9233aa509a2803362f4216982d59252f4875ada57b8c5a8e138406747774de",
+    "diagonal quadrant 12,0 10 json":
+        "305377b533eec9dd5a9f92388909aedca536dcb24809e2d724936adb8fe4907e",
+    "diagonal quadrant 12,0 10 text":
+        "5bb2156fe87342989af39c8d3841263e8ca562f22b32c642d0d66ba0dc41bd3a",
+    "diagonal quadrant 12,0 10 csv":
+        "b1af715c244fd9fb33c22c107d7cdf9a682588cad3d53a29d3b36fdf5537a596",
+    "diagonal three-quadrant 0,0 10 json":
+        "f97619a10d3488c08ca8412351658227f3466ae1b6576e1653b3ec43d187ea23",
+    "diagonal three-quadrant 0,0 10 text":
+        "d3059e973f31809f4b7dd36193d626d295fd238afe172742e976a31f9449de48",
+    "diagonal three-quadrant 0,0 10 csv":
+        "fd1edad586f8680b468576b5d6cb80d2af24911a0fd464b6fc21d3132b490b43",
+    "diagonal three-quadrant -1,1 10 json":
+        "43edca263651710b010303fc5bfb0de50c8dc7571f590a0d70619a864d4e8a50",
+    "diagonal three-quadrant -1,1 10 text":
+        "393f1275f78c14659ab32535664370a6f8708e359f019bf26994458b559d9fad",
+    "diagonal three-quadrant -1,1 10 csv":
+        "2b9929ca04040ea110c64fc4948b5d1a9b63f7b2c980b00e91f3bf1d21b4b2bb",
+    "diagonal three-quadrant 12,0 10 json":
+        "4b2d6f20c7539261fc47eb14611f686dbaa0915ed83f7b5a4fa38e6234d7df2b",
+    "diagonal three-quadrant 12,0 10 text":
+        "a0d28d714aba1aad335e10ac75023853db369000ba816761d9053fffb2ddc44a",
+    "diagonal three-quadrant 12,0 10 csv":
+        "cd8aab2077b21dd0801fbac74fe37a6ab78d34f839fd3d98e15635f93e1eb760",
+    "diagonal wedge135 0,0 10 json":
+        "e08a560519430afe0acb828b236d21c78dc5ec7d612b71e3aa1aa328260a03f2",
+    "diagonal wedge135 0,0 10 text":
+        "8e373fed3a8ddb7dfcf110ac9dc10dab48dcdabbb55ea970add13a045fb91350",
+    "diagonal wedge135 0,0 10 csv":
+        "8dd18ef281947f90fb7a836bb1032d3b928354df9618c5e966183794570570fd",
+    "diagonal wedge135 -1,1 10 json":
+        "87e72342a57d0c2d5033c2ec1be4b2d066b950e57564d75ffa382f322c643eec",
+    "diagonal wedge135 -1,1 10 text":
+        "02c6e0eb97563c5b87649e95e4a74d73c058f1f487b7212b003715f3279b9bec",
+    "diagonal wedge135 -1,1 10 csv":
+        "96157a2ebb2acb290c6367840e413c41116e7e1d72a3a67fd204f0bc1f9d2bf3",
+    "diagonal wedge135 12,0 10 json":
+        "305377b533eec9dd5a9f92388909aedca536dcb24809e2d724936adb8fe4907e",
+    "diagonal wedge135 12,0 10 text":
+        "5bb2156fe87342989af39c8d3841263e8ca562f22b32c642d0d66ba0dc41bd3a",
+    "diagonal wedge135 12,0 10 csv":
+        "b1af715c244fd9fb33c22c107d7cdf9a682588cad3d53a29d3b36fdf5537a596",
+    "diagonal half-plane 0,0 10 json":
+        "04d7e3023466fa9953c5e293e8e5620185c5ff5034c184baebfba2f9c9a68c42",
+    "diagonal half-plane 0,0 10 text":
+        "845fe2a124cddf16e23f597647dd8f7f65f8997dfe1f43212394c8f6c660255a",
+    "diagonal half-plane 0,0 10 csv":
+        "681cb76022ec2111470cce5d2d8c4942f3c8bfd435b2808c76b02b560e0e9308",
+    "diagonal half-plane -1,1 10 json":
+        "04d7e3023466fa9953c5e293e8e5620185c5ff5034c184baebfba2f9c9a68c42",
+    "diagonal half-plane -1,1 10 text":
+        "845fe2a124cddf16e23f597647dd8f7f65f8997dfe1f43212394c8f6c660255a",
+    "diagonal half-plane -1,1 10 csv":
+        "681cb76022ec2111470cce5d2d8c4942f3c8bfd435b2808c76b02b560e0e9308",
+    "diagonal half-plane 12,0 10 json":
+        "1921652914f05b5669ae39b88b4541ddc4dcd018f15254cc9a9805de5cd22e9e",
+    "diagonal half-plane 12,0 10 text":
+        "4f0b02b660251e2cb8391da87696c5358314338f890fd9eac620c24c8d1a38c9",
+    "diagonal half-plane 12,0 10 csv":
+        "3440586cce39f625516948e7c987699de86da6e60b6d31871450e807719387de",
+    "diagonal full-plane 0,0 10 json":
+        "4b2d6f20c7539261fc47eb14611f686dbaa0915ed83f7b5a4fa38e6234d7df2b",
+    "diagonal full-plane 0,0 10 text":
+        "a0d28d714aba1aad335e10ac75023853db369000ba816761d9053fffb2ddc44a",
+    "diagonal full-plane 0,0 10 csv":
+        "cd8aab2077b21dd0801fbac74fe37a6ab78d34f839fd3d98e15635f93e1eb760",
+    "diagonal full-plane -1,1 10 json":
+        "4b2d6f20c7539261fc47eb14611f686dbaa0915ed83f7b5a4fa38e6234d7df2b",
+    "diagonal full-plane -1,1 10 text":
+        "a0d28d714aba1aad335e10ac75023853db369000ba816761d9053fffb2ddc44a",
+    "diagonal full-plane -1,1 10 csv":
+        "cd8aab2077b21dd0801fbac74fe37a6ab78d34f839fd3d98e15635f93e1eb760",
+    "diagonal full-plane 12,0 10 json":
+        "4b2d6f20c7539261fc47eb14611f686dbaa0915ed83f7b5a4fa38e6234d7df2b",
+    "diagonal full-plane 12,0 10 text":
+        "a0d28d714aba1aad335e10ac75023853db369000ba816761d9053fffb2ddc44a",
+    "diagonal full-plane 12,0 10 csv":
+        "cd8aab2077b21dd0801fbac74fe37a6ab78d34f839fd3d98e15635f93e1eb760",
+    "square three-quadrant 0,0 200 json":
+        "e26349a849b84afd3d113478179e243cc6225bd68d1b865ff5fc85cbdd499db2",
+    "diagonal three-quadrant 0,0 200 json":
+        "04e4456db0d37d5b39224e89784d41ffd2c5f816a5ada0315d43012fe4695b2a",
+}
+
+
+@pytest.mark.parametrize("case", sorted(ASYMPT_SHA256))
+def test_asympt_bytes_are_pinned(capsys, case):
+    lattice, region, start, n, fmt = case.split()
+    code, out = run(capsys, "asympt", "--lattice", lattice, "--region",
+                    region, f"--start={start}", "--n", n, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ASYMPT_SHA256[case]
 
 
 # sha256 of `param --key K --order 12 --format json` for every catalog key

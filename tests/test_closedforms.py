@@ -127,14 +127,16 @@ def test_quadrant_diag_against_dp():
 
 
 def test_gessel_small_values():
-    assert [cf.gessel_count(n) for n in range(5)] == [1, 2, 11, 85, 782]
+    wedge = cf.catalog()["wedge-0-0"]
+    assert [wedge.count(n) for n in range(5)] == [1, 2, 11, 85, 782]
 
 
 def test_gessel_against_dp():
     model = WalkModel(SQUARE, Region.WEDGE135, (0, 0))
     tables = count_walks_upto(model, 20)
+    wedge = cf.catalog()["wedge-0-0"]
     for n in range(11):
-        assert cf.gessel_count(n) == tables[2 * n].get(0, 0)
+        assert wedge.count(n) == tables[2 * n].get(0, 0)
 
 
 def test_catalog_well_formed():

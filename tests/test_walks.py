@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conewalks import closedforms, walks
+from conewalks.cli import asympt_rows
 from conewalks.walks import (
     DIAGONAL,
     SQUARE,
@@ -21,7 +22,6 @@ from conewalks.walks import (
     count_sequence,
     count_walks_upto,
     endpoint_columns,
-    float_totals,
     generating_series,
     _layers,
     _stride,
@@ -42,6 +42,13 @@ def brute_force(steps, region, start, n):
         if ok:
             counts[pos] = counts.get(pos, 0) + 1
     return counts
+
+
+def brute_totals(model, n):
+    """The numbers of walks of lengths 0..n, by direct enumeration."""
+    return [sum(brute_force(model.steps, model.region, model.start,
+                            k).values())
+            for k in range(n + 1)]
 
 
 def replace(record, **changes):
@@ -167,10 +174,10 @@ class TestSeriesViews:
                    for e in blob["counts"])
 
     def test_float_totals_tracks_exact(self):
-        exact = count_sequence(SQ3, 11)
-        approx = float_totals(SQ3, 11)
-        for e, a in zip(exact, approx):
-            assert abs(a - e) <= 1e-9 * max(e, 1)
+        """asympt prints each total as the float nearest the count found by
+        enumerating every step sequence."""
+        assert [row["total_float"] for row in asympt_rows(SQ3, "square", 7)
+                ] == [f"{float(total):.6e}" for total in brute_totals(SQ3, 7)]
 
 
 def _starts(region):
@@ -181,13 +188,14 @@ def _starts(region):
 @pytest.mark.parametrize("region", list(Region))
 @pytest.mark.parametrize("steps", [SQUARE, DIAGONAL])
 def test_float_totals_tracks_exact_in_every_region(steps, region):
-    """The float grid is centred on the start, so a start far from the
-    origin (here more than n steps away) loses no walk."""
+    """asympt's printed totals are the enumerated ones in every region,
+    also from a start more than n steps from the origin."""
     for start in [*_starts(region), (12, 0)]:
         model = WalkModel(steps, region, start)
-        approx = float_totals(model, 9)
-        for a, e in zip(approx, count_sequence(model, 9), strict=True):
-            assert abs(a - e) <= 1e-9 * max(e, 1)
+        rows = asympt_rows(model, steps.name, 5)
+        assert [(row["n"], row["total_float"]) for row in rows] == [
+            (n, f"{float(total):.6e}")
+            for n, total in enumerate(brute_totals(model, 5))]
 
 
 @pytest.mark.parametrize("region", list(Region))
