@@ -102,9 +102,9 @@ def load_config(args: argparse.Namespace) -> dict:
     path = getattr(args, "config", None)
     if path:
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config {path}: {exc}")
         if not isinstance(file_cfg, dict):
             raise UsageError("config file must hold a JSON object")

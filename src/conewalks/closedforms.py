@@ -37,11 +37,6 @@ def _rising(a, n: int) -> tuple:
     return math.prod(range(p, p + n * q, q)), q**n
 
 
-def rising_factorial(a, n: int) -> Fraction:
-    """(a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1."""
-    return Fraction(*_rising(Fraction(a), n))
-
-
 def binomial(n: int, k) -> int:
     if k != int(k):
         return 0

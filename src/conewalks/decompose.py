@@ -14,8 +14,9 @@ for the cone series C, the quadrant series Q and an algebraic A.  The one
 ``Pipeline`` class builds every series of a row from it, and
 ``pipeline(name, order)`` is the one memo.  Every derived series is a
 ``_cached`` property: built on first use, then kept.  The kernel is read
-off the step set: ``kernel_series`` gives K and ``kernel_quadratic`` gives
-K as a quadratic in y, whose ``discriminant`` is each pipeline's Delta.
+off the step set: ``kernel_series`` gives K, ``kernel_quadratic`` gives
+K as a quadratic in y, whose ``discriminant`` is each pipeline's Delta, and
+``exits`` gives the exit parts that the kernel equations subtract.
 
 Integer scale: a pipeline carries k A, for k the denominator of s/3 (3
 when s != 0, 1 when s = 0), so that A and every bivariate series read off
@@ -59,6 +60,15 @@ def kernel_quadratic(steps, order: int):
     a, b, c = (Series1([LPoly(), poly.coeff_of("y", j)], order)
                for j in (1, 0, -1))
     return a, b - 1, c
+
+
+def exits(steps):
+    """(down, left, both): the parts of the step polynomial with dy = -1,
+    with dx = -1, and with both: the steps that leave a cone across the
+    x-axis, across the y-axis and at the corner."""
+    poly = steps.step_poly()
+    down = poly.part("y", "neg")
+    return down, poly.part("x", "neg"), down.part("x", "neg")
 
 
 def discriminant(steps, order: int) -> Series1:
@@ -163,8 +173,14 @@ class Pipeline:
         return disc.halve_x() if self.steps is DIAGONAL else disc
 
     @_cached
+    def sqrt_disc(self) -> Series1:
+        """sqrt of the kernel discriminant, in x; sqrt_Delta is read off it."""
+        return discriminant(self.steps, self.order).sqrt()
+
+    @_cached
     def sqrt_Delta(self) -> Series1:
-        return self.Delta.sqrt()
+        root = self.sqrt_disc
+        return root.halve_x() if self.steps is DIAGONAL else root
 
     def unscale(self, s: Series1) -> Series1:
         """s / k: a one-variable series read off k A, at the paper's scale."""

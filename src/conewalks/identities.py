@@ -9,13 +9,19 @@ An equation that the paper writes for several models is one function of a
 its row; the other identity functions add only what is particular to
 their model.
 
+The kernel equations read the lattice only through its step set: the
+exit parts ``decompose.exits`` of the step polynomial, with dy = -1, with
+dx = -1 and with both (ybar, xbar and 0 on the square lattice; x ybar +
+xbar ybar, xbar y + xbar ybar and xbar ybar on the diagonal one).
+
 The quadrant-like rule (``quadrant_like``): W = a L + b B(y, x) has the
 partner W' = b L + a B(y, x); (a, b) = (1, 0), (0, 1), (1, 1), (1, -1)
 give L, B(y, x), M and N.  So L and B(y, x) are each other's partner, M is
 its own and N's is -N; from the origin B(y, x) = L, so L is its own
-partner there.  The residual is ``_half_eq`` less t sy ybar W'(y, 0),
-plus the corner t ybar [x^1] W'(x, 0) on the diagonal lattice or minus
-t ybar [x^0] (W - W')(x, 0) on the square one.  Its ten rows in
+partner there.  The residual is ``_half_eq`` less the y >= 0 part of
+``_y_rest`` read on W', less t ybar W(0, 0).  The y < 0 part left out is
+t ybar W'(0, 0) on the square lattice and t ybar [x^1] W'(x, 0) on the
+diagonal one, where W(0, 0) = 0 by parity.  Its ten rows in
 ``IDENTITIES`` carry only (pipeline, a, b, const), so they are the one
 table of the constants: 2x/3 for M from the origin on both lattices;
 1, 0, 1, 1 for L, B, M, N from (-1, 0); 4x/3, -2x/3, 2x/3, 2x from (-2, 0).
@@ -42,7 +48,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 
-from .decompose import PIPELINES, at_point, discriminant, pipeline, tmul
+from .decompose import PIPELINES, at_point, exits, pipeline, tmul
 from .engine import (
     diag_cubic,
     diag_shift_cubic,
@@ -55,22 +61,13 @@ from .engine import (
 )
 from .laurent import LPoly, LPoly2
 from .series import OrderError, Series1, Series2, horner
-from .walks import (
-    DIAGONAL,
-    SQUARE,
-    Region,
-    WalkModel,
-    generating_series,
-    sweep,
-)
+from .walks import SQUARE, Region, WalkModel, generating_series, sweep
 
 X = LPoly2.x(1)
 XB = LPoly2.x(-1)
 Y = LPoly2.y(1)
 YB = LPoly2.y(-1)
 ONE = LPoly2.const(1)
-SX = X + XB
-SY = Y + YB
 
 
 _x_series = Series2.from_x_series
@@ -108,11 +105,9 @@ def _split(W, P, L, B) -> Series2:
                 + B.sub_inverse("y").mul_xy(0, -1))
 
 
-def _steps(p, factor: LPoly2, s: Series2) -> Series2:
-    """factor * s on the diagonal lattice, s on the square one."""
-    if p.steps is DIAGONAL:
-        return Series2.from_poly(factor, s.order) * s
-    return s
+def _times(poly: LPoly2, s: Series2) -> Series2:
+    """t poly s, for a Laurent polynomial poly in x and y."""
+    return tmul(Series2.from_poly(poly, s.order) * s)
 
 
 def _at_t_ybar(s: Series1) -> Series2:
@@ -121,47 +116,42 @@ def _at_t_ybar(s: Series1) -> Series2:
 
 
 def _step_eq(p, W, const, x_section, y_section, corner):
-    """K W - (const - t sx ybar X(x) - t sy xbar Y(y) - t xbar ybar c).
+    """K W - (const - t (down X(x) + left Y(y) + both c)).
 
-    The step-by-step equation of a series W of pipeline p.  X and Y are
-    the sections of W on the two axes from which a step leaves the region;
-    c is the corner term, read on the diagonal lattice only (minus W(0,0)
-    for a quadrant series, whose corner step the axis terms remove twice).
-    sx = x + xbar and sy = y + ybar on the diagonal lattice, 1 on the
-    square one.
+    The step-by-step equation of a series W of pipeline p, for the exit
+    parts (down, left, both) of its step set.  X and Y are the sections of
+    W on the two axes from which a step leaves the region, and c is the
+    corner term (minus W(0,0) for a quadrant series, whose corner steps
+    the axis terms remove twice).
     """
-    n = W.order
-    rhs = (
-        Series2.from_poly(const, n)
-        - tmul(_steps(p, SX, _x_series(x_section).mul_xy(0, -1)))
-        - tmul(_steps(p, SY, _y_series(y_section).mul_xy(-1, 0)))
-    )
-    if p.steps is DIAGONAL:
-        rhs = rhs - tmul(Series2.from_x_series(corner).mul_xy(-1, -1))
-    return p.K * W - rhs
+    down, left, both = exits(p.steps)
+    exit_terms = (_times(down, _x_series(x_section))
+                  + _times(left, _y_series(y_section))
+                  + _times(both, _x_series(corner)))
+    return p.K * W - (Series2.from_poly(const, W.order) - exit_terms)
 
 
 def _half_eq(p, W, x0, on_y, const):
-    """K (2W - W(0,y)) - (const - 2t sx ybar W(x,0) + t sy (x - xbar) W(0,y)).
+    """K (2W - W(0,y)) - (const - 2t down W(x,0) + t left (x^2 - 1) W(0,y)).
 
     The part of the quadrant-like equation of a series W of pipeline p
     that W alone determines, given its sections x0 = W(x,0) and on_y =
-    W(0,y), with sx, sy as in ``_step_eq``.  ``quadrant_like`` subtracts
-    the rest of the right side, read on W's partner.
+    W(0,y), for the exit parts down and left of ``_step_eq``.
+    ``quadrant_like`` subtracts the rest of the right side, read on W's
+    partner.
     """
+    down, left, _ = exits(p.steps)
     W0y = _y_series(on_y)
-    rhs = (
-        Series2.from_poly(const, W.order)
-        - 2 * tmul(_steps(p, SX, _x_series(x0).mul_xy(0, -1)))
-        + tmul(_steps(p, SY, W0y.mul_xy(1, 0) - W0y.mul_xy(-1, 0)))
-    )
+    rhs = (Series2.from_poly(const, W.order)
+           - 2 * _times(down, _x_series(x0))
+           + _times(left * (X * X - ONE), W0y))
     return p.K * (2 * W - W0y) - rhs
 
 
 def _y_rest(p, s: Series1) -> Series2:
-    """t sy ybar s(y): the y-section term of a quadrant-like equation, for
-    the x-section s = W'(x, 0) of the partner W'."""
-    return tmul(_steps(p, SY, _y_series(s).mul_xy(0, -1)))
+    """t x ybar left s(y): the y-section term of a quadrant-like equation,
+    for the x-section s = W'(x, 0) of the partner W'."""
+    return _times(exits(p.steps)[1].shift(1, -1), _y_series(s))
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +161,9 @@ def _y_rest(p, s: Series1) -> Series2:
 
 def _cone_eq(p, W, const) -> Series2:
     """The step-by-step equation of a three-quadrant series W of p (C or A),
-    whose sections are its negative half-axes."""
+    whose sections are its negative half-axes and whose corner is W(0,0).
+    It needs that no step from (i < 0, 0) or (0, j < 0) lands in the cone:
+    parity makes it true on both lattices; King steps break it."""
     return _step_eq(p, W, const, _neg_x_axis(W), _neg_y_axis(W),
                     at_point(W, (0, 0)))
 
@@ -228,9 +220,10 @@ def P_LB(name, order) -> Series2:
 
 def quadrant_like(name, a, b, const, order):
     """The quadrant-like equation of W = a L + b B(y, x) of pipeline name:
-    ``_half_eq`` with the constant const, less the y-section term and plus
-    the corner term of W's partner (see the module docstring).  The
-    equation of B(y, x) is swapped back to the variables of B."""
+    ``_half_eq`` with the constant const, less the y >= 0 part of
+    ``_y_rest`` on W's partner and less t ybar W(0, 0) (see the module
+    docstring).  The equation of B(y, x) is swapped back to the variables
+    of B."""
     p = pipeline(name, order)
     if b == 0:
         W, x0, on_y = p.L, p.L_x0, p.L_0y
@@ -241,29 +234,25 @@ def quadrant_like(name, a, b, const, order):
         W = p.M if b == 1 else p.N
         x0, on_y = W.coeff_of("y", 0), W.coeff_of("x", 0)
         partner = x0 if b == 1 else -x0
-    res = _half_eq(p, W, x0, on_y, p.scale * const) - _y_rest(p, partner)
-    if p.steps is DIAGONAL:
-        res = res + _at_t_ybar(partner.coeff_x(1))
-    elif partner is not x0:  # the square corner is zero for W' = W
-        res = res - _at_t_ybar(x0.coeff_x(0) - partner.coeff_x(0))
+    res = (_half_eq(p, W, x0, on_y, p.scale * const)
+           - _y_rest(p, partner).part("y", "nonneg")
+           - _at_t_ybar(x0.coeff_x(0)))
     return res if a else res.swap_vars()
 
 
 def catM(name, order):
-    """-sqrt(disc) (x M(0,x) - 2 xbar M(0,xbar)) - 2 xbar Y + 3t sx M(x,0),
-    plus 3t [x^1] M(x,0) on the diagonal lattice: the kernel-eliminated
-    relation of M = L from the origin, for the kernel root Y and the kernel
-    discriminant disc, with sx as in ``_step_eq``.  M is the pipeline's k M,
-    so the term in Y is multiplied by k."""
+    """-sqrt(disc) (x M(0,x) - 2 xbar M(0,xbar)) - 2 xbar Y
+    + 3t (h M(x,0) + e [x^1] M(x,0)): the kernel-eliminated relation of
+    M = L from the origin, for the kernel root Y, the kernel discriminant
+    disc, and the ybar and xbar ybar coefficients h(x) and e of the step
+    polynomial.  M is the pipeline's k M, so the term in Y is multiplied
+    by k."""
     p = pipeline(name, order)
-    M0x, step = p.L_0y, p.L_x0
-    if p.steps is DIAGONAL:
-        root = discriminant(p.steps, order).sqrt()
-        sx = Series1.from_poly(LPoly.var(1) + LPoly.var(-1), order)
-        step = sx * step + step.coeff_x(1)
-    else:
-        root = p.sqrt_Delta  # Delta is disc on the square lattice
-    lhs = -root * (M0x.mul_x(1) - 2 * M0x.sub_inverse_x().mul_x(-1))
+    down, _, both = exits(p.steps)
+    M0x, Mx0 = p.L_0y, p.L_x0
+    h = Series1.from_poly(down.coeff_of("y", -1), order)
+    step = h * Mx0 + both.coeff(-1, -1) * Mx0.coeff_x(1)
+    lhs = -p.sqrt_disc * (M0x.mul_x(1) - 2 * M0x.sub_inverse_x().mul_x(-1))
     xbar_Y = kernel_root_Y(p.steps, order).mul_x(-1)
     return lhs - 2 * p.scale * xbar_Y + 3 * tmul(step)
 

@@ -198,6 +198,16 @@ class TestConfigLayering:
         cfg.write_text(json.dumps({"bogus": 1}))
         assert main(["series", "--config", str(cfg)]) == 2
 
+    def test_config_that_is_not_utf8(self, capsys, tmp_path):
+        """A config file that does not decode as UTF-8 is a usage error
+        with no traceback, like one that cannot be opened or parsed."""
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(b'\xff\xfe{"n": 3}')
+        assert main(["count", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config {cfg}: ")
+        assert "Traceback" not in err
+
     def test_bad_start_pair(self):
         assert main(["count", "--start", "1;2"]) == 2
 

@@ -18,12 +18,17 @@ from conewalks.walks import (
 from test_walks import replace
 
 
+def rising(a, n):
+    """(a)_n as one ``Fraction``, from the package's integer pair."""
+    return Fraction(*cf._rising(Fraction(a), n))
+
+
 def test_rising_factorial():
-    assert cf.rising_factorial(3, 4) == 3 * 4 * 5 * 6
-    assert cf.rising_factorial(Fraction(1, 2), 2) == Fraction(3, 4)
-    assert cf.rising_factorial(5, 0) == 1
+    assert cf._rising(Fraction(3), 4) == (3 * 4 * 5 * 6, 1)
+    assert cf._rising(Fraction(1, 2), 2) == (3, 4)
+    assert cf._rising(Fraction(5), 0) == (1, 1)
     with pytest.raises(ValueError):
-        cf.rising_factorial(1, -1)
+        cf._rising(Fraction(1), -1)
 
 
 def reference_rising_factorial(a, n):
@@ -63,26 +68,26 @@ def test_integer_first_terms_equal_the_fraction_loops(term):
     for n in range(-2, 41):
         assert outcome(term.value, n) == outcome(reference_value, term, n)
         for a, s in (*term.num, *term.den):
-            assert outcome(cf.rising_factorial, a, n + s) == outcome(
+            assert outcome(rising, a, n + s) == outcome(
                 reference_rising_factorial, a, n + s)
 
 
 @given(st.fractions(min_value=-20, max_value=20, max_denominator=12),
        st.integers(-3, 30))
 def test_rising_factorial_equals_the_fraction_loop(a, n):
-    assert outcome(cf.rising_factorial, a, n) == outcome(
+    assert outcome(rising, a, n) == outcome(
         reference_rising_factorial, a, n)
 
 
 def test_rising_factorial_at_nonpositive_integers():
     """(a)_n vanishes from n = 1 - a on when a is an integer <= 0."""
-    assert [cf.rising_factorial(-3, n) for n in range(6)] == [
+    assert [rising(-3, n) for n in range(6)] == [
         1, -3, 6, -6, 0, 0]
-    assert [cf.rising_factorial(0, n) for n in range(3)] == [1, 0, 0]
-    assert cf.rising_factorial(Fraction(-5, 2), 3) == Fraction(-15, 8)
+    assert [rising(0, n) for n in range(3)] == [1, 0, 0]
+    assert rising(Fraction(-5, 2), 3) == Fraction(-15, 8)
     for a in (-3, Fraction(1, 2)):
         with pytest.raises(ValueError):
-            cf.rising_factorial(a, -1)
+            rising(a, -1)
 
 
 def test_term_with_a_vanishing_rising_factorial():

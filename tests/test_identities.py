@@ -1,11 +1,12 @@
 """The identity catalog: every functional equation and bijection holds."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from conewalks import decompose, identities, walks
-from conewalks.decompose import discriminant, pipeline, tmul
+from conewalks.decompose import at_point, discriminant, pipeline, tmul
 from conewalks.engine import kernel_root_Y, run_check
 from conewalks.identities import (
     ONE,
@@ -21,6 +22,7 @@ from conewalks.identities import (
 from conewalks.laurent import LPoly, LPoly2
 from conewalks.series import Series1, Series2
 from test_decompose import PaperPipeline
+from test_walks import KING, KREWERAS
 
 ORDER = 8
 
@@ -133,6 +135,26 @@ def test_step_eq_sees_a_flipped_corner():
     wrong = identities._step_eq(dg, C, identities.ONE, *sections, -corner)
     assert right.first_failure() is None
     assert wrong.first_failure() is not None
+
+
+GESSEL = walks.StepSet("gessel", frozenset({(1, 0), (-1, 0), (1, 1),
+                                          (-1, -1)}))
+
+
+@pytest.mark.parametrize("steps", [walks.SQUARE, walks.DIAGONAL, KING,
+                                   KREWERAS, GESSEL], ids=lambda s: s.name)
+def test_quadrant_step_eq_holds_for_any_small_step_set(steps):
+    """The step-by-step equation of the quadrant series reads the lattice
+    only through the exit parts of its step set, so it holds for any small
+    step set, with the sections Q(x,0), Q(0,y) and the corner -Q(0,0)."""
+    n = 10
+    Q = walks.generating_series(
+        walks.WalkModel(steps, walks.Region.QUADRANT, (0, 0)), n)
+    stand_in = SimpleNamespace(steps=steps,
+                               K=decompose.kernel_series(steps, n))
+    res = identities._step_eq(stand_in, Q, ONE, Q.coeff_of("y", 0),
+                              Q.coeff_of("x", 0), -at_point(Q, (0, 0)))
+    assert res.first_failure() is None
 
 
 # id -> (pipeline, a, b, constant) of each quadrant-like registry row.

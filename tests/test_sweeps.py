@@ -6,8 +6,8 @@ import json
 
 import pytest
 
-from conewalks import closedforms, decompose, identities, walks
-from conewalks.cli import main
+from conewalks import closedforms, decompose, engine, identities, walks
+from conewalks.cli import _closed_forms, main
 from conewalks.walks import Frontier
 from test_walks import replace
 
@@ -157,6 +157,90 @@ def test_memoised_frontiers_equal_a_fresh_sweep(capsys, swept):
 ORACLE_BLIND = {"base-T", "base-Y-square", "base-Y-diagonal", "base-Z-hyper",
                 "no-kernel-factor-sq", "split-A-sq", "split-C-sq-shift",
                 "split-A-diag-shift"}
+
+
+# The checks that no mutation of the paper's formula data can fail: none.
+FORMULA_BLIND = set()
+
+SECTIONS = ("bivariate", "z_rationals")
+
+# The order of the formula-side mutations, above the 9 that the catalog
+# entry sq-shift-below-axis-x needs.
+MUTATION_ORDER = 12
+
+
+def _bumped_top(terms):
+    """A term list with the coefficient of its highest-degree term + 1."""
+    top = max(range(len(terms)), key=lambda k: sum(terms[k][1].values()))
+    return [[c + (k == top), exps] for k, (c, exps) in enumerate(terms)]
+
+
+def _catalog_survivors(monkeypatch):
+    """The catalog ids that still pass with the coefficient of the
+    highest-degree term of their numerator or denominator raised by 1."""
+    load = engine._param_data
+    data = load()
+    survivors = set()
+    for section in SECTIONS:
+        for key, entry in data[section].items():
+            for side in ("num", "den"):
+                wrong = {**entry, side: _bumped_top(entry[side])}
+                mutated = {**data, section: {**data[section], key: wrong}}
+                monkeypatch.setattr(engine, "_param_data",
+                                    lambda m=mutated: m)
+                table = engine.catalog_checks(section)
+                report = engine.run_check(table, key, MUTATION_ORDER)
+                if report["verdict"] == "pass":
+                    survivors.add(key)
+    monkeypatch.setattr(engine, "_param_data", load)
+    return survivors
+
+
+def _closed_form_survivors():
+    """The closed forms that still pass with the coefficient of their
+    first ``HypTerm`` doubled."""
+    survivors = set()
+    for key, entry in closedforms.catalog().items():
+        first, *rest = entry.terms
+        doubled = replace(first, coeff=2 * first.coeff)
+        mutated = {key: replace(entry, terms=(doubled, *rest))}
+        [report] = _closed_forms(mutated, MUTATION_ORDER // 2)
+        if report["verdict"] == "pass":
+            survivors.add(key)
+    return survivors
+
+
+def _quartic_survivors(monkeypatch):
+    """The quartic checks that still pass with t^2 added to their
+    residual."""
+    survivors = set()
+    for which, quartic in list(engine._QUARTICS.items()):
+        monkeypatch.setitem(engine._QUARTICS, which,
+                            lambda G, t, t2, f=quartic: f(G, t, t2) + t2)
+        key = f"quartic-{which}"
+        report = engine.run_check(engine.QUARTIC_CHECKS, key, MUTATION_ORDER)
+        if report["verdict"] == "pass":
+            survivors.add(key)
+        monkeypatch.setitem(engine._QUARTICS, which, quartic)
+    return survivors
+
+
+def test_a_wrong_formula_fails_its_own_check(monkeypatch):
+    """One mutation per formula datum fails the check that reads it: the
+    top coefficient of each catalog numerator and denominator, the first
+    ``HypTerm`` coefficient of each closed form and each quartic.  The
+    oracle side is not touched, so no memo needs clearing.  The same
+    checks of the unmutated data pass."""
+    unmutated = [
+        *(engine.run_check(engine.catalog_checks(section), key, MUTATION_ORDER)
+          for section in SECTIONS for key in engine._param_data()[section]),
+        *_closed_forms(closedforms.catalog(), MUTATION_ORDER // 2),
+        *(engine.run_check(engine.QUARTIC_CHECKS, key, MUTATION_ORDER)
+          for key in engine.QUARTIC_CHECKS)]
+    assert {report["verdict"] for report in unmutated} == {"pass"}
+    survivors = (_catalog_survivors(monkeypatch) | _closed_form_survivors()
+                 | _quartic_survivors(monkeypatch))
+    assert survivors == FORMULA_BLIND
 
 
 # The sha256 of the perturbed run's ``verify --suite all --order 12 --format
