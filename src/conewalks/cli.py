@@ -104,7 +104,8 @@ def load_config(args: argparse.Namespace) -> dict:
         try:
             with open(path, encoding="utf-8") as fh:
                 file_cfg = json.load(fh)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError,
+                RecursionError) as exc:
             raise UsageError(f"cannot read config {path}: {exc}")
         if not isinstance(file_cfg, dict):
             raise UsageError("config file must hold a JSON object")

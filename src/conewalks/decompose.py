@@ -165,17 +165,20 @@ class Pipeline:
         return kernel_series(self.steps, self.order)
 
     @_cached
+    def disc(self) -> Series1:
+        return discriminant(self.steps, self.order)
+
+    @_cached
     def Delta(self) -> Series1:
         """The discriminant of the kernel quadratic: (1 - t(x + xbar))^2 - 4t^2
         on the square lattice, 1 - 4t^2 (1 + x)(1 + xbar) on the diagonal
         one, where it lives in the squared variable."""
-        disc = discriminant(self.steps, self.order)
-        return disc.halve_x() if self.steps is DIAGONAL else disc
+        return self.disc.halve_x() if self.steps is DIAGONAL else self.disc
 
     @_cached
     def sqrt_disc(self) -> Series1:
         """sqrt of the kernel discriminant, in x; sqrt_Delta is read off it."""
-        return discriminant(self.steps, self.order).sqrt()
+        return self.disc.sqrt()
 
     @_cached
     def sqrt_Delta(self) -> Series1:

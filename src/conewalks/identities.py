@@ -106,8 +106,15 @@ def _split(W, P, L, B) -> Series2:
 
 
 def _times(poly: LPoly2, s: Series2) -> Series2:
-    """t poly s, for a Laurent polynomial poly in x and y."""
-    return tmul(Series2.from_poly(poly, s.order) * s)
+    """t poly s, for a Laurent polynomial poly in x and y.  A poly of at
+    most one term c x^i y^j (as the square lattice's exit parts) scales
+    and shifts s instead of multiplying."""
+    if not poly.terms:
+        return Series2.zero(s.order)
+    if len(poly.terms) > 1:
+        return tmul(Series2.from_poly(poly, s.order) * s)
+    [((i, j), c)] = poly.terms.items()
+    return tmul(s.scale(c).mul_xy(i, j))
 
 
 def _at_t_ybar(s: Series1) -> Series2:
@@ -144,7 +151,7 @@ def _half_eq(p, W, x0, on_y, const):
     W0y = _y_series(on_y)
     rhs = (Series2.from_poly(const, W.order)
            - 2 * _times(down, _x_series(x0))
-           + _times(left * (X * X - ONE), W0y))
+           + _times(left, W0y.mul_xy(2, 0) - W0y))
     return p.K * (2 * W - W0y) - rhs
 
 
@@ -250,8 +257,9 @@ def catM(name, order):
     p = pipeline(name, order)
     down, _, both = exits(p.steps)
     M0x, Mx0 = p.L_0y, p.L_x0
-    h = Series1.from_poly(down.coeff_of("y", -1), order)
-    step = h * Mx0 + both.coeff(-1, -1) * Mx0.coeff_x(1)
+    step = sum((Mx0.scale(c).mul_x(i)
+                for i, c in down.coeff_of("y", -1).terms.items()),
+               Mx0.coeff_x(1).scale(both.coeff(-1, -1)))
     lhs = -p.sqrt_disc * (M0x.mul_x(1) - 2 * M0x.sub_inverse_x().mul_x(-1))
     xbar_Y = kernel_root_Y(p.steps, order).mul_x(-1)
     return lhs - 2 * p.scale * xbar_Y + 3 * tmul(step)

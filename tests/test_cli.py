@@ -208,6 +208,16 @@ class TestConfigLayering:
         assert err.startswith(f"error: cannot read config {cfg}: ")
         assert "Traceback" not in err
 
+    def test_config_nested_too_deeply(self, capsys, tmp_path):
+        """A config nested deeper than ``json.load`` can recurse is a usage
+        error with no traceback."""
+        cfg = tmp_path / "deep.json"
+        cfg.write_text("[" * 200_000 + "]" * 200_000)
+        assert main(["count", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config {cfg}: ")
+        assert "Traceback" not in err
+
     def test_bad_start_pair(self):
         assert main(["count", "--start", "1;2"]) == 2
 

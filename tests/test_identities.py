@@ -22,7 +22,7 @@ from conewalks.identities import (
 from conewalks.laurent import LPoly, LPoly2
 from conewalks.series import Series1, Series2
 from test_decompose import PaperPipeline
-from test_walks import KING, KREWERAS
+from test_walks import GESSEL, KING, KREWERAS
 
 ORDER = 8
 
@@ -137,8 +137,15 @@ def test_step_eq_sees_a_flipped_corner():
     assert wrong.first_failure() is not None
 
 
-GESSEL = walks.StepSet("gessel", frozenset({(1, 0), (-1, 0), (1, 1),
-                                          (-1, -1)}))
+@pytest.mark.parametrize("poly", [
+    LPoly2({}), LPoly2({(0, -1): 1}), LPoly2({(-1, 0): 1}),
+    LPoly2({(2, -1): -3}), LPoly2({(1, -1): 1, (-1, -1): 1})])
+def test_times_of_a_monomial_equals_the_product(poly):
+    """``_times`` shifts and scales by a poly of at most one term; that is
+    the series product it stands for."""
+    s = pipeline("square_origin", 8).C
+    assert identities._times(poly, s) == tmul(
+        Series2.from_poly(poly, s.order) * s)
 
 
 @pytest.mark.parametrize("steps", [walks.SQUARE, walks.DIAGONAL, KING,
@@ -329,7 +336,7 @@ def perturbed_layers(monkeypatch):
                     frontier = walks.Frontier(
                         {j: (i0, [c + 1 for c in counts])
                          for j, (i0, counts) in frontier.rows.items()},
-                        frontier.stride)
+                        frontier.stride, frontier.turned)
                 yield frontier
 
         walks.sweep.cache_clear()

@@ -276,7 +276,7 @@ def test_a_perturbed_oracle_fails_every_check_that_reads_it(capsys,
     def plus_one(frontier):
         return Frontier({j: (i0, [c + 1 for c in counts])
                          for j, (i0, counts) in frontier.rows.items()},
-                        frontier.stride)
+                        frontier.stride, frontier.turned)
 
     def perturbed(model, n):
         for k, frontier in enumerate(layers(model, n)):

@@ -4,6 +4,7 @@ Frozen values in this file were computed by brute-force enumeration over
 all step sequences (independent of the DP) while the tests were written.
 """
 
+import inspect
 from itertools import product
 
 import pytest
@@ -13,7 +14,10 @@ from conewalks import closedforms, walks
 from conewalks.cli import asympt_rows
 from conewalks.walks import (
     DIAGONAL,
+    ROW_BOUNDS,
     SQUARE,
+    TURNED_BOUNDS,
+    WHOLE_ROW,
     CountTable,
     Frontier,
     Region,
@@ -23,7 +27,9 @@ from conewalks.walks import (
     count_walks_upto,
     endpoint_columns,
     generating_series,
+    _diagonal_step,
     _layers,
+    _step,
     _stride,
 )
 
@@ -324,6 +330,7 @@ def reference_layers(model, n):
 KING = StepSet("king", frozenset(
     step for step in product((-1, 0, 1), repeat=2) if step != (0, 0)))
 KREWERAS = StepSet("kreweras", frozenset({(1, 0), (0, 1), (-1, -1)}))
+GESSEL = StepSet("gessel", frozenset({(1, 0), (-1, 0), (1, 1), (-1, -1)}))
 
 
 def test_stride_follows_the_parity_rule():
@@ -364,6 +371,133 @@ def test_row_frontiers_equal_the_dict_reference(model, n):
         assert frontier.get(i, j) == expected.get((i, j), 0)
 
 
+def ij_layers(model, n):
+    """The frontiers of the generic ``_step`` in the (i, j) frame, the
+    reference for the turned frame of the square steps."""
+    steps, bound = model.steps.steps, ROW_BOUNDS[model.region]
+    stride = _stride(model.steps)
+    i0, j0 = model.start
+    frontier = Frontier({j0: (i0, [1])}, stride, False)
+    for _ in range(n + 1):
+        yield frontier
+        frontier = Frontier(_step(frontier.rows, steps, bound, stride),
+                            stride, False)
+
+
+@pytest.mark.parametrize("region", list(Region))
+def test_turned_square_sweep_equals_the_ij_frame(region):
+    """The square steps swept in the turned frame give, cell by cell, the
+    frontiers of the generic step in the (i, j) frame."""
+    n = 12
+    for start in [*_starts(region), (3, 2), (5, 0)]:
+        model = WalkModel(SQUARE, region, start)
+        pairs = list(zip(_layers(model, n), ij_layers(model, n),
+                         strict=True))
+        for frontier, reference in pairs:
+            assert frontier.turned and not reference.turned
+            assert frontier.cells() == reference.cells()
+            assert frontier.total() == reference.total()
+        x0, y0 = start
+        for i, j in product(range(x0 - n - 1, x0 + n + 2),
+                            range(y0 - n - 1, y0 + n + 2)):
+            assert frontier.get(i, j) == reference.get(i, j), (i, j)
+
+
+@st.composite
+def diagonal_rows(draw):
+    """Rows of one frontier of the diagonal steps: every row index of one
+    parity, every first cell of one parity, counts with zeros and gaps."""
+    jpar, ipar = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+    keys = draw(st.sets(st.integers(-4, 4), max_size=6))
+    return {2 * a + jpar: (2 * draw(st.integers(-4, 4)) + ipar,
+                           draw(st.lists(st.integers(0, 9), min_size=1,
+                                         max_size=6)))
+            for a in keys}
+
+
+@settings(max_examples=200, deadline=None)
+@given(diagonal_rows(), st.sampled_from(list(Region)), st.booleans())
+def test_diagonal_step_equals_the_generic_step(rows, region, turned):
+    bound = (TURNED_BOUNDS if turned else ROW_BOUNDS)[region]
+    assert _diagonal_step(rows, bound) == _step(rows, DIAGONAL.steps,
+                                                bound, 2)
+
+
+@pytest.mark.parametrize("region", list(Region))
+def test_turned_bounds_agree_with_the_reference_predicates(region):
+    """In the turned frame (u, v) = (i + j, i - j) the region is u >= lo(v)
+    of each row v, on cells of both parities of i + j."""
+    inside, bound = REFERENCE_REGION_TESTS[region], TURNED_BOUNDS[region]
+    for i, j in product(range(-12, 13), repeat=2):
+        lo = bound(i - j)
+        assert (lo == WHOLE_ROW or i + j >= lo) == inside(i, j), (i, j)
+
+
+STEP_SETS = [SQUARE, DIAGONAL, KING, KREWERAS, GESSEL]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 20])
+@pytest.mark.parametrize("region", list(Region))
+@pytest.mark.parametrize("steps", STEP_SETS, ids=lambda s: s.name)
+def test_trimming_readers_equal_the_full_sweep(steps, region, n):
+    """The readers that drop cells read what the full sweep holds: the
+    totals, and the column of each endpoint, near the start, far off or
+    out of reach."""
+    for start in _starts(region):
+        model = WalkModel(steps, region, start)
+        full = list(_layers(model, n))
+        assert count_sequence(model, n) == [f.total() for f in full]
+        ends = [start, (0, 0), (1, 1), (2, 0), (-1, 1), (-3, 2), (6, 1),
+                (n, 0), (100, 100)]
+        ends = [e for e in dict.fromkeys(ends) if region.contains(*e)]
+        columns = endpoint_columns(model, n, ends)
+        for end in ends:
+            assert columns[end] == [f.get(*end) for f in full], end
+        assert columns[(100, 100)] == [0] * (n + 1)
+
+
+def passed_through(monkeypatch):
+    """Wrap ``walks._layers`` in a generator that yields each frontier it
+    gets, as ``perfbench/tracer.py`` does; return the frontiers seen."""
+    seen, layers = [], walks._layers
+
+    def counted(model, n):
+        for frontier in layers(model, n):
+            seen.append(frontier)
+            yield frontier
+
+    monkeypatch.setattr(walks, "_layers", counted)
+    return seen
+
+
+@pytest.mark.parametrize("steps", STEP_SETS, ids=lambda s: s.name)
+def test_the_full_plane_retires_every_cell(monkeypatch, steps):
+    """No walk leaves the full plane, so every cell is retired as soon as
+    it is read, and the totals are |S|^n."""
+    seen = passed_through(monkeypatch)
+    model = WalkModel(steps, Region.FULL_PLANE, (0, 0))
+    assert count_sequence(model, 9) == [len(steps.steps) ** k
+                                        for k in range(10)]
+    assert len(seen) == 10 and all(f.rows == {} for f in seen)
+
+
+def test_layers_takes_only_the_model_and_the_length():
+    """perfbench's tracer wraps ``_layers`` as ``counted(model, n)``."""
+    assert list(inspect.signature(_layers).parameters) == ["model", "n"]
+
+
+@pytest.mark.parametrize("steps", [SQUARE, DIAGONAL, KING])
+def test_a_pass_through_wrapper_leaves_the_readers_unchanged(monkeypatch,
+                                                             steps):
+    model = WalkModel(steps, Region.THREE_QUADRANT, (-1, 0))
+    ends = [(0, 0), (-1, 0), (3, 1)]
+    plain = count_sequence(model, 15), endpoint_columns(model, 15, ends)
+    seen = passed_through(monkeypatch)
+    assert (count_sequence(model, 15),
+            endpoint_columns(model, 15, ends)) == plain
+    assert len(seen) == 32
+
+
 class TestRecords:
     """The records are plain ``__slots__`` classes: value equality, value
     hashes for the memo keys, no assignment, and the old validation."""
@@ -394,7 +528,7 @@ class TestRecords:
 
     @pytest.mark.parametrize("record,field", [
         (SQUARE, "steps"), (SQ3, "start"), (SQ3, "region"),
-        (Frontier({0: (0, [1])}, 2), "stride"),
+        (Frontier({0: (0, [1])}, 2, False), "stride"),
         (CountTable(0, {(0, 0): 1}), "n"),
         (closedforms.catalog()["wedge-0-0"], "end")])
     def test_fields_cannot_be_assigned(self, record, field):
@@ -408,7 +542,8 @@ class TestRecords:
         assert a == b and a[3] is not b[3]
         assert a[3] != a[4]
         assert replace(a[3], stride=1) != a[3]
-        assert a[3] == Frontier(dict(a[3].rows), a[3].stride)
+        assert a[3] == Frontier(dict(a[3].rows), a[3].stride, a[3].turned)
+        assert replace(a[3], turned=not a[3].turned) != a[3]
 
     def test_equality_with_another_type_is_not_implemented(self):
         assert SQUARE.__eq__(("square", SQUARE.steps)) is NotImplemented
