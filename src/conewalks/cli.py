@@ -28,6 +28,8 @@ a catalog entry whose numerator its denominator does not divide, and a
 closed form with a non-integral value), 2 usage error (including an
 --order too low for any check, such as a catalog entry whose denominator
 is zero to that order, and an asympt --n beyond the float64 range).
+A reader that closes standard output early (``| head``) ends the command
+with exit 1 and nothing on standard error.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from .walks import (
@@ -525,10 +528,16 @@ def main(argv=None) -> int:
         cfg = load_config(args)
         if cfg["format"] == "csv" and args.command not in CSV_COMMANDS:
             raise UsageError(f"{args.command} has no csv output")
-        return handler(cfg, args, sys.stdout)
+        code = handler(cfg, args, sys.stdout)
+        sys.stdout.flush()
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader left: what is still buffered goes to devnull at exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -85,9 +85,8 @@ class HypTerm(Record):
 
     __slots__ = ("coeff", "poly", "num", "den")
 
-    def value(self, n: int) -> Fraction:
-        """The term at n: integer numerator and denominator products, then
-        one ``Fraction``."""
+    def ratio(self, n: int) -> tuple:
+        """The term at n as integers (numerator, denominator), not reduced."""
         val = self.coeff * sum(c * n**k for k, c in enumerate(self.poly))
         num, den = val.numerator, val.denominator
         for a, s in self.num:
@@ -96,12 +95,16 @@ class HypTerm(Record):
         for b, s in self.den:
             p, q = _rising(b, n + s)
             num, den = num * q, den * p
-        return Fraction(num, den)
+        return num, den
 
 
 def hyp_sum(terms, n: int) -> Fraction:
-    """16^n times the sum of the terms' values at n."""
-    return Fraction(16) ** n * sum((t.value(n) for t in terms), Fraction(0))
+    """16^n times the sum of the terms at n, as one ``Fraction`` built last."""
+    num, den = 0, 1
+    for t in terms:
+        p, q = t.ratio(n)
+        num, den = num * q + p * den, den * q
+    return Fraction(num * 16**n, den)
 
 
 class ClosedForm(Record):

@@ -195,14 +195,18 @@ def eval_terms(terms, order: int) -> Series1:
     for coeff, exps in terms:
         rest = tuple(sorted((sym, e) for sym, e in exps.items() if sym != "z"))
         z = _power("z", exps.get("z", 0), order)
-        groups.setdefault(rest, []).append((LPoly.const(Fraction(coeff)), z))
+        c = Fraction(coeff)
+        groups.setdefault(rest, []).append(
+            (c.numerator if c.denominator == 1 else c, z))
     acc = Series1.zero(order)
     for rest, pairs in groups.items():
         combo = []
         for k in range(order):
             coeff = {}
+            get = coeff.get
             for c, z in pairs:
-                z.coeffs[k].mul_into(coeff, c)
+                for e, v in z.coeffs[k].terms.items():
+                    coeff[e] = get(e, 0) + v * c
             combo.append(LPoly(coeff))
         group = Series1(combo, order)
         for sym, e in rest:

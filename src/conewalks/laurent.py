@@ -12,20 +12,24 @@ in the package, so all arithmetic here is exact: no floats, no
 normalization shortcuts.
 
 Scalars are integer-first: a coefficient with an integral value is
-stored as an ``int`` and any other rational one as a ``Fraction``
-(``_coerce`` keeps this on every stored value).  ``qdiv`` is the one
-scalar division, so an ``int`` quotient stays an ``int`` when it is exact
-and becomes a ``Fraction``, never a ``float``, when it is not.
-``divexact`` divides a polynomial by a nonzero constant and by nothing
-else: that is the only division series arithmetic needs.  There is no
-evaluation at a scalar: ``Series1.compose`` substitutes for x.  Another
-exact scalar type passes through ``_coerce`` and ``qdiv`` untouched and
-uses its own division; the tests' Gaussian rationals need that, to run
-the Newton solver on the paper's equation over Q(i).
+stored as an ``int`` and any other rational one as a ``Fraction``:
+construction and ``_sum`` coerce each stored value inline, with no call
+per term.  ``qdiv`` is the one scalar division (it calls ``_coerce``), so
+an ``int`` quotient stays an ``int`` when it is exact and becomes a
+``Fraction``, never a ``float``, when it is not.  ``divexact`` divides a
+polynomial by a nonzero constant and by nothing else: that is the only
+division series arithmetic needs.  There is no evaluation at a scalar:
+``Series1.compose`` substitutes for x.  Another exact scalar type passes
+through the coercions and ``qdiv`` untouched and uses its own division;
+the tests' Gaussian rationals need that, to run the Newton solver on the
+paper's equation over Q(i).
 
 Each ring has one fused multiply-accumulate kernel, ``mul_into``, which
 adds a product into an exponent dict; ``__mul__`` and the series product
-are both built on it.
+are both built on it.  Instances are immutable (nothing writes to a
+``terms`` dict once it is built), so an operation may return an operand
+itself: a sum with an empty side returns the other one, and ``scale(1)``
+returns ``self``.
 """
 
 from __future__ import annotations
@@ -70,10 +74,9 @@ class LPoly:
     ZERO = 0  # exponent of the constant term
 
     def __init__(self, terms=None):
-        if terms:
-            self.terms = {e: _coerce(c) for e, c in terms.items() if c != 0}
-        else:
-            self.terms = {}
+        self.terms = {e: c.numerator if type(c) is Fraction
+                      and c.denominator == 1 else c
+                      for e, c in terms.items() if c != 0} if terms else {}
 
     @classmethod
     def const(cls, c):
@@ -94,18 +97,23 @@ class LPoly:
         return None
 
     def _sum(self, other, sign):
-        """self + other (sign 1) or self - other (sign -1), term by term, so
-        no negated copy of `other` is made."""
-        o = self._lift(other)
+        """self + other (sign 1) or self - other (sign -1) with no negated
+        copy of `other`; an empty side returns the other operand (negated)."""
+        o = other if type(other) is type(self) else self._lift(other)
         if o is None:
             return NotImplemented
+        if not o.terms:
+            return self
+        if not self.terms:
+            return o if sign > 0 else -o
         out = dict(self.terms)
-        minus = sign < 0
+        get = out.get
         for e, c in o.terms.items():
-            s = out.get(e, 0)
-            s = _coerce(s - c if minus else s + c)
+            s = get(e, 0) - c if sign < 0 else get(e, 0) + c
             if s == 0:
-                out.pop(e, None)
+                del out[e]
+            elif type(s) is Fraction and s.denominator == 1:
+                out[e] = s.numerator
             else:
                 out[e] = s
         return self._with_terms(out)
@@ -142,7 +150,7 @@ class LPoly:
                 out[e] = get(e, 0) + c1 * c2
 
     def __mul__(self, other):
-        o = self._lift(other)
+        o = other if type(other) is type(self) else self._lift(other)
         if o is None:
             return NotImplemented
         out = {}
@@ -152,7 +160,9 @@ class LPoly:
     __rmul__ = __mul__
 
     def scale(self, c):
-        """c times self, for an exact scalar c: every coefficient times c."""
+        """c times self, for an exact scalar c (self itself for c = 1)."""
+        if c == 1:
+            return self
         return type(self)({e: v * c for e, v in self.terms.items()})
 
     def __eq__(self, other):

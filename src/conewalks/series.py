@@ -14,12 +14,15 @@ One series type per coefficient ring:
   (``ONE_VARIABLE``) called on a ``Series2``.
 
 Every series carries an explicit truncation ``order`` N: coefficients of
-t^n are valid for n < N.  Binary operations propagate the minimum of the
-two orders; nothing is ever silently re-expanded.  Division strips a
-common power of t (losing that much order) and then needs the divisor's
-lowest nonzero coefficient to be a constant.  ``compose`` substitutes a
-series for x in polynomials in x by Horner's rule: ``horner`` is the one
-polynomial evaluator, shared with the pipeline cubics of ``engine``.
+t^n are valid for n < N, and its list holds exactly N.  Series and
+coefficients are immutable, so a sum builds its list once, of the ring's
+``_sum`` per power of t, which may return an operand's coefficient.
+Binary operations propagate the minimum of the two orders; nothing is
+ever silently re-expanded.  Division strips a common power of t (losing
+that much order) and then needs the divisor's lowest nonzero coefficient
+to be a constant.  ``compose`` substitutes a series for x in polynomials
+in x by Horner's rule: ``horner`` is the one polynomial evaluator, shared
+with the pipeline cubics of ``engine``.
 """
 
 from __future__ import annotations
@@ -112,10 +115,10 @@ class Series1:
         o = self._lift(other, self.order)
         if o is None:
             return NotImplemented
-        n = min(self.order, o.order)
-        if sign < 0:
-            return type(self)([p - q for p, q in zip(self.coeffs, o.coeffs)], n)
-        return type(self)([p + q for p, q in zip(self.coeffs, o.coeffs)], n)
+        r = type(self).__new__(type(self))
+        r.coeffs = [p._sum(q, sign) for p, q in zip(self.coeffs, o.coeffs)]
+        r.order = min(self.order, o.order)
+        return r
 
     def __add__(self, other):
         return self._sum(other, 1)

@@ -380,24 +380,25 @@ def endpoint_columns(model: WalkModel, n: int, endpoints) -> dict:
     return columns
 
 
-def _free_bounds(steps, bound, row: int, n: int) -> list:
-    """[lo_0, ..., lo_n]: lo_k lists, for the rows j = row - n + k, ...,
-    row + n - k, the least i from which no walk of k steps leaves the
-    region (_FAR if there is none, -_FAR if every i is one).  lo_0 is the
-    region's row bound, and lo_k(j) = max(lo_0(j), lo_{k-1}(j + dy) - dx
-    over the steps (dx, dy))."""
+def _free_bounds(steps, bound, row: int, n: int) -> tuple:
+    """(h, [lo_0, ..., lo_n]): lo_k lists, for every h-th row j = row - n + k,
+    ..., row + n - k, the least i from which no walk of k steps leaves the
+    region (_FAR if there is none, -_FAR if every i is one): lo_0 is the
+    row bound, lo_k(j) = max(lo_0(j), lo_{k-1}(j + dy) - dx over the steps),
+    and h = 2 when every dy is odd, as a frontier then has one row parity."""
+    h = 2 if all(dy % 2 for _, dy in steps) else 1
     ends = {EMPTY_ROW: _FAR, WHOLE_ROW: -_FAR}
     lo0 = [ends.get(lo, lo) for lo in map(bound, range(row - n, row + n + 1))]
     least = {}  # dy -> the least dx of the steps with that dy
     for dx, dy in steps:
         least[dy] = min(dx, least.get(dy, dx))
-    bounds = [lo0]
+    bounds = [lo0[::h]]
     for k in range(1, n + 1):
-        prev, size = bounds[-1], len(lo0) - 2 * k
-        bounds.append(list(map(max, lo0[k:k + size], *(
-            [lo - dx for lo in prev[1 + dy:1 + dy + size]]
+        prev, size = bounds[-1], 2 * (n - k) // h + 1
+        bounds.append(list(map(max, lo0[k:k + h * size:h], *(
+            [lo - dx for lo in prev[(dy + 1) // h:(dy + 1) // h + size]]
             for dy, dx in least.items()))))
-    return bounds
+    return h, bounds
 
 
 def count_sequence(model: WalkModel, n: int, endpoint=None) -> list:
@@ -413,12 +414,12 @@ def count_sequence(model: WalkModel, n: int, endpoint=None) -> list:
     if n < 0:
         return []
     _, steps, bound, stride, (_, j0) = _frame(model)
-    bounds = _free_bounds(steps, bound, j0, n)
+    h, bounds = _free_bounds(steps, bound, j0, n)
     totals, free = [], 0
     for m, frontier in enumerate(_layers(model, n)):
         lo, rows = bounds[n - m], frontier.rows
         for j, (first, counts) in list(rows.items()):
-            cut = max(0, -((first - lo[j - j0 + m]) // stride))
+            cut = max(0, -((first - lo[(j - j0 + m) // h]) // stride))
             if cut < len(counts):
                 free += sum(counts[cut:])
                 if cut:

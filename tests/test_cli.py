@@ -536,6 +536,29 @@ def test_tracer_still_hooks_every_layer():
     assert [key for key in TRACED if not trace["counts"].get(key)] == []
 
 
+def test_a_closed_pipe_exits_1_without_a_traceback():
+    """``count --n 40 | head -1``: the output (about 660 KB) overflows the
+    pipe buffer, so the reader closes the pipe while the command still
+    writes. The command exits 1 and writes nothing to standard error."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import conewalks
+
+    env = dict(os.environ, PYTHONPATH=str(Path(conewalks.__file__).parents[1]))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "conewalks.cli", "count", "--n", "40"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert child.stdout.readline().startswith(b"n=0")
+    child.stdout.close()
+    err = child.stderr.read()
+    assert child.wait(timeout=60) == 1
+    assert b"Traceback" not in err
+    assert err == b""
+
+
 class TestEndpointAndSuiteRules:
     """An --endpoint outside the region is refused where the model is
     built; a suite selection names each suite once."""
@@ -639,6 +662,51 @@ def test_verify_all_bytes_are_pinned(capsys, order):
                     "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256[order]
+
+
+# Run in a fresh interpreter, so that no memo holds a polynomial built
+# before the patch: every LPoly and LPoly2 gets read-only terms.
+READ_ONLY_TERMS = """
+import contextlib, hashlib, io, sys
+from types import MappingProxyType
+from conewalks import cli, laurent
+
+init, with_terms = laurent.LPoly.__init__, laurent.LPoly._with_terms
+
+def frozen_init(self, terms=None):
+    init(self, terms)
+    self.terms = MappingProxyType(self.terms)
+
+def frozen_with_terms(self, terms):
+    return with_terms(self, MappingProxyType(terms))
+
+laurent.LPoly.__init__ = frozen_init
+laurent.LPoly._with_terms = frozen_with_terms
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(sys.argv[1:])
+assert type((laurent.LPoly2.x() - 1).terms) is MappingProxyType
+print(code, hashlib.sha256(out.getvalue().encode()).hexdigest())
+"""
+
+
+def test_operations_that_return_an_operand_never_write_to_it():
+    """Sums may return an operand and ``scale(1)`` returns self, so one
+    polynomial is shared by many series.  With every ``terms`` read-only,
+    an in-place write anywhere raises; verify must still give its bytes."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import conewalks
+
+    env = dict(os.environ, PYTHONPATH=str(Path(conewalks.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", READ_ONLY_TERMS, "verify", "--suite", "all",
+         "--order", "12", "--format", "json"],
+        env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["0", VERIFY_ALL_SHA256[12]]
 
 
 @pytest.mark.parametrize("order", range(1, 13))

@@ -42,6 +42,11 @@ def reference_rising_factorial(a, n):
     return out
 
 
+def value(term, n):
+    """A term's value at n, from the package's integer pair."""
+    return Fraction(*term.ratio(n))
+
+
 def reference_value(term, n):
     """A term's value at n, one ``Fraction`` operation at a time."""
     val = term.coeff * sum(c * n**k for k, c in enumerate(term.poly))
@@ -66,10 +71,22 @@ CATALOG_TERMS = [t for entry in cf.catalog().values() for t in entry.terms]
 @pytest.mark.parametrize("term", [*CATALOG_TERMS, *Z_TERMS])
 def test_integer_first_terms_equal_the_fraction_loops(term):
     for n in range(-2, 41):
-        assert outcome(term.value, n) == outcome(reference_value, term, n)
+        assert outcome(value, term, n) == outcome(reference_value, term, n)
         for a, s in (*term.num, *term.den):
             assert outcome(rising, a, n + s) == outcome(
                 reference_rising_factorial, a, n + s)
+
+
+@pytest.mark.parametrize("key", [*cf.catalog(), "Z_TERMS"])
+def test_hyp_sum_equals_the_fraction_sum(key):
+    """One integer numerator and denominator give the value of the sum of
+    ``Fraction`` terms times 16^n."""
+    terms = Z_TERMS if key == "Z_TERMS" else cf.catalog()[key].terms
+    for n in range(41):
+        value = cf.hyp_sum(terms, n)
+        assert type(value) is Fraction
+        assert value == Fraction(16) ** n * sum(
+            (reference_value(t, n) for t in terms), Fraction(0))
 
 
 @given(st.fractions(min_value=-20, max_value=20, max_denominator=12),
@@ -95,15 +112,15 @@ def test_term_with_a_vanishing_rising_factorial():
     factor in the denominator divides by zero, as the Fraction loop does."""
     zeroed = cf.HypTerm(Fraction(3), (Fraction(1),), ((Fraction(-2), 0),),
                         ((Fraction(1, 2), 1),))
-    assert [zeroed.value(n) for n in range(5)] == [
+    assert [value(zeroed, n) for n in range(5)] == [
         reference_value(zeroed, n) for n in range(5)]
-    assert [zeroed.value(n) for n in range(3, 6)] == [0, 0, 0]
+    assert [value(zeroed, n) for n in range(3, 6)] == [0, 0, 0]
     pole = cf.HypTerm(Fraction(1), (Fraction(1),), (), ((Fraction(-1), 0),))
-    assert pole.value(1) == -1
+    assert value(pole, 1) == -1
     with pytest.raises(ZeroDivisionError):
-        pole.value(2)
+        value(pole, 2)
     with pytest.raises(ValueError):
-        zeroed.value(-2)
+        value(zeroed, -2)
 
 
 def test_binomial():

@@ -261,13 +261,15 @@ def term_lists():
 
 
 class TestGroupedTerms:
-    @pytest.mark.parametrize("order", [8, 16])
+    @pytest.mark.parametrize("order", [8, 12, 16])
     @pytest.mark.parametrize("key, part", term_lists())
     def test_equal_the_per_term_loop(self, key, part, order):
         data = engine._param_data()
         terms = (data["bivariate"].get(key) or data["z_rationals"][key])[part]
-        assert engine.eval_terms(terms, order) == reference_eval_terms(
-            terms, order)
+        value = engine.eval_terms(terms, order)
+        assert value == reference_eval_terms(terms, order)
+        assert all(type(c) is int or type(c) is Fraction and c.denominator > 1
+                   for p in value.coeffs for c in p.terms.values())
 
     @pytest.mark.parametrize("key, part", [
         ("sq-origin-axis-x", "den"), ("sq-shift-below-axis-y", "den"),

@@ -250,3 +250,82 @@ class TestEvalIsExact:
         value = value_at(terms, v)
         assert is_stored_form(value)
         assert value == reference_eval(terms, v)
+
+
+# Exact scalars of every stored kind, and integral fractions, which the
+# rings store as ints.
+scalars = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.integers(-6, 6).map(lambda k: Fraction(2 * k, 2)),
+)
+
+
+def polys(ring):
+    exponents = (st.integers(-3, 3) if ring is LPoly else
+                 st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+    return st.dictionaries(exponents, scalars, max_size=5).map(ring)
+
+
+def plain(x, ring):
+    """The exponent dict of an operand, scalars at the constant term."""
+    if isinstance(x, ring):
+        return dict(x.terms)
+    return {ring.ZERO: x} if x else {}
+
+
+def plain_sum(a, b, sign):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def plain_product(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = (e1 + e2 if type(e1) is int else
+                 (e1[0] + e2[0], e1[1] + e2[1]))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c != 0}
+
+
+class TestFastPathsEqualThePlainDictReference:
+    """Sums that return an operand, the inline coercion and ``scale(1)``
+    give what plain dict arithmetic gives, store no zero and no integral
+    ``Fraction``, and leave both operands as they were."""
+
+    @RINGS
+    @given(data=st.data())
+    def test_sums_and_products(self, ring, m, data):
+        a = data.draw(polys(ring))
+        b = data.draw(st.one_of(scalars, polys(ring)))
+        before = [dict(x.terms) if isinstance(x, ring) else x for x in (a, b)]
+        pa, pb = plain(a, ring), plain(b, ring)
+        for result, expected in ((a + b, plain_sum(pa, pb, 1)),
+                                 (b + a, plain_sum(pa, pb, 1)),
+                                 (a - b, plain_sum(pa, pb, -1)),
+                                 (a * b, plain_product(pa, pb)),
+                                 (b * a, plain_product(pa, pb))):
+            assert type(result) is ring
+            assert result.terms == expected
+            assert all(c != 0 and is_stored_form(c)
+                       for c in result.terms.values())
+        after = [dict(x.terms) if isinstance(x, ring) else x for x in (a, b)]
+        assert after == before
+        assert [type(c) for c in after[0].values()] == [
+            type(c) for c in before[0].values()]
+
+    @RINGS
+    @given(data=st.data())
+    def test_scale(self, ring, m, data):
+        a = data.draw(polys(ring))
+        before = dict(a.terms)
+        for c in (0, 1, -1, data.draw(st.integers(-6, 6)),
+                  data.draw(st.fractions(max_denominator=4))):
+            result = a.scale(c)
+            assert result.terms == plain_product(before, {ring.ZERO: c})
+            assert all(v != 0 and is_stored_form(v)
+                       for v in result.terms.values())
+            assert a.terms == before

@@ -576,3 +576,33 @@ def test_series2_refuses_one_variable_methods_by_name(name):
     getattr(Series1.one(3), name)(*args)  # defined on Series1
     with pytest.raises(TypeError, match=rf"Series2\.{name}\b"):
         getattr(Series2.one(3), name)(*args)
+
+
+@pytest.mark.parametrize("cls,terms", [(Series1, terms1), (Series2, terms2)],
+                         ids=["Series1", "Series2"])
+@settings(max_examples=80)
+@given(data=st.data())
+def test_series_sums_equal_the_coefficientwise_reference(cls, terms, data):
+    """A sum or difference of two series of any orders, or of a series and
+    a scalar, is the coefficient-wise one to the lower order, with one ring
+    element per power of t below it; the operands are left as they were."""
+    a = data.draw(series_of(cls, terms))
+    b = data.draw(st.one_of(series_of(cls, terms), scalars))
+    coeffs = [dict(p.terms) for p in a.coeffs]
+    if isinstance(b, cls):
+        order, other = min(a.order, b.order), b.coeffs
+    else:
+        order = a.order
+        other = [cls.RING.const(b)] + [cls.RING()] * order
+    for result, sign, rev in ((a + b, 1, False), (b + a, 1, False),
+                              (a - b, -1, False), (b - a, -1, True)):
+        assert type(result) is cls and result.order == order
+        assert len(result.coeffs) == order
+        for p, q, r in zip(a.coeffs, other, result.coeffs):
+            first, second = (q, p) if rev else (p, q)
+            want = dict(first.terms)
+            for e, c in second.terms.items():
+                want[e] = want.get(e, 0) + sign * c
+            assert type(r) is cls.RING
+            assert r.terms == {e: c for e, c in want.items() if c != 0}
+    assert [dict(p.terms) for p in a.coeffs] == coeffs

@@ -14,6 +14,7 @@ from conewalks import closedforms, walks
 from conewalks.cli import asympt_rows
 from conewalks.walks import (
     DIAGONAL,
+    EMPTY_ROW,
     ROW_BOUNDS,
     SQUARE,
     TURNED_BOUNDS,
@@ -27,7 +28,10 @@ from conewalks.walks import (
     count_walks_upto,
     endpoint_columns,
     generating_series,
+    _FAR,
     _diagonal_step,
+    _frame,
+    _free_bounds,
     _layers,
     _step,
     _stride,
@@ -454,6 +458,45 @@ def test_trimming_readers_equal_the_full_sweep(steps, region, n):
         for end in ends:
             assert columns[end] == [f.get(*end) for f in full], end
         assert columns[(100, 100)] == [0] * (n + 1)
+
+
+# ``_free_bounds`` keeps one row parity when every dy is odd, whatever the
+# stride: "tilted" has odd dy and stride 1, "half" stride 2 and mixed dy.
+PARITY_STEP_SETS = [
+    StepSet("tilted", frozenset({(0, 1), (1, 1), (-1, -1), (0, -1)})),
+    StepSet("half", frozenset({(1, 0), (-1, 0), (0, 1)})),
+]
+
+
+def reference_free_bounds(steps, bound, row, n):
+    """lo_k as row -> bound for every row in reach, by the recurrence."""
+    lo0 = {j: {EMPTY_ROW: _FAR, WHOLE_ROW: -_FAR}.get(bound(j), bound(j))
+           for j in range(row - n, row + n + 1)}
+    out = [lo0]
+    for k in range(1, n + 1):
+        out.append({j: max(lo0[j], *(out[-1][j + dy] - dx for dx, dy in steps))
+                    for j in range(row - n + k, row + n - k + 1)})
+    return out
+
+
+@pytest.mark.parametrize("region", list(Region))
+@pytest.mark.parametrize("steps", STEP_SETS + PARITY_STEP_SETS,
+                         ids=lambda s: s.name)
+def test_free_bounds_key_on_the_parity_of_dy_not_the_stride(steps, region):
+    """Every bound ``_free_bounds`` keeps equals the recurrence's, on every
+    row when some dy is even and on every other row when none is."""
+    for start in _starts(region):
+        model = WalkModel(steps, region, start)
+        _, frame_steps, bound, _, (_, j0) = _frame(model)
+        for n in (0, 1, 7, 20):
+            h, bounds = _free_bounds(frame_steps, bound, j0, n)
+            assert h == (2 if all(dy % 2 for _, dy in frame_steps) else 1)
+            ref = reference_free_bounds(frame_steps, bound, j0, n)
+            assert bounds == [
+                [lo[j] for j in range(j0 - n + k, j0 + n - k + 1, h)]
+                for k, lo in enumerate(ref)], (start, n)
+            assert count_sequence(model, n) == [
+                f.total() for f in _layers(model, n)], (start, n)
 
 
 def passed_through(monkeypatch):
