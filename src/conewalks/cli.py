@@ -341,7 +341,7 @@ def param_series_keys() -> list:
     """Every key that ``param --key`` expands, in ``param --list`` order."""
     from . import engine
 
-    return [*param_builders(), *engine.catalog_checks("bivariate"),
+    return [*param_builders(), *engine.param_keys(),
             *engine.catalog_checks("z_rationals")]
 
 
@@ -403,7 +403,10 @@ def cmd_oeis(cfg: dict, args, out) -> int:
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}")
     except bfile.BFileError as exc:
-        out.write(f"parse error in {path}: {exc}\n")
+        if cfg["format"] == "json":
+            _write_json({"verdict": "parse error", "error": str(exc)}, out)
+        else:
+            out.write(f"parse error in {path}: {exc}\n")
         return 1
     model = build_model(cfg)
     last = max((n for n, _ in data if n <= cfg["n"]), default=-1)

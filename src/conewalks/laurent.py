@@ -41,7 +41,6 @@ SIGN_TESTS = {
     "pos": lambda e: e > 0,
     "neg": lambda e: e < 0,
     "nonneg": lambda e: e >= 0,
-    "nonpos": lambda e: e <= 0,
 }
 
 

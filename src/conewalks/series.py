@@ -267,9 +267,9 @@ class Series1:
         lead = b[0]
         out = []
         for k in range(n):
-            acc = a[k] if k < len(a) else self.RING()
+            acc = a[k]
             for m in range(1, k + 1):
-                if m < len(b) and not b[m].is_zero():
+                if not b[m].is_zero():
                     acc = acc - b[m] * out[k - m]
             try:
                 out.append(acc.divexact(lead))

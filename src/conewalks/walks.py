@@ -5,21 +5,19 @@ exact arbitrary-precision counts.  Every closed form, functional equation
 and parametrization elsewhere in the package is checked against this
 module, and ``asympt`` prints its totals as floats.
 
-The DP works on rows.  Each region meets row j in a half-line i >= lo(j),
-the whole row, or nothing (``ROW_BOUNDS``), so one step adds a shifted copy
-of each row into its target row and clips the sum to the half-line; no
-per-cell predicate runs.  A row is stored as (i0, counts) with counts at
-i0, i0 + 2, i0 + 4, ...: on the diagonal lattice i and j each have a fixed
-parity, so the cells between them are never reached.  A step set without
-such a parity rule keeps every cell (stride 1).
-
-The square steps run in the frame (u, v) = (i + j, i - j), turned by 45
-degrees, where they are the diagonal steps, u and v share their parity
-(stride 2), and each region is again a half-line u >= lo(v) of row v
-(``TURNED_BOUNDS``); every other step set keeps the (i, j) frame.  The diagonal steps have a fast path,
-``_diagonal_step``: two list additions per new row, where ``_step`` adds
-four shifted rows into three.  ``Frontier`` hides the rows and the frame:
-``get``, ``total`` and ``cells`` are the only way to read a frontier.
+The DP sweeps the paper's two lattices, and one step serves both.  It
+works on rows: each region meets row j in a half-line i >= lo(j), the
+whole row, or nothing (``ROW_BOUNDS``), so a step adds shifted copies of
+rows into their target row and clips the sum to the half-line; no
+per-cell predicate runs.  Square walks are diagonal walks turned by 45
+degrees: in the frame (u, v) = (i + j, i - j) the square steps are the
+diagonal steps, and each region is again a half-line u >= lo(v) of row v
+(``TURNED_BOUNDS``).  So both lattices run ``_diagonal_step``, two list
+additions per new row.  Every frame step is (+-1, +-1), so the cells of a
+row share their parity, and so do the rows of a frontier: a row is stored
+as (i0, counts) with counts at i0, i0 + 2, i0 + 4, ....  ``Frontier``
+hides the rows and the frame: ``get``, ``total`` and ``cells`` are the
+only way to read a frontier.  ``WalkModel`` refuses any other step set.
 
 ``_layers`` is the one DP loop, and ``sweep`` is the one memo.
 Verification reads are memoised per run: every pipeline series and every
@@ -157,11 +155,15 @@ _FAR = 1 << 62
 
 
 class WalkModel(Record):
-    """A complete enumeration problem: steps, cone and starting point."""
+    """A complete enumeration problem: steps, cone and starting point.  The
+    steps are the square or the diagonal ones, the two the DP sweeps."""
 
     __slots__ = ("steps", "region", "start")
 
     def __init__(self, steps: StepSet, region: Region, start: tuple):
+        if steps.steps not in (SQUARE.steps, DIAGONAL.steps):
+            raise ValueError(f"no walk DP for the {steps.name} steps: "
+                             "only square and diagonal")
         super().__init__(steps, region, start)
         self.require_inside("start", start)
 
@@ -176,9 +178,6 @@ class CountTable(Record):
 
     __slots__ = ("n", "counts")
 
-    def get(self, i: int, j: int) -> int:
-        return self.counts.get((i, j), 0)
-
     def to_json(self) -> dict:
         return {
             "n": self.n,
@@ -192,14 +191,15 @@ class CountTable(Record):
 class Frontier(Record):
     """The counts of the walks of one length, by endpoint.
 
-    ``rows`` maps j to (i0, counts): counts[k] walks end at
-    (i0 + stride * k, j).  A row runs from its first reached cell to its
-    last, so it holds no cell the region excludes.  When ``turned`` is
-    true the rows are in the frame (u, v) = (i + j, i - j): ``rows`` maps v
-    to (u0, counts).  Readers use ``get``, ``total`` and ``cells`` only.
+    ``rows`` maps j to (i0, counts): counts[k] walks end at (i0 + 2k, j),
+    and no walk ends between them.  A row runs from its first reached cell
+    to its last, so it holds no cell the region excludes.  When ``turned``
+    is true the rows are in the frame (u, v) = (i + j, i - j): ``rows``
+    maps v to (u0, counts).  Readers use ``get``, ``total`` and ``cells``
+    only.
     """
 
-    __slots__ = ("rows", "stride", "turned")
+    __slots__ = ("rows", "turned")
 
     def get(self, i: int, j: int) -> int:
         if self.turned:
@@ -208,17 +208,16 @@ class Frontier(Record):
         if row is None:
             return 0
         i0, counts = row
-        k, off = divmod(i - i0, self.stride)
-        return counts[k] if off == 0 and 0 <= k < len(counts) else 0
+        k, odd = divmod(i - i0, 2)
+        return counts[k] if not odd and 0 <= k < len(counts) else 0
 
     def total(self) -> int:
         return sum(sum(counts) for _, counts in self.rows.values())
 
     def cells(self) -> dict:
         """The nonzero cells, as (i, j) -> count."""
-        s = self.stride
         cells = {
-            (i0 + s * k, j): c
+            (i0 + 2 * k, j): c
             for j, (i0, counts) in self.rows.items()
             for k, c in enumerate(counts)
             if c
@@ -229,49 +228,10 @@ class Frontier(Record):
         return cells
 
 
-def _stride(steps: StepSet) -> int:
-    """2 when the cells of a row of one frontier share the parity of i,
-    else 1.  They do when dx + a*dy is odd for every step, for one a in
-    {0, 1}: a = 1 on the square lattice, a = 0 on the diagonal one."""
-    odd = any(all((dx + a * dy) % 2 for dx, dy in steps.steps) for a in (0, 1))
-    return 2 if odd else 1
-
-
-def _step(rows: dict, steps, bound, stride: int) -> dict:
-    """The rows one step on: row j shifted by each step (dx, dy) into row
-    j + dy, the shifted copies summed, and each new row clipped to its
-    half-line or dropped."""
-    parts = {}  # new row -> [(i of its first cell, counts)]
-    for j, (i0, counts) in rows.items():
-        for dx, dy in steps:
-            parts.setdefault(j + dy, []).append((i0 + dx, counts))
-    nxt = {}
-    for j, shifted in parts.items():
-        lo = bound(j)
-        if lo == EMPTY_ROW:
-            continue
-        first = min(i for i, _ in shifted)
-        last = max(i + stride * (len(counts) - 1) for i, counts in shifted)
-        if lo != WHOLE_ROW and lo > first:
-            first += -((first - lo) // stride) * stride
-            if first > last:
-                continue
-        row = [0] * ((last - first) // stride + 1)
-        for i, counts in shifted:
-            k = (i - first) // stride
-            if k < 0:
-                counts = counts[-k:]
-                k = 0
-            end = k + len(counts)
-            row[k:end] = map(add, row[k:end], counts)
-        nxt[j] = (first, row)
-    return nxt
-
-
 def _diagonal_step(rows: dict, bound) -> dict:
-    """``_step`` for the diagonal steps (stride 2): new row j is rows j - 1
-    and j + 1 summed, then each cell added to its right neighbour (the
-    steps dx = -1 and +1), then clipped to its half-line or dropped."""
+    """The rows one diagonal step on: new row j is rows j - 1 and j + 1
+    summed, then each cell added to its right neighbour (the steps dx = -1
+    and +1), then clipped to its half-line or dropped."""
     nxt = {}
     for j in sorted({r + d for r in rows for d in (-1, 1)}):
         lo = bound(j)
@@ -298,14 +258,12 @@ def _diagonal_step(rows: dict, bound) -> dict:
 
 
 def _frame(model: WalkModel) -> tuple:
-    """(turned, steps, row bound, stride, start) of the DP of a model:
-    square steps in the turned frame, every other step set in (i, j)."""
+    """(turned, row bound, start) of the DP of a model: the square steps
+    run in the turned frame, where they are the diagonal steps."""
     if model.steps.steps == SQUARE.steps:
         i, j = model.start
-        return (True, DIAGONAL.steps, TURNED_BOUNDS[model.region], 2,
-                (i + j, i - j))
-    return (False, model.steps.steps, ROW_BOUNDS[model.region],
-            _stride(model.steps), model.start)
+        return True, TURNED_BOUNDS[model.region], (i + j, i - j)
+    return False, ROW_BOUNDS[model.region], model.start
 
 
 def _layers(model: WalkModel, n: int):
@@ -318,16 +276,11 @@ def _layers(model: WalkModel, n: int):
     cells in the sweep."""
     if n < 0:
         return
-    turned, steps, bound, stride, (i0, j0) = _frame(model)
-    frontier = Frontier({j0: (i0, [1])}, stride, turned)
+    turned, bound, (i0, j0) = _frame(model)
+    frontier = Frontier({j0: (i0, [1])}, turned)
     yield frontier
-    diagonal = steps == DIAGONAL.steps
     for _ in range(n):
-        if diagonal:
-            rows = _diagonal_step(frontier.rows, bound)
-        else:
-            rows = _step(frontier.rows, steps, bound, stride)
-        frontier = Frontier(rows, stride, turned)
+        frontier = Frontier(_diagonal_step(frontier.rows, bound), turned)
         yield frontier
 
 
@@ -354,15 +307,15 @@ def endpoint_columns(model: WalkModel, n: int, endpoints) -> dict:
     empty and nothing is swept.
 
     Of the frontier of length m it keeps, in each row, only the span of the
-    endpoints at most k = n - m rows away, widened by k: a small step moves
-    each coordinate of the DP frame by at most 1, so no walk from a dropped
-    cell reaches an endpoint in k steps."""
+    endpoints at most k = n - m rows away, widened by k: a step moves each
+    coordinate of the DP frame by 1, so no walk from a dropped cell reaches
+    an endpoint in k steps."""
     columns = {endpoint: [] for endpoint in endpoints}
     for endpoint in columns:
         model.require_inside("endpoint", endpoint)
     if n < 0:
         return columns
-    turned, _, _, stride, _ = _frame(model)
+    turned, _, _ = _frame(model)
     targets = [(i + j, i - j) if turned else (i, j) for i, j in columns]
     for m, frontier in enumerate(_layers(model, n)):
         for endpoint, column in columns.items():
@@ -370,35 +323,31 @@ def endpoint_columns(model: WalkModel, n: int, endpoints) -> dict:
         k, rows = n - m, frontier.rows
         for j, (first, counts) in list(rows.items()):
             near = [i for i, row in targets if abs(row - j) <= k]
-            lo = max(0, -((first + k - min(near, default=_FAR)) // stride))
+            lo = max(0, -((first + k - min(near, default=_FAR)) // 2))
             hi = min(len(counts),
-                     (max(near, default=-_FAR) + k - first) // stride + 1)
+                     (max(near, default=-_FAR) + k - first) // 2 + 1)
             if lo >= hi:
                 del rows[j]
             elif lo or hi < len(counts):
-                rows[j] = (first + stride * lo, counts[lo:hi])
+                rows[j] = (first + 2 * lo, counts[lo:hi])
     return columns
 
 
-def _free_bounds(steps, bound, row: int, n: int) -> tuple:
-    """(h, [lo_0, ..., lo_n]): lo_k lists, for every h-th row j = row - n + k,
-    ..., row + n - k, the least i from which no walk of k steps leaves the
-    region (_FAR if there is none, -_FAR if every i is one): lo_0 is the
-    row bound, lo_k(j) = max(lo_0(j), lo_{k-1}(j + dy) - dx over the steps),
-    and h = 2 when every dy is odd, as a frontier then has one row parity."""
-    h = 2 if all(dy % 2 for _, dy in steps) else 1
+def _free_bounds(bound, row: int, n: int) -> list:
+    """[lo_0, ..., lo_n]: lo_k lists, for every other row j = row - n + k,
+    row - n + k + 2, ..., row + n - k (the rows a frontier of length n - k
+    can hold), the least i from which no walk of k steps leaves the region
+    (_FAR if there is none, -_FAR if every i is one).  lo_0 is the row
+    bound, and as every frame step is (+-1, +-1),
+    lo_k(j) = max(lo_0(j), lo_{k-1}(j - 1) + 1, lo_{k-1}(j + 1) + 1)."""
     ends = {EMPTY_ROW: _FAR, WHOLE_ROW: -_FAR}
     lo0 = [ends.get(lo, lo) for lo in map(bound, range(row - n, row + n + 1))]
-    least = {}  # dy -> the least dx of the steps with that dy
-    for dx, dy in steps:
-        least[dy] = min(dx, least.get(dy, dx))
-    bounds = [lo0[::h]]
+    bounds = [lo0[::2]]
     for k in range(1, n + 1):
-        prev, size = bounds[-1], 2 * (n - k) // h + 1
-        bounds.append(list(map(max, lo0[k:k + h * size:h], *(
-            [lo - dx for lo in prev[(dy + 1) // h:(dy + 1) // h + size]]
-            for dy, dx in least.items()))))
-    return h, bounds
+        prev = bounds[-1]
+        bounds.append([max(lo, below + 1, above + 1) for lo, below, above
+                       in zip(lo0[k::2], prev, prev[1:])])
+    return bounds
 
 
 def count_sequence(model: WalkModel, n: int, endpoint=None) -> list:
@@ -407,19 +356,19 @@ def count_sequence(model: WalkModel, n: int, endpoint=None) -> list:
 
     A cell of the frontier of length m from which no walk of the k = n - m
     steps left can leave the region is retired: its count joins ``free``,
-    which is multiplied by |S| at each step, and the sweep goes on without
-    it."""
+    which is multiplied by 4, the number of steps, at each step, and the
+    sweep goes on without it."""
     if endpoint is not None:
         return endpoint_columns(model, n, [endpoint])[endpoint]
     if n < 0:
         return []
-    _, steps, bound, stride, (_, j0) = _frame(model)
-    h, bounds = _free_bounds(steps, bound, j0, n)
+    _, bound, (_, j0) = _frame(model)
+    bounds = _free_bounds(bound, j0, n)
     totals, free = [], 0
     for m, frontier in enumerate(_layers(model, n)):
         lo, rows = bounds[n - m], frontier.rows
         for j, (first, counts) in list(rows.items()):
-            cut = max(0, -((first - lo[(j - j0 + m) // h]) // stride))
+            cut = max(0, -((first - lo[(j - j0 + m) // 2]) // 2))
             if cut < len(counts):
                 free += sum(counts[cut:])
                 if cut:
@@ -427,7 +376,7 @@ def count_sequence(model: WalkModel, n: int, endpoint=None) -> list:
                 else:
                     del rows[j]
         totals.append(free + frontier.total())
-        free *= len(steps)
+        free *= 4
     return totals
 
 

@@ -30,9 +30,10 @@ def test_01_quadrant_closed_forms():
         model = WalkModel(steps, Region.QUADRANT, (0, 0))
         tables = count_walks_upto(model, 20)
         for n in range(21):
+            counts = tables[n].counts
             for i in range(21):
                 for j in range(21):
-                    assert formula(i, j, n) == tables[n].get(i, j), (
+                    assert formula(i, j, n) == counts.get((i, j), 0), (
                         steps.name, i, j, n,
                     )
 
@@ -42,7 +43,7 @@ def test_02_gessel_numbers():
     with both sides computed independently."""
     model = WalkModel(SQUARE, Region.WEDGE135, (0, 0))
     tables = count_walks_upto(model, 30)
-    dp_values = [tables[2 * n].get(0, 0) for n in range(16)]
+    dp_values = [tables[2 * n].counts.get((0, 0), 0) for n in range(16)]
     wedge = cf.catalog()["wedge-0-0"]
     formula_values = [wedge.count(n) for n in range(16)]
     assert dp_values == formula_values
@@ -55,7 +56,8 @@ def test_03_three_quadrant_closed_forms():
         entry = cf.catalog()[key]
         tables = count_walks_upto(entry.model, 24)
         for n in range(13):
-            assert entry.count(n) == tables[2 * n].get(*entry.end), (key, n)
+            assert entry.count(n) == tables[2 * n].counts.get(entry.end, 0), (
+                key, n)
 
 
 def test_04_parametrizing_series():

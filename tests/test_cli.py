@@ -1,11 +1,15 @@
 """Command-line front end: parsing, layering, formats, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from conewalks.cli import main
+from conewalks.cli import COMMANDS, DEFAULTS, FLAGS, main
 
 
 def run(capsys, *argv):
@@ -1126,3 +1130,120 @@ def test_spaced_point_gives_the_bytes_of_the_equals_form(capsys, tmp_path,
         outputs.append((code, *capsys.readouterr()))
     assert outputs[0] == outputs[1]
     assert outputs[0][0] == SPACED_POINTS[line]
+
+
+# -- the contract over generated command lines ------------------------------
+
+def mostly(good, bad):
+    """Values drawn from ``good`` four times in five, else from ``bad``."""
+    return st.sampled_from([good] * 4 + [bad]).flatmap(lambda values: values)
+
+
+# Values for each flag: good ones, capped small so each run is quick, and
+# malformed ones.
+POINT_VALUES = mostly(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(
+        lambda p: f"{p[0]},{p[1]}"),
+    st.sampled_from(["1,", ",", "a,b", "1_0,0", "１,0", "10**11,0",
+                     "100000000000,0", "0,0,0", ""]))
+SIZE_VALUES = mostly(st.integers(-1, 8).map(str),
+                     st.sampled_from(["x", "1.5", "", "٣"]))
+FLAG_VALUES = {
+    "lattice": mostly(st.sampled_from(["square", "diagonal"]),
+                      st.sampled_from(["king", ""])),
+    "region": mostly(st.sampled_from(["quadrant", "three-quadrant",
+                                      "wedge135", "half-plane",
+                                      "full-plane"]),
+                     st.just("cone")),
+    "start": POINT_VALUES,
+    "n": SIZE_VALUES,
+    "order": SIZE_VALUES,
+    "endpoint": POINT_VALUES,
+    "suite": mostly(st.sampled_from(["all", "base", "quartics", "xseries",
+                                     "identities", "closed-forms",
+                                     "endpoints", "params", "base,base"]),
+                    st.sampled_from(["nonsense", "", ","])),
+    "format": mostly(st.sampled_from(["text", "json", "csv"]),
+                     st.just("xml")),
+    "key": mostly(st.sampled_from(["base-T", "base-U", "base-Z", "base-V",
+                                   "sq-origin-axis-x", "diag-end-0-0"]),
+                  st.just("nonsense")),
+    "bfile": mostly(st.sampled_from(["GOOD", "MISMATCH"]),
+                    st.sampled_from(["MALFORMED", "NON_ASCII", "EMPTY",
+                                     "MISSING"])),
+    "config": st.just("CONFIG"),
+}
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 8),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=4),
+    st.sampled_from(["square", "diagonal", "quadrant", "json", "csv",
+                     "0,0", "-1,0", "all", "base"]),
+    st.lists(st.sampled_from(["base", "quartics", "all", 1]), max_size=2),
+    st.lists(st.integers(-2, 2), max_size=3))
+CONFIG_TEXTS = st.one_of(
+    st.dictionaries(st.sampled_from([*DEFAULTS, "colour"]), JSON_VALUES,
+                    max_size=3).map(lambda cfg: json.dumps(cfg).encode()),
+    st.sampled_from([b"{", b"[]", b"\xef\xbb\xbf{}", b"\xff{}",
+                     b'{"n": 1, "n": 2}', b"", b"[" * 100_000]))
+BFILES = {"GOOD": b"0 1\n1 4\n2 14\n", "MISMATCH": b"0 1\n1 5\n",
+          "MALFORMED": b"0 1\n1 x\n", "NON_ASCII": b"0 1\n1 \xe94\n",
+          "EMPTY": b""}
+
+
+@st.composite
+def command_lines(draw):
+    """(argv, config file bytes): a subcommand with a few of its flags,
+    now and then one it does not take, each with a good or bad value."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    flags = [*COMMANDS[command][1], "config"]
+    chosen = draw(st.lists(st.sampled_from(flags), unique=True, max_size=4))
+    if draw(st.sampled_from([False] * 9 + [True])):
+        chosen.append(draw(st.sampled_from(sorted(set(FLAGS) - set(flags)))))
+    argv = [command]
+    for flag in chosen:
+        argv.append(f"--{flag}")
+        if flag != "list":
+            argv.append(draw(FLAG_VALUES[flag]))
+    return argv, draw(CONFIG_TEXTS)
+
+
+@pytest.fixture(scope="module")
+def contract_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("contract")
+    paths = {"CONFIG": root / "config.json", "MISSING": root / "missing"}
+    for name, data in BFILES.items():
+        paths[name] = root / f"{name}.txt"
+        paths[name].write_bytes(data)
+    return paths
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(command_lines())
+@example((["count", "--config", "CONFIG"], b"[" * 100_000))
+@example((["oeis", "--bfile", "MALFORMED", "--format", "json"], b"{}"))
+@example((["asympt", "--n", "512", "--format", "json"], b"{}"))
+def test_every_command_line_keeps_the_exit_contract(contract_files, case):
+    """Exit 0, 1 or 2 and never a traceback; an exit 2 names its error (or
+    prints argparse's usage); an exit 0 or 1 in JSON format prints JSON."""
+    argv, config = case
+    contract_files["CONFIG"].write_bytes(config)
+    argv = [str(contract_files.get(arg, arg)) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2) and "Traceback" not in out + err, (argv, err)
+    if code == 2:
+        assert err.startswith("error: ") or "usage: " in err, (argv, err)
+        return
+    fmt = "text"
+    if "--config" in argv:
+        fmt = json.loads(config).get("format", fmt)
+    if "--format" in argv:
+        fmt = argv[argv.index("--format") + 1]
+    if fmt == "json":
+        json.loads(out)

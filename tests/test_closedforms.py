@@ -134,18 +134,21 @@ def test_quadrant_square_against_dp():
     model = WalkModel(SQUARE, Region.QUADRANT, (0, 0))
     tables = count_walks_upto(model, 10)
     for n in range(11):
+        counts = tables[n].counts
         for i in range(11):
             for j in range(11):
-                assert cf.quadrant_square_count(i, j, n) == tables[n].get(i, j)
+                assert cf.quadrant_square_count(i, j, n) == counts.get(
+                    (i, j), 0)
 
 
 def test_quadrant_diag_against_dp():
     model = WalkModel(DIAGONAL, Region.QUADRANT, (0, 0))
     tables = count_walks_upto(model, 10)
     for n in range(11):
+        counts = tables[n].counts
         for i in range(11):
             for j in range(11):
-                assert cf.quadrant_diag_count(i, j, n) == tables[n].get(i, j)
+                assert cf.quadrant_diag_count(i, j, n) == counts.get((i, j), 0)
 
 
 def test_gessel_small_values():
@@ -158,7 +161,7 @@ def test_gessel_against_dp():
     tables = count_walks_upto(model, 20)
     wedge = cf.catalog()["wedge-0-0"]
     for n in range(11):
-        assert wedge.count(n) == tables[2 * n].get(0, 0)
+        assert wedge.count(n) == tables[2 * n].counts.get((0, 0), 0)
 
 
 def test_catalog_well_formed():
@@ -192,7 +195,8 @@ def test_catalog_against_dp(key):
     entry = cf.catalog()[key]
     tables = count_walks_upto(entry.model, 16)
     for n in range(9):
-        assert entry.count(n) == tables[2 * n].get(*entry.end), (key, n)
+        assert entry.count(n) == tables[2 * n].counts.get(entry.end, 0), (
+            key, n)
 
 
 def test_non_integral_raises():

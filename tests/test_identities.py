@@ -22,7 +22,7 @@ from conewalks.identities import (
 from conewalks.laurent import LPoly, LPoly2
 from conewalks.series import Series1, Series2
 from test_decompose import PaperPipeline
-from test_walks import GESSEL, KING, KREWERAS
+from test_walks import GESSEL, KING, KREWERAS, reference_layers
 
 ORDER = 8
 
@@ -89,10 +89,8 @@ def test_reflection_square_sees_cancellation():
     from conewalks.walks import Region, SQUARE, WalkModel, count_walks_upto
 
     model = WalkModel(SQUARE, Region.THREE_QUADRANT, (-1, 0))
-    table = count_walks_upto(model, 3)[3]
-    assert any(
-        table.get(i, j) != table.get(j, i) for (i, j) in table.counts
-    )
+    counts = count_walks_upto(model, 3)[3].counts
+    assert any(c != counts.get((j, i), 0) for (i, j), c in counts.items())
 
 
 def test_reflection_loop_sees_a_wrong_endpoint_map():
@@ -153,10 +151,12 @@ def test_times_of_a_monomial_equals_the_product(poly):
 def test_quadrant_step_eq_holds_for_any_small_step_set(steps):
     """The step-by-step equation of the quadrant series reads the lattice
     only through the exit parts of its step set, so it holds for any small
-    step set, with the sections Q(x,0), Q(0,y) and the corner -Q(0,0)."""
+    step set, with the sections Q(x,0), Q(0,y) and the corner -Q(0,0).
+    The walk DP sweeps only square and diagonal steps, so Q comes from the
+    cell-by-cell reference DP of the tests."""
     n = 10
-    Q = walks.generating_series(
-        walks.WalkModel(steps, walks.Region.QUADRANT, (0, 0)), n)
+    Q = Series2([LPoly2(frontier) for frontier in reference_layers(
+        steps, walks.Region.QUADRANT, (0, 0), n - 1)], n)
     stand_in = SimpleNamespace(steps=steps,
                                K=decompose.kernel_series(steps, n))
     res = identities._step_eq(stand_in, Q, ONE, Q.coeff_of("y", 0),
@@ -336,7 +336,7 @@ def perturbed_layers(monkeypatch):
                     frontier = walks.Frontier(
                         {j: (i0, [c + 1 for c in counts])
                          for j, (i0, counts) in frontier.rows.items()},
-                        frontier.stride, frontier.turned)
+                        frontier.turned)
                 yield frontier
 
         walks.sweep.cache_clear()

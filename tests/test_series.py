@@ -148,7 +148,7 @@ class TestSeries1Properties:
     def test_part_reassembly(self, s):
         total = s.part_x("neg") + s.part_x("nonneg")
         assert total.coeffs == s.coeffs
-        total2 = s.part_x("pos") + s.part_x("nonpos")
+        total2 = s.part_x("pos") + s.part_x("neg") + s.coeff_x(0)
         assert total2.coeffs == s.coeffs
 
     @settings(max_examples=40)

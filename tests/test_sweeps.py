@@ -120,10 +120,10 @@ def test_swapped_closed_form_endpoints_fail_with_their_own_values(
         a, b}
     for key in (a, b):
         entry = cat[key]
-        n = next(n for n in range(order + 1)
-                 if entry.count(n) != tables[2 * n].get(*entry.end))
+        column = [table.counts.get(entry.end, 0) for table in tables[::2]]
+        n = next(n for n in range(order + 1) if entry.count(n) != column[n])
         assert reports[key]["first_failure"] == [
-            n, str(entry.count(n)), str(tables[2 * n].get(*entry.end))]
+            n, str(entry.count(n)), str(column[n])]
     assert reports[a]["first_failure"] != reports[b]["first_failure"]
 
 
@@ -276,7 +276,7 @@ def test_a_perturbed_oracle_fails_every_check_that_reads_it(capsys,
     def plus_one(frontier):
         return Frontier({j: (i0, [c + 1 for c in counts])
                          for j, (i0, counts) in frontier.rows.items()},
-                        frontier.stride, frontier.turned)
+                        frontier.turned)
 
     def perturbed(model, n):
         for k, frontier in enumerate(layers(model, n)):
