@@ -11,9 +11,10 @@ it takes; a config file may set any key.  Each command reads its walk
 counts from one DP sweep (``oeis`` sweeps only to the last file index it
 compares); ``build_model`` rejects a start or --endpoint outside the
 region.  Each command imports only what it runs: ``count``, ``series``
-and ``asympt`` need ``walks`` alone and ``oeis`` adds ``bfile``, while
-``verify`` and ``param`` import ``engine`` (and ``verify`` ``identities``)
-when called.  Only the table commands (``CSV_COMMANDS``) take --format csv.
+and ``asympt`` need ``walks`` alone and ``oeis`` adds ``bfile``; ``param``
+imports the formula side ``engine`` alone, and ``verify`` imports
+``identities`` and the oracle side with it, when called.  Only the table
+commands (``CSV_COMMANDS``) take --format csv.
 ``verify`` runs suites from the ``suites()`` table (suite -> its table):
 'all' stands for every suite and a repeated suite runs once.
 ``engine.run_check`` turns each check row into its report; the closed
@@ -231,14 +232,14 @@ def suites() -> dict:
     """suite -> its table, in report order: id -> its row (anchor, check)
     for ``engine.run_check``, or to its ``ClosedForm`` for the closed
     forms."""
-    from . import closedforms, engine, identities
+    from . import closedforms, identities
 
     return {
-        "base": engine.BASE_CHECKS,
-        "params": engine.catalog_checks("bivariate"),
-        "endpoints": engine.catalog_checks("z_rationals"),
-        "quartics": engine.QUARTIC_CHECKS,
-        "xseries": engine.XSERIES_CHECKS,
+        "base": identities.BASE_CHECKS,
+        "params": identities.catalog_checks("bivariate"),
+        "endpoints": identities.catalog_checks("z_rationals"),
+        "quartics": identities.QUARTIC_CHECKS,
+        "xseries": identities.XSERIES_CHECKS,
         "identities": identities.IDENTITIES,
         "closed-forms": dict(sorted(closedforms.catalog().items())),
     }
@@ -342,7 +343,7 @@ def param_series_keys() -> list:
     from . import engine
 
     return [*param_builders(), *engine.param_keys(),
-            *engine.catalog_checks("z_rationals")]
+            *engine.param_keys("z_rationals")]
 
 
 def cmd_param(cfg: dict, args, out) -> int:
@@ -370,14 +371,18 @@ def cmd_param(cfg: dict, args, out) -> int:
         except OrderError as exc:
             raise _order_too_low(order, key, exc)
         except engine.CatalogError as exc:
-            print(f"error: {key}: {exc}", file=sys.stderr)
+            if cfg["format"] == "json":
+                _write_json({"error": str(exc), "key": key,
+                             "verdict": "catalog error"}, out)
+            else:
+                print(f"error: {key}: {exc}", file=sys.stderr)
             return 1
     else:
         raise UsageError(f"unknown series key {key!r}")
     if cfg["format"] == "json":
         payload = {
             "key": key,
-            "order": order,
+            "order": series.order,
             "coeffs": [
                 {str(e): str(c) for e, c in sorted(p.terms.items())}
                 for p in series.coeffs

@@ -12,20 +12,12 @@ is wrong, and ``verify`` reports it as a failed check.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from fractions import Fraction
 from functools import lru_cache
 
+from .engine import read_data
 from .walks import LATTICES, Record, Region, WalkModel
-
-
-def read_data(name: str):
-    """The JSON file ``name`` of the package's ``data`` directory."""
-    path = os.path.join(os.path.dirname(__file__), "data", name)
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def _rising(a, n: int) -> tuple:

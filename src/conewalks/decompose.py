@@ -14,18 +14,26 @@ for the cone series C, the quadrant series Q and an algebraic A.  The one
 ``Pipeline`` class builds every series of a row from it, and
 ``pipeline(name, order)`` is the one memo.  Every derived series is a
 ``_cached`` property: built on first use, then kept.  The kernel is read
-off the step set: ``kernel_series`` gives K, ``kernel_quadratic`` gives
-K as a quadratic in y, whose ``discriminant`` is each pipeline's Delta, and
-``exits`` gives the exit parts that the kernel equations subtract.
+off the step set: ``kernel_series`` gives K, ``engine.kernel_quadratic``
+gives K as a quadratic in y, whose ``discriminant`` is each pipeline's
+Delta, and ``exits`` gives the exit parts that the kernel equations
+subtract.
 
 Integer scale: a pipeline carries k A, for k the denominator of s/3 (3
 when s != 0, 1 when s = 0), so that A and every bivariate series read off
 it (P, L, B, M, N and their sections) have integer coefficients and no
 bivariate product touches a ``Fraction``.  Those series are k times the
 paper's.  ``Pipeline.unscale`` divides by k, and only the one-variable
-readers call it: R and S (so S1, S(-1), P0 and R0 too) and, in
-``engine``, the oracles of the catalog entries.  An equation linear in
-the k-scaled series multiplies its inhomogeneous term by k.
+readers call it: R and S (so S1, S(-1), P0 and R0 too) and the oracles
+of the catalog entries.  An equation linear in the k-scaled series
+multiplies its inhomogeneous term by k.
+
+The oracle side of each ``engine`` catalog entry is data too:
+``_PARAM_ORACLES``, ``_ENDPOINTS`` and ``_CONSTANTS`` map its key to the
+pipeline series it must match: a boundary series, a constant, or an
+endpoint count read off a pipeline's A by ``at_point`` (so the orbit sign
+of each model stays in ``PIPELINES``).  ``param_oracle`` and
+``z_rational_oracle`` read them.
 """
 
 from __future__ import annotations
@@ -33,7 +41,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, wraps
 
-from .laurent import LPoly, LPoly2
+from .engine import kernel_quadratic
+from .laurent import LPoly2
 from .series import Series1, Series2
 from .walks import (
     DIAGONAL,
@@ -51,15 +60,6 @@ def tmul(s, k: int = 1):
 def kernel_series(steps, order: int) -> Series2:
     """K(x, y) = 1 - t * (step polynomial), as a truncated series."""
     return Series2([LPoly2.const(1), -steps.step_poly()], order)
-
-
-def kernel_quadratic(steps, order: int):
-    """(a, b, c) with y K = -(a y^2 + b y + c): the kernel as a quadratic
-    in y, read off the step polynomial."""
-    poly = steps.step_poly()
-    a, b, c = (Series1([LPoly(), poly.coeff_of("y", j)], order)
-               for j in (1, 0, -1))
-    return a, b - 1, c
 
 
 def exits(steps):
@@ -281,3 +281,101 @@ class Pipeline:
 @lru_cache(maxsize=None)
 def pipeline(name: str, order: int) -> Pipeline:
     return Pipeline(name, order)
+
+
+# ---------------------------------------------------------------------------
+# Oracle sides
+# ---------------------------------------------------------------------------
+
+
+# key -> (pipeline, boundary series, power of x, power of t).  Square
+# oracles are read with x -> x t; diagonal ones live in the squared variable.
+_PARAM_ORACLES = {
+    "sq-origin-axis-x": ("square_origin", "L_x0", 0, 1),
+    "sq-origin-axis-y": ("square_origin", "L_0y", 0, 1),
+    "diag-origin-axis-x": ("diagonal_origin", "L_x0", -1, 2),
+    "diag-origin-axis-y": ("diagonal_origin", "L_0y", 1, 1),
+    "sq-shift-left-axis-x": ("square_shifted", "L_x0", 0, 0),
+    "sq-shift-left-axis-y": ("square_shifted", "L_0y", 1, 0),
+    "sq-shift-below-axis-x": ("square_shifted", "B_x0", 1, 0),
+    "sq-shift-below-axis-y": ("square_shifted", "B_0y", 0, 0),
+    "diag-shift-left-axis-x": ("diagonal_shifted", "L_x0", -1, 0),
+    "diag-shift-left-axis-y": ("diagonal_shifted", "L_0y", 1, 1),
+    "diag-shift-below-axis-x": ("diagonal_shifted", "B_x0", 1, 1),
+    "diag-shift-below-axis-y": ("diagonal_shifted", "B_0y", -1, 0),
+}
+
+
+def param_oracle(key: str, order: int) -> Series1:
+    """The walk-oracle series that a bivariate catalog entry must match."""
+    which, name, dx, dt = _PARAM_ORACLES[key]
+    p = pipeline(which, order)
+    s = p.unscale(getattr(p, name))
+    if p.steps is SQUARE:
+        return tmul(s, dt).x_to_xt().mul_x(dx)
+    return tmul(s.mul_x(dx).halve_x(), dt)
+
+
+# key -> (pipeline, end, power of t): the pipeline's zero-orbit-sum series
+# A at x^i y^j for end = (i, j).
+_ENDPOINTS = {
+    "sq-origin-end-m1-0": ("square_origin", (-1, 0), 1),
+    "sq-origin-end-m1-1": ("square_origin", (-1, 1), 0),
+    "sq-origin-end-m2-0": ("square_origin", (-2, 0), 0),
+    "sq-origin-end-0-0": ("square_origin", (0, 0), 0),
+    "diag-origin-end-m1-1": ("diagonal_origin", (-1, 1), 1),
+    "diag-origin-end-m2-0": ("diagonal_origin", (-2, 0), 0),
+    "diag-origin-end-0-0": ("diagonal_origin", (0, 0), 0),
+    "sq-shift-end-0-0": ("square_shifted", (0, 0), 1),
+    "sq-shift-end-m2-0": ("square_shifted", (-2, 0), 1),
+    "sq-shift-end-0-m2": ("square_shifted", (0, -2), 1),
+    "sq-shift-end-m1-0": ("square_shifted", (-1, 0), 0),
+    "sq-shift-end-m1-1": ("square_shifted", (-1, 1), 1),
+    "sq-shift-end-0-m1": ("square_shifted", (0, -1), 0),
+    "diag-shift-end-m1-1": ("diagonal_shifted", (-1, 1), 1),
+    "diag-shift-end-m1-3": ("diagonal_shifted", (-1, 3), 1),
+    "diag-shift-end-m2-0": ("diagonal_shifted", (-2, 0), 0),
+    "diag-shift-end-0-0": ("diagonal_shifted", (0, 0), 0),
+    "diag-shift-end-0-m2": ("diagonal_shifted", (0, -2), 0),
+    "diag-shift-end-1-m1": ("diagonal_shifted", (1, -1), 1),
+}
+
+
+def diag_F0(order: int) -> Series1:
+    """F0 = P0 - S(-1) of the diagonal origin pipeline."""
+    dg = pipeline("diagonal_origin", order)
+    return dg.P0 - dg.S_m1
+
+
+def diag_shift_F0(order: int) -> Series1:
+    """F0 = P0 - 3 S(-1) of the shifted diagonal pipeline, with S from N."""
+    ds = pipeline("diagonal_shifted", order)
+    return ds.P0 - 3 * ds.S_m1
+
+
+def sq_origin_m01(order: int) -> Series1:
+    """t^2 [x^0 y^1] L of the square origin pipeline."""
+    sq = pipeline("square_origin", order)
+    return tmul(sq.unscale(sq.L_0y.coeff_x(1)), 2)
+
+
+# key -> the pipeline constant it names.
+_CONSTANTS = {
+    "sq-origin-m01": sq_origin_m01,
+    "sq-S1": lambda n: pipeline("square_origin", n).S1,
+    "sq-P0": lambda n: pipeline("square_origin", n).P0,
+    "diag-S1": lambda n: pipeline("diagonal_origin", n).S1,
+    "diag-F0": diag_F0,
+    "diag-R0": lambda n: pipeline("diagonal_origin", n).R0,
+    "diag-shift-S1": lambda n: pipeline("diagonal_shifted", n).S1,
+    "diag-shift-F0": diag_shift_F0,
+}
+
+
+def z_rational_oracle(key: str, order: int) -> Series1:
+    """The oracle series matching a one-variable catalog entry."""
+    if key in _CONSTANTS:
+        return _CONSTANTS[key](order)
+    which, end, dt = _ENDPOINTS[key]
+    p = pipeline(which, order)
+    return tmul(p.unscale(at_point(p.A, end)), dt)

@@ -38,30 +38,38 @@ first failure, so every report is the paper's.  The homogeneous ones
 ``IDENTITIES`` is the one table of the suite, in report order: id ->
 (anchor, check), where check(order) gives a residual series, which passes
 when it is zero, or a list of mismatches, which passes when it is empty
-(the negative check's mismatches are its residuals that vanish).
-``engine.run_check`` turns each row into its report, as it does for the
-engine checks.
+(the negative check's mismatches are its residuals that vanish).  The
+tables of the formula suites are here too: ``BASE_CHECKS`` (with the
+hypergeometric ``Z_TERMS``), ``QUARTIC_CHECKS`` (the degree-4 equations
+of the boundary constants, ``_QUARTICS``), ``XSERIES_CHECKS`` and
+``catalog_checks``, which compares each ``engine`` catalog series with
+its ``decompose`` oracle.  ``engine.run_check`` turns each row into its
+report.
+
+Each pipeline's cubic P(S(x), x) = 0 is stated once, as its coefficients
+in s (``sq_cubic``, ``diag_cubic``, ``diag_shift_cubic``).
+``series.horner`` gives its identity, and ``gqm_series`` gives dP/ds and
+dP/dx at (S(x), x), which every x-series check composes at its roots X
+of the generalized quadratic method; ``x-sq-12`` first rotates them to
+real series with ``_rotate``.  ``sq_relation_rhs`` states the square
+relation between S(x) and S(xbar) once, and ``sq_cubic`` reads it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
-from .decompose import PIPELINES, at_point, exits, pipeline, tmul
-from .engine import (
-    diag_cubic,
-    diag_shift_cubic,
-    diag_X0,
-    diag_X1,
-    kernel_root_Y,
-    sq_cubic,
-    sq_F_forms,
-    sq_relation_rhs,
-)
+from .closedforms import HypTerm, hyp_sum
+from .decompose import (PIPELINES, at_point, diag_F0, diag_shift_F0,
+                        discriminant, exits, param_oracle, pipeline, tmul,
+                        z_rational_oracle)
+from .engine import (T_residual, _param_data, catalog_series, kernel_residual,
+                     kernel_root_Y, series_Z, solve_algebraic)
 from .laurent import LPoly, LPoly2
 from .series import OrderError, Series1, Series2, horner
-from .walks import SQUARE, Region, WalkModel, generating_series, sweep
+from .walks import (DIAGONAL, SQUARE, Region, WalkModel, generating_series,
+                    sweep)
 
 X = LPoly2.x(1)
 XB = LPoly2.x(-1)
@@ -442,8 +450,277 @@ def orbit_endpoint(order):
     return mismatches
 
 # ---------------------------------------------------------------------------
+# Quartic equations for the boundary constants
+# ---------------------------------------------------------------------------
+
+
+_scal = Series1.from_scalar_coeffs
+
+
+def _quartic_S1(G, t, t2):
+    return (
+        19683 * t2**3 * G**4
+        + 2187 * t2**2 * (20 * t2 - 1) * G**3
+        + 81 * t2 * (11 * t2 - 1) * (38 * t2 - 1) * G**2
+        + (92 * t2 - 1) * (11 * t2 - 1) ** 2 * G
+        + t2 * (1331 * t2**2 - 107 * t2 + 1)
+    )
+
+
+def _quartic_P0(G, t, t2):
+    return (
+        387420489 * t2**3 * G**4
+        + 3188646 * t2**2 * (284 * t2**2 - 113 * t2 - 1) * G**3
+        + 8748
+        * t2
+        * (31570 * t2**4 - 96755 * t2**3 + 7251 * t2**2 + t2 + 1)
+        * G**2
+        + (
+            29962144 * t2**6
+            - 441273288 * t2**5
+            + 87261432 * t2**4
+            - 4754122 * t2**3
+            + 64860 * t2**2
+            - 687 * t2
+            - 8
+        )
+        * G
+        + t2**2
+        * (
+            1102736 * t2**5
+            - 53770928 * t2**4
+            + 4286896 * t2**3
+            - 58740 * t2**2
+            + 751 * t2
+            + 8
+        )
+    )
+
+
+def _quartic_F0(G, t, t2):
+    return (
+        27 * G**4
+        + 27 * (8 * t2 - 1) * G**3
+        + 9 * (2 * t + 1) * (2 * t - 1) * (10 * t2 - 1) * G**2
+        + (224 * t2**3 - 68 * t2**2 + 16 * t2 - 1) * G
+        + t2 * (48 * t2**3 + 88 * t2**2 - 20 * t2 + 1)
+    )
+
+
+# boundary constant -> its degree-4 equation; the two S1 share one.
+_QUARTICS = {
+    "sq-S1": _quartic_S1,
+    "sq-P0": _quartic_P0,
+    "diag-S1": _quartic_S1,
+    "diag-F0": _quartic_F0,
+}
+
+
+def quartic_residual(which: str, G: Series1) -> Series1:
+    """Residual of the degree-4 equation satisfied by a boundary constant."""
+    n = G.order
+    return _QUARTICS[which](G, Series1.t(n), _scal([0, 0, 1], n))
+
+
+# ---------------------------------------------------------------------------
+# Auxiliary algebraic series from the generalized quadratic method
+# ---------------------------------------------------------------------------
+
+
+def sq_X0(order: int) -> Series1:
+    """(1 - sqrt(1 - 16 t^2)) / (4t), the Catalan-flavoured root."""
+    r = _scal([1, 0, -16], order + 1).sqrt()
+    return (1 - r).mul_t(-1) * Fraction(1, 4)
+
+
+def sq_X0_catalan(order: int) -> Series1:
+    """Same series, written through Catalan numbers."""
+    cat = [1]
+    for k in range(order):
+        cat.append(cat[-1] * 2 * (2 * k + 1) // (k + 2))
+    coeffs = [Fraction(0)] * order
+    n = 1
+    while 2 * n - 1 < order:
+        coeffs[2 * n - 1] = Fraction(cat[n - 1] * 4**n, 2)
+        n += 1
+    return _scal(coeffs, order)
+
+
+def _rotate(A: Series1, shift: int):
+    """i^(-shift) A(i s, i x) as a real series in s, and the rest of A.
+
+    The coefficient of s^n x^k is c i^(n+k-shift), real exactly when
+    n + k - shift is even; then it is c times (-1)^((n+k-shift)/2).  The
+    terms of the other parity are returned as the second series, which is
+    zero when the rotation is real.
+    """
+    real, rest = [], []
+    for n, p in enumerate(A.coeffs):
+        real.append(LPoly({k: c if (n + k - shift) % 4 == 0 else -c
+                           for k, c in p.terms.items()
+                           if (n + k - shift) % 2 == 0}))
+        rest.append(LPoly({k: c for k, c in p.terms.items()
+                           if (n + k - shift) % 2}))
+    return Series1(real, A.order), Series1(rest, A.order)
+
+
+def sq_F_forms(S1: Series1):
+    """F0 = t^2 S1 (1 + S1), F1 = -2t S1 and F2 = t^2 (1 + 2 S1): the
+    boundary constants of the square origin pipeline, from its S1."""
+    return (tmul(S1 * (1 + S1), 2), -2 * tmul(S1),
+            tmul(1 + 2 * S1, 2))
+
+
+def sq_relation_rhs(S1: Series1, P0: Series1) -> Series1:
+    """2 F0 - P0 + (x + xbar) F1 + (x^2 + xbar^2) F2, for the constants of
+    ``sq_F_forms``: the right side of the relation between S(x) and
+    S(xbar) of the square origin pipeline."""
+    F0, F1, F2 = sq_F_forms(S1)
+    x, xb = Series1.x(S1.order), Series1.x(S1.order, -1)
+    return 2 * F0 - P0 + (x + xb) * F1 + (x * x + xb * xb) * F2
+
+
+def sq_cubic(order: int):
+    """The coefficients [a0, a1, a2, a3] in s of the cubic P(s, x), with
+    P(S(x), x) = 0, of the boundary series S of the square origin pipeline,
+    and S.  P is cleared by x^3, so that each a_k is a polynomial in x and
+    P can be evaluated at a series X with X(0) = 0.  Its leading factor
+    is x^2 disc, for the discriminant disc of the square kernel."""
+    sq = pipeline("square_origin", order)
+    t2 = Series1.t(order) ** 2
+    x = Series1.x(order)
+    x2 = x * x
+    lead = discriminant(SQUARE, order).mul_x(2)
+    rest = sq_relation_rhs(sq.S1, sq.P0).mul_x(3)
+    a0 = -t2 * x2 * (x2 - 1) * (1 + sq.S1) ** 2 - rest * x
+    a1 = lead * x * (x2 + 1) - rest
+    return [a0, a1, lead * (2 * x2 + 1), lead * x], sq.S
+
+
+def diag_cubic(order: int):
+    """The coefficients [a0, a1, a2, a3] in s of the cubic P(s, x), with
+    P(S(x), x) = 0, of the boundary series S of the diagonal origin
+    pipeline (in the squared variable), and S.  Its leading factor is
+    x Delta, for the pipeline's Delta (the kernel discriminant, halved)."""
+    dg = pipeline("diagonal_origin", order)
+    S1 = dg.S1
+    F0 = diag_F0(order)
+    t2 = _scal([0, 0, 1], order)
+    x = Series1.x(order)
+    lead = dg.Delta.mul_x(1)
+    g = (t2 * (x * x + 1) - F0 * x) * (x + 1)
+    a0 = -(g + t2 * S1 * x * (x + 1) - (2 * t2 * S1 - F0) * x - t2 * (x + 1))
+    return [a0, lead * x - g, lead * (2 * x + 1), lead * (x + 1)], dg.S
+
+
+def diag_shift_cubic(order: int):
+    """The coefficients [a0, a1, a2, a3] in s of the cubic P(s, x), with
+    P(S(x), x) = 0, of the antisymmetric boundary series S (from N) of the
+    shifted diagonal model, and S.  Its leading factor is x Delta, as in
+    ``diag_cubic``."""
+    ds = pipeline("diagonal_shifted", order)
+    S1 = ds.S1
+    F0 = diag_shift_F0(order)
+    t2 = _scal([0, 0, 1], order)
+    x = Series1.x(order)
+    lead = ds.Delta.mul_x(1)
+    a0 = (x * (x + 1) * (7 * t2 * S1 - F0) + t2 * x * x * (x + 1)
+          + x * (F0 + 2 * t2 * S1))
+    a1 = (2 - x) * lead - (x + 1) * (
+        (16 * t2 * S1 - F0) * x + t2 * (x * x + 1))
+    return [a0, a1, -3 * lead, (x + 1) * lead], ds.S
+
+
+def _d_dx(p: LPoly) -> LPoly:
+    return LPoly({e - 1: e * c for e, c in p.terms.items()})
+
+
+def gqm_series(coeffs, S: Series1):
+    """dP/ds and dP/dx at (S(x), x), as series in t and the formal x, for
+    the cubic P with coefficients a_k in s: the sums of k a_k S^(k-1) and
+    of a_k' S^k.  The series X of the generalized quadratic method are the
+    power series roots of dP/ds composed at X; P and dP/dx vanish there
+    too, because S(X) is a double root of P(s, X)."""
+    ds = horner([k * a for k, a in enumerate(coeffs) if k], S)
+    dx = horner([a.map_poly(_d_dx) for a in coeffs], S)
+    return ds, dx
+
+
+def sq_wrong_parity(order: int):
+    """The terms of S (shift 1), S1 and P0 (shift 0) of the square origin
+    pipeline that ``_rotate`` cannot make real: all zero."""
+    sq = pipeline("square_origin", order)
+    return [_rotate(sq.S, 1)[1], _rotate(sq.S1, 0)[1], _rotate(sq.P0, 0)[1]]
+
+
+def sq_F(order: int) -> Series1:
+    """The real root F with F(0) = 1 of dP/ds for the square cubic, rotated
+    by ``_rotate``: X1 = i F(-i t) is the paper's root with constant term
+    i, and the other root is its complex conjugate."""
+    ds, _ = gqm_series(*sq_cubic(order))
+    return solve_algebraic(_rotate(ds, 1)[0].compose, order, 1)
+
+
+@lru_cache(maxsize=None)
+def diag_X0(order: int) -> Series1:
+    """(1 - 2t - sqrt(1 - 4t)) / (2t)."""
+    r = _scal([1, -4], order + 1).sqrt()
+    num = 1 - 2 * Series1.t(order + 1) - r
+    return num.mul_t(-1) * Fraction(1, 2)
+
+
+@lru_cache(maxsize=None)
+def diag_X1(order: int) -> Series1:
+    """-(1 + 2t - sqrt(1 + 4t)) / (2t)."""
+    r = _scal([1, 4], order + 1).sqrt()
+    num = 1 + 2 * Series1.t(order + 1) - r
+    return -(num.mul_t(-1)) * Fraction(1, 2)
+
+
+def diag_shift_X(order: int, which: int) -> Series1:
+    """The two power series roots of dP/ds for the cubic of the shifted
+    diagonal model."""
+    ds, _ = gqm_series(*diag_shift_cubic(order))
+    return solve_algebraic(ds.compose, order, 2 if which == 0 else 0)
+
+
+# ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
+
+
+def _x_sq_0(n):
+    X0 = sq_X0(n)
+    ds, _ = gqm_series(*sq_cubic(n))
+    return [2 * Series1.t(n) * (X0 * X0 + 1) - X0, X0 - sq_X0_catalan(n),
+            ds.compose(X0)]
+
+
+def _x_sq_12(n):
+    _, dx = gqm_series(*sq_cubic(n))
+    return [_rotate(dx, 1)[0].compose(sq_F(n)), *sq_wrong_parity(n)]
+
+
+def _x_diag_01(n):
+    t = Series1.t(n)
+    X0 = diag_X0(n)
+    X1 = diag_X1(n)
+    ds, _ = gqm_series(*diag_cubic(n))
+    return [
+        t * (X0 * X0 + 1) - (1 - 2 * t) * X0,
+        t * (X1 * X1 + 1) + (1 + 2 * t) * X1,
+        ds.compose(X0),
+        ds.compose(X1),
+    ]
+
+
+def _x_diag_shift_01(n):
+    coeffs, S = diag_shift_cubic(n)
+    P = horner(coeffs, S)
+    _, dx = gqm_series(coeffs, S)
+    roots = [diag_shift_X(n, which) for which in (0, 1)]
+    return [r.compose(X) for X in roots for r in (P, dx)]
+
 
 # id -> (anchor, order -> residual series or list of mismatches).
 IDENTITIES = {
@@ -587,3 +864,62 @@ IDENTITIES = {
     "orbit-endpoint": (
         "endpoint identities from the orbit equation", orbit_endpoint),
 }
+
+
+# The base square-root series: [t^2n] Z = 16^n times this two-term sum.
+Z_TERMS = (
+    HypTerm(Fraction(2), (1,), ((Fraction(-1, 2), 0), (Fraction(1, 6), 0)),
+            ((1, 0), (Fraction(1, 3), 0))),
+    HypTerm(Fraction(-1), (1,), ((Fraction(-1, 2), 0), (Fraction(5, 6), 0)),
+            ((1, 0), (Fraction(2, 3), 0))),
+)
+
+
+def hypergeometric_Z(order: int) -> Series1:
+    """The base square-root series as the hypergeometric sum ``Z_TERMS``."""
+    return Series1.from_scalar_coeffs(
+        [0 if m % 2 else hyp_sum(Z_TERMS, m // 2) for m in range(order)],
+        order)
+
+
+# Check tables: id -> (anchor, order -> residual series).
+BASE_CHECKS = {
+    "base-T": ("defining quartic of the base series",
+               lambda n: [T_residual(hypergeometric_Z(n) ** 2)]),
+    "base-Z-hyper": ("square-root base series as a hypergeometric sum",
+                     lambda n: [series_Z(n) - hypergeometric_Z(n)]),
+    **{
+        f"base-Y-{steps.name}": (
+            f"{steps.name}-lattice kernel root",
+            lambda n, steps=steps: [
+                kernel_residual(steps, kernel_root_Y(steps, n))],
+        )
+        for steps in (SQUARE, DIAGONAL)
+    },
+}
+QUARTIC_CHECKS = {
+    f"quartic-{which}": (
+        f"degree-4 equation for {which}",
+        lambda n, which=which: [
+            quartic_residual(which, z_rational_oracle(which, n))],
+    )
+    for which in _QUARTICS
+}
+XSERIES_CHECKS = {
+    "x-sq-0": ("square origin: Catalan-type root", _x_sq_0),
+    "x-sq-12": ("square origin: conjugate Gaussian roots", _x_sq_12),
+    "x-diag-01": ("diagonal origin: the two explicit roots", _x_diag_01),
+    "x-diag-shift-01": ("shifted diagonal: implicit roots", _x_diag_shift_01),
+}
+
+
+def catalog_checks(section: str) -> dict:
+    """The check table of one catalog section, "bivariate" or
+    "z_rationals", in key order: each entry's residual is its rational
+    expression minus its oracle series."""
+    oracle = param_oracle if section == "bivariate" else z_rational_oracle
+    return {
+        key: (entry["anchor"],
+              lambda n, key=key: [catalog_series(key, n) - oracle(key, n)])
+        for key, entry in sorted(_param_data()[section].items())
+    }

@@ -100,13 +100,13 @@ class TestParam:
         assert main(["param"]) == 2
 
     def test_list_is_the_expandable_keys(self, capsys):
-        from conewalks import engine
+        from conewalks import engine, identities
 
         _, out = run(capsys, "param", "--list")
         keys = out.split()
         assert keys[:4] == ["base-T", "base-Z", "base-U", "base-V"]
         assert len(keys) == 4 + len(engine.param_keys()) + len(
-            engine.catalog_checks("z_rationals"))
+            identities.catalog_checks("z_rationals"))
         for key in ("base-Z-hyper", "base-Y-square", "quartic-sq-S1",
                     "x-sq-0"):
             assert key not in keys
@@ -117,6 +117,17 @@ class TestParam:
         for key in out.split():
             code, series = run(capsys, "param", "--key", key, "--order", "12")
             assert code == 0 and "O(t^" in series, key
+
+    def test_json_order_is_the_order_of_the_printed_series(self, capsys):
+        """A catalog division may check fewer terms than --order asks for;
+        the ``order`` of ``param --format json`` is that of its coeffs."""
+        _, out = run(capsys, "param", "--list")
+        for key in out.split():
+            code, printed = run(capsys, "param", "--key", key, "--order",
+                                "12", "--format", "json")
+            payload = json.loads(printed)
+            assert code == 0, key
+            assert len(payload["coeffs"]) == payload["order"], key
 
 
 class TestOeis:
@@ -354,6 +365,27 @@ class TestReportsAndInputErrors:
                                 "--order", "16").err
         assert err.startswith(f"error: {key}: catalog division num/den: ")
 
+    def test_a_broken_catalog_entry_is_one_json_report(self, capsys,
+                                                       monkeypatch):
+        """Under --format json, ``param`` answers a catalog entry whose
+        division fails with one JSON object on standard output, exit 1."""
+        import copy
+
+        from conewalks import engine
+
+        key = "sq-origin-axis-x"
+        data = copy.deepcopy(engine._param_data())
+        data["bivariate"][key]["num"][-1][0] += 1
+        monkeypatch.setattr(engine, "_param_data", lambda: data)
+        captured = self.assert_error(capsys, 1, "param", "--key", key,
+                                     "--order", "16", "--format", "json")
+        assert captured.err == ""
+        assert json.loads(captured.out) == {
+            "error": "catalog division num/den: dividend valuation below "
+                     "divisor valuation",
+            "key": key,
+            "verdict": "catalog error"}
+
     def test_a_non_integral_closed_form_fails_its_check(self, capsys,
                                                         monkeypatch):
         """A closed form whose value is not an integer (one entry's first
@@ -464,15 +496,19 @@ class TestFormatContract:
 
 
 # The conewalks modules each command loads, besides the package and cli.
-STACK = {"walks", "engine", "decompose", "closedforms", "laurent", "series"}
+# ``param`` runs the formula side alone: it loads no oracle module.
+FORMULAS = {"walks", "engine", "series", "laurent"}
 LOADS = {
     ("count", "--n", "3"): {"walks"},
     ("series", "--order", "5", "--endpoint", "0,0"): {"walks"},
     ("asympt", "--n", "4"): {"walks"},
     ("oeis", "--n", "3"): {"walks", "bfile"},
-    ("param", "--key", "base-T", "--order", "4"): STACK,
-    ("param", "--list"): STACK,
-    ("verify", "--suite", "base", "--order", "3"): STACK | {"identities"},
+    ("param", "--key", "base-T", "--order", "4"): FORMULAS,
+    ("param", "--key", "base-U", "--order", "4"): FORMULAS,
+    ("param", "--key", "sq-origin-axis-x", "--order", "8"): FORMULAS,
+    ("param", "--list"): FORMULAS,
+    ("verify", "--suite", "base", "--order", "3"):
+        FORMULAS | {"decompose", "closedforms", "identities"},
 }
 
 LOADED = """\
@@ -511,10 +547,43 @@ def test_each_command_imports_only_what_it_runs(tmp_path, argv):
     assert not {"dataclasses", "importlib.resources", "numpy"} & set(modules)
 
 
+ENGINE_LOADED = """\
+import json, sys, types
+# The package's __init__ loads walks; a bare package in its place leaves
+# what the engine itself imports.
+package = types.ModuleType("conewalks")
+package.__path__ = [sys.argv[1]]
+sys.modules["conewalks"] = package
+import conewalks.engine
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_the_engine_loads_none_of_the_oracle():
+    """The formula side reads nothing of the walk oracle: a fresh
+    interpreter that imports ``conewalks.engine`` alone loads the engine,
+    ``series`` and ``laurent``, and none of ``walks``, ``decompose``,
+    ``closedforms``, ``identities`` or ``bfile``."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import conewalks
+
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", ENGINE_LOADED,
+         str(Path(conewalks.__file__).parent)],
+        capture_output=True, text=True, check=True)
+    assert {m for m in json.loads(done.stdout)
+            if m.startswith("conewalks.")} == {
+        "conewalks.engine", "conewalks.series", "conewalks.laurent"}
+
+
 # Counts the benchmark's per-layer metrics read; each must stay traced.
 TRACED = ("walks.sweeps", "series.mul.calls", "series.compose.calls",
           "laurent.mul.calls", "engine.solve.calls",
-          "decompose.extract.calls", "closedforms.count.calls")
+          "engine.kernel_root_Y.calls", "decompose.extract.calls",
+          "closedforms.count.calls")
 
 
 def test_tracer_still_hooks_every_layer():
@@ -593,7 +662,7 @@ class TestEndpointAndSuiteRules:
         assert err == "error: no suite selected\n"
 
     def test_repeated_suite_runs_once(self, capsys):
-        from conewalks.engine import BASE_CHECKS
+        from conewalks.identities import BASE_CHECKS
 
         code, out = run(capsys, "verify", "--suite", "base, base",
                         "--order", "3", "--format", "json")
@@ -948,7 +1017,7 @@ CATALOG_PARAM_SHA256 = {
     "diag-origin-axis-x":
         "3947da509807485720ef540546b6fa13d8f0ff209c95b022e5027c4b9028831e",
     "diag-origin-axis-y":
-        "36bfa9c90952adfcd4142b0f9c4b83be6feb4045c9d71f9c449221b920dca93c",
+        "1f071250a321d5edda8689263394de24d96c79f23cfbd8ed58eee200f778b9b0",
     "diag-origin-end-0-0":
         "80618b413d880e82d6048efbe0a7cfe0ec3f7abc24e83e77480a52f3d4ffce0a",
     "diag-origin-end-m1-1":
@@ -960,9 +1029,9 @@ CATALOG_PARAM_SHA256 = {
     "diag-shift-S1":
         "289522039b9171701f5d457ae99925f5d55ae10d422ae0234b154cbd5c708e3d",
     "diag-shift-below-axis-x":
-        "4a8ce99bf73e99e3c767964ddcf3655f307513634096f066b33022992a786e5f",
+        "4fca4147b042748a25a8fa26eee07b9720a1ced9ad0d5d4b68d89b17a586d661",
     "diag-shift-below-axis-y":
-        "228e84ffec3ed4d038157cf1777b741db766d5eb90b7769c6d5ccee61bf3b9e5",
+        "1692acc070626d34935fe6a6b60aca47db197a9779b5e5e2e3af0a0b1022f0d1",
     "diag-shift-end-0-0":
         "aaf083dffcb56920c67bd75cc951c158a0299011920b4611d9c637ad9e8b12e2",
     "diag-shift-end-0-m2":
@@ -976,17 +1045,17 @@ CATALOG_PARAM_SHA256 = {
     "diag-shift-end-m2-0":
         "423c1b41dda51de255a908f3861237de95b6269c66dedfdca22384d1fd1ff9dc",
     "diag-shift-left-axis-x":
-        "ef8b75a529379dc06d86657d888ce0ac1f769b6726ebb4d2628447abced9b3a8",
+        "d6cc81980eb3f955abb787420a2479e077ce11b6750f1101992a3b749cb63db4",
     "diag-shift-left-axis-y":
-        "85c9d0279d36350ad1231b4d39a546030b3f60a2cb4266c58d5c8eb01df2bc4f",
+        "56e518c31b0157ea0a225fe512a012717aed9dba7cc62efe39342788c1561e73",
     "sq-P0":
         "b437484c0fbace4fd32df61942e50323e0e6004ceb7fcb7311f71aeaa821644f",
     "sq-S1":
         "040f5d3aeee8dc4b57cf951e0090172e6cec9f57c375c90d780de6925731fd1d",
     "sq-origin-axis-x":
-        "a0541dd1585e3a3dbe667267fc9e097fd529f445e1a7b706e90a3ca344e1015d",
+        "81ddbbc76766c010545a586c884b47a340ad71414820eec5aed5374216e6a1b5",
     "sq-origin-axis-y":
-        "bedffe1db7044fedb1732e747711835b618ad16e83bfdea5cbdf8f90d4a82f17",
+        "7968d5a2942759a34d360bdf1fa6cb969c42028e350cba17225dff68e043d50b",
     "sq-origin-end-0-0":
         "574c4377ab853a8144b7e6712d2fa546b5e8e1a5a56c8ce8fb1ced2a6ed47651",
     "sq-origin-end-m1-0":
@@ -998,9 +1067,9 @@ CATALOG_PARAM_SHA256 = {
     "sq-origin-m01":
         "bd8bfc7dd49c433975964d73924b0903905c182c32cd528447c5e64414e5052b",
     "sq-shift-below-axis-x":
-        "451a3f7eeb2c9d795a2c714655ed71699d5828766f8491a765641ab7ee09f845",
+        "71cd6812ef6ad2361ba7d032b226b6461094dd03bac3653d6ca27a0a924e5abf",
     "sq-shift-below-axis-y":
-        "69a3d15c4b1d49d07bc9d5990c783d45eecc7b37abebc374fd1770d72c8eb1ed",
+        "92b63460b2b89f342e1812050a047c3ae2da648ef8200d4e5147e8466f737fad",
     "sq-shift-end-0-0":
         "faae231d59414702b3622df81fcb7e0c669f1de63fc79b2e9cf63f99e95ce139",
     "sq-shift-end-0-m1":
@@ -1014,17 +1083,17 @@ CATALOG_PARAM_SHA256 = {
     "sq-shift-end-m2-0":
         "a84b793d08ac8dafa63d11ba970c53fd82d8945fac4a303afd071c244a9c8b88",
     "sq-shift-left-axis-x":
-        "8cca359b474a7ff524f894b1627314b81b9dd0981633ece45fc3c5edf4bdc28c",
+        "c4299a1da0d379c5c2c6a81089e6cb8c498fb22e3d329578523b42f8169281f1",
     "sq-shift-left-axis-y":
-        "5e8512a748aad508e84a68c2ca6c6b8d7e335b0c837f7f2bf6e4bdad85ddb9cf",
+        "a5d15fc42cb63d200588e2fd7adcb0e57dbcbb9a1bdcde120be9655b3eab20d3",
 }
 
 
 def test_every_catalog_key_is_pinned():
-    from conewalks import engine
+    from conewalks import engine, identities
 
     assert set(CATALOG_PARAM_SHA256) == {
-        *engine.param_keys(), *engine.catalog_checks("z_rationals")}
+        *engine.param_keys(), *identities.catalog_checks("z_rationals")}
 
 
 @pytest.mark.parametrize("key", sorted(CATALOG_PARAM_SHA256))

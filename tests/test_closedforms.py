@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conewalks import closedforms as cf
-from conewalks.engine import Z_TERMS
+from conewalks.identities import Z_TERMS
 from conewalks.walks import (
     DIAGONAL,
     LATTICES,

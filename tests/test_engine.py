@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from conewalks import decompose, engine
+from conewalks import decompose, engine, identities
 from conewalks.decompose import tmul
 from conewalks.laurent import LPoly
 from conewalks.series import PivotError, Series1, Series2, horner
@@ -44,7 +44,8 @@ class TestBaseSeries:
         assert (Z * Z - engine.series_T(14)).is_zero()
 
     def test_Z_hypergeometric(self):
-        assert (engine.series_Z(20) - engine.hypergeometric_Z(20)).is_zero()
+        Z = identities.hypergeometric_Z(20)
+        assert (engine.series_Z(20) - Z).is_zero()
 
     def test_U_expansion_with_x(self):
         U = engine.series_U(10)
@@ -68,8 +69,8 @@ class TestBaseSeries:
 
     def test_kernel_roots_satisfy_quadratic(self):
         for k in ("base-Y-square", "base-Y-diagonal"):
-            assert engine.run_check(engine.BASE_CHECKS, k, 14)["verdict"] == (
-                "pass")
+            report = engine.run_check(identities.BASE_CHECKS, k, 14)
+            assert report["verdict"] == "pass"
 
 
 def reference_solve(residual, order, c0):
@@ -135,17 +136,17 @@ class TestNewtonMatchesReference:
         # The root of the rotated dP/ds is the root of the hand-written
         # rotated equation, whichever solver finds it.
         for order in (12, 20):
-            ds, _ = engine.gqm_series(*engine.sq_cubic(order))
-            derived = engine._rotate(ds, 1)[0].compose
+            ds, _ = identities.gqm_series(*identities.sq_cubic(order))
+            derived = identities._rotate(ds, 1)[0].compose
             reference = reference_sq_quad_residual(*rotated_square(order))
-            F = engine.sq_F(order)
+            F = identities.sq_F(order)
             for residual in (derived, reference):
                 assert engine.solve_algebraic(residual, order, 1) == F
                 assert reference_solve(residual, order, 1) == F
 
     @pytest.mark.parametrize("c0", [2, 0])
     def test_diag_shift_roots(self, c0):
-        ds, _ = engine.gqm_series(*engine.diag_shift_cubic(12))
+        ds, _ = identities.gqm_series(*identities.diag_shift_cubic(12))
         assert engine.solve_algebraic(ds.compose, 12, c0) == (
             reference_solve(ds.compose, 12, c0)
         )
@@ -188,22 +189,22 @@ class TestSolver:
 class TestCatalogs:
     @pytest.mark.parametrize("key", sorted(engine.param_keys()))
     def test_parametrizations(self, key):
-        checks = engine.catalog_checks("bivariate")
+        checks = identities.catalog_checks("bivariate")
         assert engine.run_check(checks, key, 12)["verdict"] == "pass"
 
-    @pytest.mark.parametrize("key", engine.catalog_checks("z_rationals"))
+    @pytest.mark.parametrize("key", identities.catalog_checks("z_rationals"))
     def test_endpoint_rationals(self, key):
-        checks = engine.catalog_checks("z_rationals")
+        checks = identities.catalog_checks("z_rationals")
         assert engine.run_check(checks, key, 12)["verdict"] == "pass"
 
-    @pytest.mark.parametrize("key", engine.QUARTIC_CHECKS)
+    @pytest.mark.parametrize("key", identities.QUARTIC_CHECKS)
     def test_quartics(self, key):
-        checks = engine.QUARTIC_CHECKS
+        checks = identities.QUARTIC_CHECKS
         assert engine.run_check(checks, key, 16)["verdict"] == "pass"
 
-    @pytest.mark.parametrize("key", engine.XSERIES_CHECKS)
+    @pytest.mark.parametrize("key", identities.XSERIES_CHECKS)
     def test_x_series(self, key):
-        checks = engine.XSERIES_CHECKS
+        checks = identities.XSERIES_CHECKS
         assert engine.run_check(checks, key, 10)["verdict"] == "pass"
 
     @pytest.mark.parametrize("which,change", [
@@ -216,15 +217,15 @@ class TestCatalogs:
         """base-T evaluates the quartic at the square of the sum
         ``Z_TERMS``, not at the solver's own output: a changed coefficient
         or parameter of either term fails it."""
-        base = engine.BASE_CHECKS
+        base = identities.BASE_CHECKS
         assert engine.run_check(base, "base-T", 12)["verdict"] == "pass"
-        terms = list(engine.Z_TERMS)
+        terms = list(identities.Z_TERMS)
         terms[which] = replace(terms[which], **change)
-        monkeypatch.setattr(engine, "Z_TERMS", tuple(terms))
+        monkeypatch.setattr(identities, "Z_TERMS", tuple(terms))
         assert engine.run_check(base, "base-T", 12)["verdict"] == "fail"
 
     def test_report_shape(self):
-        r = engine.run_check(engine.BASE_CHECKS, "base-T", 6)
+        r = engine.run_check(identities.BASE_CHECKS, "base-T", 6)
         assert set(r) == {"id", "anchor", "order_checked", "verdict",
                           "first_failure"}
         assert r["verdict"] == "pass" and r["first_failure"] is None
@@ -283,7 +284,7 @@ class TestGroupedTerms:
         t^0, so the division would raise ``CatalogError`` instead."""
         data = copy.deepcopy(engine._param_data())
         section = "bivariate" if key in data["bivariate"] else "z_rationals"
-        checks = engine.catalog_checks(section)
+        checks = identities.catalog_checks(section)
         assert engine.run_check(checks, key, 12)["verdict"] == "pass"
         before = engine.catalog_series(key, 12)
         terms = data[section][key][part]
@@ -308,14 +309,14 @@ class TestFrozenEndpointValues:
     # these oracles mix the cone count with a third of the quadrant count,
     # matching the combination the closed expressions describe
     def test_sq_origin_corner(self):
-        s = engine.z_rational_oracle("sq-origin-end-0-0", 9)
+        s = decompose.z_rational_oracle("sq-origin-end-0-0", 9)
         assert scalar_coeffs(s, 9) == [
             Fraction(2, 3), 0, Fraction(10, 3), 0, Fraction(86, 3), 0,
             Fraction(884, 3), 0, Fraction(3334),
         ]
 
     def test_diag_shift_start_point(self):
-        s = engine.z_rational_oracle("diag-shift-end-m2-0", 7)
+        s = decompose.z_rational_oracle("diag-shift-end-m2-0", 7)
         assert scalar_coeffs(s, 7) == [
             Fraction(2, 3), 0, Fraction(5, 3), 0, Fraction(32, 3), 0,
             Fraction(278, 3),
@@ -324,11 +325,11 @@ class TestFrozenEndpointValues:
 
 class TestXSeriesBranches:
     def test_X0_catalan_square(self):
-        X0 = engine.sq_X0(10)
-        assert (X0 - engine.sq_X0_catalan(10)).is_zero()
+        X0 = identities.sq_X0(10)
+        assert (X0 - identities.sq_X0_catalan(10)).is_zero()
 
     def test_F_square_printed_expansion(self):
-        assert scalar_coeffs(engine.sq_F(8), 8) == [
+        assert scalar_coeffs(identities.sq_F(8), 8) == [
             1, 0, 0, -2, 0, 16, 2, -156]
 
     def test_F_does_not_satisfy_X0_factor(self):
@@ -339,27 +340,27 @@ class TestXSeriesBranches:
             s = Series1.t(G.order)
             return G + 2 * s * G * G - 2 * s
 
-        G, rest = engine._rotate(engine.sq_X0(8), 1)
+        G, rest = identities._rotate(identities.sq_X0(8), 1)
         assert rest.is_zero() and rotated_factor(G).is_zero()
-        assert not rotated_factor(engine.sq_F(8)).is_zero()
+        assert not rotated_factor(identities.sq_F(8)).is_zero()
 
     @pytest.mark.parametrize("order", [12, 16])
     def test_diag_shift_roots_are_double_roots(self, order):
-        coeffs, S = engine.diag_shift_cubic(order)
+        coeffs, S = identities.diag_shift_cubic(order)
         P = horner(coeffs, S)
-        _, dx = engine.gqm_series(coeffs, S)
+        _, dx = identities.gqm_series(coeffs, S)
         for which in (0, 1):
-            X = engine.diag_shift_X(order, which)
+            X = identities.diag_shift_X(order, which)
             for r in (P.compose(X), dx.compose(X)):
                 assert r.order == order and r.is_zero()
 
     def test_diag_shift_check_reaches_requested_order(self):
-        r = engine.run_check(engine.XSERIES_CHECKS, "x-diag-shift-01", 12)
+        r = engine.run_check(identities.XSERIES_CHECKS, "x-diag-shift-01", 12)
         assert r["verdict"] == "pass" and r["order_checked"] == 12
 
     def test_diag_branch_constants(self):
-        assert engine.diag_X0(6).coeff(0).is_zero()
-        X0 = engine.diag_shift_X(6, 0)
+        assert identities.diag_X0(6).coeff(0).is_zero()
+        X0 = identities.diag_shift_X(6, 0)
         assert X0.coeff(0) == LPoly.const(2)
 
 
@@ -477,12 +478,12 @@ class TestEndpointOraclesReadFromPipelines:
     Q; it must equal the per-endpoint sweep it replaced."""
 
     def test_every_endpoint_key_is_covered(self):
-        assert set(REFERENCE_ENDPOINTS) == set(engine._ENDPOINTS)
+        assert set(REFERENCE_ENDPOINTS) == set(decompose._ENDPOINTS)
 
     @pytest.mark.parametrize("key", sorted(REFERENCE_ENDPOINTS))
     def test_equals_the_per_endpoint_sweep(self, key):
-        assert engine.z_rational_oracle(key, 12) == reference_endpoint_oracle(
-            key, 12)
+        assert decompose.z_rational_oracle(key, 12) == (
+            reference_endpoint_oracle(key, 12))
 
 
 class QI:
@@ -596,13 +597,13 @@ class TestRotatedRootAgainstThePaper:
     Q(i) must give the root of the paper's own equations."""
 
     def test_X1_solves_the_paper_equations(self):
-        X1 = X1_from_F(engine.sq_F(12))
+        X1 = X1_from_F(identities.sq_F(12))
         assert X1.coeff(0) == LPoly.const(I)
         assert paper_quad_residual(12)(X1).is_zero()
         assert paper_fact3_residual(X1).is_zero()
 
     def test_X1_is_the_solved_root(self):
-        X1 = X1_from_F(engine.sq_F(12))
+        X1 = X1_from_F(identities.sq_F(12))
         residual = paper_quad_residual(12)
         assert engine.solve_algebraic(residual, 12, I) == X1
         assert reference_solve(residual, 12, I) == X1
@@ -610,10 +611,10 @@ class TestRotatedRootAgainstThePaper:
 
 class TestXSq12IsNotTrueByConstruction:
     def test_perturbed_F_fails(self, monkeypatch):
-        F = engine.sq_F(12)
+        F = identities.sq_F(12)
         bad = F + Series1.t(12) ** 9
-        monkeypatch.setattr(engine, "sq_F", lambda n: bad)
-        r = engine.run_check(engine.XSERIES_CHECKS, "x-sq-12", 12)
+        monkeypatch.setattr(identities, "sq_F", lambda n: bad)
+        r = engine.run_check(identities.XSERIES_CHECKS, "x-sq-12", 12)
         assert r["verdict"] == "fail" and r["first_failure"] == [11, 0]
 
     def _with_pipeline(self, monkeypatch, **changes):
@@ -621,8 +622,8 @@ class TestXSq12IsNotTrueByConstruction:
         fake = SimpleNamespace(S=sq.S, S1=sq.S1, P0=sq.P0)
         for name, delta in changes.items():
             setattr(fake, name, getattr(fake, name) + delta)
-        monkeypatch.setattr(decompose, "pipeline", lambda name, n: fake)
-        return engine.run_check(engine.XSERIES_CHECKS, "x-sq-12", 12)
+        monkeypatch.setattr(identities, "pipeline", lambda name, n: fake)
+        return engine.run_check(identities.XSERIES_CHECKS, "x-sq-12", 12)
 
     def test_perturbed_S1_fails(self, monkeypatch):
         r = self._with_pipeline(monkeypatch, S1=Series1.t(12) ** 6)
@@ -640,8 +641,8 @@ class TestXSq0ReadsTheOracle:
         sq = decompose.pipeline("square_origin", 12)
         bad_S = sq.S + Series1.x(12) * Series1.t(12) ** 7
         fake = SimpleNamespace(S=bad_S, S1=sq.S1, P0=sq.P0)
-        monkeypatch.setattr(decompose, "pipeline", lambda name, n: fake)
-        r = engine.run_check(engine.XSERIES_CHECKS, "x-sq-0", 12)
+        monkeypatch.setattr(identities, "pipeline", lambda name, n: fake)
+        r = engine.run_check(identities.XSERIES_CHECKS, "x-sq-0", 12)
         assert r["verdict"] == "fail" and r["first_failure"] == [10, 0]
 
 
@@ -667,7 +668,7 @@ def test_sq_relation_rhs_is_the_hand_expanded_rest(order):
     """x^3 sq_relation_rhs equals the hand expansion term by term, with the
     same coefficient types and the same order."""
     sq = decompose.pipeline("square_origin", order)
-    shared = engine.sq_relation_rhs(sq.S1, sq.P0).mul_x(3)
+    shared = identities.sq_relation_rhs(sq.S1, sq.P0).mul_x(3)
     ref = reference_sq_rest(order)
     assert shared.order == ref.order == order
     for a, b in zip(shared.coeffs, ref.coeffs, strict=True):
@@ -682,7 +683,7 @@ def reference_diag_quad_residual(X):
     order = X.order
     dg = decompose.pipeline("diagonal_origin", order)
     S = dg.S
-    F0 = engine.diag_F0(order)
+    F0 = decompose.diag_F0(order)
     t2 = Series1.from_scalar_coeffs([0, 0, 1], order)
     SX = S.compose(X)
     lead = X - 4 * t2 * (1 + X) ** 2
@@ -696,43 +697,43 @@ class TestDerivedGQMResiduals:
     they must agree with the hand-written equations they replaced."""
 
     @pytest.mark.parametrize("order", [12, 16])
-    @pytest.mark.parametrize("root", [engine.diag_X0, engine.diag_X1])
+    @pytest.mark.parametrize("root", [identities.diag_X0, identities.diag_X1])
     @pytest.mark.parametrize("perturb", [False, True])
     def test_diag_ds_equals_the_hand_expanded_one(self, order, root, perturb):
         X = root(order)
         if perturb:
             X = X + Series1.t(order) ** 5
-        ds, _ = engine.gqm_series(*engine.diag_cubic(order))
+        ds, _ = identities.gqm_series(*identities.diag_cubic(order))
         derived = ds.compose(X)
         assert derived == reference_diag_quad_residual(X)
         assert derived.is_zero() != perturb
 
     @pytest.mark.parametrize("order", [12, 20])
     def test_square_cubic_has_a_double_root_at_X1(self, order):
-        coeffs, S = engine.sq_cubic(order)
-        X1 = X1_from_F(engine.sq_F(order))
-        residuals = [r.compose(X1) for r in (horner(coeffs, S),
-                                             *engine.gqm_series(coeffs, S))]
+        coeffs, S = identities.sq_cubic(order)
+        X1 = X1_from_F(identities.sq_F(order))
+        residuals = [r.compose(X1) for r in (
+            horner(coeffs, S), *identities.gqm_series(coeffs, S))]
         assert [r.order for r in residuals] == [order] * 3
         assert all(r.is_zero() for r in residuals)
 
     @pytest.mark.parametrize("order", [12, 20])
     def test_fact3_vanishes_at_the_derived_F(self, order):
         S, S1, _ = rotated_square(order)
-        residual = reference_sq_fact3_residual(engine.sq_F(order), S, S1)
+        residual = reference_sq_fact3_residual(identities.sq_F(order), S, S1)
         assert residual.order == order and residual.is_zero()
 
     def test_rotations_of_the_square_derivatives_are_real(self):
-        for series in engine.gqm_series(*engine.sq_cubic(12)):
-            assert engine._rotate(series, 1)[1].is_zero()
+        for series in identities.gqm_series(*identities.sq_cubic(12)):
+            assert identities._rotate(series, 1)[1].is_zero()
 
 
 def rotated_square(order):
     """S, S1 and P0 of the square origin pipeline made real by
-    ``engine._rotate`` (S with shift 1, the constants with shift 0)."""
+    ``identities._rotate`` (S with shift 1, the constants with shift 0)."""
     sq = decompose.pipeline("square_origin", order)
-    return [engine._rotate(sq.S, 1)[0], engine._rotate(sq.S1, 0)[0],
-            engine._rotate(sq.P0, 0)[0]]
+    return [identities._rotate(sq.S, 1)[0], identities._rotate(sq.S1, 0)[0],
+            identities._rotate(sq.P0, 0)[0]]
 
 
 def reference_sq_quad_residual(S, S1, P0):
@@ -799,7 +800,7 @@ class TestKernelFromTheStepSet:
     @pytest.mark.parametrize("lattice", ["square", "diagonal"])
     def test_quadratic_is_y_times_the_kernel(self, lattice):
         steps = LATTICES[lattice]
-        a, b, c = decompose.kernel_quadratic(steps, 6)
+        a, b, c = engine.kernel_quadratic(steps, 6)
         quad = sum(Series2.from_x_series(coeff).mul_xy(0, j)
                    for j, coeff in ((2, a), (1, b), (0, c)))
         assert decompose.kernel_series(steps, 6).mul_xy(0, 1) == -quad

@@ -188,7 +188,7 @@ def _catalog_survivors(monkeypatch):
                 mutated = {**data, section: {**data[section], key: wrong}}
                 monkeypatch.setattr(engine, "_param_data",
                                     lambda m=mutated: m)
-                table = engine.catalog_checks(section)
+                table = identities.catalog_checks(section)
                 report = engine.run_check(table, key, MUTATION_ORDER)
                 if report["verdict"] == "pass":
                     survivors.add(key)
@@ -214,14 +214,15 @@ def _quartic_survivors(monkeypatch):
     """The quartic checks that still pass with t^2 added to their
     residual."""
     survivors = set()
-    for which, quartic in list(engine._QUARTICS.items()):
-        monkeypatch.setitem(engine._QUARTICS, which,
+    for which, quartic in list(identities._QUARTICS.items()):
+        monkeypatch.setitem(identities._QUARTICS, which,
                             lambda G, t, t2, f=quartic: f(G, t, t2) + t2)
         key = f"quartic-{which}"
-        report = engine.run_check(engine.QUARTIC_CHECKS, key, MUTATION_ORDER)
+        report = engine.run_check(identities.QUARTIC_CHECKS, key,
+                                  MUTATION_ORDER)
         if report["verdict"] == "pass":
             survivors.add(key)
-        monkeypatch.setitem(engine._QUARTICS, which, quartic)
+        monkeypatch.setitem(identities._QUARTICS, which, quartic)
     return survivors
 
 
@@ -232,11 +233,12 @@ def test_a_wrong_formula_fails_its_own_check(monkeypatch):
     oracle side is not touched, so no memo needs clearing.  The same
     checks of the unmutated data pass."""
     unmutated = [
-        *(engine.run_check(engine.catalog_checks(section), key, MUTATION_ORDER)
+        *(engine.run_check(identities.catalog_checks(section), key,
+                           MUTATION_ORDER)
           for section in SECTIONS for key in engine._param_data()[section]),
         *_closed_forms(closedforms.catalog(), MUTATION_ORDER // 2),
-        *(engine.run_check(engine.QUARTIC_CHECKS, key, MUTATION_ORDER)
-          for key in engine.QUARTIC_CHECKS)]
+        *(engine.run_check(identities.QUARTIC_CHECKS, key, MUTATION_ORDER)
+          for key in identities.QUARTIC_CHECKS)]
     assert {report["verdict"] for report in unmutated} == {"pass"}
     survivors = (_catalog_survivors(monkeypatch) | _closed_form_survivors()
                  | _quartic_survivors(monkeypatch))
