@@ -185,23 +185,24 @@ def cmd_count(cfg: dict, args, out) -> int:
     model = build_model(cfg)
     limit = cfg["n"]
     endpoint = cfg["endpoint"]
+    header = ["n", "i", "j", "count"]
     if endpoint is not None:
         rows = [
             {"n": n, "i": endpoint[0], "j": endpoint[1], "count": str(count)}
             for n, count in enumerate(count_sequence(model, limit, endpoint))
         ]
-        _emit_rows(rows, ["n", "i", "j", "count"], cfg["format"], out)
+        _emit_rows(rows, header, cfg["format"], out)
         return 0
-    tables = count_walks_upto(model, limit)
+    layers = [[{"i": i, "j": j, "count": str(c)}
+               for (i, j), c in sorted(cells.items())]
+              for cells in count_walks_upto(model, limit)]
     if cfg["format"] == "json":
-        _write_json([table.to_json() for table in tables], out)
+        _write_json([{"n": n, "counts": layer}
+                     for n, layer in enumerate(layers)], out)
     else:
-        rows = [
-            {"n": table.n, "i": i, "j": j, "count": str(table.counts[(i, j)])}
-            for table in tables
-            for (i, j) in sorted(table.counts)
-        ]
-        _emit_rows(rows, ["n", "i", "j", "count"], cfg["format"], out)
+        rows = [{"n": n, **cell} for n, layer in enumerate(layers)
+                for cell in layer]
+        _emit_rows(rows, header, cfg["format"], out)
     return 0
 
 

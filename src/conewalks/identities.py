@@ -61,9 +61,8 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 from .closedforms import HypTerm, hyp_sum
-from .decompose import (PIPELINES, at_point, diag_F0, diag_shift_F0,
-                        discriminant, exits, param_oracle, pipeline, tmul,
-                        z_rational_oracle)
+from .decompose import (PIPELINES, at_point, diag_F0, diag_shift_F0, exits,
+                        param_oracle, pipeline, tmul, z_rational_oracle)
 from .engine import (T_residual, _param_data, catalog_series, kernel_residual,
                      kernel_root_Y, series_Z, solve_algebraic)
 from .laurent import LPoly, LPoly2
@@ -585,12 +584,12 @@ def sq_cubic(order: int):
     P(S(x), x) = 0, of the boundary series S of the square origin pipeline,
     and S.  P is cleared by x^3, so that each a_k is a polynomial in x and
     P can be evaluated at a series X with X(0) = 0.  Its leading factor
-    is x^2 disc, for the discriminant disc of the square kernel."""
+    is x^2 disc, for the pipeline's disc (the square kernel discriminant)."""
     sq = pipeline("square_origin", order)
     t2 = Series1.t(order) ** 2
     x = Series1.x(order)
     x2 = x * x
-    lead = discriminant(SQUARE, order).mul_x(2)
+    lead = sq.disc.mul_x(2)
     rest = sq_relation_rhs(sq.S1, sq.P0).mul_x(3)
     a0 = -t2 * x2 * (x2 - 1) * (1 + sq.S1) ** 2 - rest * x
     a1 = lead * x * (x2 + 1) - rest

@@ -34,16 +34,15 @@ A streamed reader may delete, from the frontier of length m it has read,
 the cells it need not follow for the k = n - m steps left, and
 ``_layers`` steps from what is left.  ``count_sequence`` moves to a
 running count each cell from which no walk of k steps leaves the region,
-so only a band along the boundary is stepped; ``endpoint_columns`` drops
-the cells more than k steps from every endpoint.  ``sweep`` and
-``count_walks_upto`` keep every cell.
+so only a band along the boundary is stepped, and an empty or a whole row
+is bounded just past the cells in reach; ``endpoint_columns`` drops the
+cells more than k steps from every endpoint.  ``sweep`` and
+``count_walks_upto`` (each frontier's ``cells()``) keep every cell.
 
 The module needs no other module of the package: ``StepSet.step_poly`` and
 ``generating_series`` import ``laurent`` and ``series`` when called, so
 ``count``, ``series``, ``oeis`` and ``asympt`` load only this module and
-``cli`` (and ``bfile`` for ``oeis``).  Its records (and those of
-``closedforms``) are ``Record`` classes, not dataclasses, which cost an
-``exec`` per class at import.
+``cli`` (and ``bfile`` for ``oeis``).
 """
 
 from __future__ import annotations
@@ -55,11 +54,13 @@ from operator import add
 
 class Record:
     """An immutable value record: its fields are its ``__slots__``, set in
-    order by ``__init__``, and it compares and hashes by their values.
+    order by ``__init__``, and it compares and hashes by their values.  The
+    records are ``StepSet``, ``WalkModel``, ``Frontier`` and the ``HypTerm``
+    and ``ClosedForm`` of ``closedforms``.
 
-    Records are not tuples (no namedtuple): ``perfbench/tracer.py`` rebuilds
-    every module-level tuple as a plain tuple, which would turn ``SQUARE``
-    and ``DIAGONAL`` into tuples without their fields."""
+    Records are not dataclasses, which cost an ``exec`` per class at
+    import, nor tuples: ``perfbench/tracer.py`` rebuilds every module-level
+    tuple as a plain tuple, which would turn ``SQUARE`` into one."""
 
     __slots__ = ()
 
@@ -149,10 +150,6 @@ TURNED_BOUNDS = {
     Region.FULL_PLANE: lambda v: WHOLE_ROW,
 }
 
-# An int beyond every cell a sweep reaches: -_FAR and _FAR stand for the
-# bounds of a whole row and of an empty one where an int is needed.
-_FAR = 1 << 62
-
 
 class WalkModel(Record):
     """A complete enumeration problem: steps, cone and starting point.  The
@@ -170,22 +167,6 @@ class WalkModel(Record):
     def require_inside(self, what: str, point: tuple) -> None:
         if not self.region.contains(*point):
             raise ValueError(f"{what} {point} outside region {self.region.value}")
-
-
-class CountTable(Record):
-    """Endpoint counts for all walks of one length: ``counts`` maps (i, j)
-    to an int."""
-
-    __slots__ = ("n", "counts")
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "counts": [
-                {"i": i, "j": j, "count": str(c)}
-                for (i, j), c in sorted(self.counts.items())
-            ],
-        }
 
 
 class Frontier(Record):
@@ -292,11 +273,9 @@ def sweep(model: WalkModel, n: int) -> tuple:
 
 
 def count_walks_upto(model: WalkModel, n: int) -> list:
-    """CountTable for every length 0..n, sharing one DP sweep."""
-    return [
-        CountTable(k, frontier.cells())
-        for k, frontier in enumerate(_layers(model, n))
-    ]
+    """The cells (i, j) -> count of every length 0..n, indexed by the
+    length, from one streamed sweep."""
+    return [frontier.cells() for frontier in _layers(model, n)]
 
 
 def endpoint_columns(model: WalkModel, n: int, endpoints) -> dict:
@@ -323,25 +302,28 @@ def endpoint_columns(model: WalkModel, n: int, endpoints) -> dict:
         k, rows = n - m, frontier.rows
         for j, (first, counts) in list(rows.items()):
             near = [i for i, row in targets if abs(row - j) <= k]
-            lo = max(0, -((first + k - min(near, default=_FAR)) // 2))
-            hi = min(len(counts),
-                     (max(near, default=-_FAR) + k - first) // 2 + 1)
-            if lo >= hi:
+            if near:
+                lo = max(0, -((first + k - min(near)) // 2))
+                hi = min(len(counts), (max(near) + k - first) // 2 + 1)
+            if not near or lo >= hi:
                 del rows[j]
             elif lo or hi < len(counts):
                 rows[j] = (first + 2 * lo, counts[lo:hi])
     return columns
 
 
-def _free_bounds(bound, row: int, n: int) -> list:
-    """[lo_0, ..., lo_n]: lo_k lists, for every other row j = row - n + k,
-    row - n + k + 2, ..., row + n - k (the rows a frontier of length n - k
-    can hold), the least i from which no walk of k steps leaves the region
-    (_FAR if there is none, -_FAR if every i is one).  lo_0 is the row
-    bound, and as every frame step is (+-1, +-1),
-    lo_k(j) = max(lo_0(j), lo_{k-1}(j - 1) + 1, lo_{k-1}(j + 1) + 1)."""
-    ends = {EMPTY_ROW: _FAR, WHOLE_ROW: -_FAR}
-    lo0 = [ends.get(lo, lo) for lo in map(bound, range(row - n, row + n + 1))]
+def _free_bounds(bound, start: tuple, n: int) -> list:
+    """[lo_0, ..., lo_n] for n steps from ``start`` = (i0, j0) in the DP
+    frame: lo_k lists, for every other row j from j0 - n + k to j0 + n - k
+    (the rows a frontier of length n - k can hold), the least i from which
+    no walk of k steps leaves the region.  lo_0 is the row bound, and as
+    every frame step is (+-1, +-1),
+    lo_k(j) = max(lo_0(j), lo_{k-1}(j - 1) + 1, lo_{k-1}(j + 1) + 1).
+    The sweep reaches only i in [i0 - n, i0 + n] and lo_k rises by at most
+    k, so empty rows take i0 + n + 1 and whole rows i0 - 2n - 1."""
+    i0, j0 = start
+    ends = {EMPTY_ROW: i0 + n + 1, WHOLE_ROW: i0 - 2 * n - 1}
+    lo0 = [ends.get(lo, lo) for lo in map(bound, range(j0 - n, j0 + n + 1))]
     bounds = [lo0[::2]]
     for k in range(1, n + 1):
         prev = bounds[-1]
@@ -362,8 +344,8 @@ def count_sequence(model: WalkModel, n: int, endpoint=None) -> list:
         return endpoint_columns(model, n, [endpoint])[endpoint]
     if n < 0:
         return []
-    _, bound, (_, j0) = _frame(model)
-    bounds = _free_bounds(bound, j0, n)
+    _, bound, start = _frame(model)
+    bounds, j0 = _free_bounds(bound, start, n), start[1]
     totals, free = [], 0
     for m, frontier in enumerate(_layers(model, n)):
         lo, rows = bounds[n - m], frontier.rows

@@ -66,6 +66,16 @@ class TestSeries:
         assert all(isinstance(v, str) for v in payload["totals"])
         assert int(payload["totals"][61]) > 2**64
 
+    def test_a_start_past_2_to_the_62_counts_right(self, capsys):
+        """No walk of 3 steps from (2^63, 0) or (4, 0) reaches the axis
+        i = 0, so both starts have the quadrant totals 1, 2, 8, 24."""
+        code, out = run(capsys, "series", "--lattice", "diagonal",
+                        "--region", "quadrant", "--start",
+                        "9223372036854775808,0", "--order", "4",
+                        "--format", "json")
+        assert code == 0
+        assert json.loads(out)["totals"] == ["1", "2", "8", "24"]
+
 
 class TestVerify:
     def test_base_suite_passes(self, capsys):
@@ -1136,6 +1146,11 @@ ORACLE_SHA256 = {
         "9a5a2f9a970fa03bf0782b58103cb6f6da3c90ec81784b9925bcdec16a2bf759",
     ("count", "--n", "8", "--format", "csv", "--endpoint", "0,0"):
         "5c10b37ba20ccfa0e351ca136711c0eda67d99f63ee15b8df12c35ee309ea747",
+    ("count", "--n", "8"):
+        "97b32ca65433d81fcf9a50e3b972259c573a7e5892e0b21b76c8cb39148a666c",
+    ("count", "--n", "6", "--lattice", "diagonal", "--region", "wedge135",
+     "--start", "-1,1", "--format", "json"):
+        "80649bccf887780c74aa1437ec9890b6675e1fea4e13db0b7ffd0ad39516331e",
 }
 
 

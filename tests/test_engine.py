@@ -619,7 +619,7 @@ class TestXSq12IsNotTrueByConstruction:
 
     def _with_pipeline(self, monkeypatch, **changes):
         sq = decompose.pipeline("square_origin", 12)
-        fake = SimpleNamespace(S=sq.S, S1=sq.S1, P0=sq.P0)
+        fake = SimpleNamespace(S=sq.S, S1=sq.S1, P0=sq.P0, disc=sq.disc)
         for name, delta in changes.items():
             setattr(fake, name, getattr(fake, name) + delta)
         monkeypatch.setattr(identities, "pipeline", lambda name, n: fake)
@@ -640,7 +640,8 @@ class TestXSq0ReadsTheOracle:
     def test_perturbed_S_fails(self, monkeypatch):
         sq = decompose.pipeline("square_origin", 12)
         bad_S = sq.S + Series1.x(12) * Series1.t(12) ** 7
-        fake = SimpleNamespace(S=bad_S, S1=sq.S1, P0=sq.P0)
+        fake = SimpleNamespace(S=bad_S, S1=sq.S1, P0=sq.P0,
+                               disc=sq.disc)
         monkeypatch.setattr(identities, "pipeline", lambda name, n: fake)
         r = engine.run_check(identities.XSERIES_CHECKS, "x-sq-0", 12)
         assert r["verdict"] == "fail" and r["first_failure"] == [10, 0]

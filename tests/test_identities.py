@@ -89,7 +89,7 @@ def test_reflection_square_sees_cancellation():
     from conewalks.walks import Region, SQUARE, WalkModel, count_walks_upto
 
     model = WalkModel(SQUARE, Region.THREE_QUADRANT, (-1, 0))
-    counts = count_walks_upto(model, 3)[3].counts
+    counts = count_walks_upto(model, 3)[3]
     assert any(c != counts.get((j, i), 0) for (i, j), c in counts.items())
 
 

@@ -120,7 +120,7 @@ def test_swapped_closed_form_endpoints_fail_with_their_own_values(
         a, b}
     for key in (a, b):
         entry = cat[key]
-        column = [table.counts.get(entry.end, 0) for table in tables[::2]]
+        column = [cells.get(entry.end, 0) for cells in tables[::2]]
         n = next(n for n in range(order + 1) if entry.count(n) != column[n])
         assert reports[key]["first_failure"] == [
             n, str(entry.count(n)), str(column[n])]

@@ -5,6 +5,7 @@ all step sequences (independent of the DP) while the tests were written.
 """
 
 import inspect
+import math
 from itertools import product
 from operator import add
 
@@ -20,7 +21,6 @@ from conewalks.walks import (
     SQUARE,
     TURNED_BOUNDS,
     WHOLE_ROW,
-    CountTable,
     Frontier,
     Region,
     StepSet,
@@ -29,7 +29,6 @@ from conewalks.walks import (
     count_walks_upto,
     endpoint_columns,
     generating_series,
-    _FAR,
     _diagonal_step,
     _frame,
     _free_bounds,
@@ -68,7 +67,8 @@ def replace(record, **changes):
 
 
 def table(model, n):
-    """Endpoint counts of the n-step walks, from a streaming sweep."""
+    """Endpoint counts (i, j) -> count of the n-step walks, from a
+    streaming sweep."""
     return count_walks_upto(model, n)[n]
 
 
@@ -85,7 +85,7 @@ class TestAgainstBruteForce:
     def test_small_lengths(self, model):
         for n in range(5):
             expected = brute_force(model.steps, model.region, model.start, n)
-            assert table(model, n).counts == expected
+            assert table(model, n) == expected
 
 
 class TestFrozenValues:
@@ -98,7 +98,7 @@ class TestFrozenValues:
         assert count_sequence(WEDGE, 4) == [1, 2, 7, 21, 78]
 
     def test_wedge_origin_returns(self):
-        values = [table(WEDGE, 2 * n).counts.get((0, 0), 0)
+        values = [table(WEDGE, 2 * n).get((0, 0), 0)
                   for n in range(5)]
         assert values == [1, 2, 11, 85, 782]
 
@@ -120,8 +120,8 @@ class TestStructure:
     def test_symmetry_across_diagonal(self):
         for model in (SQ3, DG3):
             counts = table(model, 6)
-            for (i, j), c in counts.counts.items():
-                assert counts.counts.get((j, i), 0) == c
+            for (i, j), c in counts.items():
+                assert counts.get((j, i), 0) == c
 
     def test_region_nesting(self):
         # quadrant <= wedge <= half-plane <= full-plane, endpointwise
@@ -132,11 +132,11 @@ class TestStructure:
         ]
         tables = [table(m, 6) for m in models]
         for small, big in zip(tables, tables[1:]):
-            for (i, j), c in small.counts.items():
-                assert big.counts.get((i, j), 0) >= c
+            for (i, j), c in small.items():
+                assert big.get((i, j), 0) >= c
 
     def test_diagonal_parity(self):
-        for (i, j) in table(DG3, 5).counts:
+        for (i, j) in table(DG3, 5):
             # each diagonal step flips both coordinate parities
             assert (5 - i) % 2 == 0 and (5 - j) % 2 == 0
 
@@ -144,7 +144,7 @@ class TestStructure:
         from conewalks.closedforms import binomial
 
         model = WalkModel(SQUARE, Region.FULL_PLANE, (0, 0))
-        counts = table(model, 6).counts
+        counts = table(model, 6)
         assert sum(counts.values()) == 4**6
         # rotate 45 degrees: components become independent ballot walks
         for (i, j), c in counts.items():
@@ -154,7 +154,7 @@ class TestStructure:
     def test_count_walks_upto_consistent(self):
         upto = count_walks_upto(SQ3, 5)
         for n in range(6):
-            assert upto[n].counts == brute_force(
+            assert upto[n] == brute_force(
                 SQ3.steps, SQ3.region, SQ3.start, n)
 
 
@@ -162,7 +162,7 @@ class TestSeriesViews:
     def test_endpoint_sequence_matches_tables(self):
         values = count_sequence(SQ3, 7, (0, 0))
         for n in range(8):
-            assert values[n] == table(SQ3, n).counts.get((0, 0), 0)
+            assert values[n] == table(SQ3, n).get((0, 0), 0)
 
     def test_endpoint_outside_region(self):
         with pytest.raises(ValueError):
@@ -174,15 +174,6 @@ class TestSeriesViews:
         for n in range(6):
             assert sum(g.coeff(n).terms.values()) == totals[n]
 
-    def test_json_shape(self):
-        counts = table(SQ3, 4)
-        blob = counts.to_json()
-        assert blob["n"] == 4
-        assert [(e["i"], e["j"]) for e in blob["counts"]] == sorted(
-            counts.counts)
-        assert all(e["count"] == str(counts.counts[(e["i"], e["j"])])
-                   for e in blob["counts"])
-
     def test_float_totals_tracks_exact(self):
         """asympt prints each total as the float nearest the count found by
         enumerating every step sequence."""
@@ -190,9 +181,16 @@ class TestSeriesViews:
                 ] == [f"{float(total):.6e}" for total in brute_totals(SQ3, 7)]
 
 
+# Starts whose coordinates pass 2^62, and one just short of it: the readers
+# that drop cells must count right however far from the origin they start.
+FAR_STARTS = [(2**63, 0), (2**62 - 1, 0), (-2**63, 0), (0, 2**63)]
+
+
 def _starts(region):
-    """The origin and a shifted start inside the region."""
-    return [(0, 0), (1, 0) if region is Region.QUADRANT else (-1, 1)]
+    """The origin, a shifted start inside the region, and each far start
+    the region holds."""
+    return [(0, 0), (1, 0) if region is Region.QUADRANT else (-1, 1),
+            *(start for start in FAR_STARTS if region.contains(*start))]
 
 
 @pytest.mark.parametrize("region", list(Region))
@@ -217,11 +215,11 @@ def test_count_sequence_equals_per_length_counts(steps, region):
         model = WalkModel(steps, region, start)
         tables = count_walks_upto(model, n)
         assert count_sequence(model, n) == [
-            sum(t.counts.values()) for t in tables]
+            sum(t.values()) for t in tables]
         for end in [start, (1, 1), (2, 0), (-1, 1)]:
             if region.contains(*end):
                 assert count_sequence(model, n, end) == [
-                    t.counts.get(end, 0) for t in tables]
+                    t.get(end, 0) for t in tables]
 
 
 def test_count_sequence_edges():
@@ -252,7 +250,7 @@ def test_endpoint_columns_equal_the_tables(model, ends):
     columns = endpoint_columns(model, n, points)
     assert list(columns) == points
     for end in points:
-        assert columns[end] == [t.counts.get(end, 0) for t in tables]
+        assert columns[end] == [t.get(end, 0) for t in tables]
         assert count_sequence(model, n, end) == columns[end]
 
 
@@ -496,8 +494,10 @@ def test_trimming_readers_equal_the_full_sweep(steps, region, n):
 
 
 def reference_free_bounds(steps, bound, row, n):
-    """lo_k as row -> bound for every row in reach, by the recurrence."""
-    lo0 = {j: {EMPTY_ROW: _FAR, WHOLE_ROW: -_FAR}.get(bound(j), bound(j))
+    """lo_k as row -> bound for every row in reach, by the recurrence, with
+    the bound of an empty row +inf and that of a whole row -inf."""
+    ends = {EMPTY_ROW: math.inf, WHOLE_ROW: -math.inf}
+    lo0 = {j: ends.get(bound(j), bound(j))
            for j in range(row - n, row + n + 1)}
     out = [lo0]
     for k in range(1, n + 1):
@@ -509,18 +509,24 @@ def reference_free_bounds(steps, bound, row, n):
 @pytest.mark.parametrize("region", list(Region))
 @pytest.mark.parametrize("steps", STEP_SETS, ids=lambda s: s.name)
 def test_free_bounds_key_on_the_parity_of_dy_not_the_stride(steps, region):
-    """Every bound ``_free_bounds`` keeps equals the recurrence's over the
-    steps of the DP frame, on every other row: every frame step has an odd
-    dy, so a frontier holds one row parity."""
+    """``_free_bounds`` keeps a bound on every other row, as every frame
+    step has an odd dy, so a frontier holds one row parity.  Each retires
+    exactly the cells in reach that the recurrence's bound over the steps of
+    the DP frame retires, with infinite bounds for empty and whole rows."""
     for start in _starts(region):
         model = WalkModel(steps, region, start)
-        _, bound, (_, j0) = _frame(model)
+        _, bound, (i0, j0) = _frame(model)
         for n in (0, 1, 7, 20):
-            bounds = _free_bounds(bound, j0, n)
+            bounds = _free_bounds(bound, (i0, j0), n)
             ref = reference_free_bounds(DIAGONAL.steps, bound, j0, n)
-            assert bounds == [
-                [lo[j] for j in range(j0 - n + k, j0 + n - k + 1, 2)]
-                for k, lo in enumerate(ref)], (start, n)
+            assert len(bounds) == len(ref)
+            for k, (kept, lo) in enumerate(zip(bounds, ref)):
+                rows = range(j0 - n + k, j0 + n - k + 1, 2)
+                reach = range(i0 - n + k, i0 + n - k + 1)
+                assert len(kept) == len(rows)
+                for j, got in zip(rows, kept):
+                    assert all((i >= got) == (i >= lo[j]) for i in reach), (
+                        start, n, k, j)
             assert count_sequence(model, n) == [
                 f.total() for f in _layers(model, n)], (start, n)
 
@@ -598,7 +604,6 @@ class TestRecords:
     @pytest.mark.parametrize("record,field", [
         (SQUARE, "steps"), (SQ3, "start"), (SQ3, "region"),
         (Frontier({0: (0, [1])}, False), "turned"),
-        (CountTable(0, {(0, 0): 1}), "n"),
         (closedforms.catalog()["wedge-0-0"], "end")])
     def test_fields_cannot_be_assigned(self, record, field):
         with pytest.raises(AttributeError):
