@@ -1,30 +1,12 @@
 """Exact enumeration of small-step lattice walks confined to cones.
 
-The package counts walks with exact big-integer dynamic programming,
-reads structured series (boundary pieces, orbit-sum corrections) off the
-oracle, and verifies closed-form counts, algebraic parametrizations and
-functional-equation identities order by order in the length variable.
+The package counts walks with exact big-integer dynamic programming
+(``walks``), reads structured series (boundary pieces, orbit-sum
+corrections) off the oracle (``decompose``), and verifies closed-form
+counts, algebraic parametrizations and functional-equation identities
+order by order in the length variable (``engine``, ``identities``).
+Importing the package loads none of its modules: each command of ``cli``
+imports what it runs, so ``param`` never compiles the walk oracle.
 """
 
-from .walks import (
-    DIAGONAL,
-    SQUARE,
-    Region,
-    WalkModel,
-    count_sequence,
-    count_walks_upto,
-    generating_series,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "DIAGONAL",
-    "SQUARE",
-    "Region",
-    "WalkModel",
-    "count_sequence",
-    "count_walks_upto",
-    "generating_series",
-    "__version__",
-]

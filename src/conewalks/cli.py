@@ -10,11 +10,15 @@ ordering is fixed, so identical configurations give identical bytes.
 it takes; a config file may set any key.  Each command reads its walk
 counts from one DP sweep (``oeis`` sweeps only to the last file index it
 compares); ``build_model`` rejects a start or --endpoint outside the
-region.  Each command imports only what it runs: ``count``, ``series``
-and ``asympt`` need ``walks`` alone and ``oeis`` adds ``bfile``; ``param``
-imports the formula side ``engine`` alone, and ``verify`` imports
-``identities`` and the oracle side with it, when called.  Only the table
-commands (``CSV_COMMANDS``) take --format csv.
+region.  Each command imports only what it runs, when called: ``count``,
+``series`` and ``asympt`` need ``walks`` alone and ``oeis`` adds
+``bfile``; ``param`` imports the formula side ``engine`` alone, with no
+walk or oracle module, and ``verify`` imports ``identities`` and the
+oracle side with it.  ``load_config`` is the one check of a lattice or
+region name, from a flag or a config file alike, so ``param`` and
+``verify`` reject an unknown one too; it imports ``walks`` only for a
+name other than the defaults.  Only the table commands (``CSV_COMMANDS``)
+take --format csv.
 ``verify`` runs suites from the ``suites()`` table (suite -> its table):
 'all' stands for every suite and a repeated suite runs once.
 ``engine.run_check`` turns each check row into its report; the closed
@@ -40,17 +44,6 @@ import json
 import math
 import os
 import sys
-
-from .walks import (
-    LATTICES,
-    Region,
-    WalkModel,
-    count_sequence,
-    count_walks_upto,
-    endpoint_columns,
-)
-
-REGIONS = {region.value: region for region in Region}
 
 DEFAULTS = {
     "lattice": "square",
@@ -129,10 +122,14 @@ def load_config(args: argparse.Namespace) -> dict:
             and all(isinstance(name, str) for name in suite)):
         raise UsageError(f"suite must be a string or a list of strings, "
                          f"got {suite!r}")
-    if cfg["lattice"] not in LATTICES:
-        raise UsageError(f"unknown lattice {cfg['lattice']!r}")
-    if cfg["region"] not in REGIONS:
-        raise UsageError(f"unknown region {cfg['region']!r}")
+    if (cfg["lattice"], cfg["region"]) != (DEFAULTS["lattice"],
+                                           DEFAULTS["region"]):
+        from .walks import LATTICES, Region
+
+        if cfg["lattice"] not in LATTICES:
+            raise UsageError(f"unknown lattice {cfg['lattice']!r}")
+        if cfg["region"] not in {region.value for region in Region}:
+            raise UsageError(f"unknown region {cfg['region']!r}")
     if cfg["format"] not in ("json", "csv", "text"):
         raise UsageError(f"unknown format {cfg['format']!r}")
     for key in ("n", "order"):
@@ -148,9 +145,11 @@ def load_config(args: argparse.Namespace) -> dict:
 
 def build_model(cfg: dict) -> WalkModel:
     """The configured model; its start and any endpoint lie in its region."""
+    from .walks import LATTICES, Region, WalkModel
+
     try:
         model = WalkModel(
-            LATTICES[cfg["lattice"]], REGIONS[cfg["region"]], cfg["start"]
+            LATTICES[cfg["lattice"]], Region(cfg["region"]), cfg["start"]
         )
         if cfg["endpoint"] is not None:
             model.require_inside("endpoint", cfg["endpoint"])
@@ -182,6 +181,8 @@ def _emit_rows(rows: list, header: list, fmt: str, out) -> None:
 
 
 def cmd_count(cfg: dict, args, out) -> int:
+    from .walks import count_sequence, count_walks_upto
+
     model = build_model(cfg)
     limit = cfg["n"]
     endpoint = cfg["endpoint"]
@@ -210,6 +211,8 @@ def cmd_count(cfg: dict, args, out) -> int:
 
 
 def cmd_series(cfg: dict, args, out) -> int:
+    from .walks import count_sequence
+
     model = build_model(cfg)
     order = cfg["order"]
     endpoint = cfg["endpoint"]
@@ -267,6 +270,7 @@ def _closed_forms(entries: dict, order: int) -> list:
     each walk model and live only for this call.  A formula that gives a
     non-integral value fails there, with the message as its mismatch."""
     from . import engine
+    from .walks import endpoint_columns
 
     ends = {}  # model -> the endpoints of its entries
     for entry in entries.values():
@@ -403,6 +407,7 @@ def cmd_oeis(cfg: dict, args, out) -> int:
     if path is None:
         raise UsageError("oeis requires --bfile <path>")
     from . import bfile
+    from .walks import count_sequence
 
     try:
         data = bfile.read_bfile(path)
@@ -434,6 +439,8 @@ def cmd_oeis(cfg: dict, args, out) -> int:
 def asympt_rows(model: WalkModel, lattice: str, limit: int) -> list:
     """The growth-rate rows, read from one exact sweep; each exact total
     becomes a float only here, to be printed."""
+    from .walks import Region, count_sequence
+
     totals = count_sequence(model, limit)
     target = None
     if model.region is Region.THREE_QUADRANT and model.start == (0, 0):
@@ -470,10 +477,11 @@ def cmd_asympt(cfg: dict, args, out) -> int:
 
 # Every flag: each of the first eight sets the config key it names, which a
 # config file may set for any subcommand; the last three are read by one
-# subcommand each.
+# subcommand each.  ``load_config`` checks a lattice or region name, from a
+# flag or a config file alike.
 FLAGS = {
-    "lattice": {"choices": sorted(LATTICES)},
-    "region": {"choices": sorted(REGIONS)},
+    "lattice": {"help": "lattice name"},
+    "region": {"help": "region name"},
     "start": {"help": "start point as i,j"},
     "n": {"type": int, "help": "length limit"},
     "order": {"type": int, "help": "series truncation order"},

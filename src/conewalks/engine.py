@@ -57,10 +57,13 @@ def solve_algebraic(residual, order: int, c0) -> Series1:
 
 
 def T_residual(G: Series1) -> Series1:
-    """Cleared defining equation of T: zero iff G solves it."""
-    t2 = Series1.t(G.order) ** 2
-    cube = (G + 3) ** 3
-    return G * cube - cube - 256 * t2 * G**3
+    """Cleared defining equation of T, (G - 1)(G + 3)^3 - 256 t^2 G^3: zero
+    iff G solves it.  G^2 and G^3 are formed once, so it costs three
+    series products."""
+    G2 = G * G
+    G3 = G2 * G
+    cube = G3 + 9 * G2 + 27 * G + 27
+    return (G - 1) * cube - 256 * G3.mul_t(2)
 
 
 @lru_cache(maxsize=None)
@@ -76,12 +79,17 @@ def series_Z(order: int) -> Series1:
 
 
 def U_residual(U: Series1, T: Series1) -> Series1:
-    """Cleared defining equation of U against a given T."""
-    x = Series1.x(U.order)
+    """Cleared defining equation of U against a given T,
+    16 T^2 (U^2 - T) - x (U + UT - 2T)(U^2 - 9T + 8TU + T^2 - TU^2).  T is
+    cut to U's order first and U^2, TU, T^2 and TU^2 are shared, so it
+    costs six series products at U's order."""
+    T = T.truncate(U.order)
     U2 = U * U
-    return 16 * T * T * (U2 - T) - x * (U + U * T - 2 * T) * (
-        U2 - 9 * T + 8 * T * U + T * T - T * U2
-    )
+    TU = T * U
+    T2 = T * T
+    TU2 = T * U2
+    return 16 * T2 * (U2 - T) - ((U + TU - 2 * T) * (
+        U2 - 9 * T + 8 * TU + T2 - TU2)).mul_x(1)
 
 
 @lru_cache(maxsize=None)
@@ -93,9 +101,11 @@ def series_U(order: int) -> Series1:
 
 
 def V_residual(V: Series1, T: Series1) -> Series1:
-    """Cleared defining equation of V against a given T."""
-    x = Series1.x(V.order)
-    return (1 - T + 3 * V + V * T) - x * V * V * (3 + V + T - V * T)
+    """Cleared defining equation of V against a given T,
+    (1 - T + 3V + VT) - x V^2 (3 + V + T - VT).  VT and V^2 are shared, so
+    it costs three series products."""
+    VT = V * T
+    return (1 - T + 3 * V + VT) - (V * V * (3 + V + T - VT)).mul_x(1)
 
 
 @lru_cache(maxsize=None)

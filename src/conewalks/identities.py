@@ -92,13 +92,22 @@ def _neg_y_axis(C: Series2) -> Series1:
 
 
 def _orbit(W: Series2) -> Series2:
-    """xy W(x,y) - xbar y W(xbar,y) + xbar ybar W(xbar,ybar) - x ybar W(x,ybar)."""
-    return (
-        W.mul_xy(1, 1)
-        - W.sub_inverse("x").mul_xy(-1, 1)
-        + W.sub_inverse("x").sub_inverse("y").mul_xy(-1, -1)
-        - W.sub_inverse("y").mul_xy(1, -1)
-    )
+    """xy W(x,y) - xbar y W(xbar,y) + xbar ybar W(xbar,ybar) - x ybar W(x,ybar),
+    in one pass per t-coefficient: a term c x^i y^j adds its four signed
+    images, +c at (i+1, j+1), -c at (-i-1, j+1), +c at (-i-1, -j-1) and
+    -c at (i+1, -j-1), into one dict."""
+    out = []
+    for p in W.coeffs:
+        acc = {}
+        get = acc.get
+        for (i, j), c in p.terms.items():
+            a, b = i + 1, j + 1
+            acc[a, b] = get((a, b), 0) + c
+            acc[-a, b] = get((-a, b), 0) - c
+            acc[-a, -b] = get((-a, -b), 0) + c
+            acc[a, -b] = get((a, -b), 0) - c
+        out.append(LPoly2(acc))
+    return Series2(out, W.order)
 
 
 def _cross() -> LPoly2:

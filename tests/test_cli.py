@@ -243,6 +243,40 @@ class TestConfigLayering:
         assert err.startswith(f"error: cannot read config {cfg}: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [["series", "--lattice", "hex"],
+                                      ["count", "--region", "moon"]],
+                             ids=" ".join)
+    def test_unknown_name_flag(self, capsys, argv):
+        """``load_config`` checks a flag's lattice or region name as it
+        checks a config file's."""
+        _, flag, name = argv
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: unknown {flag[2:]} {name!r}\n")
+
+    @pytest.mark.parametrize("argv", [["param", "--key", "base-T"],
+                                      ["verify", "--order", "2"]],
+                             ids=" ".join)
+    def test_unknown_lattice_in_config(self, capsys, tmp_path, argv):
+        """A command that builds no walk model still rejects a config that
+        names an unknown lattice."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lattice": "hex"}))
+        assert main([*argv, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: unknown lattice 'hex'\n")
+
+    def test_defaults_name_a_lattice_and_a_region(self):
+        """``load_config`` skips the name check (and the import of
+        ``walks``) for the default lattice and region, so both must be
+        names that ``walks`` knows."""
+        from conewalks.walks import LATTICES, Region
+
+        assert DEFAULTS["lattice"] in LATTICES
+        assert DEFAULTS["region"] in {region.value for region in Region}
+
     def test_bad_start_pair(self):
         assert main(["count", "--start", "1;2"]) == 2
 
@@ -506,8 +540,9 @@ class TestFormatContract:
 
 
 # The conewalks modules each command loads, besides the package and cli.
-# ``param`` runs the formula side alone: it loads no oracle module.
-FORMULAS = {"walks", "engine", "series", "laurent"}
+# ``param`` runs the formula side alone: it loads no oracle module, and no
+# walk DP either.
+FORMULAS = {"engine", "series", "laurent"}
 LOADS = {
     ("count", "--n", "3"): {"walks"},
     ("series", "--order", "5", "--endpoint", "0,0"): {"walks"},
@@ -515,10 +550,11 @@ LOADS = {
     ("oeis", "--n", "3"): {"walks", "bfile"},
     ("param", "--key", "base-T", "--order", "4"): FORMULAS,
     ("param", "--key", "base-U", "--order", "4"): FORMULAS,
+    ("param", "--key", "base-V", "--order", "4"): FORMULAS,
     ("param", "--key", "sq-origin-axis-x", "--order", "8"): FORMULAS,
     ("param", "--list"): FORMULAS,
     ("verify", "--suite", "base", "--order", "3"):
-        FORMULAS | {"decompose", "closedforms", "identities"},
+        FORMULAS | {"walks", "decompose", "closedforms", "identities"},
 }
 
 LOADED = """\
@@ -557,36 +593,29 @@ def test_each_command_imports_only_what_it_runs(tmp_path, argv):
     assert not {"dataclasses", "importlib.resources", "numpy"} & set(modules)
 
 
-ENGINE_LOADED = """\
-import json, sys, types
-# The package's __init__ loads walks; a bare package in its place leaves
-# what the engine itself imports.
-package = types.ModuleType("conewalks")
-package.__path__ = [sys.argv[1]]
-sys.modules["conewalks"] = package
-import conewalks.engine
-print(json.dumps(sorted(sys.modules)))
-"""
-
-
 def test_the_engine_loads_none_of_the_oracle():
     """The formula side reads nothing of the walk oracle: a fresh
     interpreter that imports ``conewalks.engine`` alone loads the engine,
     ``series`` and ``laurent``, and none of ``walks``, ``decompose``,
-    ``closedforms``, ``identities`` or ``bfile``."""
+    ``closedforms``, ``identities`` or ``bfile``; one that imports the
+    package alone loads no submodule."""
+    import os
     import subprocess
     import sys
     from pathlib import Path
 
     import conewalks
 
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", ENGINE_LOADED,
-         str(Path(conewalks.__file__).parent)],
-        capture_output=True, text=True, check=True)
-    assert {m for m in json.loads(done.stdout)
-            if m.startswith("conewalks.")} == {
-        "conewalks.engine", "conewalks.series", "conewalks.laurent"}
+    env = dict(os.environ, PYTHONPATH=str(Path(conewalks.__file__).parents[1]))
+    for module, loaded in (("conewalks", set()),
+                           ("conewalks.engine", FORMULAS)):
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", f"import json, sys, {module}; "
+             "print(json.dumps(sorted(sys.modules)))"],
+            env=env, capture_output=True, text=True, check=True)
+        assert {m for m in json.loads(done.stdout)
+                if m.startswith("conewalks.")} == {
+            f"conewalks.{name}" for name in loaded}, module
 
 
 # Counts the benchmark's per-layer metrics read; each must stay traced.

@@ -106,6 +106,65 @@ def reference_kernel_root(lattice, order):
     return Y
 
 
+def reference_T_residual(G):
+    """(G - 1)(G + 3)^3 - 256 t^2 G^3, written out as the docstring states it."""
+    t2 = Series1.t(G.order) ** 2
+    cube = (G + 3) ** 3
+    return G * cube - cube - 256 * t2 * G**3
+
+
+def reference_U_residual(U, T):
+    """16 T^2 (U^2 - T) - x (U + UT - 2T)(U^2 - 9T + 8TU + T^2 - TU^2)."""
+    x = Series1.x(U.order)
+    U2 = U * U
+    return 16 * T * T * (U2 - T) - x * (U + U * T - 2 * T) * (
+        U2 - 9 * T + 8 * T * U + T * T - T * U2
+    )
+
+
+def reference_V_residual(V, T):
+    """(1 - T + 3V + VT) - x V^2 (3 + V + T - VT)."""
+    x = Series1.x(V.order)
+    return (1 - T + 3 * V + V * T) - x * V * V * (3 + V + T - V * T)
+
+
+def bump(series, k, c):
+    """series + c t^k: a root moved off its equation from t^k on."""
+    return series + Series1([LPoly()] * k + [c], series.order)
+
+
+# (k, c) of each bump: scalar and x-polynomial, at low and high powers.
+BUMPS = [(0, LPoly.const(1)), (1, LPoly.const(Fraction(-2, 3))),
+         (3, LPoly({0: 5, 1: -1})), (8, LPoly({-1: 2, 2: Fraction(1, 7)})),
+         (15, LPoly.const(-4))]
+
+
+class TestResidualsMatchTheirEquations:
+    """Each residual equals its equation written out term by term, at
+    series that are not roots: at a root both sides vanish, which would
+    prove nothing.  U and V are also given a T longer than they are."""
+
+    @pytest.mark.parametrize("k,c", BUMPS)
+    def test_T(self, k, c):
+        G = bump(engine.series_T(16), k, c)
+        residual = engine.T_residual(G)
+        assert not residual.is_zero()
+        assert residual == reference_T_residual(G)
+
+    @pytest.mark.parametrize("k,c", BUMPS)
+    @pytest.mark.parametrize("t_order", [16, 24])
+    def test_U_and_V(self, k, c, t_order):
+        T = bump(engine.series_T(t_order), 2, LPoly.const(3))
+        for name, series, reference in (
+            ("U", engine.series_U(16), reference_U_residual),
+            ("V", engine.series_V(16), reference_V_residual),
+        ):
+            S = bump(series, k, c)
+            residual = getattr(engine, f"{name}_residual")(S, T)
+            assert not residual.is_zero(), name
+            assert residual == reference(S, T), name
+
+
 def catalan_residual(g):
     return g - 1 - (g * g).mul_t(1).truncate(g.order)
 
