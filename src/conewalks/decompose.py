@@ -41,7 +41,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, wraps
 
-from .engine import kernel_quadratic
+from .engine import kernel_quadratic, sqrt
 from .laurent import LPoly2
 from .series import Series1, Series2
 from .walks import (
@@ -178,7 +178,7 @@ class Pipeline:
     @_cached
     def sqrt_disc(self) -> Series1:
         """sqrt of the kernel discriminant, in x; sqrt_Delta is read off it."""
-        return self.disc.sqrt()
+        return sqrt(self.disc)
 
     @_cached
     def sqrt_Delta(self) -> Series1:

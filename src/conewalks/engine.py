@@ -1,11 +1,14 @@
 """The formula side: the paper's series and its catalog of parametrizations.
 
 Solves implicit algebraic equations by Newton iteration with precision
-doubling, builds the parametrizing series T, Z, U, V and the kernel root
-(``kernel_quadratic`` reads the kernel off a step set), and evaluates the
-rational expressions of the data catalog: every term list reads the powers
-of z, u and v from one memo (``_power``) and costs one series product per
-group of terms that share their powers of u, v and x (``eval_terms``).
+doubling (``solve_algebraic``, the package's one solver; ``sqrt`` solves
+G^2 = s with it, for Z = sqrt(T), the kernel discriminants and the
+x-series roots), builds the parametrizing series T, Z, U, V and the
+kernel root (``kernel_quadratic`` reads the kernel off a step set), and
+evaluates the rational expressions of the data catalog: every term list
+reads the powers of z, u and v from one memo (``_power``) and costs one
+series product per group of terms that share their powers of u, v and x
+(``eval_terms``).
 The engine imports only ``laurent`` and ``series``, so ``param`` loads no
 oracle code: the oracles are in ``decompose`` and the check tables in
 ``identities``.  ``run_check`` turns a check row (anchor, check) into the
@@ -37,6 +40,8 @@ def solve_algebraic(residual, order: int, c0) -> Series1:
     PivotError if c0 is not a root mod t or if [t^0]R'(c0) vanishes.
     """
     G = Series1.const(c0, order)
+    if order and residual(G.truncate(1)).coeff(0) != 0:
+        raise PivotError(f"G(0) = {c0} is not a root mod t")
     p = 1
     while p < order:
         q = min(2 * p, order)
@@ -49,6 +54,12 @@ def solve_algebraic(residual, order: int, c0) -> Series1:
         G = G - r0.mul_t(-p).divide(slope).mul_t(p)
         p = q
     return G
+
+
+def sqrt(s: Series1) -> Series1:
+    """The square root of s with constant term 1, the root of G^2 - s: so
+    s must have constant term 1, else PivotError."""
+    return solve_algebraic(lambda G: G * G - s, s.order, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +86,7 @@ def series_T(order: int) -> Series1:
 
 @lru_cache(maxsize=None)
 def series_Z(order: int) -> Series1:
-    return series_T(order).sqrt()
+    return sqrt(series_T(order))
 
 
 def U_residual(U: Series1, T: Series1) -> Series1:

@@ -64,7 +64,7 @@ from .closedforms import HypTerm, hyp_sum
 from .decompose import (PIPELINES, at_point, diag_F0, diag_shift_F0, exits,
                         param_oracle, pipeline, tmul, z_rational_oracle)
 from .engine import (T_residual, _param_data, catalog_series, kernel_residual,
-                     kernel_root_Y, series_Z, solve_algebraic)
+                     kernel_root_Y, series_Z, solve_algebraic, sqrt)
 from .laurent import LPoly, LPoly2
 from .series import OrderError, Series1, Series2, horner
 from .walks import (DIAGONAL, SQUARE, Region, WalkModel, generating_series,
@@ -122,15 +122,9 @@ def _split(W, P, L, B) -> Series2:
 
 
 def _times(poly: LPoly2, s: Series2) -> Series2:
-    """t poly s, for a Laurent polynomial poly in x and y.  A poly of at
-    most one term c x^i y^j (as the square lattice's exit parts) scales
-    and shifts s instead of multiplying."""
-    if not poly.terms:
-        return Series2.zero(s.order)
-    if len(poly.terms) > 1:
-        return tmul(Series2.from_poly(poly, s.order) * s)
-    [((i, j), c)] = poly.terms.items()
-    return tmul(s.scale(c).mul_xy(i, j))
+    """t poly s, for a Laurent polynomial poly in x and y: one series
+    product, whatever the number of terms of poly."""
+    return tmul(Series2.from_poly(poly, s.order) * s)
 
 
 def _at_t_ybar(s: Series1) -> Series2:
@@ -288,7 +282,7 @@ def catM(name, order):
 
 def quadrant_positive_part_sq(order):
     sq = pipeline("square_origin", order)
-    rhs = (Series2.from_poly(_cross(), order) * sq.K.inverse()).part(
+    rhs = Series2.from_poly(_cross(), order).divide(sq.K).part(
         "x", "pos"
     ).part("y", "pos")
     return sq.Q.mul_xy(1, 1) - rhs
@@ -537,7 +531,7 @@ def quartic_residual(which: str, G: Series1) -> Series1:
 
 def sq_X0(order: int) -> Series1:
     """(1 - sqrt(1 - 16 t^2)) / (4t), the Catalan-flavoured root."""
-    r = _scal([1, 0, -16], order + 1).sqrt()
+    r = sqrt(_scal([1, 0, -16], order + 1))
     return (1 - r).mul_t(-1) * Fraction(1, 4)
 
 
@@ -595,7 +589,7 @@ def sq_cubic(order: int):
     P can be evaluated at a series X with X(0) = 0.  Its leading factor
     is x^2 disc, for the pipeline's disc (the square kernel discriminant)."""
     sq = pipeline("square_origin", order)
-    t2 = Series1.t(order) ** 2
+    t2 = _scal([0, 0, 1], order)
     x = Series1.x(order)
     x2 = x * x
     lead = sq.disc.mul_x(2)
@@ -672,7 +666,7 @@ def sq_F(order: int) -> Series1:
 @lru_cache(maxsize=None)
 def diag_X0(order: int) -> Series1:
     """(1 - 2t - sqrt(1 - 4t)) / (2t)."""
-    r = _scal([1, -4], order + 1).sqrt()
+    r = sqrt(_scal([1, -4], order + 1))
     num = 1 - 2 * Series1.t(order + 1) - r
     return num.mul_t(-1) * Fraction(1, 2)
 
@@ -680,7 +674,7 @@ def diag_X0(order: int) -> Series1:
 @lru_cache(maxsize=None)
 def diag_X1(order: int) -> Series1:
     """-(1 + 2t - sqrt(1 + 4t)) / (2t)."""
-    r = _scal([1, 4], order + 1).sqrt()
+    r = sqrt(_scal([1, 4], order + 1))
     num = 1 + 2 * Series1.t(order + 1) - r
     return -(num.mul_t(-1)) * Fraction(1, 2)
 

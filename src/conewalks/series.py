@@ -18,11 +18,15 @@ t^n are valid for n < N, and its list holds exactly N.  Series and
 coefficients are immutable, so a sum builds its list once, of the ring's
 ``_sum`` per power of t, which may return an operand's coefficient.
 Binary operations propagate the minimum of the two orders; nothing is
-ever silently re-expanded.  Division strips a common power of t (losing
-that much order) and then needs the divisor's lowest nonzero coefficient
-to be a constant.  ``compose`` substitutes a series for x in polynomials
-in x by Horner's rule: ``horner`` is the one polynomial evaluator, shared
-with the pipeline cubics of ``engine``.
+ever silently re-expanded.  A product with a scalar scales, and every
+other product, a constant series included, runs the one product loop.
+Division strips a common power of t (losing that much order) and then
+needs the divisor's lowest nonzero coefficient to be a constant; it is
+the one inverse too (1 / s is ``one(n).divide(s)``).  Square roots are
+not here: ``engine.sqrt`` solves G^2 = s with the one Newton solver.
+``compose`` substitutes a series for x in polynomials in x by Horner's
+rule: ``horner`` is the one polynomial evaluator, shared with the
+pipeline cubics of ``engine``.
 """
 
 from __future__ import annotations
@@ -137,20 +141,9 @@ class Series1:
             return NotImplemented
         return o._sum(self, -1)
 
-    def constant(self):
-        """The scalar c if the series is c to its order, else None."""
-        if any(p.terms for p in self.coeffs[1:]):
-            return None
-        head = self.coeffs[0].terms if self.coeffs else {}
-        if head.keys() <= {self.RING.ZERO}:
-            return head.get(self.RING.ZERO, 0)
-        return None
-
-    def scale(self, c, order: int = None):
-        """c times the series, truncated to order (default: its own), for
-        an exact scalar c."""
-        n = self.order if order is None else order
-        return type(self)([p.scale(c) for p in self.coeffs[:n]], n)
+    def scale(self, c):
+        """c times the series, for an exact scalar c."""
+        return type(self)([p.scale(c) for p in self.coeffs], self.order)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -159,13 +152,6 @@ class Series1:
         if o is None:
             return NotImplemented
         n = min(self.order, o.order)
-        # A factor that is a constant to its order scales the other one.
-        c = o.constant()
-        if c is not None:
-            return self.scale(c, n)
-        c = self.constant()
-        if c is not None:
-            return o.scale(c, n)
         ring = self.RING
         a = [(i, p) for i, p in enumerate(self.coeffs[:n]) if p.terms]
         b = o.coeffs
@@ -276,24 +262,6 @@ class Series1:
             except ValueError as exc:
                 raise PivotError(f"at t^{k}: {exc}")
         return type(self)(out, n)
-
-    def inverse(self):
-        return self.one(self.order).divide(self)
-
-    def sqrt(self) -> "Series1":
-        """Square root of a series with constant term 1."""
-        if self.order == 0:
-            return self
-        if self.coeffs[0] != LPoly.const(1):
-            raise PivotError("series sqrt requires constant term 1")
-        out = [LPoly.const(1)]
-        half = Fraction(1, 2)
-        for n in range(1, self.order):
-            acc = self.coeffs[n]
-            for k in range(1, n):
-                acc = acc - out[k] * out[n - k]
-            out.append(acc.scale(half))
-        return Series1(out, self.order)
 
     # -- x-operations ----------------------------------------------------
 
@@ -411,8 +379,8 @@ class Series2(Series1):
 
 # The methods of ``Series1`` that read its coefficients as polynomials in
 # one variable; a ``Series2`` refuses each of them by name.
-ONE_VARIABLE = ("coeff_x", "part_x", "halve_x", "x_to_xt", "sqrt",
-                "mul_x", "sub_inverse_x", "compose")
+ONE_VARIABLE = ("coeff_x", "part_x", "halve_x", "x_to_xt", "mul_x",
+                "sub_inverse_x", "compose")
 
 
 def _one_variable_only(name: str):

@@ -104,8 +104,12 @@ called = set()
 
 
 def profile(frame, event, arg):
+    # Code objects compare by value, without their file or qualname, so
+    # two one-line methods of the same body at the same line of two
+    # modules would be one set member: keep the names instead.
     if event == "call":
-        called.add(frame.f_code)
+        code = frame.f_code
+        called.add((code.co_filename, code.co_qualname, code.co_firstlineno))
 
 
 sys.setprofile(profile)
@@ -119,8 +123,7 @@ for argv in json.loads(sys.argv[1]):
         except SystemExit:
             pass
 sys.setprofile(None)
-print(json.dumps([[code.co_filename, code.co_qualname, code.co_firstlineno]
-                  for code in called]))
+print(json.dumps(sorted(called)))
 """
 
 

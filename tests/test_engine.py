@@ -97,7 +97,7 @@ def reference_kernel_root(lattice, order):
     s = Series1.from_poly(LPoly.var(1) + LPoly.var(-1), order)
     Y = Series1.zero(order)
     if lattice == "square":
-        inv = (Series1.one(order) - t * s).inverse()
+        inv = Series1.one(order).divide(Series1.one(order) - t * s)
         for _ in range(order):
             Y = (t * (1 + Y * Y)) * inv
     else:
@@ -236,6 +236,16 @@ class TestSolver:
             engine.solve_algebraic(
                 lambda g: g - 1 - g.mul_t(1).truncate(g.order), 4, Fraction(2)
             )
+
+    @pytest.mark.parametrize("order", [1, 2, 5])
+    def test_non_root_start_raises_at_every_order(self, order):
+        # At order 1 no Newton step runs, and c0 is still checked.
+        with pytest.raises(PivotError, match="not a root mod t"):
+            engine.solve_algebraic(engine.T_residual, order, 5)
+        with pytest.raises(PivotError, match="not a root mod t"):
+            engine.solve_algebraic(catalan_residual, order, 0)
+        assert engine.solve_algebraic(engine.T_residual, order, 1) == (
+            engine.series_T(order))
 
     def test_singular_residual_raises(self):
         # residual independent of G at some order cannot be solved

@@ -7,7 +7,7 @@ import pytest
 
 from conewalks import decompose, identities, walks
 from conewalks.decompose import at_point, discriminant, pipeline, tmul
-from conewalks.engine import kernel_root_Y, run_check
+from conewalks.engine import kernel_root_Y, run_check, sqrt
 from conewalks.identities import (
     ONE,
     X,
@@ -135,15 +135,36 @@ def test_step_eq_sees_a_flipped_corner():
     assert wrong.first_failure() is not None
 
 
+def shift_and_scale(poly: LPoly2, s: Series2) -> Series2:
+    """t poly s as the sum over the terms c x^i y^j of poly of t c s
+    shifted by (i, j): the path ``_times`` took for a poly of at most one
+    term before it became one series product, kept as its reference."""
+    out = Series2.zero(s.order)
+    for (i, j), c in poly.terms.items():
+        out = out + tmul(s.scale(c).mul_xy(i, j))
+    return out
+
+
 @pytest.mark.parametrize("poly", [
     LPoly2({}), LPoly2({(0, -1): 1}), LPoly2({(-1, 0): 1}),
     LPoly2({(2, -1): -3}), LPoly2({(1, -1): 1, (-1, -1): 1})])
 def test_times_of_a_monomial_equals_the_product(poly):
-    """``_times`` shifts and scales by a poly of at most one term; that is
-    the series product it stands for."""
+    """``_times``, one series product, is s shifted and scaled by each
+    term of poly."""
     s = pipeline("square_origin", 8).C
-    assert identities._times(poly, s) == tmul(
-        Series2.from_poly(poly, s.order) * s)
+    assert identities._times(poly, s) == shift_and_scale(poly, s)
+
+
+@pytest.mark.parametrize("name", ["square_origin", "diagonal_origin"])
+def test_times_of_each_exit_part_equals_shift_and_scale(name):
+    """Every poly that the kernel equations pass to ``_times``: the three
+    exit parts of each lattice and the shifted dx = -1 part of
+    ``_y_rest``, at the pipeline's C and at a one-variable section."""
+    p = pipeline(name, 8)
+    down, left, both = decompose.exits(p.steps)
+    for s in (p.C, identities._x_series(p.C.coeff_of("y", 0))):
+        for poly in (down, left, both, left.shift(1, -1)):
+            assert identities._times(poly, s) == shift_and_scale(poly, s)
 
 
 @pytest.mark.parametrize("steps", [walks.SQUARE, walks.DIAGONAL, KING,
@@ -233,7 +254,7 @@ def reference_catM_diag(order):
     Yr = kernel_root_Y(dg.steps, order)
     s = Series1.from_poly(LPoly.var(1) + LPoly.var(-1), order)
     M0x = dg.L_0y
-    lhs = -discriminant(dg.steps, order).sqrt() * (
+    lhs = -sqrt(discriminant(dg.steps, order)) * (
         M0x.mul_x(1) - 2 * M0x.sub_inverse_x().mul_x(-1))
     return (
         lhs

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conewalks.decompose import kernel_series
+from conewalks.engine import sqrt
 from conewalks.laurent import LPoly, LPoly2
 from conewalks.series import OrderError, PivotError, Series1, Series2
 from conewalks.walks import DIAGONAL, SQUARE
@@ -65,8 +66,17 @@ class TestSeries1Basics:
         assert q.coeff(1) == LPoly.const(1)
 
     def test_sqrt_requires_unit(self):
-        with pytest.raises(PivotError):
-            Series1.t(5).sqrt()
+        # A constant term other than 1 is refused at every order, order 1
+        # included, where the solver takes no Newton step.
+        for n in (1, 2, 5):
+            for s in (Series1.t(n), Series1.t(n) + 4,
+                      Series1.x(n) + Series1.t(n)):
+                with pytest.raises(PivotError):
+                    sqrt(s)
+
+    def test_sqrt_refuses_a_series2(self):
+        with pytest.raises(TypeError):
+            sqrt(Series2.one(4))
 
     def test_x_to_xt(self):
         s = Series1([lp({0: 1, 1: 1})], 4)
@@ -155,14 +165,15 @@ class TestSeries1Properties:
     @given(small_series)
     def test_inverse_roundtrip(self, s):
         u = 1 + s.mul_t(1).truncate(s.order)  # force a unit
-        assert (u * u.inverse() - 1).is_zero()
+        assert (u * Series1.one(u.order).divide(u) - 1).is_zero()
 
     @settings(max_examples=40)
     @given(small_series)
     def test_sqrt_roundtrip(self, s):
         u = 1 + s.mul_t(1).truncate(s.order)
-        r = u.sqrt()
+        r = sqrt(u)
         assert (r * r - u).is_zero()
+        assert stored(r) == stored(reference_sqrt(u))
 
     @settings(max_examples=40)
     @given(small_series, st.integers(0, 6))
@@ -196,11 +207,11 @@ class TestSeries2:
 
     def test_inverse(self):
         k = Series2([LPoly2.const(1), -(LPoly2.x(1) + LPoly2.y(1))], 6)
-        assert (k * k.inverse() - 1).is_zero()
+        assert (k * Series2.one(6).divide(k) - 1).is_zero()
 
     def test_inverse_needs_unit(self):
         with pytest.raises(PivotError):
-            Series2.from_poly(LPoly2.x(1), 4).inverse()
+            Series2.one(4).divide(Series2.from_poly(LPoly2.x(1), 4))
 
     def test_mul_t_negative(self):
         s = Series2.one(4).mul_t(2)
@@ -231,11 +242,37 @@ def reference_inverse(s: Series2) -> Series2:
     return Series2(out, s.order)
 
 
+def reference_sqrt(s: Series1) -> Series1:
+    """The coefficient recurrence of the square root that ``engine.sqrt``
+    replaced, kept here as the exact reference: for s with constant term
+    1, r_n = (s_n - sum of r_k r_(n-k) for 0 < k < n) / 2."""
+    if s.coeffs[0] != LPoly.const(1):
+        raise PivotError("series sqrt requires constant term 1")
+    out = [LPoly.const(1)]
+    for n in range(1, s.order):
+        acc = s.coeffs[n]
+        for k in range(1, n):
+            acc = acc - out[k] * out[n - k]
+        out.append(acc.scale(Fraction(1, 2)))
+    return Series1(out, s.order)
+
+
 @pytest.mark.parametrize("steps", [SQUARE, DIAGONAL], ids=["square", "diagonal"])
 def test_kernel_inverse_matches_reference(steps):
     K = kernel_series(steps, 12)
-    assert K.inverse() == reference_inverse(K)
-    assert (2 * K).inverse() == reference_inverse(2 * K)
+    one = Series2.one(K.order)
+    assert one.divide(K) == reference_inverse(K)
+    assert one.divide(2 * K) == reference_inverse(2 * K)
+
+
+@pytest.mark.parametrize("steps", [SQUARE, DIAGONAL], ids=["square", "diagonal"])
+def test_division_by_the_kernel_equals_inverse_then_multiply(steps):
+    """One division by K is the product with 1/K that it replaced."""
+    K = kernel_series(steps, 12)
+    cross = (LPoly2.x(1) - LPoly2.x(-1)) * (LPoly2.y(1) - LPoly2.y(-1))
+    for num in (Series2.from_poly(cross, 12), K.mul_xy(1, -1) + 3):
+        assert stored(num.divide(K)) == stored(
+            num * Series2.one(12).divide(K))
 
 
 def test_series_types_do_not_mix():
@@ -278,7 +315,7 @@ class TestIntInputsStayExact:
         assert_exact(p + q, p - q, p * q, p * 7, p.divexact(c0))
         s = Series1([LPoly(t) for t in [a] + tail], 5)
         u = Series1([LPoly.const(c0)] + [LPoly(t) for t in tail], 5)
-        assert_exact(s * u, s.divide(u), u.inverse())
+        assert_exact(s * u, s.divide(u), Series1.one(5).divide(u))
 
     @settings(max_examples=40)
     @given(int_terms2, int_terms2, st.lists(int_terms2, max_size=4), nonzero_int)
@@ -287,7 +324,7 @@ class TestIntInputsStayExact:
         assert_exact(p + q, p - q, p * q, p * 7, p.divexact(c0))
         s = Series2([LPoly2(t) for t in [a] + tail], 5)
         u = Series2([LPoly2.const(c0)] + [LPoly2(t) for t in tail], 5)
-        assert_exact(s * u, s.divide(u), u.inverse())
+        assert_exact(s * u, s.divide(u), Series2.one(5).divide(u))
 
 
 def reference_mul(s, o):
@@ -364,8 +401,8 @@ class TestFusedProduct:
 
 
 def fused_mul(s, o):
-    """The fused loop of ``Series1.__mul__`` before its short path for a
-    constant factor, kept as the exact reference for that path."""
+    """The fused loop of ``Series1.__mul__``, written out: the exact
+    reference for its path for a scalar factor."""
     n = min(s.order, o.order)
     a = [(i, p) for i, p in enumerate(s.coeffs[:n]) if p.terms]
     out = []
@@ -388,9 +425,10 @@ def stored(s):
 
 
 class TestConstantFactorShortPath:
-    """A product with a scalar, or with a series that is a constant to its
-    order, scales coefficients; it must equal the fused loop exactly, with
-    the same order and the same int or Fraction storage."""
+    """A product with a scalar scales coefficients, and one with a series
+    that is a constant to its order runs the loop; both must equal the
+    fused loop exactly, with the same order and the same int or Fraction
+    storage."""
 
     @pytest.mark.parametrize("cls,terms", [(Series1, terms1),
                                            (Series2, terms2)])
@@ -407,14 +445,6 @@ class TestConstantFactorShortPath:
                           (const * a, fused_mul(const, a))):
             assert type(got) is cls
             assert stored(got) == stored(want)
-
-    def test_a_series_with_a_later_term_is_not_constant(self):
-        assert Series1.const(2, 3).constant() == 2
-        assert Series1.zero(3).constant() == 0
-        late = Series1([LPoly.const(2), LPoly(), LPoly.var(1)], 3)
-        assert late.constant() is None
-        assert Series1.x(3).constant() is None
-        assert Series2.from_poly(LPoly2.y(1), 3).constant() is None
 
 
 def reference_add(a: dict, b: dict) -> dict:
@@ -566,7 +596,7 @@ def test_series2_x_stays_in_its_ring():
 # Each one-variable method of Series1 with arguments it accepts there.
 ONE_VARIABLE_CALLS = {
     "coeff_x": (1,), "part_x": ("neg",), "halve_x": (), "x_to_xt": (),
-    "sqrt": (), "mul_x": (1,), "sub_inverse_x": (), "compose": (Series1.t(3),),
+    "mul_x": (1,), "sub_inverse_x": (), "compose": (Series1.t(3),),
 }
 
 
