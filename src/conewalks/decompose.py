@@ -24,16 +24,16 @@ when s != 0, 1 when s = 0), so that A and every bivariate series read off
 it (P, L, B, M, N and their sections) have integer coefficients and no
 bivariate product touches a ``Fraction``.  Those series are k times the
 paper's.  ``Pipeline.unscale`` divides by k, and only the one-variable
-readers call it: R and S (so S1, S(-1), P0 and R0 too) and the oracles
-of the catalog entries.  An equation linear in the k-scaled series
-multiplies its inhomogeneous term by k.
+readers call it: R and S (so S1, S(-1), P0 and R0 too).  An equation
+linear in the k-scaled series multiplies its inhomogeneous term by k.
 
-The oracle side of each ``engine`` catalog entry is data too:
-``_PARAM_ORACLES``, ``_ENDPOINTS`` and ``_CONSTANTS`` map its key to the
-pipeline series it must match: a boundary series, a constant, or an
-endpoint count read off a pipeline's A by ``at_point`` (so the orbit sign
-of each model stays in ``PIPELINES``).  ``param_oracle`` and
-``z_rational_oracle`` read them.
+The oracle side of the ``engine`` catalog is one table, ``ORACLES``, and
+one reader, ``oracle``: each entry reads a line of A, a signed sum of
+points of A or a constant of the boundary series S, and a point of A is a
+signed sum of DP counts of C and Q, read off the ``walks.sweep`` memo by
+``read_A``.  So the catalog verdicts build no bivariate series and run
+none of the extraction code that the identities suite tests; S, P0 and
+S(-1) share their code with ``Pipeline``.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache, wraps
 
 from .engine import kernel_quadratic, sqrt
-from .laurent import LPoly2
+from .laurent import LPoly, LPoly2
 from .series import Series1, Series2
 from .walks import (
     DIAGONAL,
@@ -50,6 +50,7 @@ from .walks import (
     Region,
     WalkModel,
     generating_series,
+    sweep,
 )
 
 def tmul(s, k: int = 1):
@@ -81,6 +82,11 @@ def at_point(W: Series2, point: tuple) -> Series1:
     """[x^i y^j] W, for point (i, j), as a series of constants."""
     return Series1.from_scalar_coeffs(
         [p.coeff(*point) for p in W.coeffs], W.order)
+
+
+def at_minus_one(S: Series1) -> Series1:
+    """S(-1), for a series S whose coefficients are polynomials in x."""
+    return S.compose(Series1.const(-1, S.order))
 
 
 def quadrant_mirror_combo(Q: Series2) -> Series2:
@@ -251,13 +257,16 @@ class Pipeline:
             return tmul(x0.mul_x(-1).halve_x(), 2)
         return tmul(x0)
 
+    def S_of(self, W0: Series1) -> Series1:
+        """S(x) = t x W(0, x), for W(0, x) at the paper's scale; on the
+        diagonal lattice it lives in the squared variable:
+        S(x) = t sqrt(x) W(0, sqrt x)."""
+        xW = W0.mul_x(1)
+        return tmul(xW.halve_x() if self.steps is DIAGONAL else xW)
+
     @_cached
     def S(self) -> Series1:
-        """S(x) = t x W(0, x); on the diagonal lattice it lives in the
-        squared variable: S(x) = t sqrt(x) W(0, sqrt x).  W is read at the
-        paper's scale."""
-        xW = self.unscale(self.boundary.coeff_of("x", 0)).mul_x(1)
-        return tmul(xW.halve_x() if self.steps is DIAGONAL else xW)
+        return self.S_of(self.unscale(self.boundary.coeff_of("x", 0)))
 
     @_cached
     def S1(self) -> Series1:
@@ -265,13 +274,15 @@ class Pipeline:
 
     @_cached
     def S_m1(self) -> Series1:
-        """S(-1)."""
-        return self.S.compose(Series1.const(-1, self.order))
+        return at_minus_one(self.S)
+
+    def P0_of(self, S: Series1) -> Series1:
+        """[x^0] of Delta(x) S(x) S(xbar), for a boundary series S."""
+        return (self.Delta * S * S.sub_inverse_x()).coeff_x(0)
 
     @_cached
     def P0(self) -> Series1:
-        """[x^0] of Delta(x) S(x) S(xbar)."""
-        return (self.Delta * self.S * self.S.sub_inverse_x()).coeff_x(0)
+        return self.P0_of(self.S)
 
     @_cached
     def R0(self) -> Series1:
@@ -288,94 +299,114 @@ def pipeline(name: str, order: int) -> Pipeline:
 # ---------------------------------------------------------------------------
 
 
-# key -> (pipeline, boundary series, power of x, power of t).  Square
-# oracles are read with x -> x t; diagonal ones live in the squared variable.
-_PARAM_ORACLES = {
-    "sq-origin-axis-x": ("square_origin", "L_x0", 0, 1),
-    "sq-origin-axis-y": ("square_origin", "L_0y", 0, 1),
-    "diag-origin-axis-x": ("diagonal_origin", "L_x0", -1, 2),
-    "diag-origin-axis-y": ("diagonal_origin", "L_0y", 1, 1),
-    "sq-shift-left-axis-x": ("square_shifted", "L_x0", 0, 0),
-    "sq-shift-left-axis-y": ("square_shifted", "L_0y", 1, 0),
-    "sq-shift-below-axis-x": ("square_shifted", "B_x0", 1, 0),
-    "sq-shift-below-axis-y": ("square_shifted", "B_0y", 0, 0),
-    "diag-shift-left-axis-x": ("diagonal_shifted", "L_x0", -1, 0),
-    "diag-shift-left-axis-y": ("diagonal_shifted", "L_0y", 1, 1),
-    "diag-shift-below-axis-x": ("diagonal_shifted", "B_x0", 1, 1),
-    "diag-shift-below-axis-y": ("diagonal_shifted", "B_0y", -1, 0),
+def read_counts(model: WalkModel, order: int, cells) -> Series1:
+    """The sum of c x^e N(i, j) over the ``cells`` (e, c, (i, j)), for N the
+    counts of the walks of ``model`` of each length n < order, read off the
+    ``walks.sweep`` memo."""
+    coeffs = []
+    for frontier in sweep(model, order)[:order]:
+        acc = {}
+        for e, c, (i, j) in cells:
+            acc[e] = acc.get(e, 0) + c * frontier.get(i, j)
+        coeffs.append(LPoly(acc))
+    return Series1(coeffs, order)
+
+
+# The lines of A: name -> the cell that x^e reads.
+LINES = {
+    "L(x,0)": lambda e: (-e - 1, 0),
+    "L(0,y)": lambda e: (-1, e),
+    "B(x,0)": lambda e: (e, -1),
+    "B(0,y)": lambda e: (0, -e - 1),
 }
 
 
-def param_oracle(key: str, order: int) -> Series1:
-    """The walk-oracle series that a bivariate catalog entry must match."""
-    which, name, dx, dt = _PARAM_ORACLES[key]
+def read_A(p: Pipeline, reads: dict) -> Series1:
+    """The signed sum of what ``reads`` = {point or line: sign} names: A at a
+    point, or the series of A along a line of ``LINES``, for the paper's
+    A(i, j) = C(i, j) - (s/3)(Q(i, j) - Q(-i-2, j) - Q(i, -j-2)).  A walk of
+    n < order steps, or the mirror image of one, ends within order + 1 of
+    the origin in each coordinate, and cell e of a line has a coordinate of
+    size e or more, so the cells e < order + 2 hold all its counts; and a
+    quadrant walk ends at i, j >= 0."""
+    cells = []
+    for item, sign in reads.items():
+        if item in LINES:
+            cells += [(e, sign, LINES[item](e)) for e in range(p.order + 2)]
+        else:
+            cells.append((0, sign, item))
+    A = read_counts(p.model, p.order, cells)
+    if p.sign:
+        mirror = [(e, m * c, (a, b)) for e, c, (i, j) in cells
+                  for m, (a, b) in ((1, (i, j)), (-1, (-i - 2, j)),
+                                    (-1, (i, -j - 2))) if a >= 0 and b >= 0]
+        A = A - Fraction(p.sign, 3) * read_counts(p.qmodel, p.order, mirror)
+    return A
+
+
+# key -> (pipeline, what it reads, power of x, power of t): the walk-oracle
+# series that each catalog entry of ``engine`` must match.  What it reads is
+# a line of A or a signed sum of points of A, as ``read_A`` reads them, or
+# ("S", w): the constant P0 - w S(-1) of the boundary series S.  Square
+# lines are read with x -> x t; diagonal ones live in the squared variable.
+ORACLES = {
+    "sq-origin-axis-x": ("square_origin", {"L(x,0)": 1}, 0, 1),
+    "sq-origin-axis-y": ("square_origin", {"L(0,y)": 1}, 0, 1),
+    "diag-origin-axis-x": ("diagonal_origin", {"L(x,0)": 1}, -1, 2),
+    "diag-origin-axis-y": ("diagonal_origin", {"L(0,y)": 1}, 1, 1),
+    "sq-shift-left-axis-x": ("square_shifted", {"L(x,0)": 1}, 0, 0),
+    "sq-shift-left-axis-y": ("square_shifted", {"L(0,y)": 1}, 1, 0),
+    "sq-shift-below-axis-x": ("square_shifted", {"B(x,0)": 1}, 1, 0),
+    "sq-shift-below-axis-y": ("square_shifted", {"B(0,y)": 1}, 0, 0),
+    "diag-shift-left-axis-x": ("diagonal_shifted", {"L(x,0)": 1}, -1, 0),
+    "diag-shift-left-axis-y": ("diagonal_shifted", {"L(0,y)": 1}, 1, 1),
+    "diag-shift-below-axis-x": ("diagonal_shifted", {"B(x,0)": 1}, 1, 1),
+    "diag-shift-below-axis-y": ("diagonal_shifted", {"B(0,y)": 1}, -1, 0),
+    "sq-origin-end-m1-0": ("square_origin", {(-1, 0): 1}, 0, 1),
+    "sq-origin-end-m1-1": ("square_origin", {(-1, 1): 1}, 0, 0),
+    "sq-origin-end-m2-0": ("square_origin", {(-2, 0): 1}, 0, 0),
+    "sq-origin-end-0-0": ("square_origin", {(0, 0): 1}, 0, 0),
+    "diag-origin-end-m1-1": ("diagonal_origin", {(-1, 1): 1}, 0, 1),
+    "diag-origin-end-m2-0": ("diagonal_origin", {(-2, 0): 1}, 0, 0),
+    "diag-origin-end-0-0": ("diagonal_origin", {(0, 0): 1}, 0, 0),
+    "sq-shift-end-0-0": ("square_shifted", {(0, 0): 1}, 0, 1),
+    "sq-shift-end-m2-0": ("square_shifted", {(-2, 0): 1}, 0, 1),
+    "sq-shift-end-0-m2": ("square_shifted", {(0, -2): 1}, 0, 1),
+    "sq-shift-end-m1-0": ("square_shifted", {(-1, 0): 1}, 0, 0),
+    "sq-shift-end-m1-1": ("square_shifted", {(-1, 1): 1}, 0, 1),
+    "sq-shift-end-0-m1": ("square_shifted", {(0, -1): 1}, 0, 0),
+    "diag-shift-end-m1-1": ("diagonal_shifted", {(-1, 1): 1}, 0, 1),
+    "diag-shift-end-m1-3": ("diagonal_shifted", {(-1, 3): 1}, 0, 1),
+    "diag-shift-end-m2-0": ("diagonal_shifted", {(-2, 0): 1}, 0, 0),
+    "diag-shift-end-0-0": ("diagonal_shifted", {(0, 0): 1}, 0, 0),
+    "diag-shift-end-0-m2": ("diagonal_shifted", {(0, -2): 1}, 0, 0),
+    "diag-shift-end-1-m1": ("diagonal_shifted", {(1, -1): 1}, 0, 1),
+    "sq-origin-m01": ("square_origin", {(-1, 1): 1}, 0, 2),
+    "sq-S1": ("square_origin", {(-1, 0): 1}, 0, 1),
+    "sq-P0": ("square_origin", ("S", 0), 0, 0),
+    "diag-S1": ("diagonal_origin", {(-1, 1): 1}, 0, 1),
+    "diag-F0": ("diagonal_origin", ("S", 1), 0, 0),
+    "diag-R0": ("diagonal_origin", {(-2, 0): 1}, 0, 2),
+    "diag-shift-S1": ("diagonal_shifted", {(-1, 1): 1, (1, -1): -1}, 0, 1),
+    "diag-shift-F0": ("diagonal_shifted", ("S", 3), 0, 0),
+}
+
+
+def oracle(key: str, order: int) -> Series1:
+    """The walk-oracle series of the catalog entry ``key``, read off the DP
+    frontiers: no bivariate series is built."""
+    which, reads, dx, dt = ORACLES[key]
     p = pipeline(which, order)
-    s = p.unscale(getattr(p, name))
+    if isinstance(reads, tuple):
+        # W(0, x) is L(0, y) from the origin and N(0, y) = L(0, y) - B(x, 0)
+        # from a shifted start (``Pipeline.boundary``).
+        W0 = ({"L(0,y)": 1} if p.start == (0, 0)
+              else {"L(0,y)": 1, "B(x,0)": -1})
+        S = p.S_of(read_A(p, W0))
+        _, weight = reads
+        P0 = p.P0_of(S)
+        return P0 - weight * at_minus_one(S) if weight else P0
+    s = read_A(p, reads)
     if p.steps is SQUARE:
         return tmul(s, dt).x_to_xt().mul_x(dx)
     return tmul(s.mul_x(dx).halve_x(), dt)
-
-
-# key -> (pipeline, end, power of t): the pipeline's zero-orbit-sum series
-# A at x^i y^j for end = (i, j).
-_ENDPOINTS = {
-    "sq-origin-end-m1-0": ("square_origin", (-1, 0), 1),
-    "sq-origin-end-m1-1": ("square_origin", (-1, 1), 0),
-    "sq-origin-end-m2-0": ("square_origin", (-2, 0), 0),
-    "sq-origin-end-0-0": ("square_origin", (0, 0), 0),
-    "diag-origin-end-m1-1": ("diagonal_origin", (-1, 1), 1),
-    "diag-origin-end-m2-0": ("diagonal_origin", (-2, 0), 0),
-    "diag-origin-end-0-0": ("diagonal_origin", (0, 0), 0),
-    "sq-shift-end-0-0": ("square_shifted", (0, 0), 1),
-    "sq-shift-end-m2-0": ("square_shifted", (-2, 0), 1),
-    "sq-shift-end-0-m2": ("square_shifted", (0, -2), 1),
-    "sq-shift-end-m1-0": ("square_shifted", (-1, 0), 0),
-    "sq-shift-end-m1-1": ("square_shifted", (-1, 1), 1),
-    "sq-shift-end-0-m1": ("square_shifted", (0, -1), 0),
-    "diag-shift-end-m1-1": ("diagonal_shifted", (-1, 1), 1),
-    "diag-shift-end-m1-3": ("diagonal_shifted", (-1, 3), 1),
-    "diag-shift-end-m2-0": ("diagonal_shifted", (-2, 0), 0),
-    "diag-shift-end-0-0": ("diagonal_shifted", (0, 0), 0),
-    "diag-shift-end-0-m2": ("diagonal_shifted", (0, -2), 0),
-    "diag-shift-end-1-m1": ("diagonal_shifted", (1, -1), 1),
-}
-
-
-def diag_F0(order: int) -> Series1:
-    """F0 = P0 - S(-1) of the diagonal origin pipeline."""
-    dg = pipeline("diagonal_origin", order)
-    return dg.P0 - dg.S_m1
-
-
-def diag_shift_F0(order: int) -> Series1:
-    """F0 = P0 - 3 S(-1) of the shifted diagonal pipeline, with S from N."""
-    ds = pipeline("diagonal_shifted", order)
-    return ds.P0 - 3 * ds.S_m1
-
-
-def sq_origin_m01(order: int) -> Series1:
-    """t^2 [x^0 y^1] L of the square origin pipeline."""
-    sq = pipeline("square_origin", order)
-    return tmul(sq.unscale(sq.L_0y.coeff_x(1)), 2)
-
-
-# key -> the pipeline constant it names.
-_CONSTANTS = {
-    "sq-origin-m01": sq_origin_m01,
-    "sq-S1": lambda n: pipeline("square_origin", n).S1,
-    "sq-P0": lambda n: pipeline("square_origin", n).P0,
-    "diag-S1": lambda n: pipeline("diagonal_origin", n).S1,
-    "diag-F0": diag_F0,
-    "diag-R0": lambda n: pipeline("diagonal_origin", n).R0,
-    "diag-shift-S1": lambda n: pipeline("diagonal_shifted", n).S1,
-    "diag-shift-F0": diag_shift_F0,
-}
-
-
-def z_rational_oracle(key: str, order: int) -> Series1:
-    """The oracle series matching a one-variable catalog entry."""
-    if key in _CONSTANTS:
-        return _CONSTANTS[key](order)
-    which, end, dt = _ENDPOINTS[key]
-    p = pipeline(which, order)
-    return tmul(p.unscale(at_point(p.A, end)), dt)

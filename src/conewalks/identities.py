@@ -61,14 +61,13 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 from .closedforms import HypTerm, hyp_sum
-from .decompose import (PIPELINES, at_point, diag_F0, diag_shift_F0, exits,
-                        param_oracle, pipeline, tmul, z_rational_oracle)
+from .decompose import (PIPELINES, at_point, exits, oracle, pipeline,
+                        read_counts, tmul)
 from .engine import (T_residual, _param_data, catalog_series, kernel_residual,
                      kernel_root_Y, series_Z, solve_algebraic, sqrt)
 from .laurent import LPoly, LPoly2
 from .series import OrderError, Series1, Series2, horner
-from .walks import (DIAGONAL, SQUARE, Region, WalkModel, generating_series,
-                    sweep)
+from .walks import DIAGONAL, SQUARE, Region, WalkModel, sweep
 
 X = LPoly2.x(1)
 XB = LPoly2.x(-1)
@@ -419,8 +418,8 @@ def gessel_axis_series(order):
     """G(x,0) for wedge walks equals L(x,0) - B(0,x) of the shifted
     square-lattice cone model."""
     ss = pipeline("square_shifted", order)
-    G = generating_series(WEDGE, order)
-    return (ss.L_x0 - ss.B_0y) - ss.scale * G.coeff_of("y", 0)
+    G = read_counts(WEDGE, order, [(i, 1, (i, 0)) for i in range(order)])
+    return (ss.L_x0 - ss.B_0y) - ss.scale * G
 
 
 def gessel_diag_series(order):
@@ -428,26 +427,24 @@ def gessel_diag_series(order):
     cone model, in the halved variable."""
     ds = pipeline("diagonal_shifted", order)
     lhs = ds.L_x0.mul_x(-1).halve_x() - ds.B_0y.mul_x(-1).halve_x()
-    coeffs = [
-        LPoly({j: frontier.get(-j, j) for j in range(n + 1)})
-        for n, frontier in enumerate(sweep(WEDGE, order)[:order])
-    ]
-    return lhs - ds.scale * Series1(coeffs, order)
+    G = read_counts(WEDGE, order, [(j, 1, (-j, j)) for j in range(order)])
+    return lhs - ds.scale * G
 
 
 def orbit_endpoint(order):
     """C_{i,j} = s Q_{i,j} + C_{-i-2,j} + C_{i,-j-2} for each pipeline,
-    with its orbit sign s."""
+    with its orbit sign s, read off the DP frontiers by ``read_counts``."""
     points = [(0, 0), (1, 0), (1, 1), (2, 0), (0, 2), (2, 2)]
     mismatches = []
     for name in PIPELINES:
         p = pipeline(name, order)
         for (i, j) in points:
-            lhs = at_point(p.C, (i, j))
-            rhs = at_point(p.C, (-i - 2, j)) + at_point(p.C, (i, -j - 2))
+            residual = read_counts(p.model, order, [
+                (0, 1, (i, j)), (0, -1, (-i - 2, j)), (0, -1, (i, -j - 2))])
             if p.sign:
-                rhs = rhs + p.sign * at_point(p.Q, (i, j))
-            if (lhs - rhs).first_failure() is not None:
+                residual = residual - p.sign * read_counts(
+                    p.qmodel, order, [(0, 1, (i, j))])
+            if residual.first_failure() is not None:
                 mismatches.append((p.steps.name, p.start, i, j))
     return mismatches
 
@@ -606,7 +603,7 @@ def diag_cubic(order: int):
     x Delta, for the pipeline's Delta (the kernel discriminant, halved)."""
     dg = pipeline("diagonal_origin", order)
     S1 = dg.S1
-    F0 = diag_F0(order)
+    F0 = dg.P0 - dg.S_m1
     t2 = _scal([0, 0, 1], order)
     x = Series1.x(order)
     lead = dg.Delta.mul_x(1)
@@ -622,7 +619,7 @@ def diag_shift_cubic(order: int):
     ``diag_cubic``."""
     ds = pipeline("diagonal_shifted", order)
     S1 = ds.S1
-    F0 = diag_shift_F0(order)
+    F0 = ds.P0 - 3 * ds.S_m1
     t2 = _scal([0, 0, 1], order)
     x = Series1.x(order)
     lead = ds.Delta.mul_x(1)
@@ -903,7 +900,7 @@ QUARTIC_CHECKS = {
     f"quartic-{which}": (
         f"degree-4 equation for {which}",
         lambda n, which=which: [
-            quartic_residual(which, z_rational_oracle(which, n))],
+            quartic_residual(which, oracle(which, n))],
     )
     for which in _QUARTICS
 }
@@ -919,7 +916,6 @@ def catalog_checks(section: str) -> dict:
     """The check table of one catalog section, "bivariate" or
     "z_rationals", in key order: each entry's residual is its rational
     expression minus its oracle series."""
-    oracle = param_oracle if section == "bivariate" else z_rational_oracle
     return {
         key: (entry["anchor"],
               lambda n, key=key: [catalog_series(key, n) - oracle(key, n)])

@@ -20,15 +20,16 @@ hides the rows and the frame: ``get``, ``total`` and ``cells`` are the
 only way to read a frontier.  ``WalkModel`` refuses any other step set.
 
 ``_layers`` is the one DP loop, and ``sweep`` is the one memo.
-Verification reads are memoised per run: every pipeline series and every
-identity check reads its walk model through ``sweep``, so each model is
-swept once.  The readers whose length the user picks (``count``,
-``series``, ``oeis``, ``asympt`` and the closed forms) stream ``_layers``
-instead: each frontier is dropped once read, because holding every
-frontier of a long sweep until the process ends raises its peak memory.
-``endpoint_columns`` is the one endpoint reader: it reads any number of
-endpoints of one model from one streamed sweep, so the closed forms sweep
-each walk model once however many of its endpoints they check.
+Verification reads are memoised per run: every pipeline series, identity
+check and catalog oracle (``decompose.read_counts``) reads its walk model
+through ``sweep``, so each model is swept once.  The readers whose length
+the user picks (``count``, ``series``, ``oeis``, ``asympt`` and the closed
+forms) stream ``_layers`` instead: each frontier is dropped once read,
+because holding every frontier of a long sweep until the process ends
+raises its peak memory.  ``endpoint_columns`` is the one streamed
+endpoint reader: it reads any number of endpoints of one model from one
+streamed sweep, so the closed forms sweep each walk model once however
+many of its endpoints they check.
 
 A streamed reader may delete, from the frontier of length m it has read,
 the cells it need not follow for the k = n - m steps left, and

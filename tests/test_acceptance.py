@@ -107,8 +107,8 @@ def test_06_endpoint_rational_expressions():
     assert len(end_keys) == 19
     for key in checks:
         assert engine.run_check(checks, key, 24)["verdict"] == "pass", key
-    a = decompose.z_rational_oracle("sq-origin-end-m1-0", 24)
-    b = decompose.z_rational_oracle("diag-origin-end-m1-1", 24)
+    a = decompose.oracle("sq-origin-end-m1-0", 24)
+    b = decompose.oracle("diag-origin-end-m1-1", 24)
     assert (a - b).is_zero()
 
 

@@ -378,14 +378,14 @@ class TestFrozenEndpointValues:
     # these oracles mix the cone count with a third of the quadrant count,
     # matching the combination the closed expressions describe
     def test_sq_origin_corner(self):
-        s = decompose.z_rational_oracle("sq-origin-end-0-0", 9)
+        s = decompose.oracle("sq-origin-end-0-0", 9)
         assert scalar_coeffs(s, 9) == [
             Fraction(2, 3), 0, Fraction(10, 3), 0, Fraction(86, 3), 0,
             Fraction(884, 3), 0, Fraction(3334),
         ]
 
     def test_diag_shift_start_point(self):
-        s = decompose.z_rational_oracle("diag-shift-end-m2-0", 7)
+        s = decompose.oracle("diag-shift-end-m2-0", 7)
         assert scalar_coeffs(s, 7) == [
             Fraction(2, 3), 0, Fraction(5, 3), 0, Fraction(32, 3), 0,
             Fraction(278, 3),
@@ -542,17 +542,110 @@ def reference_endpoint_oracle(key, order):
     return s
 
 
-class TestEndpointOraclesReadFromPipelines:
-    """z_rational_oracle reads each endpoint series off a pipeline's C and
-    Q; it must equal the per-endpoint sweep it replaced."""
+class TestEndpointOraclesReadTheSweepMemo:
+    """``decompose.oracle`` reads each endpoint series off the sweep memo of
+    a pipeline's cone and quadrant models; it must equal the per-endpoint
+    streamed sweep it replaced."""
 
     def test_every_endpoint_key_is_covered(self):
-        assert set(REFERENCE_ENDPOINTS) == set(decompose._ENDPOINTS)
+        assert set(REFERENCE_ENDPOINTS) == {
+            key for key in decompose.ORACLES if "-end-" in key}
 
     @pytest.mark.parametrize("key", sorted(REFERENCE_ENDPOINTS))
     def test_equals_the_per_endpoint_sweep(self, key):
-        assert decompose.z_rational_oracle(key, 12) == (
+        assert decompose.oracle(key, 12) == (
             reference_endpoint_oracle(key, 12))
+
+
+# The catalog oracles as they were read off the bivariate pipelines, through
+# the extraction code that the identities suite tests: key -> (pipeline,
+# boundary series, power of x, power of t) for the lines, key -> (pipeline,
+# end, power of t) for the endpoints, read off A, and key -> (pipeline, its
+# constant) for the rest.  Kept as the reference of ``decompose.oracle``.
+EXTRACTED_LINES = {
+    "sq-origin-axis-x": ("square_origin", "L_x0", 0, 1),
+    "sq-origin-axis-y": ("square_origin", "L_0y", 0, 1),
+    "diag-origin-axis-x": ("diagonal_origin", "L_x0", -1, 2),
+    "diag-origin-axis-y": ("diagonal_origin", "L_0y", 1, 1),
+    "sq-shift-left-axis-x": ("square_shifted", "L_x0", 0, 0),
+    "sq-shift-left-axis-y": ("square_shifted", "L_0y", 1, 0),
+    "sq-shift-below-axis-x": ("square_shifted", "B_x0", 1, 0),
+    "sq-shift-below-axis-y": ("square_shifted", "B_0y", 0, 0),
+    "diag-shift-left-axis-x": ("diagonal_shifted", "L_x0", -1, 0),
+    "diag-shift-left-axis-y": ("diagonal_shifted", "L_0y", 1, 1),
+    "diag-shift-below-axis-x": ("diagonal_shifted", "B_x0", 1, 1),
+    "diag-shift-below-axis-y": ("diagonal_shifted", "B_0y", -1, 0),
+}
+EXTRACTED_ENDPOINTS = {
+    "sq-origin-end-m1-0": ("square_origin", (-1, 0), 1),
+    "sq-origin-end-m1-1": ("square_origin", (-1, 1), 0),
+    "sq-origin-end-m2-0": ("square_origin", (-2, 0), 0),
+    "sq-origin-end-0-0": ("square_origin", (0, 0), 0),
+    "diag-origin-end-m1-1": ("diagonal_origin", (-1, 1), 1),
+    "diag-origin-end-m2-0": ("diagonal_origin", (-2, 0), 0),
+    "diag-origin-end-0-0": ("diagonal_origin", (0, 0), 0),
+    "sq-shift-end-0-0": ("square_shifted", (0, 0), 1),
+    "sq-shift-end-m2-0": ("square_shifted", (-2, 0), 1),
+    "sq-shift-end-0-m2": ("square_shifted", (0, -2), 1),
+    "sq-shift-end-m1-0": ("square_shifted", (-1, 0), 0),
+    "sq-shift-end-m1-1": ("square_shifted", (-1, 1), 1),
+    "sq-shift-end-0-m1": ("square_shifted", (0, -1), 0),
+    "diag-shift-end-m1-1": ("diagonal_shifted", (-1, 1), 1),
+    "diag-shift-end-m1-3": ("diagonal_shifted", (-1, 3), 1),
+    "diag-shift-end-m2-0": ("diagonal_shifted", (-2, 0), 0),
+    "diag-shift-end-0-0": ("diagonal_shifted", (0, 0), 0),
+    "diag-shift-end-0-m2": ("diagonal_shifted", (0, -2), 0),
+    "diag-shift-end-1-m1": ("diagonal_shifted", (1, -1), 1),
+}
+EXTRACTED_CONSTANTS = {
+    "sq-origin-m01": ("square_origin",
+                      lambda p: tmul(p.unscale(p.L_0y.coeff_x(1)), 2)),
+    "sq-S1": ("square_origin", lambda p: p.S1),
+    "sq-P0": ("square_origin", lambda p: p.P0),
+    "diag-S1": ("diagonal_origin", lambda p: p.S1),
+    "diag-F0": ("diagonal_origin", lambda p: p.P0 - p.S_m1),
+    "diag-R0": ("diagonal_origin", lambda p: p.R0),
+    "diag-shift-S1": ("diagonal_shifted", lambda p: p.S1),
+    "diag-shift-F0": ("diagonal_shifted", lambda p: p.P0 - 3 * p.S_m1),
+}
+
+
+def extracted_oracle(key, order):
+    """The oracle of a catalog entry read off its pipeline's bivariate
+    series."""
+    if key in EXTRACTED_CONSTANTS:
+        which, constant = EXTRACTED_CONSTANTS[key]
+        return constant(decompose.pipeline(which, order))
+    if key in EXTRACTED_ENDPOINTS:
+        which, end, dt = EXTRACTED_ENDPOINTS[key]
+        p = decompose.pipeline(which, order)
+        return tmul(p.unscale(decompose.at_point(p.A, end)), dt)
+    which, name, dx, dt = EXTRACTED_LINES[key]
+    p = decompose.pipeline(which, order)
+    s = p.unscale(getattr(p, name))
+    if p.steps is SQUARE:
+        return tmul(s, dt).x_to_xt().mul_x(dx)
+    return tmul(s.mul_x(dx).halve_x(), dt)
+
+
+class TestOraclesEqualTheExtractedSeries:
+    """``decompose.oracle`` reads each catalog oracle off the DP frontiers;
+    it must equal the same series extracted from the bivariate pipelines,
+    exactly, for all 39 catalog keys."""
+
+    def test_every_catalog_key_is_covered(self):
+        keys = {*EXTRACTED_LINES, *EXTRACTED_ENDPOINTS, *EXTRACTED_CONSTANTS}
+        data = engine._param_data()
+        assert len(keys) == 39
+        assert keys == set(decompose.ORACLES) == {
+            *data["bivariate"], *data["z_rationals"]}
+
+    @pytest.mark.parametrize("order", [12, 16, 30])
+    @pytest.mark.parametrize("key", sorted(decompose.ORACLES))
+    def test_equals_the_extracted_series(self, key, order):
+        got, want = decompose.oracle(key, order), extracted_oracle(key, order)
+        assert got.order == want.order == order
+        assert got == want
 
 
 class QI:
@@ -753,7 +846,7 @@ def reference_diag_quad_residual(X):
     order = X.order
     dg = decompose.pipeline("diagonal_origin", order)
     S = dg.S
-    F0 = decompose.diag_F0(order)
+    F0 = dg.P0 - dg.S_m1
     t2 = Series1.from_scalar_coeffs([0, 0, 1], order)
     SX = S.compose(X)
     lead = X - 4 * t2 * (1 + X) ** 2

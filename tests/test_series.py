@@ -424,7 +424,7 @@ def stored(s):
                      for p in s.coeffs]
 
 
-class TestConstantFactorShortPath:
+class TestConstantProductsEqualTheLoop:
     """A product with a scalar scales coefficients, and one with a series
     that is a constant to its order runs the loop; both must equal the
     fused loop exactly, with the same order and the same int or Fraction

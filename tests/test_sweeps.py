@@ -127,9 +127,38 @@ def test_swapped_closed_form_endpoints_fail_with_their_own_values(
     assert reports[a]["first_failure"] != reports[b]["first_failure"]
 
 
-def test_orbit_endpoint_reads_the_pipelines(sweeps):
+def pipeline_models():
+    """The cone and quadrant walk models of the pipelines: 6 distinct ones,
+    as the origin and shifted pipelines of a lattice share a quadrant
+    model."""
+    models = set()
+    for name in decompose.PIPELINES:
+        p = decompose.Pipeline(name, 1)
+        models |= {p.model, p.qmodel}
+    return models
+
+
+def test_orbit_endpoint_reads_the_sweep_memo(swept):
+    """orbit-endpoint reads its counts off one sweep of each cone model and
+    of the quadrant models of the pipelines whose orbit sign is nonzero:
+    all 6 models, as the square origin pipeline needs the square quadrant."""
     assert identities.orbit_endpoint(12) == []
-    assert 0 < len(sweeps) <= 8
+    assert sorted(n for _, n in swept) == [12] * 6
+    assert {model for model, _ in swept} == pipeline_models()
+
+
+def test_catalog_suites_build_no_bivariate_series(capsys, swept):
+    """The params, endpoints and quartics suites read the DP frontiers of
+    the 6 cone and quadrant models, each swept once, and build none of the
+    pipelines' bivariate series."""
+    assert run(capsys, "verify", "--suite", "params,endpoints,quartics",
+               "--order", "16") == 0
+    assert sorted(n for _, n in swept) == [16] * 6
+    assert {model for model, _ in swept} == pipeline_models()
+    assert decompose.pipeline.cache_info().currsize == 4
+    for name in decompose.PIPELINES:
+        built = vars(decompose.pipeline(name, 16))
+        assert not {"C", "Q", "A", "L", "B", "N"} & set(built), name
 
 
 def test_identities_sweep_each_model_once(capsys, swept):
@@ -141,9 +170,11 @@ def test_identities_sweep_each_model_once(capsys, swept):
 
 
 def test_memoised_frontiers_equal_a_fresh_sweep(capsys, swept):
-    """No reader changes a shared frontier: after a run, each memo entry
+    """No reader changes a shared frontier: after a run of the identities
+    and of the catalog suites, which read the same memo entries, each entry
     still equals a fresh pass of the DP."""
-    assert run(capsys, "verify", "--suite", "identities", "--order", "8") == 0
+    assert run(capsys, "verify", "--suite",
+               "identities,params,endpoints,quartics", "--order", "12") == 0
     misses = walks.sweep.cache_info().misses
     for model, n in list(swept):
         assert walks.sweep(model, n) == tuple(walks._layers(model, n))
